@@ -6,6 +6,20 @@ The average kernel size ("ask") of a module M of matrices is
 action.  It is computed two independent ways: directly, by enumerating
 module elements, and through the orbit matrix C(x), using the identity
 ask = sum over x in R^I of 1/|image of C(x)|.
+
+The orbit sum over R = Z/p^n (a field F_q has n = 1) visits one point per
+unit orbit of primitive points, by two exact identities:
+
+- unit scaling: C(u x) = u C(x) for a unit u, so |image C(x)| is constant
+  on unit orbits, and units act freely on primitive points;
+- level recursion: for x = p y over Z/p^k, |image_k C(x)| = |image_{k-1} C(y)|.
+
+Together, with C(0) = 0 contributing 1,
+
+    ask = 1 + sum_{k=1..n} |(Z/p^k)^x| * sum_{x in N_k} 1/|image_k C(x)|,
+
+where N_k is the set of normalised primitive points over Z/p^k: the
+first unit coordinate is 1, every earlier one a non-unit.
 """
 from __future__ import annotations
 
@@ -42,13 +56,6 @@ def _profile_kernel_size(profile: Sequence[int], ring: Ring, rows: int) -> int:
     return ring.cardinality() ** rows // img
 
 
-def _profile_image_size(profile: Sequence[int], ring: Ring) -> int:
-    img = 1
-    for v in profile:
-        img *= ring.p ** (ring.residue_log * (ring.cap - v))
-    return img
-
-
 def direct_profile_counts(rep: ModuleRep, ring: Ring,
                           budget: int = DEFAULT_BUDGET,
                           use_fast: bool = True) -> Counter:
@@ -80,15 +87,41 @@ def ask_direct(rep: ModuleRep, ring: Ring, budget: int = DEFAULT_BUDGET,
     return AskResult(Fraction(ker_sum, total), total, "direct")
 
 
+def _normalised_primitive_points(ring: Ring, dim: int):
+    """One point of ring^dim per unit orbit of primitive points: the first
+    unit coordinate is ring.one, earlier ones are non-units, later ones
+    arbitrary."""
+    elems = list(ring.elements())
+    nonunits = [a for a in elems if not ring.is_unit(a)]
+    one = (ring.one,)
+    for j in range(dim):
+        for head in itertools.product(nonunits, repeat=j):
+            for tail in itertools.product(elems, repeat=dim - 1 - j):
+                yield head + one + tail
+
+
 def ask_orbit(rep: ModuleRep, ring: Ring, budget: int = DEFAULT_BUDGET) -> AskResult:
-    """ask via the orbit matrix: sum over x in R^I of 1/|image C(x)|."""
+    """ask via the orbit matrix: sum over x in R^I of 1/|image C(x)|.
+
+    R = Z/p^n, or F_q with n = 1.  By unit scaling (C(u x) = u C(x), units
+    acting freely on primitive points) and the level recursion
+    (|image_k C(p y)| = |image_{k-1} C(y)|), the sum equals
+    1 + sum_{k=1..n} |(Z/p^k)^x| * sum_{x in N_k} 1/|image_k C(x)|, with N_k
+    the normalised primitive points over Z/p^k (see the module docstring).
+    Only the points of the N_k are enumerated; the budget still bounds |R|^I.
+    """
     dI = len(rep.I)
     size = ring.cardinality() ** dI
     if size > budget:
         raise BudgetExceeded(f"{size} orbit points exceed budget {budget}")
-    value = Fraction(0)
-    for x in itertools.product(list(ring.elements()), repeat=dI):
-        value += Fraction(1, image_size(rep.orbit_matrix_at(ring, x)))
+    value = Fraction(1)  # x = 0: C(0) = 0 has image size 1
+    levels = [PadicQuotient(ring.p, k) for k in range(1, ring.cap)] + [ring]
+    for level in levels:
+        sizes = Counter(image_size(rep.orbit_matrix_at(level, x))
+                        for x in _normalised_primitive_points(level, dI))
+        q = level.cardinality()
+        units = q - q // level.residue_cardinality()
+        value += units * sum(Fraction(n, s) for s, n in sizes.items())
     return AskResult(value, ring.cardinality() ** rep.rank, "orbit")
 
 

@@ -3,9 +3,9 @@
 Verbs: check-admissible, ask, zeta-verify, rank-dist, constant-rank,
 orbital-check, cc, dump-rep, batch.  Exit codes: 0 = all checks pass,
 1 = verification mismatch, 2 = soft fail only (small-prime caveat),
-3 = usage or parse error, 4 = budget exceeded.  Reports go to stdout
-(text, or canonical JSON with --json); diagnostics to stderr.  All
-randomness flows from one seeded generator echoed in the report header.
+3 = usage, parse or unsupported-input error, 4 = budget exceeded.
+Reports go to stdout (text, or canonical JSON with --json); diagnostics
+to stderr.  All randomness flows from --seed, echoed in the report header.
 
 Representation specs (for --rep/--big/--sub/--baer):
   classic:NAME:d[,e]      standard module (mat, alt, sym, sl, tr)
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import shlex
 import sys
 from fractions import Fraction
@@ -102,10 +101,7 @@ def _make_ring(p: int, n: int):
 
 
 def _header(args) -> dict:
-    return {"seed": getattr(args, "seed", DEFAULT_SEED),
-            "threads": getattr(args, "threads", 1),
-            "threads_note": "enumeration runs single-threaded; results are "
-                            "independent of the requested thread count"}
+    return {"seed": getattr(args, "seed", DEFAULT_SEED)}
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +187,8 @@ def _cmd_zeta_verify(args) -> int:
         })
         if not rep_report.passed:
             soft = prediction.name in SOFT_PREDICTIONS and p in SOFT_PRIMES
-            exit_code = max(exit_code, 2 if soft else 1) if exit_code != 1 else 1
+            # a hard failure (1) outranks a soft one (2) whatever the order
+            exit_code = (exit_code or 2) if soft else 1
             if soft:
                 reports[-1]["soft_fail"] = (
                     "closed form excludes finitely many small primes; "
@@ -295,7 +292,6 @@ def _build_parser() -> _Parser:
     def common(p):
         p.add_argument("--json", action="store_true")
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--budget", type=int, default=askzeta.DEFAULT_BUDGET)
 
     p = sub.add_parser("check-admissible")
@@ -380,9 +376,10 @@ def run(argv: list[str]) -> int:
         args = parser.parse_args(argv)
         if args.verb == "cc" and not (args.free_nilpotent or args.baer):
             raise UsageError("cc needs --free-nilpotent or --baer")
-        random.seed(getattr(args, "seed", DEFAULT_SEED))
         return args.func(args)
-    except (UsageError, ParseError, FileNotFoundError, ValueError) as exc:
+    except (UsageError, ParseError, FileNotFoundError, ValueError,
+            nilpotent.BadCharacteristic, nilpotent.NotAlternating,
+            nilpotent.UnsupportedClass) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (askzeta.BudgetExceeded, nilpotent.BudgetExceeded,

@@ -113,7 +113,7 @@ def free_nilpotent_lie(d: int, nil_class: int = 3) -> GradedAlgebra:
     Degree dimensions: d, C(d,2), (d^3 - d)/3.
     """
     if nil_class not in (2, 3):
-        raise UnsupportedClass(str(nil_class))
+        raise UnsupportedClass(f"nilpotency class {nil_class} is not 2 or 3")
     labels: list = [("x", i) for i in range(1, d + 1)]
     degrees = [1] * d
     for j in range(2, d + 1):

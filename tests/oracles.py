@@ -76,6 +76,25 @@ def naive_ask(rep, ring) -> Fraction:
     return Fraction(total, count)
 
 
+def naive_orbit_ask(rep, ring) -> Fraction:
+    """ask by the orbit identity, summed over every x in R^I: C(x) has entry
+    (b, j) = sum_i x_i a_{bij}, formed here straight from the generators,
+    and its image is counted by vector enumeration."""
+    elems = list(ring.elements())
+    cols = len(rep.J)
+    total = Fraction(0)
+    for x in itertools.product(elems, repeat=len(rep.I)):
+        entries = []
+        for g in rep.gens:
+            for j in range(cols):
+                acc = ring.zero
+                for i, xi in enumerate(x):
+                    acc = ring.add(acc, ring.mul(xi, ring.from_int(g[i][j])))
+                entries.append(acc)
+        total += Fraction(1, brute_image_size(Mat(ring, rep.rank, cols, tuple(entries))))
+    return total
+
+
 # ---------------------------------------------------------------------------
 # Rectangular admissibility from the quantified definition.
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gridask.askzeta import (BudgetExceeded, ask, ask_direct, ask_orbit,
                              constant_rank_check, direct_profile_counts,
@@ -16,7 +17,7 @@ from gridask.modrep import (ModuleRep, board_rep, classic_rep, family_rep,
 from gridask.predictions import predict
 from gridask.rings import make_ring
 
-from oracles import naive_ask, random_rep
+from oracles import naive_ask, naive_orbit_ask, random_rep
 
 GRIDS = Path(__file__).resolve().parent.parent / "grids"
 F3 = make_ring("field", 3)
@@ -79,6 +80,51 @@ def test_fast_census_matches_pure():
         n = ring.cap
         fast = Counter(profile_counts(rep.gens, ring.p, n))
         assert pure == fast
+
+
+ORACLE_RINGS = {"F2": make_ring("field", 2), "F3": F3, "Z/4": make_ring("padic", 2, 2),
+                "Z/8": make_ring("padic", 2, 3), "Z/9": make_ring("padic", 3, 2),
+                "F4": make_ring("ext", 2, 2)}
+
+
+@st.composite
+def tiny_reps(draw):
+    dI, dJ, k = (draw(st.integers(0, 2)) for _ in range(3))
+    gens = tuple(tuple(tuple(draw(st.integers(-4, 4)) for _ in range(dJ))
+                       for _ in range(dI)) for _ in range(k))
+    return ModuleRep(tuple(range(k)), tuple(range(1, dI + 1)),
+                     tuple(range(1, dJ + 1)), gens)
+
+
+@settings(max_examples=50, deadline=None)
+@given(rep=tiny_reps(), ring_name=st.sampled_from(sorted(ORACLE_RINGS)))
+@example(rep=ModuleRep((), (), (1, 2), ()), ring_name="Z/8")  # I empty
+@example(rep=ModuleRep((), (1, 2), (1,), ()), ring_name="F4")  # rank 0
+@example(rep=ModuleRep(("a",), (1, 2), (1, 2), (((-1, 2), (0, -3)),)),
+         ring_name="Z/4")
+def test_orbit_matches_orbit_oracle(rep, ring_name):
+    ring = ORACLE_RINGS[ring_name]
+    assert ask_orbit(rep, ring).value == naive_orbit_ask(rep, ring)
+
+
+@pytest.mark.parametrize("ring,points", [(F5, (5**3 - 1) // 4),
+                                         (make_ring("padic", 3, 2), 13 + 117)])
+def test_orbit_enumerates_unit_orbit_representatives(ring, points, monkeypatch):
+    # one normalised primitive point per unit orbit at each level k <= n:
+    # over F_5, the 31 points of P^2; over Z/9, 13 at level 1 and 81 + 27 + 9
+    # at level 2
+    calls = []
+    orbit_matrix_at = ModuleRep.orbit_matrix_at
+
+    def counted(self, level, x):
+        calls.append(x)
+        return orbit_matrix_at(self, level, x)
+
+    monkeypatch.setattr(ModuleRep, "orbit_matrix_at", counted)
+    rep = classic_rep("alt", 3)
+    value = ask_orbit(rep, ring).value
+    assert len(calls) == points
+    assert value == predict("classical_alt", d=3).series(ring.p, ring.cap)[ring.cap]
 
 
 def test_budget_enforced():

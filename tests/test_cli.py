@@ -148,6 +148,17 @@ def test_zeta_verify_soft_fail_small_prime(capsys):
     assert "soft_fail" in json.loads(out)["checks"][0]
 
 
+def test_zeta_verify_hard_failure_outranks_soft(capsys):
+    # p=3 is a soft failure, p=5 a hard one: the exit code is the hard one
+    code, out = run_out(["zeta-verify", "--rep", "classic:mat:2",
+                         "--against", "nfamily", "--params", "N=2",
+                         "--prime", "3", "--prime", "5", "--json"], capsys)
+    assert code == 1
+    checks = json.loads(out)["checks"]
+    assert "soft_fail" in checks[0] and "soft_fail" not in checks[1]
+    assert not checks[1]["passed"]
+
+
 # ---------------------------------------------------------------------------
 # constant-rank / orbital-check / cc
 # ---------------------------------------------------------------------------
@@ -187,6 +198,16 @@ def test_cc_baer(capsys):
                          "--json"], capsys)
     assert code == 0
     assert json.loads(out)["classes"] == 105
+
+
+UNSUPPORTED_CC = [["cc", "--free-nilpotent", "3,2", "--prime", "3"],
+                  ["cc", "--baer", "triangular-pair:2", "--prime", "3"]]
+
+
+@pytest.mark.parametrize("argv", UNSUPPORTED_CC)
+def test_cc_unsupported_input_exits_three(argv, capsys):
+    assert run(argv) == 3
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 # ---------------------------------------------------------------------------
@@ -259,3 +280,21 @@ def test_batch_keeps_going_after_failure(tmp_path, capsys):
     report = json.loads(out.strip().splitlines()[-1])
     assert report["counts"] == {"pass": 2, "soft": 0, "fail": 1}
     assert len(report["results"]) == 3
+
+
+def test_batch_continues_past_unsupported_input(tmp_path, capsys):
+    manifest = tmp_path / "unsupported.txt"
+    manifest.write_text("".join(" ".join(argv) + "\n" for argv in UNSUPPORTED_CC)
+                        + "ask --rep classic:alt:2 --prime 3\n")
+    code, out = run_out(["batch", str(manifest), "--json"], capsys)
+    assert code == 1
+    report = json.loads(out.strip().splitlines()[-1])
+    assert [r["exit"] for r in report["results"]] == [3, 3, 0]
+    assert report["counts"] == {"pass": 1, "soft": 0, "fail": 2}
+
+
+def test_header_echoes_seed_only(capsys):
+    code, out = run_out(["ask", "--rep", "classic:alt:2", "--prime", "3",
+                         "--json", "--seed", "7"], capsys)
+    assert code == 0
+    assert json.loads(out)["header"] == {"seed": 7}
