@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Conjugacy-class counts of small unipotent groups, brute-forced via the
-group law and compared with the closed-form catalog.
+"""Conjugacy-class counts of small unipotent groups, counted through the
+average kernel size of the centre-restricted adjoint module and compared
+with the closed-form catalog.
 
 Usage: python3 scripts/cc_table.py [PRIME ...]
 """
@@ -15,7 +16,9 @@ def main() -> None:
     groups = [("free class 2, 2 gens", free_nilpotent_lie(2, 2),
                predict("F2d_cc", d=2)),
               ("free class 3, 2 gens", free_nilpotent_lie(2, 3),
-               predict("F3d_cc", d=2))]
+               predict("F3d_cc", d=2)),
+              ("free class 3, 3 gens", free_nilpotent_lie(3, 3),
+               predict("F3d_cc", d=3))]
     for name, alg, pred in groups:
         for p in primes:
             counted = conjugacy_count_bch(alg, p)

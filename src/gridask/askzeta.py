@@ -160,15 +160,14 @@ class VerifyReport:
 
 
 def verify_prediction(rep: ModuleRep, prediction: Prediction, p: int, n_max: int,
-                      method: str = "orbit", budget: int = DEFAULT_BUDGET,
-                      residue_log: int = 1) -> VerifyReport:
-    """Compare brute-force zeta coefficients against the closed form at q = p^residue_log."""
-    q = p**residue_log
-    predicted = prediction.series(q, n_max)
+                      method: str = "orbit",
+                      budget: int = DEFAULT_BUDGET) -> VerifyReport:
+    """Compare brute-force zeta coefficients over Z/p^k against the closed form at q = p."""
+    predicted = prediction.series(p, n_max)
     brute = zeta_coefficients(rep, p, n_max, method, budget)
     checks = tuple(CoefficientCheck(n, brute[n], predicted[n], brute[n] == predicted[n])
                    for n in range(n_max + 1))
-    return VerifyReport(prediction.name, q, checks, all(c.match for c in checks))
+    return VerifyReport(prediction.name, p, checks, all(c.match for c in checks))
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from pathlib import Path
 
 from . import askzeta, boardgame, modrep, nilpotent, predictions
 from .colouring import ParseError, parse_grid
-from .rings import PadicQuotient, PrimeField
+from .rings import PrimeField, residue_ring
 
 DEFAULT_SEED = 20240601
 
@@ -96,10 +96,6 @@ def build_rep(spec: str) -> modrep.ModuleRep:
     raise UsageError(f"unknown representation spec {spec!r}")
 
 
-def _make_ring(p: int, n: int):
-    return PrimeField(p) if n == 1 else PadicQuotient(p, n)
-
-
 def _header(args) -> dict:
     return {"seed": getattr(args, "seed", DEFAULT_SEED)}
 
@@ -130,7 +126,7 @@ def _cmd_check_admissible(args) -> int:
 
 def _cmd_ask(args) -> int:
     rep = build_rep(args.rep)
-    ring = _make_ring(args.prime, args.n)
+    ring = residue_ring(args.prime, args.n)
     result = askzeta.ask(rep, ring, args.method, args.budget)
     report = {"header": _header(args), "method": result.method,
               "ring": f"Z/{args.prime}^{args.n}" if args.n > 1 else f"F_{args.prime}",
@@ -210,7 +206,7 @@ def _cmd_rank_dist(args) -> int:
 def _cmd_constant_rank(args) -> int:
     rep = modrep.family_rep(boardgame.Family(args.family),
                             _parse_index_set(args.I), _parse_index_set(args.J))
-    ring = _make_ring(args.prime, args.n)
+    ring = residue_ring(args.prime, args.n)
     report = askzeta.constant_rank_check(rep, ring, args.rank, "exhaustive",
                                          args.samples, args.seed, args.budget)
     _emit({"header": _header(args), "checked": report.checked, "mode": report.mode,
@@ -222,7 +218,7 @@ def _cmd_constant_rank(args) -> int:
 def _cmd_orbital_check(args) -> int:
     big = build_rep(args.big)
     sub = build_rep(args.sub)
-    ring = _make_ring(args.prime, args.n)
+    ring = residue_ring(args.prime, args.n)
     report = askzeta.orbital_equivalence_check(big, sub, ring, "exhaustive",
                                                args.samples, args.seed, args.budget)
     _emit({"header": _header(args), "checked": report.checked, "mode": report.mode,
@@ -240,9 +236,9 @@ def _cmd_cc(args) -> int:
                   "prime": args.prime, "n": args.n, "classes": count}
     else:
         rep = build_rep(args.baer)
-        count = nilpotent.baer_group_cc(rep, args.prime, args.budget)
+        count = nilpotent.baer_group_cc(rep, args.prime, args.n, args.budget)
         report = {"header": _header(args), "group": f"baer:{args.baer}",
-                  "prime": args.prime, "classes": count}
+                  "prime": args.prime, "n": args.n, "classes": count}
     _emit(report, args.json)
     return 0
 
@@ -382,8 +378,7 @@ def run(argv: list[str]) -> int:
             nilpotent.UnsupportedClass) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (askzeta.BudgetExceeded, nilpotent.BudgetExceeded,
-            boardgame.LevelTooLarge) as exc:
+    except (askzeta.BudgetExceeded, boardgame.LevelTooLarge) as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 4
 

@@ -1,10 +1,12 @@
 """Vectorised counting kernels (numpy int64, exact modular arithmetic).
 
-Two hot loops live here: enumerating divisor profiles of every element of
-a module of matrices over F_p or Z/p^n, and the conjugation-orbit sweep
-for class-2 groups built from alternating forms.  Both have pure-Python
-reference implementations elsewhere in the package and are cross-checked
-against them in the test suite.  All arithmetic stays in int64 and is
+Two loops live here.  The census kernel (profile_counts over
+batched_profiles) enumerates divisor profiles of every element of a module
+of matrices over F_p or Z/p^n; it is the only one on a CLI path, and the
+pure elimination in linalg is its reference.  baer_orbit_count, the
+conjugation-orbit sweep for class-2 groups built from alternating forms,
+is kept as a vectorised test oracle: the library counts those classes as
+p^l * ask (nilpotent.baer_group_cc).  All arithmetic stays in int64 and is
 exact for the desk-scale moduli used here (p^n < 2^10).
 """
 from __future__ import annotations
@@ -139,6 +141,7 @@ def baer_orbit_count(forms: Sequence[IntMatrix], p: int) -> int:
     both coordinates), the permutation h -> g^{-1} h g of all |G| element
     indices via two applications of the group law, then count orbits of
     the generated permutation group by iterative min-label propagation.
+    A vectorised test oracle; no library path calls it.
     """
     d = len(forms[0]) if forms else 0
     l = len(forms)

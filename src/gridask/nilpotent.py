@@ -1,21 +1,35 @@
 """Graded anticommutative algebras of class <= 3, their adjoint
 representations, the truncated Baker-Campbell-Hausdorff group law, and
-brute-force conjugacy-class counting.
+conjugacy-class counting through average kernel sizes.
 
 Algebras are stored as integer structure constants on a graded basis.
 Products raise degree; everything in degree > 3 vanishes.  The free
 class-3 Lie algebra on d generators is built on a Hall basis; the bigger
 anticommutative (non-Lie) algebra on the same degree-1 part and its
 quotient by the Jacobi elements reproduce it.
+
+Class numbers over R = Z/p^n come from two identities (the orbit method
+and the Lazard correspondence; O'Brien-Voll, Rossmann):
+
+- BCH group of a Lie algebra L:  k(G) = ask(adjoint module of L), since
+  the kernel of x |-> [x, y] is the centraliser of y.  A central basis
+  element e_b gives a zero generator and a zero row; dropping z of them
+  leaves ask unchanged by the generator and divides it by |R| per row, so
+  k(G) = |R|^z * ask(adjoint module restricted to the non-central basis).
+- Baer group of an alternating module M with l forms:  k(G) = |R|^l * ask(M).
+
+Both asks are taken with askzeta.ask_orbit.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Mapping, Sequence
 
+from . import askzeta
 from .modrep import ModuleRep, _freeze, _zero
-from .rings import PadicQuotient, Ring
+from .rings import Ring, residue_ring
 
 
 class UnsupportedClass(Exception):
@@ -27,10 +41,6 @@ class BadCharacteristic(Exception):
 
 
 class NotAlternating(Exception):
-    pass
-
-
-class BudgetExceeded(Exception):
     pass
 
 
@@ -258,62 +268,40 @@ def bch_inverse(alg: GradedAlgebra, ring: Ring, x: Sequence) -> tuple:
     return tuple(ring.neg(c) for c in x)
 
 
+def _class_count(scale: int, ask: Fraction) -> int:
+    """scale * ask, which is a class number and so must be an integer."""
+    count = scale * ask
+    if count.denominator != 1:
+        raise ValueError(f"class count {count} is not an integer")
+    return count.numerator
+
+
 def conjugacy_count_bch(alg: GradedAlgebra, p: int, n: int = 1,
-                        budget: int = 10**6) -> int:
-    """Conjugacy classes of the BCH group on (Z/p^n)^dim, by a visited-map
-    orbit sweep under conjugation by the basis unit vectors."""
-    ring = PadicQuotient(p, n)
+                        budget: int = askzeta.DEFAULT_BUDGET) -> int:
+    """Conjugacy classes of the BCH group on R^dim, R = Z/p^n (F_p for n = 1).
+
+    k(G) = ask(adjoint module) = |R|^z * ask(restricted), where z basis
+    elements e_b are central and the restricted module drops, for each of
+    them, generator b (x e_b = 0) and row b (e_b x = 0).  The budget bounds
+    the |R|^I census points of the restricted module.
+    """
+    ring = residue_ring(p, n)
     _check_characteristic(alg, ring)
-    m = ring.cardinality()
-    dim = alg.dim
-    N = m**dim
-    if N > budget:
-        raise BudgetExceeded(f"group order {N} exceeds budget {budget}")
-
-    def encode(vec: Sequence[int]) -> int:
-        idx = 0
-        for c in reversed(vec):
-            idx = idx * m + c
-        return idx
-
-    def decode(idx: int) -> tuple:
-        out = []
-        for _ in range(dim):
-            out.append(idx % m)
-            idx //= m
-        return tuple(out)
-
-    gens = []
-    for b in range(dim):
-        g = [0] * dim
-        g[b] = 1
-        gens.append((tuple(g), bch_inverse(alg, ring, g)))
-
-    visited = bytearray(N)
-    classes = 0
-    for start in range(N):
-        if visited[start]:
-            continue
-        classes += 1
-        visited[start] = 1
-        stack = [decode(start)]
-        while stack:
-            h = stack.pop()
-            for g, ginv in gens:
-                hg = bch_multiply(alg, ring, h, g)
-                conj = bch_multiply(alg, ring, ginv, hg)
-                idx = encode(conj)
-                if not visited[idx]:
-                    visited[idx] = 1
-                    stack.append(conj)
-    return classes
+    ad = adjoint_rep(alg)
+    keep = [b for b, g in enumerate(ad.gens) if any(any(row) for row in g)]
+    restricted = ModuleRep(tuple(ad.labels[b] for b in keep),
+                           tuple(ad.I[b] for b in keep), ad.J,
+                           tuple(tuple(ad.gens[b][i] for i in keep) for b in keep))
+    central = alg.dim - len(keep)
+    return _class_count(ring.cardinality() ** central,
+                        askzeta.ask_orbit(restricted, ring, budget).value)
 
 
 # ---------------------------------------------------------------------------
 # Groups from alternating forms.
 # ---------------------------------------------------------------------------
 
-def _alternating_forms(rep: ModuleRep) -> list:
+def _check_alternating(rep: ModuleRep) -> None:
     d = len(rep.I)
     if len(rep.J) != d:
         raise NotAlternating("forms must be square")
@@ -324,73 +312,19 @@ def _alternating_forms(rep: ModuleRep) -> list:
             for j in range(d):
                 if g[i][j] != -g[j][i]:
                     raise NotAlternating("matrix is not alternating")
-    return list(rep.gens)
 
 
-def baer_group_cc(rep: ModuleRep, p: int, budget: int = 10**7,
-                  use_fast: bool = True) -> int:
-    """Conjugacy classes of the class-2 group on F_p^d x F_p^l attached to
-    an alternating module (generators = the l forms), multiplication
-    (x,y)(x',y') = (x+x', y+y'+(1/2) beta(x,x')).  Orbit sweep under
-    conjugation by the standard generators."""
+def baer_group_cc(rep: ModuleRep, p: int, n: int = 1,
+                  budget: int = askzeta.DEFAULT_BUDGET) -> int:
+    """Conjugacy classes of the class-2 group on R^d x R^l, R = Z/p^n (F_p
+    for n = 1), attached to an alternating module with l forms beta, with
+    multiplication (x,y)(x',y') = (x+x', y+y'+(1/2) beta(x,x')).
+
+    k(G) = |R|^l * ask(rep); the budget bounds the |R|^d census points.
+    """
     if p == 2:
         raise BadCharacteristic("needs odd p")
-    forms = _alternating_forms(rep)
-    d = len(rep.I)
-    l = rep.rank
-    N = p ** (d + l)
-    if N > budget:
-        raise BudgetExceeded(f"group order {N} exceeds budget {budget}")
-    if use_fast and N > 200000:
-        from .fastcount import baer_orbit_count
-        return baer_orbit_count(forms, p)
-    half = pow(2, -1, p)
-
-    def beta(xa, xb):
-        return tuple(sum(xa[i] * g[i][j] * xb[j] for i in range(d)
-                         for j in range(d)) % p for g in forms)
-
-    def law(a, b):
-        xa, ya = a[:d], a[d:]
-        xb, yb = b[:d], b[d:]
-        x = tuple((u + v) % p for u, v in zip(xa, xb))
-        bb = beta(xa, xb)
-        y = tuple((u + v + half * w) % p for u, v, w in zip(ya, yb, bb))
-        return x + y
-
-    def encode(vec):
-        idx = 0
-        for c in reversed(vec):
-            idx = idx * p + c
-        return idx
-
-    def decode(idx):
-        out = []
-        for _ in range(d + l):
-            out.append(idx % p)
-            idx //= p
-        return tuple(out)
-
-    gens = []
-    for b in range(d + l):
-        g = [0] * (d + l)
-        g[b] = 1
-        gens.append((tuple(g), tuple((-c) % p for c in g)))
-
-    visited = bytearray(N)
-    classes = 0
-    for start in range(N):
-        if visited[start]:
-            continue
-        classes += 1
-        visited[start] = 1
-        stack = [decode(start)]
-        while stack:
-            h = stack.pop()
-            for g, ginv in gens:
-                conj = law(ginv, law(h, g))
-                idx = encode(conj)
-                if not visited[idx]:
-                    visited[idx] = 1
-                    stack.append(conj)
-    return classes
+    _check_alternating(rep)
+    ring = residue_ring(p, n)
+    return _class_count(ring.cardinality() ** rep.rank,
+                        askzeta.ask_orbit(rep, ring, budget).value)

@@ -414,6 +414,11 @@ def make_ring(kind: str, p: int, f_or_n: int = 1,
     raise RingError(f"unknown ring kind {kind!r}")
 
 
+def residue_ring(p: int, n: int = 1) -> Ring:
+    """Z/p^n, as the prime field F_p when n = 1."""
+    return PrimeField(p) if n == 1 else PadicQuotient(p, n)
+
+
 def count_roots(coeffs: Sequence[int], ring: Ring) -> int:
     """Number of roots of an integer-coefficient polynomial in a finite field.
 

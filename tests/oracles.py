@@ -96,6 +96,59 @@ def naive_orbit_ask(rep, ring) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
+# Conjugacy-class oracle.
+# ---------------------------------------------------------------------------
+
+def conjugacy_class_count(law, m: int, dim: int) -> int:
+    """Conjugacy classes of a group on (Z/m)^dim with identity 0 and
+    multiplication law(a, b), by a visited-set sweep of the orbits of
+    h -> g^-1 h g for the unit vectors g, which generate every group built
+    here.  Each g^-1 is found as the power g^k with g^k g = 0."""
+    zero = (0,) * dim
+    conjugators = []
+    for b in range(dim):
+        g = tuple(int(i == b) for i in range(dim))
+        g_inv = g
+        while law(g_inv, g) != zero:
+            g_inv = law(g_inv, g)
+        conjugators.append((g, g_inv))
+    seen = set()
+    classes = 0
+    for start in itertools.product(range(m), repeat=dim):
+        if start in seen:
+            continue
+        classes += 1
+        seen.add(start)
+        stack = [start]
+        while stack:
+            h = stack.pop()
+            for g, g_inv in conjugators:
+                conj = law(g_inv, law(h, g))
+                if conj not in seen:
+                    seen.add(conj)
+                    stack.append(conj)
+    return classes
+
+
+def baer_law(forms, m: int):
+    """(x,y)(x',y') = (x+x', y+y'+(1/2) beta(x,x')) on (Z/m)^d x (Z/m)^l,
+    beta the vector of the l alternating forms; m odd."""
+    d = len(forms[0])
+    half = pow(2, -1, m)
+    terms = [[(i, j, c) for i, row in enumerate(f) for j, c in enumerate(row) if c]
+             for f in forms]
+
+    def law(a, b):
+        xa, xb = a[:d], b[:d]
+        x = tuple((u + v) % m for u, v in zip(xa, xb))
+        y = tuple((ya + yb + half * sum(xa[i] * c * xb[j] for i, j, c in t)) % m
+                  for ya, yb, t in zip(a[d:], b[d:], terms))
+        return x + y
+
+    return law
+
+
+# ---------------------------------------------------------------------------
 # Rectangular admissibility from the quantified definition.
 # ---------------------------------------------------------------------------
 

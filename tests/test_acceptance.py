@@ -18,13 +18,14 @@ from gridask.colouring import (PartialColouring, is_admissible_rect,
 from gridask.modrep import (ModuleRep, alpha_rep, alphahat_rep, altboard_rep,
                             board_rep, classic_rep, family_rep, symboard_rep,
                             triangular_pair_rep)
-from gridask.nilpotent import baer_group_cc, conjugacy_count_bch, \
-    free_nilpotent_lie
+from gridask.nilpotent import baer_group_cc, bch_multiply, \
+    conjugacy_count_bch, free_nilpotent_lie
 from gridask.predictions import class_number_F3d, predict
 from gridask.rings import count_roots, make_ring
 
-from oracles import (exhaustive_game_clearable, exhaustive_rect_admissible,
-                     random_colouring, random_rep, random_symmetric_colouring)
+from oracles import (baer_law, conjugacy_class_count, exhaustive_game_clearable,
+                     exhaustive_rect_admissible, random_colouring, random_rep,
+                     random_symmetric_colouring)
 
 GRIDS = Path(__file__).resolve().parent.parent / "grids"
 
@@ -355,10 +356,18 @@ def test_criterion_12():
         assert count == p**3 + p**2 - 1
         assert count == class_number_F3d(2, p)
         assert count == predict("F3d_cc", d=2).coefficient(p, 1)
-    # d = 3 is out of brute-force reach; its verified chain is the orbital
-    # equivalence of the two degree-3 representations (criterion 10), the
-    # closed-form identification (criterion 11), and the formula itself:
     F5 = make_ring("field", 5)
+    assert conjugacy_count_bch(alg, 5) == conjugacy_class_count(
+        lambda a, b: bch_multiply(alg, F5, a, b), 5, alg.dim)
+    # second coefficient over Z/25
+    assert conjugacy_count_bch(alg, 5, 2) == 19225 == \
+        predict("F3d_cc", d=2).coefficient(5, 2)
+    # d = 3 (5^14 elements) is out of the group-law sweep's reach; the
+    # centre-restricted adjoint module counts it, and the chain of the
+    # orbital equivalence of the two degree-3 representations (criterion 10),
+    # the closed-form identification (criterion 11) and the formula confirms it:
+    assert conjugacy_count_bch(free_nilpotent_lie(3, 3), 5) == 2715625 == \
+        class_number_F3d(3, 5)
     assert ask_orbit(alphahat_rep(3), F5).value == \
         ask_orbit(alpha_rep(3), F5).value
     assert class_number_F3d(3, 5) == predict("F3d_cc", d=3).coefficient(5, 1)
@@ -373,6 +382,14 @@ def test_criterion_13():
             cc = baer_group_cc(rep, p)
             ask = ask_direct(rep, make_ring("field", p)).value
             assert cc == p**rep.rank * ask, (rep.rank, p)
+    # the group-law sweep on the groups of order at most 5^6; adm_2x2 at
+    # p = 3 is swept in test_nilpotent, and at p = 5 it is the catalog value
+    alt3 = modules[0]
+    for p in (3, 5):
+        assert baer_group_cc(alt3, p) == conjugacy_class_count(
+            baer_law(alt3.gens, p), p, 6)
+    assert baer_group_cc(modules[1], 5) == 18725 == \
+        predict("baer_cc", d=2, e=2, b=1).coefficient(5, 1)
 
 
 @criterion(14)

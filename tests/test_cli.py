@@ -200,6 +200,30 @@ def test_cc_baer(capsys):
     assert json.loads(out)["classes"] == 105
 
 
+def test_cc_baer_honours_n(capsys):
+    # one alternating form on R^2 gives the Heisenberg group over R = Z/9
+    code, out = run_out(["cc", "--baer", "classic:alt:2", "--prime", "3",
+                         "--n", "2", "--json"], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert (report["n"], report["classes"]) == (2, 105)
+    code, out = run_out(["cc", "--free-nilpotent", "2,2", "--prime", "3",
+                         "--n", "2", "--json"], capsys)
+    assert code == 0
+    assert json.loads(out)["classes"] == 105
+
+
+def test_cc_budget_bounds_census_points(capsys):
+    # the free class-3 group on 3 generators has 5^14 elements but only
+    # 5^6 census points after the centre restriction
+    argv = ["cc", "--free-nilpotent", "3,3", "--prime", "5"]
+    assert run(argv + ["--budget", "100"]) == 4
+    assert capsys.readouterr().err.startswith("budget exceeded: ")
+    code, out = run_out(argv + ["--json"], capsys)
+    assert code == 0
+    assert json.loads(out)["classes"] == 2715625
+
+
 UNSUPPORTED_CC = [["cc", "--free-nilpotent", "3,2", "--prime", "3"],
                   ["cc", "--baer", "triangular-pair:2", "--prime", "3"]]
 

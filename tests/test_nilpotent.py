@@ -6,15 +6,18 @@ import pytest
 
 from gridask.askzeta import ask_direct, ask_orbit
 from gridask.colouring import parse_grid
+from gridask.fastcount import baer_orbit_count
 from gridask.modrep import altboard_rep, classic_rep, knuth_bullet, symboard_rep
 from gridask.nilpotent import (BadCharacteristic, GradedAlgebra, NotAlternating,
                                UnsupportedClass, a_d_algebra, adjoint_rep,
                                baer_group_cc, bch_inverse, bch_multiply,
                                conjugacy_count_bch, free_nilpotent_lie,
                                jacobi_quotient)
-from gridask.rings import make_ring
+from gridask.rings import PadicQuotient, make_ring
 
 from pathlib import Path
+
+from oracles import baer_law, conjugacy_class_count
 
 GRIDS = Path(__file__).resolve().parent.parent / "grids"
 F5 = make_ring("field", 5)
@@ -112,13 +115,39 @@ def test_free_class_three_class_number():
     assert conjugacy_count_bch(alg, 5) == 149
 
 
+def bch_oracle(alg, p, n=1):
+    ring = PadicQuotient(p, n)
+    return conjugacy_class_count(lambda a, b: bch_multiply(alg, ring, a, b),
+                                 p**n, alg.dim)
+
+
 def test_cc_equals_adjoint_ask():
     # class counting via the average kernel size of the adjoint module
     for d, nc, p in [(2, 2, 5), (2, 2, 7), (2, 3, 5)]:
         alg = free_nilpotent_lie(d, nc)
         ad = adjoint_rep(alg)
         Fp = make_ring("field", p)
-        assert conjugacy_count_bch(alg, p) == ask_direct(ad, Fp).value
+        count = conjugacy_count_bch(alg, p)
+        assert count == ask_direct(ad, Fp).value
+        assert count == bch_oracle(alg, p)
+
+
+def test_cc_over_residue_rings_matches_oracle():
+    # Z/9 and Z/25: the centre restriction scales by |R|^z with |R| = p^n
+    alg = free_nilpotent_lie(2, 2)
+    for p, expected in [(3, 105), (5, 745)]:
+        assert conjugacy_count_bch(alg, p, 2) == bch_oracle(alg, p, 2) == expected
+
+
+def test_cc_refuses_non_integral_count():
+    # x1 x3 = y, x2 y = z breaks Jacobi at (x1, x3, x2): the BCH law is no
+    # group law, and |R|^z * ask is 841/5, which is refused, not truncated
+    alg = GradedAlgebra(("x1", "x2", "x3", "y", "z"), (1, 1, 1, 2, 3),
+                        {(0, 2): ((3, 1),), (2, 0): ((3, -1),),
+                         (1, 3): ((4, 1),), (3, 1): ((4, -1),)})
+    assert not alg.is_lie()
+    with pytest.raises(ValueError, match="841/5"):
+        conjugacy_count_bch(alg, 5)
 
 
 def test_adjoint_bullet_dual_same_count():
@@ -153,6 +182,7 @@ def test_baer_alt3_consistency():
     cc = baer_group_cc(rep, 3)
     assert cc == 105
     assert cc == 3**rep.rank * ask_direct(rep, F3).value
+    assert cc == conjugacy_class_count(baer_law(rep.gens, 3), 3, 6)
 
 
 def test_baer_rejects_non_alternating():
@@ -160,11 +190,20 @@ def test_baer_rejects_non_alternating():
         baer_group_cc(classic_rep("sym", 2), 3)
 
 
-def test_baer_board_small_prime_slow_equals_fast():
+def test_baer_board_small_prime_oracle_equals_ask():
     rep = load_altboard("adm_2x2")
-    slow = baer_group_cc(rep, 3, use_fast=False)
-    fast = baer_group_cc(rep, 3, use_fast=True)
-    assert slow == fast == 963
+    oracle = conjugacy_class_count(baer_law(rep.gens, 3), 3, len(rep.I) + rep.rank)
+    assert oracle == baer_orbit_count(rep.gens, 3) == baer_group_cc(rep, 3) == 963
+
+
+def test_baer_over_residue_ring_is_heisenberg():
+    # one alternating form on R^2 gives the Heisenberg group over R = Z/p^n
+    rep = classic_rep("alt", 2)
+    heisenberg = free_nilpotent_lie(2, 2)
+    for p, n in [(3, 2), (5, 2), (3, 3)]:
+        assert baer_group_cc(rep, p, n) == conjugacy_count_bch(heisenberg, p, n)
+    assert baer_group_cc(rep, 3, 2) == \
+        conjugacy_class_count(baer_law(rep.gens, 9), 9, 3) == 105
 
 
 def test_baer_matches_shifted_series():
