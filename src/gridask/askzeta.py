@@ -7,6 +7,10 @@ action.  It is computed two independent ways: directly, by enumerating
 module elements, and through the orbit matrix C(x), using the identity
 ask = sum over x in R^I of 1/|image of C(x)|.
 
+The direct census runs the vectorised kernel of fastcount over F_p and
+Z/p^n (numpy is imported only there) and exact elimination, element by
+element, over F_{p^f}.
+
 The orbit sum over R = Z/p^n (a field F_q has n = 1) visits one point per
 unit orbit of primitive points, by two exact identities:
 
@@ -26,11 +30,11 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .linalg import Mat, divisor_profile, image_size, kernel_size
+from .linalg import divisor_profile, image_size, profile_image_size
 from .modrep import ModuleRep, ShapeMismatch
 from .predictions import Prediction
 from .rings import ExtField, PadicQuotient, Ring
@@ -49,40 +53,35 @@ class AskResult:
     method: str
 
 
-def _profile_kernel_size(profile: Sequence[int], ring: Ring, rows: int) -> int:
-    img = 1
-    for v in profile:
-        img *= ring.p ** (ring.residue_log * (ring.cap - v))
-    return ring.cardinality() ** rows // img
-
-
 def direct_profile_counts(rep: ModuleRep, ring: Ring,
-                          budget: int = DEFAULT_BUDGET,
-                          use_fast: bool = True) -> Counter:
-    """Divisor-profile census over all coefficient tuples of the generators."""
+                          budget: int = DEFAULT_BUDGET) -> Counter:
+    """Divisor-profile census over all coefficient tuples of the generators.
+
+    Over F_p and Z/p^n the vectorised kernel (fastcount.profile_counts)
+    runs; numpy cannot hold F_{p^f} elements, so there the elements are
+    formed and eliminated one by one.
+    """
     k = rep.rank
     size = ring.cardinality() ** k
     if size > budget:
         raise BudgetExceeded(f"{size} module elements exceed budget {budget}")
-    if k == 0:
-        zero = Mat.zero(ring, len(rep.I), len(rep.J))
-        return Counter({divisor_profile(zero): 1})
-    if use_fast and not isinstance(ring, ExtField) and size > 20000:
+    if k == 0 or not rep.I or not rep.J:
+        return Counter({(ring.cap,) * min(len(rep.I), len(rep.J)): size})
+    if not isinstance(ring, ExtField):
         from .fastcount import profile_counts
-        n = ring.cap if isinstance(ring, PadicQuotient) else 1
-        return Counter(profile_counts(rep.gens, ring.p, n))
+        return profile_counts(rep.gens, ring.p, ring.cap)
     counts: Counter = Counter()
     for coeffs in itertools.product(list(ring.elements()), repeat=k):
         counts[divisor_profile(rep.element(ring, coeffs))] += 1
     return counts
 
 
-def ask_direct(rep: ModuleRep, ring: Ring, budget: int = DEFAULT_BUDGET,
-               use_fast: bool = True) -> AskResult:
+def ask_direct(rep: ModuleRep, ring: Ring, budget: int = DEFAULT_BUDGET) -> AskResult:
     """Brute-force ask by enumerating every module element."""
-    counts = direct_profile_counts(rep, ring, budget, use_fast)
-    total = sum(n for n in counts.values())
-    ker_sum = sum(n * _profile_kernel_size(prof, ring, len(rep.I))
+    counts = direct_profile_counts(rep, ring, budget)
+    total = sum(counts.values())
+    space = ring.cardinality() ** len(rep.I)
+    ker_sum = sum(n * (space // profile_image_size(prof, ring))
                   for prof, n in counts.items())
     return AskResult(Fraction(ker_sum, total), total, "direct")
 
@@ -214,14 +213,25 @@ def _coker_is_free_of_rank(profile: Sequence[int], cap: int, cols: int, l: int) 
     return middles == 0 and cols - zeros == l
 
 
-def _unit_coordinate_points(ring: Ring, dim: int, mode: str, samples: int,
-                            seed: int, all_units: bool):
+def _point_mode(ring: Ring, dim: int, budget: int) -> str:
+    """The certifiers' mode, fixed by the ring: every point of a field
+    (within the budget), seeded samples over Z/p^n."""
+    if ring.cap != 1:
+        return "sample"
+    size = ring.cardinality() ** dim
+    if size > budget:
+        raise BudgetExceeded(f"{size} points exceed budget {budget}")
+    return "exhaustive"
+
+
+def _unit_coordinate_points(ring: Ring, dim: int, samples: int, seed: int,
+                            all_units: bool):
     """Points x in ring^dim: exhaustive over fields, sampled over Z/p^n.
 
     all_units=True restricts every coordinate to units (non-degenerate
     points); otherwise at least one coordinate must be a unit.
     """
-    if ring.cap == 1 and mode == "exhaustive":
+    if ring.cap == 1:
         for x in itertools.product(list(ring.elements()), repeat=dim):
             units = [ring.is_unit(c) for c in x]
             if all_units and all(units) or (not all_units and any(units)):
@@ -240,48 +250,43 @@ def _unit_coordinate_points(ring: Ring, dim: int, mode: str, samples: int,
                 yield x
 
 
-def constant_rank_check(rep: ModuleRep, ring: Ring, l: int,
-                        mode: str = "exhaustive", samples: int = 10**4,
+def constant_rank_check(rep: ModuleRep, ring: Ring, l: int, samples: int = 10**4,
                         seed: int = 0, budget: int = DEFAULT_BUDGET) -> PointReport:
     """Check coker C(x) = ring^l at every point with a unit coordinate
     (exhaustive over fields, seeded unit-coordinate samples over Z/p^n)."""
     dim = len(rep.I)
-    if ring.cap == 1 and mode == "exhaustive" and ring.cardinality() ** dim > budget:
-        raise BudgetExceeded("point space too large; use mode='sample'")
-    effective_mode = mode if ring.cap == 1 else "sample"
+    mode = _point_mode(ring, dim, budget)
     violations = []
     checked = 0
-    for x in _unit_coordinate_points(ring, dim, mode, samples, seed, all_units=False):
+    for x in _unit_coordinate_points(ring, dim, samples, seed, all_units=False):
         checked += 1
         prof = divisor_profile(rep.orbit_matrix_at(ring, x))
         if not _coker_is_free_of_rank(prof, ring.cap, len(rep.J), l):
             if len(violations) < 10:
                 violations.append((x, prof))
-    return PointReport(checked, tuple(violations), effective_mode, not violations)
+    return PointReport(checked, tuple(violations), mode, not violations)
 
 
 def orbital_equivalence_check(rep_big: ModuleRep, rep_sub: ModuleRep, ring: Ring,
-                              mode: str = "exhaustive", samples: int = 10**4,
-                              seed: int = 0, budget: int = DEFAULT_BUDGET) -> PointReport:
+                              samples: int = 10**4, seed: int = 0,
+                              budget: int = DEFAULT_BUDGET) -> PointReport:
     """Equal divisor profiles of the two orbit matrices at every
     non-degenerate point (all coordinates non-zero over a field; all
     coordinates units over Z/p^n, sampled)."""
     if rep_big.I != rep_sub.I or rep_big.J != rep_sub.J:
         raise ShapeMismatch("representations must share index sets")
     dim = len(rep_big.I)
-    if ring.cap == 1 and mode == "exhaustive" and ring.cardinality() ** dim > budget:
-        raise BudgetExceeded("point space too large; use mode='sample'")
-    effective_mode = mode if ring.cap == 1 else "sample"
+    mode = _point_mode(ring, dim, budget)
     violations = []
     checked = 0
-    for x in _unit_coordinate_points(ring, dim, mode, samples, seed, all_units=True):
+    for x in _unit_coordinate_points(ring, dim, samples, seed, all_units=True):
         checked += 1
         pb = divisor_profile(rep_big.orbit_matrix_at(ring, x))
         ps = divisor_profile(rep_sub.orbit_matrix_at(ring, x))
         if pb != ps:
             if len(violations) < 10:
                 violations.append((x, pb, ps))
-    return PointReport(checked, tuple(violations), effective_mode, not violations)
+    return PointReport(checked, tuple(violations), mode, not violations)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,10 @@ from .colouring import PartialColouring
 
 Cell = tuple[int, int]
 
+# is_admissible_game visits every non-empty row subset, so it refuses
+# grids with more rows than this.
+MAX_ROWS = 12
+
 
 class Family(str, Enum):
     RHO = "rho"
@@ -213,37 +217,24 @@ def replay_certificate(master: GameColouring, cert: MoveCertificate) -> bool:
 
 
 def is_admissible_game(master: GameColouring, level: int,
-                       subset_budget: int = 10**6,
-                       max_exhaustive_rows: int = 12,
-                       sample_H: int | None = None,
-                       rng=None) -> GameVerdict:
+                       subset_budget: int = 10**6) -> GameVerdict:
     """Level-l admissibility with one replayable certificate per row subset H.
 
     For each non-empty H, candidate discard sets D are tried by size then
     lexicographically; greedy play decides whether (H, J without D) clears.
-    With sample_H set (mandatory above max_exhaustive_rows), only that many
-    random subsets H are tested and the verdict is a sample, not a proof.
+    Raises LevelTooLarge above MAX_ROWS rows or when C(|J|, level) exceeds
+    subset_budget.
     """
     grid = master.grid
     J = grid.J
     if comb(len(J), level) > subset_budget:
         raise LevelTooLarge(f"C({len(J)}, {level}) exceeds budget")
     I = grid.I
-    if len(I) > max_exhaustive_rows and sample_H is None:
-        raise LevelTooLarge(
-            f"|I| = {len(I)} > {max_exhaustive_rows}; pass sample_H to sample")
-    if sample_H is None:
-        subsets = []
-        for r in range(1, len(I) + 1):
-            subsets.extend(itertools.combinations(I, r))
-    else:
-        if rng is None:
-            raise ValueError("sampling requires an rng")
-        subsets = []
-        for _ in range(sample_H):
-            H = tuple(sorted(i for i in I if rng.random() < 0.5))
-            if H:
-                subsets.append(H)
+    if len(I) > MAX_ROWS:
+        raise LevelTooLarge(f"|I| = {len(I)} > {MAX_ROWS} rows")
+    subsets = []
+    for r in range(1, len(I) + 1):
+        subsets.extend(itertools.combinations(I, r))
     certificates = []
     for H in subsets:
         found = None

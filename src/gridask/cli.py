@@ -207,8 +207,8 @@ def _cmd_constant_rank(args) -> int:
     rep = modrep.family_rep(boardgame.Family(args.family),
                             _parse_index_set(args.I), _parse_index_set(args.J))
     ring = residue_ring(args.prime, args.n)
-    report = askzeta.constant_rank_check(rep, ring, args.rank, "exhaustive",
-                                         args.samples, args.seed, args.budget)
+    report = askzeta.constant_rank_check(rep, ring, args.rank, args.samples,
+                                         args.seed, args.budget)
     _emit({"header": _header(args), "checked": report.checked, "mode": report.mode,
            "passed": report.passed,
            "violations": [list(map(str, v)) for v in report.violations]}, args.json)
@@ -219,8 +219,8 @@ def _cmd_orbital_check(args) -> int:
     big = build_rep(args.big)
     sub = build_rep(args.sub)
     ring = residue_ring(args.prime, args.n)
-    report = askzeta.orbital_equivalence_check(big, sub, ring, "exhaustive",
-                                               args.samples, args.seed, args.budget)
+    report = askzeta.orbital_equivalence_check(big, sub, ring, args.samples,
+                                               args.seed, args.budget)
     _emit({"header": _header(args), "checked": report.checked, "mode": report.mode,
            "passed": report.passed,
            "violations": [list(map(str, v)) for v in report.violations]}, args.json)

@@ -2,12 +2,14 @@
 
 Two loops live here.  The census kernel (profile_counts over
 batched_profiles) enumerates divisor profiles of every element of a module
-of matrices over F_p or Z/p^n; it is the only one on a CLI path, and the
-pure elimination in linalg is its reference.  baer_orbit_count, the
-conjugation-orbit sweep for class-2 groups built from alternating forms,
-is kept as a vectorised test oracle: the library counts those classes as
-p^l * ask (nilpotent.baer_group_cc).  All arithmetic stays in int64 and is
-exact for the desk-scale moduli used here (p^n < 2^10).
+of matrices over F_p or Z/p^n; every direct census over those rings runs
+it (askzeta.direct_profile_counts), and the pure elimination in linalg is
+its reference.  baer_orbit_count, the conjugation-orbit sweep for class-2
+groups built from alternating forms, is kept as a vectorised test oracle:
+the library counts those classes as p^l * ask (nilpotent.baer_group_cc).
+All arithmetic stays in int64.  The largest intermediate of the census is
+a sum of k products of two residues mod p^n, so profile_counts refuses k
+generators unless k * (p^n - 1)^2 <= 2^63 - 1.
 """
 from __future__ import annotations
 
@@ -17,6 +19,7 @@ from typing import Sequence
 import numpy as np
 
 IntMatrix = Sequence[Sequence[int]]
+INT64_MAX = 2**63 - 1
 
 
 def _valuations(A: np.ndarray, p: int, n: int) -> np.ndarray:
@@ -97,13 +100,16 @@ def profile_counts(gens: Sequence[IntMatrix], p: int, n: int,
     """Divisor-profile census of {sum_b c_b gen_b : c in (Z/p^n)^B}.
 
     Enumerates all (p^n)^len(gens) coefficient tuples in chunks and
-    returns Counter{profile tuple: count}.
+    returns Counter{profile tuple: count}.  Raises ValueError when the
+    int64 arithmetic could overflow (see the module docstring).
     """
     m = p**n
     k = len(gens)
     if k == 0:
-        rows = len(gens) and len(gens[0])
         raise ValueError("profile_counts needs at least one generator")
+    if k * (m - 1) ** 2 > INT64_MAX:
+        raise ValueError(f"{k} generators over Z/{m} exceed the exact int64 range "
+                         f"of the census: {k}*({m}-1)^2 > 2^63-1")
     rows = len(gens[0])
     cols = len(gens[0][0])
     garr = np.array(gens, dtype=np.int64) % m  # (k, rows, cols)

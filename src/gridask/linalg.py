@@ -63,10 +63,6 @@ class Mat:
         return Mat(R, self.rows, self.cols,
                    tuple(R.add(a, b) for a, b in zip(self.entries, other.entries)))
 
-    def scale(self, c) -> "Mat":
-        R = self.ring
-        return Mat(R, self.rows, self.cols, tuple(R.mul(c, a) for a in self.entries))
-
     def mul(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
@@ -159,13 +155,17 @@ def rank(m: Mat) -> int:
     return sum(1 for v in divisor_profile(m) if v == 0)
 
 
+def profile_image_size(profile: Sequence[int], ring: Ring) -> int:
+    """|{x m : x in R^rows}| for a matrix m over ring with this divisor profile."""
+    size = 1
+    for v in profile:
+        size *= ring.p ** (ring.residue_log * (ring.cap - v))
+    return size
+
+
 def image_size(m: Mat) -> int:
     """|{x m : x in R^rows}| from the divisor profile."""
-    R = m.ring
-    size = 1
-    for v in divisor_profile(m):
-        size *= R.p ** (R.residue_log * (R.cap - v))
-    return size
+    return profile_image_size(divisor_profile(m), m.ring)
 
 
 def kernel_size(m: Mat) -> int:

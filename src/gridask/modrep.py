@@ -10,7 +10,7 @@ and the degree-3 commutator representations alpha / alphahat.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .boardgame import Family
@@ -58,12 +58,6 @@ class ModuleRep:
     @property
     def rank(self) -> int:
         return len(self.labels)
-
-    def gen(self, label) -> IntMatrix:
-        return self.gens[self.labels.index(label)]
-
-    def specialize(self, ring: Ring) -> list[Mat]:
-        return [Mat.from_int_rows(ring, g) for g in self.gens]
 
     def element(self, ring: Ring, coeffs: Sequence) -> Mat:
         """sum_b coeffs_b * a_b over the ring (coeffs are ring elements)."""

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
-from typing import Mapping
 
 
 QT = dict[tuple[int, int], int]

@@ -156,10 +156,6 @@ class Ring:
 
     p: int
 
-    @property
-    def kind(self) -> str:
-        raise NotImplementedError
-
     # cap = largest observable valuation (1 for fields, n for Z/p^n)
     @property
     def cap(self) -> int:
@@ -184,10 +180,6 @@ class PrimeField(Ring):
     def __post_init__(self) -> None:
         if not is_prime(self.p):
             raise CompositeModulus(f"{self.p} is not prime")
-
-    @property
-    def kind(self) -> str:
-        return "PrimeField"
 
     def cardinality(self) -> int:
         return self.p
@@ -241,10 +233,6 @@ class PadicQuotient(Ring):
         if self.n < 1:
             raise RingError("exponent must be >= 1")
         object.__setattr__(self, "_m", self.p**self.n)
-
-    @property
-    def kind(self) -> str:
-        return "PadicQuotient"
 
     @property
     def cap(self) -> int:
@@ -320,10 +308,6 @@ class ExtField(Ring):
             raise ReducibleModulus("modulus must be monic of the stated degree")
         if not _is_irreducible(mod_list, self.p):
             raise ReducibleModulus(f"{mod} is reducible over F_{self.p}")
-
-    @property
-    def kind(self) -> str:
-        return "ExtField"
 
     @property
     def residue_log(self) -> int:

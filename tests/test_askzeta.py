@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -12,6 +13,7 @@ from gridask.askzeta import (BudgetExceeded, ask, ask_direct, ask_orbit,
                              verify_prediction, zeta_coefficients)
 from gridask.boardgame import Family
 from gridask.colouring import parse_grid
+from gridask.linalg import divisor_profile
 from gridask.modrep import (ModuleRep, board_rep, classic_rep, family_rep,
                             restrict_rep)
 from gridask.predictions import predict
@@ -61,25 +63,27 @@ def test_direct_equals_orbit_random():
     for k in range(40):
         rep = random_rep(3, 3, rng)
         ring = rings[k % len(rings)]
-        assert ask_direct(rep, ring, use_fast=False).value == \
-            ask_orbit(rep, ring).value
+        assert ask_direct(rep, ring).value == ask_orbit(rep, ring).value
 
 
 def test_direct_matches_definition_oracle():
     rng = random.Random(103)
     for _ in range(10):
         rep = random_rep(2, 2, rng)
-        assert ask_direct(rep, F3, use_fast=False).value == naive_ask(rep, F3)
+        assert ask_direct(rep, F3).value == naive_ask(rep, F3)
+
+
+def element_census(rep, ring) -> Counter:
+    """Divisor-profile census with one linalg.divisor_profile per element."""
+    return Counter(divisor_profile(rep.element(ring, coeffs))
+                   for coeffs in itertools.product(list(ring.elements()),
+                                                   repeat=rep.rank))
 
 
 def test_fast_census_matches_pure():
     rep = classic_rep("mat", 2, 2)
     for ring in (F5, make_ring("padic", 3, 2)):
-        pure = direct_profile_counts(rep, ring, use_fast=False)
-        from gridask.fastcount import profile_counts
-        n = ring.cap
-        fast = Counter(profile_counts(rep.gens, ring.p, n))
-        assert pure == fast
+        assert direct_profile_counts(rep, ring) == element_census(rep, ring)
 
 
 ORACLE_RINGS = {"F2": make_ring("field", 2), "F3": F3, "Z/4": make_ring("padic", 2, 2),
@@ -105,6 +109,18 @@ def tiny_reps(draw):
 def test_orbit_matches_orbit_oracle(rep, ring_name):
     ring = ORACLE_RINGS[ring_name]
     assert ask_orbit(rep, ring).value == naive_orbit_ask(rep, ring)
+
+
+@settings(max_examples=50, deadline=None)
+@given(rep=tiny_reps(), ring_name=st.sampled_from(sorted(ORACLE_RINGS)))
+@example(rep=ModuleRep(("a", "b"), (), (1, 2), ((), ())), ring_name="F3")  # I empty
+@example(rep=ModuleRep(("a",), (1, 2), (), (((), ()),)), ring_name="Z/9")  # J empty
+@example(rep=ModuleRep((), (1, 2), (1,), ()), ring_name="F4")  # rank 0
+@example(rep=ModuleRep(("a", "b"), (1, 2), (1, 2),
+                       (((-1, 2), (0, -3)), ((4, -4), (-2, 1)))), ring_name="Z/8")
+def test_census_matches_element_census(rep, ring_name):
+    ring = ORACLE_RINGS[ring_name]
+    assert direct_profile_counts(rep, ring) == element_census(rep, ring)
 
 
 @pytest.mark.parametrize("ring,points", [(F5, (5**3 - 1) // 4),

@@ -47,6 +47,14 @@ def test_check_admissible_unexpected_failure(capsys):
     assert code == 1
 
 
+def test_check_admissible_refuses_more_than_twelve_rows(tmp_path, capsys):
+    # every non-empty row subset is visited: 2^13 - 1 of them are refused
+    tall = tmp_path / "tall.grid"
+    tall.write_text("family: rho\ngrid:\n" + "c1\n" * 13)
+    assert run(["check-admissible", str(tall)]) == 4
+    assert capsys.readouterr().err.startswith("budget exceeded: ")
+
+
 def test_check_admissible_family_from_file(capsys):
     # rainbow files carry "family: gamma" headers
     code, out = run_out(["check-admissible", grid("rainbow_4_7"),
@@ -251,6 +259,28 @@ def test_budget_exit_four(capsys):
     assert run(["ask", "--rep", "classic:mat:3,3", "--prime", "5",
                 "--method", "direct", "--budget", "100"]) == 4
     capsys.readouterr()
+
+
+def test_direct_census_without_rows(tmp_path, capsys):
+    # I is empty, so every element is the empty matrix and ask = 1, both
+    # over F_3 (3^5 elements) and over F_11 (11^5)
+    labels = list("abcde")
+    spec = tmp_path / "norows.json"
+    spec.write_text(json.dumps({"B": labels, "I": [], "J": ["1", "2"],
+                                "gens": {b: [] for b in labels}}))
+    for prime in ("3", "11"):
+        for method in ("direct", "orbit"):
+            code, out = run_out(["ask", "--method", method, "--rep", f"file:{spec}",
+                                 "--prime", prime], capsys)
+            assert (code, out.strip()) == (0, "1/1"), (prime, method)
+
+
+def test_direct_census_refuses_moduli_beyond_int64(capsys):
+    # 3037000507 is the least prime p with (p - 1)^2 >= 2^63: the census
+    # arithmetic would overflow, so the input is refused before enumeration
+    assert run(["ask", "--method", "direct", "--rep", "classic:mat:1",
+                "--prime", "3037000507", "--budget", "10000000000"]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_reports_have_no_floats_and_are_deterministic(capsys):
