@@ -7,23 +7,31 @@ action.  It is computed two independent ways: directly, by enumerating
 module elements, and through the orbit matrix C(x), using the identity
 ask = sum over x in R^I of 1/|image of C(x)|.
 
-The direct census runs the vectorised kernel of fastcount over F_p and
-Z/p^n (numpy is imported only there) and exact elimination, element by
-element, over F_{p^f}.
+Both enumerations visit one point per unit orbit, level by level, by two
+exact identities over R = Z/p^n (a field F_q has n = 1):
 
-The orbit sum over R = Z/p^n (a field F_q has n = 1) visits one point per
-unit orbit of primitive points, by two exact identities:
+- unit scaling: for a unit u, C(u x) = u C(x) has the image size of C(x)
+  and u A has the divisor profile of A, and units act freely on primitive
+  points;
+- level recursion: for x = p y over Z/p^k, |image_k C(x)| = |image_{k-1} C(y)|;
+  and the divisor profile of p^s B over Z/p^n is that of B over Z/p^(n-s)
+  with every entry raised by s.
 
-- unit scaling: C(u x) = u C(x) for a unit u, so |image C(x)| is constant
-  on unit orbits, and units act freely on primitive points;
-- level recursion: for x = p y over Z/p^k, |image_k C(x)| = |image_{k-1} C(y)|.
-
-Together, with C(0) = 0 contributing 1,
+The orbit sum, with C(0) = 0 contributing 1, is therefore
 
     ask = 1 + sum_{k=1..n} |(Z/p^k)^x| * sum_{x in N_k} 1/|image_k C(x)|,
 
 where N_k is the set of normalised primitive points over Z/p^k: the
-first unit coordinate is 1, every earlier one a non-unit.
+first unit coordinate is 1, every earlier one a non-unit.  The k-th term
+does not depend on n, so zeta_coefficients computes each level once:
+c_k = c_{k-1} + (the k-th term).
+
+The direct census counts the divisor profiles of all module elements
+sum_b c_b gen_b the same way: the zero tuple, then each c in N_e (e = 1..n)
+standing for |(Z/p^e)^x| tuples, with its profile over Z/p^e raised by
+n - e.  It runs the vectorised kernel of fastcount over F_p and Z/p^n
+(numpy is imported only there) and exact elimination, element by element,
+over F_{p^f}.
 """
 from __future__ import annotations
 
@@ -58,21 +66,23 @@ def direct_profile_counts(rep: ModuleRep, ring: Ring,
     """Divisor-profile census over all coefficient tuples of the generators.
 
     Over F_p and Z/p^n the vectorised kernel (fastcount.profile_counts)
-    runs; numpy cannot hold F_{p^f} elements, so there the elements are
-    formed and eliminated one by one.
+    runs; numpy cannot hold F_{p^f} elements, so there one element per
+    unit orbit is formed and eliminated (see the module docstring).
     """
     k = rep.rank
     size = ring.cardinality() ** k
     if size > budget:
         raise BudgetExceeded(f"{size} module elements exceed budget {budget}")
+    zero = (ring.cap,) * min(len(rep.I), len(rep.J))
     if k == 0 or not rep.I or not rep.J:
-        return Counter({(ring.cap,) * min(len(rep.I), len(rep.J)): size})
+        return Counter({zero: size})
     if not isinstance(ring, ExtField):
         from .fastcount import profile_counts
         return profile_counts(rep.gens, ring.p, ring.cap)
-    counts: Counter = Counter()
-    for coeffs in itertools.product(list(ring.elements()), repeat=k):
-        counts[divisor_profile(rep.element(ring, coeffs))] += 1
+    units = ring.cardinality() - 1
+    counts = Counter({zero: 1})
+    for coeffs in _normalised_primitive_points(ring, k):
+        counts[divisor_profile(rep.element(ring, coeffs))] += units
     return counts
 
 
@@ -99,6 +109,22 @@ def _normalised_primitive_points(ring: Ring, dim: int):
                 yield head + one + tail
 
 
+def _orbit_level_sums(rep: ModuleRep, ring: Ring, budget: int):
+    """|(Z/p^k)^x| * sum_{x in N_k} 1/|image_k C(x)| for the levels Z/p^k,
+    k = 1..n, of R = Z/p^n (the last level is ring itself, so F_q has one),
+    once |R|^I is within the budget."""
+    dI = len(rep.I)
+    size = ring.cardinality() ** dI
+    if size > budget:
+        raise BudgetExceeded(f"{size} orbit points exceed budget {budget}")
+    for level in [PadicQuotient(ring.p, k) for k in range(1, ring.cap)] + [ring]:
+        sizes = Counter(image_size(rep.orbit_matrix_at(level, x))
+                        for x in _normalised_primitive_points(level, dI))
+        q = level.cardinality()
+        units = q - q // level.residue_cardinality()
+        yield units * sum(Fraction(n, s) for s, n in sizes.items())
+
+
 def ask_orbit(rep: ModuleRep, ring: Ring, budget: int = DEFAULT_BUDGET) -> AskResult:
     """ask via the orbit matrix: sum over x in R^I of 1/|image C(x)|.
 
@@ -109,18 +135,7 @@ def ask_orbit(rep: ModuleRep, ring: Ring, budget: int = DEFAULT_BUDGET) -> AskRe
     the normalised primitive points over Z/p^k (see the module docstring).
     Only the points of the N_k are enumerated; the budget still bounds |R|^I.
     """
-    dI = len(rep.I)
-    size = ring.cardinality() ** dI
-    if size > budget:
-        raise BudgetExceeded(f"{size} orbit points exceed budget {budget}")
-    value = Fraction(1)  # x = 0: C(0) = 0 has image size 1
-    levels = [PadicQuotient(ring.p, k) for k in range(1, ring.cap)] + [ring]
-    for level in levels:
-        sizes = Counter(image_size(rep.orbit_matrix_at(level, x))
-                        for x in _normalised_primitive_points(level, dI))
-        q = level.cardinality()
-        units = q - q // level.residue_cardinality()
-        value += units * sum(Fraction(n, s) for s, n in sizes.items())
+    value = Fraction(1) + sum(_orbit_level_sums(rep, ring, budget))  # x = 0: C(0) = 0
     return AskResult(value, ring.cardinality() ** rep.rank, "orbit")
 
 
@@ -135,8 +150,16 @@ def ask(rep: ModuleRep, ring: Ring, method: str = "orbit",
 
 def zeta_coefficients(rep: ModuleRep, p: int, n_max: int, method: str = "orbit",
                       budget: int = DEFAULT_BUDGET) -> list[Fraction]:
-    """[c_0, ..., c_{n_max}] with c_k = ask over Z/p^k (c_0 = 1)."""
+    """[c_0, ..., c_{n_max}] with c_k = ask over Z/p^k (c_0 = 1).
+
+    The orbit method sums each level once, c_k = c_{k-1} + (level k's sum).
+    """
     out = [Fraction(1)]
+    if method == "orbit":
+        if n_max:
+            for level_sum in _orbit_level_sums(rep, PadicQuotient(p, n_max), budget):
+                out.append(out[-1] + level_sum)
+        return out
     for k in range(1, n_max + 1):
         out.append(ask(rep, PadicQuotient(p, k), method, budget).value)
     return out

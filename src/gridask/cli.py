@@ -27,7 +27,7 @@ from pathlib import Path
 
 from . import askzeta, boardgame, modrep, nilpotent, predictions
 from .colouring import ParseError, parse_grid
-from .rings import PrimeField, residue_ring
+from .rings import PrimeField, RingError, residue_ring
 
 DEFAULT_SEED = 20240601
 
@@ -44,6 +44,14 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # exit code 3 instead of argparse's 2
         raise UsageError(message)
+
+
+def positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _frac(x: Fraction) -> dict:
@@ -313,7 +321,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--against", required=True)
     p.add_argument("--params")
     p.add_argument("--prime", dest="primes", type=int, action="append", required=True)
-    p.add_argument("--terms", type=int, default=1)
+    p.add_argument("--terms", type=positive_int, default=1)
     p.add_argument("--method", choices=["direct", "orbit"], default="orbit")
     common(p)
     p.set_defaults(func=_cmd_zeta_verify)
@@ -331,7 +339,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--prime", type=int, required=True)
     p.add_argument("--n", type=int, default=1)
-    p.add_argument("--samples", type=int, default=10**4)
+    p.add_argument("--samples", type=positive_int, default=10**4)
     common(p)
     p.set_defaults(func=_cmd_constant_rank)
 
@@ -340,7 +348,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--sub", required=True)
     p.add_argument("--prime", type=int, required=True)
     p.add_argument("--n", type=int, default=1)
-    p.add_argument("--samples", type=int, default=10**4)
+    p.add_argument("--samples", type=positive_int, default=10**4)
     common(p)
     p.set_defaults(func=_cmd_orbital_check)
 
@@ -373,7 +381,7 @@ def run(argv: list[str]) -> int:
         if args.verb == "cc" and not (args.free_nilpotent or args.baer):
             raise UsageError("cc needs --free-nilpotent or --baer")
         return args.func(args)
-    except (UsageError, ParseError, FileNotFoundError, ValueError,
+    except (UsageError, ParseError, FileNotFoundError, ValueError, RingError,
             nilpotent.BadCharacteristic, nilpotent.NotAlternating,
             nilpotent.UnsupportedClass) as exc:
         print(f"error: {exc}", file=sys.stderr)

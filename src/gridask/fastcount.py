@@ -1,12 +1,27 @@
 """Vectorised counting kernels (numpy int64, exact modular arithmetic).
 
 Two loops live here.  The census kernel (profile_counts over
-batched_profiles) enumerates divisor profiles of every element of a module
+batched_profiles) counts the divisor profiles of every element of a module
 of matrices over F_p or Z/p^n; every direct census over those rings runs
 it (askzeta.direct_profile_counts), and the pure elimination in linalg is
-its reference.  baer_orbit_count, the conjugation-orbit sweep for class-2
-groups built from alternating forms, is kept as a vectorised test oracle:
-the library counts those classes as p^l * ask (nilpotent.baer_group_cc).
+its reference.  It eliminates one coefficient tuple per unit orbit, level
+by level, by two exact identities:
+
+- unit scaling: u A has the divisor profile of A for a unit u, and units
+  act freely on primitive tuples;
+- level recursion: the profile of p^s B over Z/p^n is the profile of B
+  over Z/p^(n-s) with every entry raised by s.
+
+So the zero tuple has profile (n, ..., n), and every other tuple is
+p^(n-e) u c for one normalised primitive c over Z/p^e (first unit
+coordinate 1, earlier ones multiples of p) and one of the p^e - p^(e-1)
+units u: the census runs batched_profiles over the normalised primitive
+tuples of each level e = 1..n only, and counts profiles by a 1-D
+multiset key instead of sorting the rows.
+
+baer_orbit_count, the conjugation-orbit sweep for class-2 groups built
+from alternating forms, is kept as a vectorised test oracle: the library
+counts those classes as p^l * ask (nilpotent.baer_group_cc).
 All arithmetic stays in int64.  The largest intermediate of the census is
 a sum of k products of two residues mod p^n, so profile_counts refuses k
 generators unless k * (p^n - 1)^2 <= 2^63 - 1.
@@ -95,13 +110,56 @@ def batched_profiles(A: np.ndarray, p: int, n: int) -> np.ndarray:
     return profiles
 
 
+def _level_matrices(garr: np.ndarray, p: int, e: int, chunk: int):
+    """Chunks of sum_b c_b G_b mod p^e over the normalised primitive c in
+    (Z/p^e)^k: the first unit coordinate is 1, every earlier one a multiple
+    of p, every later one arbitrary."""
+    q = p**e
+    k, rows, cols = garr.shape
+    G = garr % q
+    for j in range(k):
+        # heads p*d with d < p^(e-1) before position j, tails c < q after it
+        bases = [q] * (k - 1 - j) + [q // p] * j
+        coords = list(range(j + 1, k)) + list(range(j))
+        total = (q // p) ** j * q ** (k - 1 - j)
+        for start in range(0, total, chunk):
+            rem = np.arange(start, min(start + chunk, total), dtype=np.int64)
+            A = np.broadcast_to(G[j], (rem.size, rows, cols)).copy()
+            for b, base in zip(coords, bases):
+                digit = rem % base
+                rem = rem // base
+                if b < j:
+                    digit *= p
+                A += digit[:, None, None] * G[b]
+            A %= q
+            yield A
+
+
+def _multiset_counts(profs: np.ndarray, e: int) -> list[tuple[tuple[int, ...], int]]:
+    """(profile, count) for each distinct row of profs (values 0..e).
+
+    A row is keyed by sum_i (steps+1)^v_i, which writes the number of
+    entries equal to each value v in base steps+1: one integer per
+    multiset, with no sort of the rows.  Where the keys could leave int64
+    (many steps over a deep level), they are Python ints.
+    """
+    base = profs.shape[1] + 1
+    wide = base ** (e + 1) > INT64_MAX
+    powers = np.array([base**v for v in range(e + 1)],
+                      dtype=object if wide else np.int64)
+    keys = powers[profs].sum(axis=1)
+    _, first, cnt = np.unique(keys, return_index=True, return_counts=True)
+    return [(tuple(int(v) for v in profs[i]), int(c)) for i, c in zip(first, cnt)]
+
+
 def profile_counts(gens: Sequence[IntMatrix], p: int, n: int,
                    chunk: int = 1 << 18) -> Counter:
     """Divisor-profile census of {sum_b c_b gen_b : c in (Z/p^n)^B}.
 
-    Enumerates all (p^n)^len(gens) coefficient tuples in chunks and
-    returns Counter{profile tuple: count}.  Raises ValueError when the
-    int64 arithmetic could overflow (see the module docstring).
+    Returns Counter{profile tuple: count} over all (p^n)^len(gens)
+    coefficient tuples, eliminating one tuple per unit orbit at each level
+    (see the module docstring).  Raises ValueError when the int64
+    arithmetic could overflow.
     """
     m = p**n
     k = len(gens)
@@ -111,26 +169,15 @@ def profile_counts(gens: Sequence[IntMatrix], p: int, n: int,
         raise ValueError(f"{k} generators over Z/{m} exceed the exact int64 range "
                          f"of the census: {k}*({m}-1)^2 > 2^63-1")
     rows = len(gens[0])
-    cols = len(gens[0][0])
-    garr = np.array(gens, dtype=np.int64) % m  # (k, rows, cols)
-    total = m**k
-    counts: Counter = Counter()
-    start = 0
-    while start < total:
-        stop = min(start + chunk, total)
-        idx = np.arange(start, stop, dtype=np.int64)
-        A = np.zeros((stop - start, rows, cols), dtype=np.int64)
-        rem = idx
-        for b in range(k):
-            digit = rem % m
-            rem = rem // m
-            A += digit[:, None, None] * garr[b]
-        A %= m
-        profs = batched_profiles(A, p, n)
-        uniq, cnt = np.unique(profs, axis=0, return_counts=True)
-        for row, c in zip(uniq, cnt):
-            counts[tuple(int(v) for v in row)] += int(c)
-        start = stop
+    cols = len(gens[0][0]) if rows else 0
+    garr = np.array(gens, dtype=np.int64).reshape(k, rows, cols)
+    steps = min(rows, cols)
+    counts: Counter = Counter({(n,) * steps: 1})
+    for e in range(1, n + 1):
+        units = p**e - p ** (e - 1)
+        for A in _level_matrices(garr, p, e, chunk):
+            for prof, c in _multiset_counts(batched_profiles(A, p, e), e):
+                counts[tuple(v + n - e for v in prof)] += units * c
     return counts
 
 

@@ -4,9 +4,11 @@ from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from gridask import askzeta, fastcount
 from gridask.askzeta import (BudgetExceeded, ask, ask_direct, ask_orbit,
                              constant_rank_check, direct_profile_counts,
                              orbital_equivalence_check, rank_distribution,
@@ -92,8 +94,9 @@ ORACLE_RINGS = {"F2": make_ring("field", 2), "F3": F3, "Z/4": make_ring("padic",
 
 
 @st.composite
-def tiny_reps(draw):
-    dI, dJ, k = (draw(st.integers(0, 2)) for _ in range(3))
+def tiny_reps(draw, min_rank=0):
+    dI, dJ = (draw(st.integers(0, 2)) for _ in range(2))
+    k = draw(st.integers(min_rank, 2))
     gens = tuple(tuple(tuple(draw(st.integers(-4, 4)) for _ in range(dJ))
                        for _ in range(dI)) for _ in range(k))
     return ModuleRep(tuple(range(k)), tuple(range(1, dI + 1)),
@@ -123,6 +126,69 @@ def test_census_matches_element_census(rep, ring_name):
     assert direct_profile_counts(rep, ring) == element_census(rep, ring)
 
 
+KERNEL_RINGS = {"F2": make_ring("field", 2), "F3": F3, "F5": F5,
+                "Z/8": make_ring("padic", 2, 3), "Z/9": make_ring("padic", 3, 2),
+                "Z/27": make_ring("padic", 3, 3)}
+
+
+@settings(max_examples=50, deadline=None)
+@given(rep=tiny_reps(min_rank=1), ring_name=st.sampled_from(sorted(KERNEL_RINGS)))
+@example(rep=ModuleRep(("a", "b"), (1, 2), (1, 2), (((0, 0), (0, 0)), ((3, 0), (0, -3)))),
+         ring_name="Z/27")  # a zero generator
+@example(rep=ModuleRep(("a", "b"), (1, 2), (1, 2),
+                       (((-1, 2), (0, -3)), ((4, -4), (-2, 1)))), ring_name="Z/8")
+@example(rep=ModuleRep(("a",), (1, 2), (1, 2), (((0, 0), (0, 0)),)), ring_name="F5")
+def test_profile_counts_matches_element_census(rep, ring_name):
+    # the kernel alone, in chunks of 7, so that larger levels span several
+    ring = KERNEL_RINGS[ring_name]
+    counts = fastcount.profile_counts(rep.gens, ring.p, ring.cap, chunk=7)
+    assert counts == element_census(rep, ring)
+
+
+def test_multiset_keys_beyond_int64():
+    # 7 steps at level 31: 8^22 = 2^66 wraps to 0 in int64, so these two
+    # profiles would share a key; such keys are Python ints instead
+    profs = np.array([[22] + [31] * 6, [23] + [31] * 6, [22] + [31] * 6])
+    assert fastcount._multiset_counts(profs, 31) == [((22,) + (31,) * 6, 2),
+                                                     ((23,) + (31,) * 6, 1)]
+
+
+@pytest.mark.parametrize("ring,matrices", [(F5, (5**4 - 1) // 4),
+                                           (make_ring("padic", 3, 2), 40 + 1080)])
+def test_census_eliminates_unit_orbit_representatives(ring, matrices, monkeypatch):
+    # one normalised primitive tuple per unit orbit at each level e <= n:
+    # over F_5, the 156 points of P^3; over Z/9, (3^4 - 1)/2 = 40 at level
+    # 1 and (9^4 - 3^4)/6 = 1080 at level 2
+    batches = []
+    batched_profiles = fastcount.batched_profiles
+
+    def counted(A, p, n):
+        batches.append(len(A))
+        return batched_profiles(A, p, n)
+
+    monkeypatch.setattr(fastcount, "batched_profiles", counted)
+    counts = direct_profile_counts(classic_rep("mat", 2), ring)
+    assert sum(batches) == matrices
+    assert sum(counts.values()) == ring.cardinality() ** 4
+
+
+def test_extension_field_census_eliminates_unit_orbit_representatives(monkeypatch):
+    # over F_4 the zero element is counted without elimination, and the
+    # other 255 elements by the (4^4 - 1)/3 = 85 points of P^3
+    F4 = make_ring("ext", 2, 2)
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return divisor_profile(m)
+
+    monkeypatch.setattr(askzeta, "divisor_profile", counted)
+    rep = classic_rep("mat", 2)
+    counts = direct_profile_counts(rep, F4)
+    assert len(calls) == 85
+    assert counts == element_census(rep, F4)
+
+
 @pytest.mark.parametrize("ring,points", [(F5, (5**3 - 1) // 4),
                                          (make_ring("padic", 3, 2), 13 + 117)])
 def test_orbit_enumerates_unit_orbit_representatives(ring, points, monkeypatch):
@@ -141,6 +207,22 @@ def test_orbit_enumerates_unit_orbit_representatives(ring, points, monkeypatch):
     value = ask_orbit(rep, ring).value
     assert len(calls) == points
     assert value == predict("classical_alt", d=3).series(ring.p, ring.cap)[ring.cap]
+
+
+def test_zeta_coefficients_sum_each_level_once(monkeypatch):
+    # c_1 and c_2 over Z/3, Z/9 from one pass per level: 13 points at level
+    # 1 and 117 at level 2, where recomputing c_1 inside c_2 made 143
+    calls = []
+    orbit_matrix_at = ModuleRep.orbit_matrix_at
+
+    def counted(self, level, x):
+        calls.append(x)
+        return orbit_matrix_at(self, level, x)
+
+    monkeypatch.setattr(ModuleRep, "orbit_matrix_at", counted)
+    coeffs = zeta_coefficients(classic_rep("alt", 3), 3, 2)
+    assert len(calls) == 13 + 117
+    assert coeffs == predict("classical_alt", d=3).series(3, 2)
 
 
 def test_budget_enforced():

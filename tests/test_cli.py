@@ -347,6 +347,46 @@ def test_batch_continues_past_unsupported_input(tmp_path, capsys):
     assert report["counts"] == {"pass": 1, "soft": 0, "fail": 2}
 
 
+RING_ERRORS = [["ask", "--rep", "classic:mat:2", "--prime", "4"],
+               ["ask", "--rep", "classic:mat:2", "--prime", "3", "--n", "0"]]
+
+
+@pytest.mark.parametrize("argv", RING_ERRORS)
+def test_ring_errors_exit_three(argv, capsys):
+    assert run(argv) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_batch_continues_past_ring_error(tmp_path, capsys):
+    manifest = tmp_path / "rings.txt"
+    manifest.write_text("".join(" ".join(argv) + "\n" for argv in RING_ERRORS)
+                        + "ask --rep classic:alt:2 --prime 3\n")
+    code, out = run_out(["batch", str(manifest), "--json"], capsys)
+    assert code == 1
+    report = json.loads(out.strip().splitlines()[-1])
+    assert [r["exit"] for r in report["results"]] == [3, 3, 0]
+    assert report["counts"] == {"pass": 1, "soft": 0, "fail": 2}
+
+
+VACUOUS_CHECKS = [
+    ["orbital-check", "--big", "alpha:3", "--sub", "alphahat:3", "--prime", "3",
+     "--n", "2", "--samples", "0"],
+    ["constant-rank", "--family", "rho", "--I", "1-2", "--J", "1-3", "--rank", "0",
+     "--prime", "3", "--samples", "-5"],
+    ["zeta-verify", "--rep", "classic:alt:2", "--against", "classical_alt",
+     "--params", "d=2", "--prime", "3", "--terms", "0"],
+]
+
+
+@pytest.mark.parametrize("argv", VACUOUS_CHECKS)
+def test_checks_of_nothing_are_refused(argv, capsys):
+    # zero samples, or only the coefficient c_0 = 1, would pass vacuously
+    assert run(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "at least 1" in captured.err
+    assert captured.out == ""
+
+
 def test_header_echoes_seed_only(capsys):
     code, out = run_out(["ask", "--rep", "classic:alt:2", "--prime", "3",
                          "--json", "--seed", "7"], capsys)
