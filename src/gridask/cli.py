@@ -27,7 +27,7 @@ from pathlib import Path
 
 from . import askzeta, boardgame, modrep, nilpotent, predictions
 from .colouring import ParseError, parse_grid
-from .rings import PrimeField, RingError, residue_ring
+from .rings import PadicQuotient, RingError
 
 DEFAULT_SEED = 20240601
 
@@ -134,7 +134,7 @@ def _cmd_check_admissible(args) -> int:
 
 def _cmd_ask(args) -> int:
     rep = build_rep(args.rep)
-    ring = residue_ring(args.prime, args.n)
+    ring = PadicQuotient(args.prime, args.n)
     result = askzeta.ask(rep, ring, args.method, args.budget)
     report = {"header": _header(args), "method": result.method,
               "ring": f"Z/{args.prime}^{args.n}" if args.n > 1 else f"F_{args.prime}",
@@ -203,7 +203,7 @@ def _cmd_zeta_verify(args) -> int:
 
 def _cmd_rank_dist(args) -> int:
     rep = build_rep(args.rep)
-    field = PrimeField(args.prime)
+    field = PadicQuotient(args.prime)
     dist = askzeta.rank_distribution(rep, field, args.budget)
     report = {"header": _header(args), "q": dist.q,
               "counts": {str(r): dist.counts[r] for r in sorted(dist.counts)}}
@@ -214,7 +214,7 @@ def _cmd_rank_dist(args) -> int:
 def _cmd_constant_rank(args) -> int:
     rep = modrep.family_rep(boardgame.Family(args.family),
                             _parse_index_set(args.I), _parse_index_set(args.J))
-    ring = residue_ring(args.prime, args.n)
+    ring = PadicQuotient(args.prime, args.n)
     report = askzeta.constant_rank_check(rep, ring, args.rank, args.samples,
                                          args.seed, args.budget)
     _emit({"header": _header(args), "checked": report.checked, "mode": report.mode,
@@ -226,7 +226,7 @@ def _cmd_constant_rank(args) -> int:
 def _cmd_orbital_check(args) -> int:
     big = build_rep(args.big)
     sub = build_rep(args.sub)
-    ring = residue_ring(args.prime, args.n)
+    ring = PadicQuotient(args.prime, args.n)
     report = askzeta.orbital_equivalence_check(big, sub, ring, args.samples,
                                                args.seed, args.budget)
     _emit({"header": _header(args), "checked": report.checked, "mode": report.mode,
@@ -236,7 +236,7 @@ def _cmd_orbital_check(args) -> int:
 
 
 def _cmd_cc(args) -> int:
-    if args.free_nilpotent:
+    if args.free_nilpotent is not None:
         c_text, _, d_text = args.free_nilpotent.partition(",")
         alg = nilpotent.free_nilpotent_lie(int(d_text), int(c_text))
         count = nilpotent.conjugacy_count_bch(alg, args.prime, args.n, args.budget)
@@ -353,8 +353,9 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_orbital_check)
 
     p = sub.add_parser("cc")
-    p.add_argument("--free-nilpotent")
-    p.add_argument("--baer")
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--free-nilpotent")
+    group.add_argument("--baer")
     p.add_argument("--prime", type=int, required=True)
     p.add_argument("--n", type=int, default=1)
     common(p)
@@ -378,10 +379,9 @@ def run(argv: list[str]) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.verb == "cc" and not (args.free_nilpotent or args.baer):
-            raise UsageError("cc needs --free-nilpotent or --baer")
         return args.func(args)
-    except (UsageError, ParseError, FileNotFoundError, ValueError, RingError,
+    except (UsageError, ParseError, OSError, ValueError, RingError,
+            modrep.ShapeMismatch, predictions.UnknownPrediction,
             nilpotent.BadCharacteristic, nilpotent.NotAlternating,
             nilpotent.UnsupportedClass) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -124,23 +124,16 @@ def divisor_profile(m: Mat) -> tuple[int, ...]:
         for row in a:
             row[top], row[bj] = row[bj], row[top]
         pivot = a[top][top]
-        # pivot = p^v * unit; normalise the pivot row by the unit part
-        if R.cap == 1:
-            unit_inv = R.inv(pivot)
-        else:
-            unit = pivot // (R.p**best_v)
-            unit_inv = R.inv(unit % R.cardinality())
+        # pivot = p^v * unit; dividing the pivot row by the unit part
+        # leaves p^v exactly (1 over a field) at the pivot
+        unit_inv = R.inv(R.exact_div(pivot, best_v))
         a[top] = [R.mul(unit_inv, x) for x in a[top]]
-        piv = a[top][top]  # now p^v exactly (or 1 over a field)
         for i in range(top + 1, rows):
             x = a[i][top]
             if R.is_zero(x):
                 continue
-            # x has valuation >= v, so x / p^v is exact over Z/p^n
-            if R.cap == 1:
-                factor = x
-            else:
-                factor = (x // (R.p**best_v)) % R.cardinality()
+            # x has valuation >= v, so x / p^v is exact
+            factor = R.exact_div(x, best_v)
             a[i] = [R.sub(a[i][j], R.mul(factor, a[top][j])) for j in range(cols)]
         # column clearing is implicit: remaining rows already have 0 in
         # column top, and the pivot row is dropped from the active block

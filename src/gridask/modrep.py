@@ -552,8 +552,13 @@ def rep_to_json(rep: ModuleRep) -> dict:
 
 
 def rep_from_json(data: dict) -> ModuleRep:
-    labels = tuple(data["B"])
-    I = tuple(data["I"])
-    J = tuple(data["J"])
-    gens = tuple(_freeze(data["gens"][lab]) for lab in labels)
+    try:
+        labels = tuple(data["B"])
+        I = tuple(data["I"])
+        J = tuple(data["J"])
+        gens = tuple(_freeze(data["gens"][lab]) for lab in labels)
+    except (KeyError, TypeError) as exc:
+        raise ShapeMismatch(f"malformed representation ({exc!r})") from None
+    if not all(type(x) is int for g in gens for row in g for x in row):
+        raise ShapeMismatch("generator entries must be integers")
     return ModuleRep(labels, I, J, gens)

@@ -29,7 +29,7 @@ from typing import Mapping, Sequence
 
 from . import askzeta
 from .modrep import ModuleRep, _freeze, _zero
-from .rings import Ring, residue_ring
+from .rings import PadicQuotient, Ring
 
 
 class UnsupportedClass(Exception):
@@ -278,14 +278,15 @@ def _class_count(scale: int, ask: Fraction) -> int:
 
 def conjugacy_count_bch(alg: GradedAlgebra, p: int, n: int = 1,
                         budget: int = askzeta.DEFAULT_BUDGET) -> int:
-    """Conjugacy classes of the BCH group on R^dim, R = Z/p^n (F_p for n = 1).
+    """Conjugacy classes of the BCH group on R^dim, R = Z/p^n (for n = 1
+    this is F_p, which is PadicQuotient(p, 1)).
 
     k(G) = ask(adjoint module) = |R|^z * ask(restricted), where z basis
     elements e_b are central and the restricted module drops, for each of
     them, generator b (x e_b = 0) and row b (e_b x = 0).  The budget bounds
     the |R|^I census points of the restricted module.
     """
-    ring = residue_ring(p, n)
+    ring = PadicQuotient(p, n)
     _check_characteristic(alg, ring)
     ad = adjoint_rep(alg)
     keep = [b for b, g in enumerate(ad.gens) if any(any(row) for row in g)]
@@ -316,15 +317,16 @@ def _check_alternating(rep: ModuleRep) -> None:
 
 def baer_group_cc(rep: ModuleRep, p: int, n: int = 1,
                   budget: int = askzeta.DEFAULT_BUDGET) -> int:
-    """Conjugacy classes of the class-2 group on R^d x R^l, R = Z/p^n (F_p
-    for n = 1), attached to an alternating module with l forms beta, with
-    multiplication (x,y)(x',y') = (x+x', y+y'+(1/2) beta(x,x')).
+    """Conjugacy classes of the class-2 group on R^d x R^l, R = Z/p^n (for
+    n = 1 this is F_p, which is PadicQuotient(p, 1)), attached to an
+    alternating module with l forms beta, with multiplication
+    (x,y)(x',y') = (x+x', y+y'+(1/2) beta(x,x')).
 
     k(G) = |R|^l * ask(rep); the budget bounds the |R|^d census points.
     """
     if p == 2:
         raise BadCharacteristic("needs odd p")
     _check_alternating(rep)
-    ring = residue_ring(p, n)
+    ring = PadicQuotient(p, n)
     return _class_count(ring.cardinality() ** rep.rank,
                         askzeta.ask_orbit(rep, ring, budget).value)

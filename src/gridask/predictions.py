@@ -19,6 +19,17 @@ class UnknownPrediction(Exception):
     pass
 
 
+class _Params(dict):
+    """The parameters of one prediction; a missing one is an UnknownPrediction."""
+
+    def __init__(self, name: str, params: dict[str, int]) -> None:
+        super().__init__(params)
+        self.name = name
+
+    def __missing__(self, key: str) -> int:
+        raise UnknownPrediction(f"{self.name} needs parameter {key}")
+
+
 def qt_one() -> QT:
     return {(0, 0): 1}
 
@@ -119,7 +130,7 @@ def predict(name: str, **params: int) -> Prediction:
     cor_D(d,e), F3d_cc(d), F2d_cc(d), F42_cc, ex14_L(d), nfamily(N),
     ex19, kite(m,n), baer_cc(d,e,b).
     """
-    p = params
+    p = _Params(name, params)
     if name == "classical_mat":
         return _classical_mat(p["d"], p["e"])
     if name == "classical_alt":
@@ -205,7 +216,7 @@ def predict(name: str, **params: int) -> Prediction:
         l = comb(d + e, 2) - b
         shifted = predict("cor_C", d=d, e=e).shift_T(l)
         return Prediction("baer_cc", (d, e, b), shifted.num, shifted.den)
-    raise UnknownPrediction(name)
+    raise UnknownPrediction(f"unknown prediction {name!r}")
 
 
 def class_number_F3d(d: int, q: int) -> int:

@@ -1,8 +1,9 @@
-"""Exact arithmetic in finite coefficient rings: F_p, F_{p^f}, and Z/p^n.
+"""Exact arithmetic in finite coefficient rings: Z/p^n and F_{p^f}.
 
-Elements are plain Python values: ints in [0, p^n) for prime fields and
-Z/p^n, coefficient tuples of length f for extension fields.  All arithmetic
-is exact; nothing here ever touches floating point.
+The prime field F_p is Z/p^1, so PadicQuotient(p, 1) serves for it.
+Elements are plain Python values: ints in [0, p^n) for Z/p^n, coefficient
+tuples of length f for extension fields.  All arithmetic is exact; nothing
+here ever touches floating point.
 """
 from __future__ import annotations
 
@@ -172,58 +173,14 @@ class Ring:
     def residue_cardinality(self) -> int:
         return self.p**self.residue_log
 
-
-@dataclass(frozen=True)
-class PrimeField(Ring):
-    """F_p; elements are ints in [0, p)."""
-
-    def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise CompositeModulus(f"{self.p} is not prime")
-
-    def cardinality(self) -> int:
-        return self.p
-
-    zero = 0
-    one = 1
-
-    def from_int(self, k: int) -> int:
-        return k % self.p
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
-    def is_zero(self, a: int) -> bool:
-        return a == 0
-
-    def is_unit(self, a: int) -> bool:
-        return a % self.p != 0
-
-    def inv(self, a: int) -> int:
-        return pow(a, -1, self.p)
-
-    def valuation(self, a: int) -> int:
-        return 0 if a % self.p else 1
-
-    def elements(self) -> Iterator[int]:
-        return iter(range(self.p))
-
-    def units(self) -> Iterator[int]:
-        return iter(range(1, self.p))
+    def exact_div(self, a, v: int):
+        """a / p^v for an element a of valuation >= v (over a field v is 0)."""
+        return a
 
 
 @dataclass(frozen=True)
 class PadicQuotient(Ring):
-    """Z/p^n; elements are ints in [0, p^n)."""
+    """Z/p^n, and the prime field F_p as n = 1; elements are ints in [0, p^n)."""
 
     n: int = 1
 
@@ -279,6 +236,9 @@ class PadicQuotient(Ring):
             a //= self.p
             v += 1
         return v
+
+    def exact_div(self, a: int, v: int) -> int:
+        return a // self.p**v
 
     def elements(self) -> Iterator[int]:
         return iter(range(self._m))
@@ -385,22 +345,18 @@ def make_ring(kind: str, p: int, f_or_n: int = 1,
               modulus: Sequence[int] | None = None) -> Ring:
     """Construct a validated coefficient ring.
 
-    kind is one of "PrimeField", "ExtField", "PadicQuotient".  For
-    extension fields, a missing modulus defaults to the lexicographically
-    smallest monic irreducible of the requested degree.
+    kind is "field" (F_p, which is PadicQuotient(p, 1)), "padic" (Z/p^n
+    with n = f_or_n) or "ext" (F_{p^f} with f = f_or_n).  For extension
+    fields, a missing modulus defaults to the lexicographically smallest
+    monic irreducible of the requested degree.
     """
-    if kind in ("PrimeField", "field"):
-        return PrimeField(p)
-    if kind in ("PadicQuotient", "padic"):
+    if kind == "field":
+        return PadicQuotient(p)
+    if kind == "padic":
         return PadicQuotient(p, f_or_n)
-    if kind in ("ExtField", "ext"):
+    if kind == "ext":
         return ExtField(p, f_or_n, tuple(modulus) if modulus else ())
     raise RingError(f"unknown ring kind {kind!r}")
-
-
-def residue_ring(p: int, n: int = 1) -> Ring:
-    """Z/p^n, as the prime field F_p when n = 1."""
-    return PrimeField(p) if n == 1 else PadicQuotient(p, n)
 
 
 def count_roots(coeffs: Sequence[int], ring: Ring) -> int:

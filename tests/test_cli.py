@@ -250,6 +250,9 @@ def test_usage_errors_exit_three(capsys):
     assert run(["ask", "--rep", "classic:alt:3"]) == 3  # missing --prime
     assert run(["no-such-verb"]) == 3
     assert run(["cc", "--prime", "5"]) == 3
+    assert run(["cc", "--free-nilpotent", "2,2", "--baer", "classic:alt:2",
+                "--prime", "5"]) == 3
+    assert run(["cc", "--free-nilpotent", "", "--prime", "5"]) == 3
     assert run(["zeta-verify", "--against", "classical_mat", "--prime", "3"]) == 3
     assert run(["check-admissible", "/nonexistent.grid"]) == 3
     capsys.readouterr()
@@ -366,6 +369,57 @@ def test_batch_continues_past_ring_error(tmp_path, capsys):
     report = json.loads(out.strip().splitlines()[-1])
     assert [r["exit"] for r in report["results"]] == [3, 3, 0]
     assert report["counts"] == {"pass": 1, "soft": 0, "fail": 2}
+
+
+# Unknown predictions and malformed representations; the file: specs are
+# relative to a directory that write_malformed_reps has filled.
+INPUT_ERRORS = [
+    ["zeta-verify", "--rep", "classic:alt:3", "--against", "nosuch", "--prime", "3"],
+    ["zeta-verify", "--rep", "classic:alt:3", "--against", "classical_alt",
+     "--params", "e=3", "--prime", "3"],
+    ["zeta-verify", "--rep", "classic:alt:3", "--against", "classical_sl",
+     "--params", "d=1", "--prime", "3"],
+    ["ask", "--rep", "file:.", "--prime", "3"],
+    ["ask", "--rep", "file:nogens.json", "--prime", "3"],
+    ["ask", "--rep", "file:badshape.json", "--prime", "3"],
+    ["ask", "--rep", "file:notobject.json", "--prime", "3"],
+    ["ask", "--rep", "file:fraction.json", "--prime", "3", "--method", "direct"],
+    ["orbital-check", "--big", "classic:alt:3", "--sub", "classic:alt:2", "--prime", "3"],
+]
+
+
+def write_malformed_reps(directory: Path) -> None:
+    (directory / "nogens.json").write_text(
+        json.dumps({"B": ["a"], "I": ["1"], "J": ["1"]}))
+    (directory / "badshape.json").write_text(
+        json.dumps({"B": ["a"], "I": ["1"], "J": ["1"], "gens": {"a": [[1, 2]]}}))
+    (directory / "notobject.json").write_text(json.dumps([1, 2]))
+    (directory / "fraction.json").write_text(  # the direct census read 1.5 as 1
+        json.dumps({"B": ["a"], "I": ["1"], "J": ["1"], "gens": {"a": [[1.5]]}}))
+
+
+@pytest.mark.parametrize("argv", INPUT_ERRORS)
+def test_input_errors_exit_three(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    write_malformed_reps(tmp_path)
+    assert run(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
+
+
+def test_batch_continues_past_input_errors(tmp_path, monkeypatch, capsys):
+    # each line used to end the whole run in a traceback
+    monkeypatch.chdir(tmp_path)
+    write_malformed_reps(tmp_path)
+    manifest = tmp_path / "inputs.txt"
+    manifest.write_text("".join(" ".join(argv) + "\n" for argv in INPUT_ERRORS)
+                        + "ask --rep classic:alt:2 --prime 3\n")
+    code, out = run_out(["batch", str(manifest), "--json"], capsys)
+    assert code == 1
+    report = json.loads(out.strip().splitlines()[-1])
+    assert [r["exit"] for r in report["results"]] == [3] * len(INPUT_ERRORS) + [0]
+    assert report["counts"] == {"pass": 1, "soft": 0, "fail": len(INPUT_ERRORS)}
 
 
 VACUOUS_CHECKS = [

@@ -315,3 +315,9 @@ def test_shape_mismatch_rejected():
         ModuleRep(("a",), (1, 2), (1,), (((0,), (0,), (0,)),))
     with pytest.raises(ShapeMismatch):
         ModuleRep(("a", "a"), (1,), (1,), (((0,),), ((0,),)))
+    with pytest.raises(ShapeMismatch):
+        rep_from_json({"B": ["a"], "I": ["1"], "J": ["1"]})  # no "gens"
+    with pytest.raises(ShapeMismatch):
+        rep_from_json({"B": ["a"], "I": ["1"], "J": ["1"], "gens": {"a": 5}})
+    with pytest.raises(ShapeMismatch):
+        rep_from_json({"B": ["a"], "I": ["1"], "J": ["1"], "gens": {"a": [["1"]]}})

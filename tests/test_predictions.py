@@ -59,6 +59,13 @@ def test_sl1_rejected():
         predict("no_such_formula")
 
 
+def test_missing_parameter_is_an_unknown_prediction():
+    with pytest.raises(UnknownPrediction, match="classical_mat needs parameter d"):
+        predict("classical_mat", e=3)
+    with pytest.raises(UnknownPrediction, match="kite needs parameter n"):
+        predict("kite", m=1)
+
+
 def test_zero_module_series_is_geometric():
     pred = predict("zero_module", d=2)
     assert pred.series(3, 3) == [1, 9, 81, 729]

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gridask.rings import (CompositeModulus, ExtField, NotAField, PadicQuotient,
-                           PrimeField, ReducibleModulus, count_roots, is_prime,
-                           make_ring, smallest_irreducible)
+                           ReducibleModulus, count_roots, is_prime, make_ring,
+                           smallest_irreducible)
 
 
 def test_prime_field_basics():
@@ -14,6 +14,7 @@ def test_prime_field_basics():
     assert F.residue_cardinality() == 17
     assert F.inv(F.from_int(5)) == pow(5, 15, 17)
     assert F.is_unit(3) and not F.is_unit(0)
+    assert F == PadicQuotient(17, 1)  # F_p is Z/p^1
 
 
 def test_composite_modulus_rejected():
@@ -101,12 +102,18 @@ def test_is_prime_agrees_with_divisibility(p, k):
        st.integers(-50, 50), st.integers(-50, 50))
 def test_ring_ops_match_integer_arithmetic(spec, a, b):
     p, n = spec
-    R = PadicQuotient(p, n) if n > 1 else PrimeField(p)
+    R = PadicQuotient(p, n)
     m = p**n
     assert R.add(R.from_int(a), R.from_int(b)) == (a + b) % m
     assert R.mul(R.from_int(a), R.from_int(b)) == (a * b) % m
     assert R.sub(R.from_int(a), R.from_int(b)) == (a - b) % m
     assert R.neg(R.from_int(a)) == (-a) % m
+    x = R.from_int(a)
+    v = n if x == 0 else max(e for e in range(n) if x % p**e == 0)
+    assert R.valuation(x) == v
+    for e in range(v + 1):
+        assert R.exact_div(x, e) == x // p**e
+        assert R.mul(R.exact_div(x, e), R.from_int(p**e)) == x
 
 
 def test_ext_field_frobenius_fixed_field():
