@@ -24,7 +24,7 @@ def main() -> None:
     for q in primes:
         dist = rank_distribution(rep, make_ring("field", q))
         counts = " ".join(f"r{r}:{dist.counts[r]}" for r in sorted(dist.counts))
-        print(f"q={q:3d}  {counts}  avg|ker| = {dist.ask_value(d, rep.rank)}")
+        print(f"q={q:3d}  {counts}  avg|ker| = {dist.ask_value(d)}")
 
 
 if __name__ == "__main__":

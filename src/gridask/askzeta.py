@@ -31,7 +31,9 @@ sum_b c_b gen_b the same way: the zero tuple, then each c in N_e (e = 1..n)
 standing for |(Z/p^e)^x| tuples, with its profile over Z/p^e raised by
 n - e.  It runs the vectorised kernel of fastcount over F_p and Z/p^n
 (numpy is imported only there) and exact elimination, element by element,
-over F_{p^f}.
+over F_{p^f}.  One census over Z/p^n also gives ask over every Z/p^k,
+k <= n, with each valuation capped at k.  Over a field the certifiers,
+too, visit one point per unit orbit.
 """
 from __future__ import annotations
 
@@ -57,7 +59,6 @@ class BudgetExceeded(Exception):
 @dataclass(frozen=True)
 class AskResult:
     value: Fraction
-    module_size: int
     method: str
 
 
@@ -86,14 +87,24 @@ def direct_profile_counts(rep: ModuleRep, ring: Ring,
     return counts
 
 
+def _census_ask(counts: Counter, level: Ring, rows: int) -> Fraction:
+    """ask over level from a divisor-profile census over level itself or,
+    for level = Z/p^k, over any Z/p^n with n >= k.
+
+    Reducing mod p^k caps every Smith valuation at k, and each tuple over
+    Z/p^k has the same number of lifts, which the Fraction cancels.
+    """
+    space = level.cardinality() ** rows
+    ker_sum = sum(n * (space // profile_image_size([min(v, level.cap) for v in prof],
+                                                   level))
+                  for prof, n in counts.items())
+    return Fraction(ker_sum, sum(counts.values()))
+
+
 def ask_direct(rep: ModuleRep, ring: Ring, budget: int = DEFAULT_BUDGET) -> AskResult:
     """Brute-force ask by enumerating every module element."""
     counts = direct_profile_counts(rep, ring, budget)
-    total = sum(counts.values())
-    space = ring.cardinality() ** len(rep.I)
-    ker_sum = sum(n * (space // profile_image_size(prof, ring))
-                  for prof, n in counts.items())
-    return AskResult(Fraction(ker_sum, total), total, "direct")
+    return AskResult(_census_ask(counts, ring, len(rep.I)), "direct")
 
 
 def _normalised_primitive_points(ring: Ring, dim: int):
@@ -136,7 +147,7 @@ def ask_orbit(rep: ModuleRep, ring: Ring, budget: int = DEFAULT_BUDGET) -> AskRe
     Only the points of the N_k are enumerated; the budget still bounds |R|^I.
     """
     value = Fraction(1) + sum(_orbit_level_sums(rep, ring, budget))  # x = 0: C(0) = 0
-    return AskResult(value, ring.cardinality() ** rep.rank, "orbit")
+    return AskResult(value, "orbit")
 
 
 def ask(rep: ModuleRep, ring: Ring, method: str = "orbit",
@@ -152,17 +163,22 @@ def zeta_coefficients(rep: ModuleRep, p: int, n_max: int, method: str = "orbit",
                       budget: int = DEFAULT_BUDGET) -> list[Fraction]:
     """[c_0, ..., c_{n_max}] with c_k = ask over Z/p^k (c_0 = 1).
 
-    The orbit method sums each level once, c_k = c_{k-1} + (level k's sum).
+    The orbit method sums each level once, c_k = c_{k-1} + (level k's sum);
+    the direct method takes one census over Z/p^n_max and reads every c_k
+    from it with the profiles capped at k.
     """
     out = [Fraction(1)]
-    if method == "orbit":
-        if n_max:
-            for level_sum in _orbit_level_sums(rep, PadicQuotient(p, n_max), budget):
-                out.append(out[-1] + level_sum)
+    if not n_max:
         return out
-    for k in range(1, n_max + 1):
-        out.append(ask(rep, PadicQuotient(p, k), method, budget).value)
-    return out
+    if method == "orbit":
+        for level_sum in _orbit_level_sums(rep, PadicQuotient(p, n_max), budget):
+            out.append(out[-1] + level_sum)
+        return out
+    if method != "direct":
+        raise ValueError(f"unknown method {method!r}")
+    counts = direct_profile_counts(rep, PadicQuotient(p, n_max), budget)
+    return out + [_census_ask(counts, PadicQuotient(p, k), len(rep.I))
+                  for k in range(1, n_max + 1)]
 
 
 @dataclass(frozen=True)
@@ -197,8 +213,8 @@ class RankDistribution:
     counts: dict[int, int]
     q: int
 
-    def ask_value(self, rows: int, dim: int) -> Fraction:
-        """Recover ask from the census: sum_r count(r) q^{rows-r} / q^dim."""
+    def ask_value(self, rows: int) -> Fraction:
+        """Recover ask from the census: sum_r count(r) q^{rows-r} / sum_r count(r)."""
         total = sum(self.counts.values())
         acc = sum(n * self.q ** (rows - r) for r, n in self.counts.items())
         return Fraction(acc, total)
@@ -236,80 +252,77 @@ def _coker_is_free_of_rank(profile: Sequence[int], cap: int, cols: int, l: int) 
     return middles == 0 and cols - zeros == l
 
 
-def _point_mode(ring: Ring, dim: int, budget: int) -> str:
-    """The certifiers' mode, fixed by the ring: every point of a field
-    (within the budget), seeded samples over Z/p^n."""
-    if ring.cap != 1:
-        return "sample"
-    size = ring.cardinality() ** dim
-    if size > budget:
-        raise BudgetExceeded(f"{size} points exceed budget {budget}")
-    return "exhaustive"
-
-
-def _unit_coordinate_points(ring: Ring, dim: int, samples: int, seed: int,
-                            all_units: bool):
-    """Points x in ring^dim: exhaustive over fields, sampled over Z/p^n.
-
-    all_units=True restricts every coordinate to units (non-degenerate
-    points); otherwise at least one coordinate must be a unit.
-    """
-    if ring.cap == 1:
-        for x in itertools.product(list(ring.elements()), repeat=dim):
-            units = [ring.is_unit(c) for c in x]
-            if all_units and all(units) or (not all_units and any(units)):
-                yield x
-    else:
-        rng = random.Random(seed)
-        units = [u for u in ring.units()]
-        elems = [e for e in ring.elements()]
-        for _ in range(samples):
-            if all_units:
-                yield tuple(rng.choice(units) for _ in range(dim))
-            else:
+def _sampled_points(ring: Ring, dim: int, samples: int, seed: int, all_units: bool):
+    """`samples` seeded draws from ring^dim with every coordinate a unit
+    (all_units) or, redrawn until so, some coordinate a unit."""
+    rng = random.Random(seed)
+    units = list(ring.units())
+    elems = list(ring.elements())
+    for _ in range(samples if dim or all_units else 0):  # ring^0 has no unit coordinate
+        if all_units:
+            yield tuple(rng.choice(units) for _ in range(dim))
+        else:
+            x = tuple(rng.choice(elems) for _ in range(dim))
+            while not any(ring.is_unit(c) for c in x):
                 x = tuple(rng.choice(elems) for _ in range(dim))
-                while not any(ring.is_unit(c) for c in x):
-                    x = tuple(rng.choice(elems) for _ in range(dim))
-                yield x
+            yield x
+
+
+def _certify(reps: Sequence[ModuleRep], ring: Ring, holds, all_units: bool,
+             samples: int, seed: int, budget: int) -> PointReport:
+    """The certifiers' one loop: a violation wherever holds(*profiles), the
+    divisor profiles of C(x) for each rep, fails at a point x with every
+    (all_units) or some coordinate a unit.  Over F_q, within the budget on
+    q^I, x runs over one point per unit orbit (0 and the normalised
+    primitive points): by unit scaling C(u x) = u C(x) has the profile of
+    C(x), so x certifies, or reports, its multiples.  Over Z/p^n x runs over
+    seeded samples.  The report keeps the first 10 violating points, in
+    lexicographic order over a field and in draw order over Z/p^n.
+    """
+    dim = len(reps[0].I)
+    if ring.cap == 1:
+        size = ring.cardinality() ** dim
+        if size > budget:
+            raise BudgetExceeded(f"{size} points exceed budget {budget}")
+        units, order, mode = list(ring.units()), sorted, "exhaustive"
+        keep = all if all_units else any
+        points = (x for x in itertools.chain([(ring.zero,) * dim],
+                                             _normalised_primitive_points(ring, dim))
+                  if keep(ring.is_unit(c) for c in x))
+    else:
+        units, order, mode = [ring.one], list, "sample"
+        points = _sampled_points(ring, dim, samples, seed, all_units)
+    violations = []
+    checked = 0
+    for x in points:
+        # units act freely on primitive points; the empty point is its own orbit
+        orbit = list(dict.fromkeys(tuple(ring.mul(u, c) for c in x) for u in units))
+        checked += len(orbit)
+        profiles = tuple(divisor_profile(rep.orbit_matrix_at(ring, x)) for rep in reps)
+        if not holds(*profiles):
+            violations = order(violations + [(y,) + profiles for y in orbit])[:10]
+    return PointReport(checked, tuple(violations), mode, not violations)
 
 
 def constant_rank_check(rep: ModuleRep, ring: Ring, l: int, samples: int = 10**4,
                         seed: int = 0, budget: int = DEFAULT_BUDGET) -> PointReport:
-    """Check coker C(x) = ring^l at every point with a unit coordinate
-    (exhaustive over fields, seeded unit-coordinate samples over Z/p^n)."""
-    dim = len(rep.I)
-    mode = _point_mode(ring, dim, budget)
-    violations = []
-    checked = 0
-    for x in _unit_coordinate_points(ring, dim, samples, seed, all_units=False):
-        checked += 1
-        prof = divisor_profile(rep.orbit_matrix_at(ring, x))
-        if not _coker_is_free_of_rank(prof, ring.cap, len(rep.J), l):
-            if len(violations) < 10:
-                violations.append((x, prof))
-    return PointReport(checked, tuple(violations), mode, not violations)
+    """Check coker C(x) = ring^l at every point with a unit coordinate (one
+    point per unit orbit over a field, seeded samples over Z/p^n)."""
+    return _certify([rep], ring,
+                    lambda prof: _coker_is_free_of_rank(prof, ring.cap, len(rep.J), l),
+                    False, samples, seed, budget)
 
 
 def orbital_equivalence_check(rep_big: ModuleRep, rep_sub: ModuleRep, ring: Ring,
                               samples: int = 10**4, seed: int = 0,
                               budget: int = DEFAULT_BUDGET) -> PointReport:
-    """Equal divisor profiles of the two orbit matrices at every
-    non-degenerate point (all coordinates non-zero over a field; all
-    coordinates units over Z/p^n, sampled)."""
+    """Equal divisor profiles of the two orbit matrices at every point with
+    all coordinates units (over a field those with x_1 = 1, each standing
+    for its q - 1 multiples; seeded samples over Z/p^n)."""
     if rep_big.I != rep_sub.I or rep_big.J != rep_sub.J:
         raise ShapeMismatch("representations must share index sets")
-    dim = len(rep_big.I)
-    mode = _point_mode(ring, dim, budget)
-    violations = []
-    checked = 0
-    for x in _unit_coordinate_points(ring, dim, samples, seed, all_units=True):
-        checked += 1
-        pb = divisor_profile(rep_big.orbit_matrix_at(ring, x))
-        ps = divisor_profile(rep_sub.orbit_matrix_at(ring, x))
-        if pb != ps:
-            if len(violations) < 10:
-                violations.append((x, pb, ps))
-    return PointReport(checked, tuple(violations), mode, not violations)
+    return _certify([rep_big, rep_sub], ring, lambda pb, ps: pb == ps, True,
+                    samples, seed, budget)
 
 
 # ---------------------------------------------------------------------------

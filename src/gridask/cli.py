@@ -77,6 +77,10 @@ def _load_grid(path: str):
     return parse_grid(Path(path).read_text())
 
 
+BOARD_BUILDERS = {"board": modrep.board_rep, "altboard": modrep.altboard_rep,
+                  "symboard": modrep.symboard_rep}
+
+
 def build_rep(spec: str) -> modrep.ModuleRep:
     head, _, rest = spec.partition(":")
     if head == "classic":
@@ -92,11 +96,9 @@ def build_rep(spec: str) -> modrep.ModuleRep:
         i_text, _, j_text = sets.partition(":")
         return modrep.family_rep(boardgame.Family(fam),
                                  _parse_index_set(i_text), _parse_index_set(j_text))
-    if head in ("board", "altboard", "symboard"):
+    if head in BOARD_BUILDERS:
         parsed = _load_grid(rest)
-        builder = {"board": modrep.board_rep, "altboard": modrep.altboard_rep,
-                   "symboard": modrep.symboard_rep}[head]
-        return builder(parsed.colouring, parsed.units)
+        return BOARD_BUILDERS[head](parsed.colouring, parsed.units)
     if head == "triangular-pair":
         return modrep.triangular_pair_rep(int(rest))
     if head == "file":
@@ -170,9 +172,7 @@ def _cmd_zeta_verify(args) -> int:
         raise UsageError("zeta-verify needs --module/--grid or --rep")
     parsed = _load_grid(args.grid) if args.grid else None
     if args.module:
-        builder = {"board": modrep.board_rep, "altboard": modrep.altboard_rep,
-                   "symboard": modrep.symboard_rep}[args.module]
-        rep = builder(parsed.colouring, parsed.units)
+        rep = BOARD_BUILDERS[args.module](parsed.colouring, parsed.units)
     else:
         rep = build_rep(args.rep)
     prediction = _prediction_for(args, parsed)
@@ -211,28 +211,27 @@ def _cmd_rank_dist(args) -> int:
     return 0
 
 
-def _cmd_constant_rank(args) -> int:
-    rep = modrep.family_rep(boardgame.Family(args.family),
-                            _parse_index_set(args.I), _parse_index_set(args.J))
-    ring = PadicQuotient(args.prime, args.n)
-    report = askzeta.constant_rank_check(rep, ring, args.rank, args.samples,
-                                         args.seed, args.budget)
+def _emit_point_report(args, report: askzeta.PointReport) -> int:
     _emit({"header": _header(args), "checked": report.checked, "mode": report.mode,
            "passed": report.passed,
            "violations": [list(map(str, v)) for v in report.violations]}, args.json)
     return 0 if report.passed else 1
+
+
+def _cmd_constant_rank(args) -> int:
+    rep = modrep.family_rep(boardgame.Family(args.family),
+                            _parse_index_set(args.I), _parse_index_set(args.J))
+    ring = PadicQuotient(args.prime, args.n)
+    return _emit_point_report(args, askzeta.constant_rank_check(
+        rep, ring, args.rank, args.samples, args.seed, args.budget))
 
 
 def _cmd_orbital_check(args) -> int:
     big = build_rep(args.big)
     sub = build_rep(args.sub)
     ring = PadicQuotient(args.prime, args.n)
-    report = askzeta.orbital_equivalence_check(big, sub, ring, args.samples,
-                                               args.seed, args.budget)
-    _emit({"header": _header(args), "checked": report.checked, "mode": report.mode,
-           "passed": report.passed,
-           "violations": [list(map(str, v)) for v in report.violations]}, args.json)
-    return 0 if report.passed else 1
+    return _emit_point_report(args, askzeta.orbital_equivalence_check(
+        big, sub, ring, args.samples, args.seed, args.budget))
 
 
 def _cmd_cc(args) -> int:
@@ -315,7 +314,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_ask)
 
     p = sub.add_parser("zeta-verify")
-    p.add_argument("--module", choices=["board", "altboard", "symboard"])
+    p.add_argument("--module", choices=list(BOARD_BUILDERS))
     p.add_argument("--grid")
     p.add_argument("--rep")
     p.add_argument("--against", required=True)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .boardgame import Family
-from .colouring import NonUnitCoefficient, PartialColouring, UnitAssignment
+from .colouring import PartialColouring, UnitAssignment
 from .linalg import Mat
 from .rings import Ring
 
@@ -118,14 +118,6 @@ class ModuleRep:
 # Relation modules from colourings.
 # ---------------------------------------------------------------------------
 
-def _unit_matrix_check(u: UnitAssignment, ring: Ring | None) -> None:
-    if ring is None:
-        return
-    for cell, val in u.u.items():
-        if not ring.is_unit(ring.from_int(val)):
-            raise NonUnitCoefficient(f"u{cell} = {val} is not a unit in the ring")
-
-
 def board_rep(beta: PartialColouring, u: UnitAssignment | None = None) -> ModuleRep:
     """The relation module on [d] x [e]: one free generator per blank cell,
     and for each colour with pivot cell s = min(fibre) the generators
@@ -203,36 +195,13 @@ def symboard_rep(beta: PartialColouring, u: UnitAssignment | None = None) -> Mod
 
 def classic_rep(name: str, d: int, e: int | None = None) -> ModuleRep:
     """Standard integer bases: mat(d,e), alt(d), sym(d), sl(d), tr(d)."""
-    if name == "mat":
-        e = d if e is None else e
-        labels, gens = [], []
-        for i in range(d):
-            for j in range(e):
-                g = _zero(d, e)
-                g[i][j] = 1
-                labels.append((i + 1, j + 1))
-                gens.append(_freeze(g))
-        return ModuleRep(tuple(labels), tuple(range(1, d + 1)),
-                         tuple(range(1, e + 1)), tuple(gens))
     idx = tuple(range(1, d + 1))
+    families = {"mat": Family.RHO, "alt": Family.GAMMA, "sym": Family.SIGMA}
+    if name in families:  # only mat is rectangular
+        cols = range(1, e + 1) if name == "mat" and e is not None else idx
+        return family_rep(families[name], idx, cols)
     labels, gens = [], []
-    if name == "alt":
-        for i in range(d):
-            for j in range(i + 1, d):
-                g = _zero(d, d)
-                g[i][j] = 1
-                g[j][i] = -1
-                labels.append((i + 1, j + 1))
-                gens.append(_freeze(g))
-    elif name == "sym":
-        for i in range(d):
-            for j in range(i, d):
-                g = _zero(d, d)
-                g[i][j] = 1
-                g[j][i] = 1
-                labels.append((i + 1, j + 1))
-                gens.append(_freeze(g))
-    elif name == "sl":
+    if name == "sl":
         for i in range(d):
             for j in range(d):
                 if i != j:
@@ -335,19 +304,9 @@ def restrict_rep(rep: ModuleRep, I_sub: Sequence, J_sub: Sequence) -> ModuleRep:
 
 
 def inflate_rep(rep: ModuleRep, I_big: Sequence, J_big: Sequence) -> ModuleRep:
-    I_big, J_big = tuple(I_big), tuple(J_big)
     if not set(rep.I) <= set(I_big) or not set(rep.J) <= set(J_big):
         raise IndexNotSubset("inflation indices must be supersets")
-    ri = {v: k for k, v in enumerate(I_big)}
-    cj = {v: k for k, v in enumerate(J_big)}
-    gens = []
-    for g in rep.gens:
-        big = _zero(len(I_big), len(J_big))
-        for a, i in enumerate(rep.I):
-            for b, j in enumerate(rep.J):
-                big[ri[i]][cj[j]] = g[a][b]
-        gens.append(_freeze(big))
-    return ModuleRep(rep.labels, I_big, J_big, tuple(gens))
+    return embed_rep(rep, I_big, J_big, {i: i for i in rep.I}, {j: j for j in rep.J})
 
 
 def embed_rep(rep: ModuleRep, I_big: Sequence, J_big: Sequence,

@@ -96,6 +96,35 @@ def naive_orbit_ask(rep, ring) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
+# Certifier oracles: every point of F_p^I.
+# ---------------------------------------------------------------------------
+
+def _field_profile(rep, x, p: int) -> tuple[int, int]:
+    """(zeros, ones) of the divisor profile of C(x) over F_p: the rank r of
+    the B x J matrix with entries sum_i x_i a_{bij}, then min(B, J) - r."""
+    rows = [[sum(xi * g[i][j] for i, xi in enumerate(x)) for j in range(len(rep.J))]
+            for g in rep.gens]
+    r = naive_rank_modp(rows, p)
+    return r, min(rep.rank, len(rep.J)) - r
+
+
+def naive_constant_rank(rep, p: int, l: int) -> tuple[int, list]:
+    """(points checked, sorted violating points): coker C(x) is F_p^l, that
+    is |J| - rank C(x) = l, at every x in F_p^I with a non-zero coordinate."""
+    points = [x for x in itertools.product(range(p), repeat=len(rep.I)) if any(x)]
+    bad = [x for x in points if len(rep.J) - _field_profile(rep, x, p)[0] != l]
+    return len(points), bad
+
+
+def naive_orbital(big, sub, p: int) -> tuple[int, list]:
+    """(points checked, sorted violating points): equal divisor profiles of
+    the two C(x) at every x in F_p^I with no zero coordinate."""
+    points = list(itertools.product(range(1, p), repeat=len(big.I)))
+    bad = [x for x in points if _field_profile(big, x, p) != _field_profile(sub, x, p)]
+    return len(points), bad
+
+
+# ---------------------------------------------------------------------------
 # Conjugacy-class oracle.
 # ---------------------------------------------------------------------------
 

@@ -16,12 +16,13 @@ from gridask.askzeta import (BudgetExceeded, ask, ask_direct, ask_orbit,
 from gridask.boardgame import Family
 from gridask.colouring import parse_grid
 from gridask.linalg import divisor_profile
-from gridask.modrep import (ModuleRep, board_rep, classic_rep, family_rep,
-                            restrict_rep)
+from gridask.modrep import (ModuleRep, alpha_rep, alphahat_rep, board_rep,
+                            classic_rep, family_rep, restrict_rep)
 from gridask.predictions import predict
 from gridask.rings import make_ring
 
-from oracles import naive_ask, naive_orbit_ask, random_rep
+from oracles import (naive_ask, naive_constant_rank, naive_orbit_ask, naive_orbital,
+                     random_rep)
 
 GRIDS = Path(__file__).resolve().parent.parent / "grids"
 F3 = make_ring("field", 3)
@@ -225,6 +226,29 @@ def test_zeta_coefficients_sum_each_level_once(monkeypatch):
     assert coeffs == predict("classical_alt", d=3).series(3, 2)
 
 
+def test_direct_zeta_takes_one_census(monkeypatch):
+    # c_1..c_3 from the Z/27 census with profiles capped at k: 1,183
+    # matrices, where a census per level took 13 + 130 + 1,183 = 1,326
+    batches = []
+    batched_profiles = fastcount.batched_profiles
+
+    def counted(A, p, n):
+        batches.append(len(A))
+        return batched_profiles(A, p, n)
+
+    monkeypatch.setattr(fastcount, "batched_profiles", counted)
+    coeffs = zeta_coefficients(classic_rep("alt", 3), 3, 3, method="direct")
+    assert sum(batches) == 1183
+    assert coeffs == predict("classical_alt", d=3).series(3, 3)
+
+
+@pytest.mark.parametrize("p,n_max", [(2, 3), (3, 2)])
+def test_direct_zeta_matches_orbit_zeta(p, n_max):
+    rep = classic_rep("mat", 2, 3)
+    assert (zeta_coefficients(rep, p, n_max, method="direct")
+            == zeta_coefficients(rep, p, n_max))
+
+
 def test_budget_enforced():
     rep = classic_rep("mat", 3, 3)
     with pytest.raises(BudgetExceeded):
@@ -233,6 +257,8 @@ def test_budget_enforced():
         ask_orbit(rep, F5, budget=10)
     with pytest.raises(ValueError):
         ask(rep, F3, method="nonsense")
+    with pytest.raises(ValueError):
+        zeta_coefficients(rep, 3, 1, method="nonsense")
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +305,7 @@ def test_rank_distribution_recovers_ask():
         dist = rank_distribution(rep, Fq)
         assert dist.counts[0] == 1
         assert sum(dist.counts.values()) == q**rep.rank
-        assert dist.ask_value(len(rep.I), rep.rank) == ask_direct(rep, Fq).value
+        assert dist.ask_value(len(rep.I)) == ask_direct(rep, Fq).value
 
 
 def test_rank_distribution_requires_field():
@@ -345,3 +371,76 @@ def test_sampling_is_deterministic():
     a = constant_rank_check(rep, R, 0, samples=500, seed=42)
     b = constant_rank_check(rep, R, 0, samples=500, seed=42)
     assert a == b
+
+
+@st.composite
+def certifier_cases(draw):
+    """Two representations sharing I and J (up to 3 x 2) with up to 3
+    generators each, entries in -4..4."""
+    dI, dJ = draw(st.integers(0, 3)), draw(st.integers(0, 2))
+
+    def rep():
+        k = draw(st.integers(0, 3))
+        gens = tuple(tuple(tuple(draw(st.integers(-4, 4)) for _ in range(dJ))
+                           for _ in range(dI)) for _ in range(k))
+        return ModuleRep(tuple(range(k)), tuple(range(1, dI + 1)),
+                         tuple(range(1, dJ + 1)), gens)
+
+    return rep(), rep()
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=certifier_cases(), p=st.sampled_from([2, 3, 5]), l=st.integers(0, 2))
+@example(case=(ModuleRep(("a",), (), (1, 2), ((),)), ModuleRep((), (), (1, 2), ())),
+         p=3, l=0)  # I empty: C(()) is a zero matrix
+@example(case=(classic_rep("mat", 3, 3), board_rep(
+    parse_grid((GRIDS / "sample_d.grid").read_text()).colouring)), p=5, l=0)
+@example(case=(ModuleRep(("a", "b"), (1, 2, 3), (1, 2),
+                         (((1, -2), (0, 3), (-4, 1)), ((2, 2), (-1, 0), (0, -3)))),
+               ModuleRep(("c",), (1, 2, 3), (1, 2), (((-1, 0), (0, 1), (1, 1)),))),
+         p=5, l=1)
+def test_certifiers_match_all_points_oracle(case, p, l):
+    # one point per unit orbit certifies, and reports, what checking every
+    # point of F_p^I does: the same counts, verdicts and first 10 violations
+    big, sub = case
+    ring = make_ring("field", p)
+    for report, (checked, bad) in (
+            (constant_rank_check(big, ring, l), naive_constant_rank(big, p, l)),
+            (orbital_equivalence_check(big, sub, ring), naive_orbital(big, sub, p))):
+        assert (report.checked, report.passed) == (checked, not bad)
+        assert [v[0] for v in report.violations] == bad[:10]
+        assert report.mode == "exhaustive"
+
+
+@pytest.mark.parametrize("ring", [F3, make_ring("padic", 3, 2)], ids=["F3", "Z/9"])
+def test_certifiers_on_empty_index_set(ring):
+    # no point of R^0 has a unit coordinate, and the empty point has every
+    # coordinate a unit; over Z/9 the empty point is drawn `samples` times
+    rep = ModuleRep(("a",), (), (1,), ((),))
+    assert constant_rank_check(rep, ring, 1, samples=50).checked == 0
+    report = orbital_equivalence_check(rep, rep, ring, samples=50)
+    assert report.passed and report.checked == (1 if ring.cap == 1 else 50)
+
+
+@pytest.mark.parametrize("check,calls,checked", [
+    (lambda: constant_rank_check(family_rep(Family.GAMMA, (1, 2, 3), (1, 2, 3)), F5, 1),
+     31, 5**3 - 1),
+    (lambda: orbital_equivalence_check(alpha_rep(3), alphahat_rep(3), F5),
+     2 * 4**5, 4**6),
+], ids=["constant-rank-gamma-F5", "orbital-alpha3-F5"])
+def test_certifiers_walk_unit_orbit_representatives(check, calls, checked, monkeypatch):
+    # over F_5 one orbit matrix per rep at each walked point: the 31
+    # normalised primitive points of F_5^3 (the points of P^2), and for each
+    # of alpha and alphahat the 4^5 points of F_5^6 with x_1 = 1 and every
+    # coordinate a unit
+    count = []
+    orbit_matrix_at = ModuleRep.orbit_matrix_at
+
+    def counted(self, level, x):
+        count.append(x)
+        return orbit_matrix_at(self, level, x)
+
+    monkeypatch.setattr(ModuleRep, "orbit_matrix_at", counted)
+    report = check()
+    assert len(count) == calls
+    assert report.passed and report.checked == checked
