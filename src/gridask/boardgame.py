@@ -2,11 +2,14 @@
 
 Each matrix family (rectangular "rho", alternating "gamma", symmetric
 "sigma") attaches to index sets (I, J) a grid of cells partitioned into
-cell classes.  A colouring constant on cell classes is played as follows:
-a cell that is blank and the sole surviving member of its class lets you
-delete its column.  A colouring is admissible of level l when for every
-non-empty row subset H some <= l columns can be discarded so that moves
-delete all remaining columns.  Certificates are replayable move lists.
+cell classes.  A colouring constant on cell classes is played on the
+master's cells in H x cols: a colour stays while every class of that colour
+meets the board, and a cell that is blank (or whose colour left) and the
+only cell of its class on the board lets you delete its column.
+`legal_moves` is that one rule, read straight off the master.  A colouring
+is admissible of level l when for every non-empty row subset H some <= l
+columns can be discarded so that moves delete all remaining columns.
+Certificates are replayable move lists.
 """
 from __future__ import annotations
 
@@ -78,36 +81,24 @@ def build_grid(family: Family, I: Sequence[int], J: Sequence[int]) -> GameGrid:
 class GameColouring:
     grid: GameGrid
     colour_of: Mapping[Cell, str] = field(default_factory=dict)
+    # colour -> the cell classes of that colour, filled in at construction
+    classes_of: Mapping[str, set[frozenset[Cell]]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         colour_of = dict(self.colour_of)
         object.__setattr__(self, "colour_of", colour_of)
+        classes_of: dict[str, set[frozenset[Cell]]] = {}
         for cell, colour in colour_of.items():
             if cell not in self.grid.cells:
                 raise ValueError(f"coloured cell {cell} not in grid")
             for mate in self.grid.class_of[cell]:
                 if colour_of.get(mate) != colour:
                     raise ValueError(f"colour not constant on class of {cell}")
+            classes_of.setdefault(colour, set()).add(self.grid.class_of[cell])
+        object.__setattr__(self, "classes_of", classes_of)
 
     def colour(self, cell: Cell) -> str | None:
         return self.colour_of.get(cell)
-
-    def colour_classes(self, colour: str) -> list[frozenset[Cell]]:
-        seen = set()
-        out = []
-        for cell, c in sorted(self.colour_of.items()):
-            if c == colour:
-                cls = self.grid.class_of[cell]
-                if cls not in seen:
-                    seen.add(cls)
-                    out.append(cls)
-        return out
-
-    def colours(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for cell in sorted(self.colour_of):
-            seen.setdefault(self.colour_of[cell])
-        return list(seen)
 
 
 def master_rho(beta: PartialColouring) -> GameColouring:
@@ -130,39 +121,29 @@ def master_symmetric(family: Family, beta: PartialColouring) -> GameColouring:
     for (i, j), c in beta.colour_of.items():
         if beta.colour_of.get((j, i)) != c:
             raise ValueError(f"colouring not symmetric at {(i, j)}")
+    if family is Family.GAMMA and any(i == j for (i, j) in beta.colour_of):
+        raise ValueError("gamma grids have no diagonal cells")
     grid = build_grid(family, range(1, beta.d + 1), range(1, beta.d + 1))
-    colour_of = {cell: c for cell, c in beta.colour_of.items() if cell in grid.cells}
-    if family is Family.GAMMA:
-        for (i, j) in beta.colour_of:
-            if i == j:
-                raise ValueError("gamma grids have no diagonal cells")
-    return GameColouring(grid, colour_of)
+    return GameColouring(grid, beta.colour_of)
 
 
-def induce_colouring(master: GameColouring, grid: GameGrid) -> GameColouring:
-    """Colouring induced on a subgrid (I, J) of the master's index sets.
+def legal_moves(master: GameColouring, H: Sequence[int],
+                cols: Sequence[int]) -> list[Cell]:
+    """Moves at position (H, cols), row-major: the isolated blank cells of
+    the colouring induced on the master's cells in H x cols.
 
-    A cell keeps its master colour c iff every master cell class coloured
-    c meets I x J; otherwise it becomes blank.
+    A colour stays iff every master class of that colour meets the board.
+    A move is a board cell that is blank or whose colour did not stay, and
+    whose class has no other cell on the board.
     """
-    I, J = set(grid.I), set(grid.J)
-    surviving: dict[str, bool] = {}
-    for colour in master.colours():
-        classes = master.colour_classes(colour)
-        surviving[colour] = all(
-            any(i in I and j in J for (i, j) in cls) for cls in classes)
-    colour_of = {}
-    for cell in grid.cells:
-        c = master.colour(cell)
-        if c is not None and surviving[c]:
-            colour_of[cell] = c
-    return GameColouring(grid, colour_of)
-
-
-def isolated_blank_cells(gc: GameColouring) -> list[Cell]:
-    """Cells that are blank and alone in their class, row-major order."""
-    return sorted(cell for cell in gc.grid.cells
-                  if cell not in gc.colour_of and len(gc.grid.class_of[cell]) == 1)
+    grid = master.grid
+    board = [cell for cell in itertools.product(sorted(set(H)), sorted(set(cols)))
+             if cell in grid.cells]
+    on_board = set(board)
+    stayed = {colour for colour, classes in master.classes_of.items()
+              if all(not cls.isdisjoint(on_board) for cls in classes)}
+    return [cell for cell in board if master.colour(cell) not in stayed
+            and len(grid.class_of[cell] & on_board) == 1]
 
 
 def greedy_reduce(master: GameColouring,
@@ -171,16 +152,15 @@ def greedy_reduce(master: GameColouring,
                   ) -> tuple[tuple[int, ...], list[tuple[Cell, int]]]:
     """Play moves greedily from position (I, J); defaults to the full grid.
 
-    Repeatedly deletes the column of the least isolated blank cell of the
-    colouring induced from the master, until no move remains.  Returns the
-    surviving columns and the move log [(cell, deleted column), ...].
+    Repeatedly deletes the column of the least legal move, until no move
+    remains.  Returns the surviving columns and the move log
+    [(cell, deleted column), ...].
     """
-    I = tuple(master.grid.I if I is None else sorted(set(I)))
-    cols = list(master.grid.J if J is None else sorted(set(J)))
+    I = master.grid.I if I is None else I
+    cols = sorted(set(master.grid.J if J is None else J))
     log: list[tuple[Cell, int]] = []
     while cols:
-        gc = induce_colouring(master, build_grid(master.grid.family, I, cols))
-        moves = isolated_blank_cells(gc)
+        moves = legal_moves(master, I, cols)
         if not moves:
             break
         cell = moves[0]
@@ -206,11 +186,9 @@ class GameVerdict:
 
 def replay_certificate(master: GameColouring, cert: MoveCertificate) -> bool:
     """Check that the recorded moves are legal and clear all columns."""
-    I = cert.H
     cols = [j for j in master.grid.J if j not in set(cert.D)]
     for cell, col in cert.moves:
-        gc = induce_colouring(master, build_grid(master.grid.family, I, cols))
-        if cell != (cell[0], col) or cell not in isolated_blank_cells(gc):
+        if cell != (cell[0], col) or cell not in legal_moves(master, cert.H, cols):
             return False
         cols.remove(col)
     return not cols

@@ -68,8 +68,11 @@ def _emit(report: dict, as_json: bool) -> None:
 
 def _parse_index_set(text: str) -> tuple[int, ...]:
     if "-" in text and "," not in text:
-        lo, hi = text.split("-")
-        return tuple(range(int(lo), int(hi) + 1))
+        lo, hi = map(int, text.split("-"))
+        if hi < lo:
+            raise UsageError(f"index range {text} is empty; an index set "
+                             "needs at least 1 index")
+        return tuple(range(lo, hi + 1))
     return tuple(int(tok) for tok in text.split(","))
 
 
@@ -86,7 +89,11 @@ def build_rep(spec: str) -> modrep.ModuleRep:
     if head == "classic":
         name, _, dims = rest.partition(":")
         parts = [int(t) for t in dims.split(",")]
-        return modrep.classic_rep(name, parts[0], parts[1] if len(parts) > 1 else None)
+        most = 2 if name == "mat" else 1
+        if len(parts) > most:
+            raise UsageError(f"classic:{name} takes at most {most} dimension(s), "
+                             f"got {dims}")
+        return modrep.classic_rep(name, *parts)
     if head == "alpha":
         return modrep.alpha_rep(int(rest))
     if head == "alphahat":
@@ -118,7 +125,7 @@ def _cmd_check_admissible(args) -> int:
     parsed = _load_grid(args.grid)
     family = boardgame.Family(args.family or parsed.family or "rho")
     master = boardgame.master_symmetric(family, parsed.colouring)
-    verdict = boardgame.is_admissible_game(master, args.level)
+    verdict = boardgame.is_admissible_game(master, args.level, args.budget)
     report = {
         "header": _header(args),
         "family": family.value,

@@ -10,7 +10,6 @@ import itertools
 import random
 from fractions import Fraction
 
-from gridask.boardgame import build_grid, induce_colouring, isolated_blank_cells
 from gridask.colouring import PartialColouring
 from gridask.linalg import Mat
 
@@ -181,9 +180,8 @@ def baer_law(forms, m: int):
 # Rectangular admissibility from the quantified definition.
 # ---------------------------------------------------------------------------
 
-def _is_closed(beta: PartialColouring, I: frozenset, J: frozenset) -> bool:
-    for colour in beta.colours():
-        fibre = beta.fibre(colour)
+def _is_closed(fibres: list[list], I: frozenset, J: frozenset) -> bool:
+    for fibre in fibres:
         if any(i in I and j in J for (i, j) in fibre):
             if not all(i in I and j in J for (i, j) in fibre):
                 return False
@@ -195,14 +193,14 @@ def exhaustive_rect_admissible(beta: PartialColouring) -> bool:
     colour-closed one contains a blank cell."""
     rows = range(1, beta.d + 1)
     cols = range(1, beta.e + 1)
+    fibres = [beta.fibre(colour) for colour in beta.colours()]
     for ri in range(1, beta.d + 1):
         for I in itertools.combinations(rows, ri):
             for rj in range(1, beta.e + 1):
                 for J in itertools.combinations(cols, rj):
-                    If, Jf = frozenset(I), frozenset(J)
-                    if _is_closed(beta, If, Jf):
-                        if all((i, j) in beta.colour_of for i in I for j in J):
-                            return False
+                    if (all((i, j) in beta.colour_of for i in I for j in J)
+                            and _is_closed(fibres, frozenset(I), frozenset(J))):
+                        return False
     return True
 
 
@@ -210,10 +208,32 @@ def exhaustive_rect_admissible(beta: PartialColouring) -> bool:
 # Board-game oracle: exhaustive move-tree reachability.
 # ---------------------------------------------------------------------------
 
+def oracle_moves(master, I, J) -> list:
+    """Legal moves at position (I, J), from the definitions.
+
+    The board is I x J, less the diagonal for gamma.  In gamma and sigma
+    (i, j) and (j, i) form one class; in rho each cell is its own class.
+    A colour stays iff each of its classes meets the board; a move is a
+    board cell that is blank or whose colour left, and whose class has no
+    other cell on the board.
+    """
+    family = master.grid.family.value
+    board = {(i, j) for i in I for j in J if family != "gamma" or i != j}
+
+    def mates(cell):
+        i, j = cell
+        return {(i, j)} if family == "rho" else {(i, j), (j, i)}
+
+    left = {colour for cell, colour in master.colour_of.items()
+            if not mates(cell) & board}
+    return sorted(cell for cell in board
+                  if master.colour_of.get(cell) in left | {None}
+                  and len(mates(cell) & board) == 1)
+
+
 def exhaustive_game_clearable(master, I, J) -> bool:
     """Can SOME legal move sequence from (I, J) delete every column?
     Explores the whole move tree with memoisation on the column set."""
-    I = tuple(sorted(set(I)))
     seen: dict[frozenset, bool] = {}
 
     def explore(cols: frozenset) -> bool:
@@ -222,10 +242,8 @@ def exhaustive_game_clearable(master, I, J) -> bool:
         if cols in seen:
             return seen[cols]
         seen[cols] = False  # cycle guard; columns only shrink, so unused
-        gc = induce_colouring(
-            master, build_grid(master.grid.family, I, sorted(cols)))
         result = any(explore(cols - {cell[1]})
-                     for cell in isolated_blank_cells(gc))
+                     for cell in oracle_moves(master, I, cols))
         seen[cols] = result
         return result
 

@@ -4,16 +4,14 @@ from pathlib import Path
 
 import pytest
 
-from gridask.boardgame import (Family, GameColouring, LevelTooLarge,
-                               OverlappingIndexSets, build_grid, greedy_reduce,
-                               hat_colouring, induce_colouring,
-                               is_admissible_game, isolated_blank_cells,
-                               master_rho, master_symmetric, rainbow_colouring,
+from gridask.boardgame import (Family, LevelTooLarge, OverlappingIndexSets,
+                               build_grid, greedy_reduce, hat_colouring,
+                               is_admissible_game, legal_moves, master_rho,
+                               master_symmetric, rainbow_colouring,
                                replay_certificate)
-from gridask.colouring import (PartialColouring, all_blank, is_admissible_rect,
-                               parse_grid)
+from gridask.colouring import PartialColouring, all_blank, parse_grid
 
-from oracles import (exhaustive_game_clearable, random_colouring,
+from oracles import (exhaustive_game_clearable, oracle_moves, random_colouring,
                      random_symmetric_colouring)
 
 GRIDS = Path(__file__).resolve().parent.parent / "grids"
@@ -52,32 +50,63 @@ def test_sigma_square_pairs_off_diagonal():
     assert g.class_of[(1, 1)] == frozenset({(1, 1)})
 
 
+def test_master_symmetric_refusals():
+    with pytest.raises(ValueError, match="no diagonal"):
+        master_symmetric(Family.GAMMA, PartialColouring(2, 2, {(1, 1): "x"}))
+    with pytest.raises(ValueError, match="not symmetric"):
+        master_symmetric(Family.SIGMA, PartialColouring(2, 2, {(1, 2): "x"}))
+    sigma = master_symmetric(Family.SIGMA, PartialColouring(2, 2, {(1, 1): "x"}))
+    assert sigma.classes_of == {"x": {frozenset({(1, 1)})}}
+
+
 # ---------------------------------------------------------------------------
-# Induced colourings.
+# Induced colourings, read through the move rule: a cell alone in its class
+# on the board is a move exactly when its colour did not stay.
 # ---------------------------------------------------------------------------
 
 def test_induce_rho_partial_colour_goes_blank():
     master = master_rho(load("sample_a").colouring)
-    sub = build_grid(Family.RHO, (1, 2), (3,))
-    induced = induce_colouring(master, sub)
     # column 3 of sample_a is blank in rows 1 and 2 already; colours whose
     # classes leave the subgrid are dropped entirely
-    assert induced.colour((1, 3)) is None
-    assert induced.colour((2, 3)) is None
+    assert legal_moves(master, (1, 2), (3,)) == [(1, 3), (2, 3)]
 
 
 def test_induce_sigma_survives_when_all_classes_meet():
     master = master_symmetric(Family.SIGMA, load("snake_sym4").colouring)
-    sub = build_grid(Family.SIGMA, (2, 3), (1, 2, 3, 4))
-    induced = induce_colouring(master, sub)
-    for cell in ((2, 1), (2, 3), (3, 2), (3, 4)):
-        assert induced.colour(cell) == "b"
+    # every class of "b" meets (2,3) x [4], so (2,1) and (3,4), alone in
+    # their classes, keep "b" and are no moves; (2,3)/(3,2) share a class
+    assert legal_moves(master, (2, 3), (1, 2, 3, 4)) == [
+        (2, 2), (2, 4), (3, 1), (3, 3)]
+    # dropping column 4 loses the class {(3,4),(4,3)}, so "b" goes blank
+    assert (2, 1) in legal_moves(master, (2, 3), (1, 2, 3))
 
 
 def test_induce_full_grid_is_identity():
     master = master_rho(load("sample_b").colouring)
-    induced = induce_colouring(master, master.grid)
-    assert induced.colour_of == master.colour_of
+    blank = sorted(set(master.grid.cells) - set(master.colour_of))
+    assert legal_moves(master, master.grid.I, master.grid.J) == blank
+
+
+def test_legal_moves_match_oracle_at_every_position():
+    rng = random.Random(83)
+    masters = []
+    for _ in range(8):
+        masters.append(master_rho(random_colouring(3, rng.randrange(1, 4), 3, rng)))
+        beta = random_symmetric_colouring(4, 3, rng)
+        masters.append(master_symmetric(Family.SIGMA, beta))
+        masters.append(master_symmetric(Family.GAMMA, PartialColouring(4, 4, {
+            c: v for c, v in beta.colour_of.items() if c[0] != c[1]})))
+        rect = random_colouring(2, 2, 2, rng)
+        masters.append(hat_colouring(rect, (1, 3), (2, 4), Family.SIGMA))
+        masters.append(hat_colouring(rect, (1, 4), (2, 3), Family.GAMMA))
+
+    def subsets(xs):
+        return [s for r in range(len(xs) + 1) for s in itertools.combinations(xs, r)]
+
+    for master in masters:
+        for H in subsets(master.grid.I):
+            for cols in subsets(master.grid.J):
+                assert legal_moves(master, H, cols) == oracle_moves(master, H, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -86,17 +115,17 @@ def test_induce_full_grid_is_identity():
 
 def test_isolated_rho_all_blank():
     gc = master_rho(all_blank(2, 2))
-    assert len(isolated_blank_cells(gc)) == 4
+    assert len(legal_moves(gc, gc.grid.I, gc.grid.J)) == 4
 
 
 def test_isolated_gamma_all_blank_none():
     gc = master_symmetric(Family.GAMMA, all_blank(2, 2))
-    assert isolated_blank_cells(gc) == []
+    assert legal_moves(gc, gc.grid.I, gc.grid.J) == []
 
 
 def test_isolated_sigma_all_blank_diagonal():
     gc = master_symmetric(Family.SIGMA, all_blank(2, 2))
-    assert isolated_blank_cells(gc) == [(1, 1), (2, 2)]
+    assert legal_moves(gc, gc.grid.I, gc.grid.J) == [(1, 1), (2, 2)]
 
 
 def test_greedy_rho_all_blank_clears():
@@ -218,9 +247,7 @@ def test_greedy_final_set_order_independent():
         for _ in range(10):
             cols = list(master.grid.J)
             while cols:
-                gc = induce_colouring(
-                    master, build_grid(Family.SIGMA, master.grid.I, cols))
-                moves = isolated_blank_cells(gc)
+                moves = legal_moves(master, master.grid.I, cols)
                 if not moves:
                     break
                 cols.remove(rng.choice(moves)[1])
@@ -234,13 +261,9 @@ def test_move_persistence():
         beta = random_symmetric_colouring(4, 2, rng)
         master = master_symmetric(Family.SIGMA, beta)
         J1 = tuple(sorted(rng.sample(range(1, 5), rng.randrange(1, 5))))
-        gc1 = induce_colouring(
-            master, build_grid(Family.SIGMA, master.grid.I, J1))
-        iso1 = set(isolated_blank_cells(gc1))
+        iso1 = set(legal_moves(master, master.grid.I, J1))
         J2 = tuple(sorted(rng.sample(J1, rng.randrange(1, len(J1) + 1))))
-        gc2 = induce_colouring(
-            master, build_grid(Family.SIGMA, master.grid.I, J2))
-        iso2 = set(isolated_blank_cells(gc2))
+        iso2 = set(legal_moves(master, master.grid.I, J2))
         for cell in iso1:
             if cell[1] in J2:
                 assert cell in iso2

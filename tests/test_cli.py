@@ -55,6 +55,14 @@ def test_check_admissible_refuses_more_than_twelve_rows(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("budget exceeded: ")
 
 
+def test_check_admissible_honours_budget(capsys):
+    # level 1 tries C(7, 1) = 7 discard sets per row subset
+    argv = ["check-admissible", grid("rainbow_4_7"), "--level", "1"]
+    assert run(argv + ["--budget", "1"]) == 4
+    assert capsys.readouterr().err.startswith("budget exceeded: ")
+    assert run(argv + ["--budget", "7"]) == 0
+
+
 def test_check_admissible_family_from_file(capsys):
     # rainbow files carry "family: gamma" headers
     code, out = run_out(["check-admissible", grid("rainbow_4_7"),
@@ -385,6 +393,8 @@ INPUT_ERRORS = [
     ["ask", "--rep", "file:notobject.json", "--prime", "3"],
     ["ask", "--rep", "file:fraction.json", "--prime", "3", "--method", "direct"],
     ["orbital-check", "--big", "classic:alt:3", "--sub", "classic:alt:2", "--prime", "3"],
+    ["ask", "--rep", "classic:alt:3,7", "--prime", "3"],  # alt takes one dimension
+    ["ask", "--rep", "classic:mat:2,2,9", "--prime", "3"],  # mat takes at most two
 ]
 
 
@@ -429,12 +439,15 @@ VACUOUS_CHECKS = [
      "--prime", "3", "--samples", "-5"],
     ["zeta-verify", "--rep", "classic:alt:2", "--against", "classical_alt",
      "--params", "d=2", "--prime", "3", "--terms", "0"],
+    ["constant-rank", "--family", "rho", "--I", "3-1", "--J", "1-2", "--rank", "0",
+     "--prime", "3"],  # a reversed range names no rows
 ]
 
 
 @pytest.mark.parametrize("argv", VACUOUS_CHECKS)
 def test_checks_of_nothing_are_refused(argv, capsys):
-    # zero samples, or only the coefficient c_0 = 1, would pass vacuously
+    # zero samples, no rows, or only the coefficient c_0 = 1, would pass
+    # vacuously
     assert run(argv) == 3
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and "at least 1" in captured.err
