@@ -32,8 +32,10 @@ standing for |(Z/p^e)^x| tuples, with its profile over Z/p^e raised by
 n - e.  It runs the vectorised kernel of fastcount over F_p and Z/p^n
 (numpy is imported only there) and exact elimination, element by element,
 over F_{p^f}.  One census over Z/p^n also gives ask over every Z/p^k,
-k <= n, with each valuation capped at k.  Over a field the certifiers,
-too, visit one point per unit orbit.
+k <= n, with each valuation capped at k.  By unit scaling the certifiers,
+too, eliminate each unit orbit once: over a field they visit one point
+per unit orbit, and over Z/p^n a seeded draw whose unit orbit was drawn
+before reuses that orbit's profiles.
 """
 from __future__ import annotations
 
@@ -268,16 +270,28 @@ def _sampled_points(ring: Ring, dim: int, samples: int, seed: int, all_units: bo
             yield x
 
 
+def _orbit_key(ring: PadicQuotient, x: tuple) -> int:
+    """The unit orbit of x over Z/p^n as one int: x divided by its first
+    unit coordinate, read as digits in base p^n."""
+    u_inv = ring.inv(next((c for c in x if ring.is_unit(c)), ring.one))
+    key = 0
+    for c in x:
+        key = key * ring.cardinality() + ring.mul(u_inv, c)
+    return key
+
+
 def _certify(reps: Sequence[ModuleRep], ring: Ring, holds, all_units: bool,
              samples: int, seed: int, budget: int) -> PointReport:
     """The certifiers' one loop: a violation wherever holds(*profiles), the
     divisor profiles of C(x) for each rep, fails at a point x with every
-    (all_units) or some coordinate a unit.  Over F_q, within the budget on
-    q^I, x runs over one point per unit orbit (0 and the normalised
-    primitive points): by unit scaling C(u x) = u C(x) has the profile of
-    C(x), so x certifies, or reports, its multiples.  Over Z/p^n x runs over
-    seeded samples.  The report keeps the first 10 violating points, in
-    lexicographic order over a field and in draw order over Z/p^n.
+    (all_units) or some coordinate a unit.  By unit scaling C(u x) = u C(x)
+    has the profile of C(x), so each unit orbit is eliminated once.  Over
+    F_q, within the budget on q^I, x runs over one point per unit orbit (0
+    and the normalised primitive points) and certifies, or reports, its
+    multiples.  Over Z/p^n x runs over seeded draws; each is divided by its
+    first unit coordinate, and a draw whose orbit was drawn before reuses
+    that orbit's profiles.  The report keeps the first 10 violating points,
+    in lexicographic order over a field and in draw order over Z/p^n.
     """
     dim = len(reps[0].I)
     if ring.cap == 1:
@@ -292,13 +306,21 @@ def _certify(reps: Sequence[ModuleRep], ring: Ring, holds, all_units: bool,
     else:
         units, order, mode = [ring.one], list, "sample"
         points = _sampled_points(ring, dim, samples, seed, all_units)
+    profiles_of = {}  # Z/p^n: orbit key -> profiles, one shared tuple per value
+    shared = {}
     violations = []
     checked = 0
     for x in points:
         # units act freely on primitive points; the empty point is its own orbit
         orbit = list(dict.fromkeys(tuple(ring.mul(u, c) for c in x) for u in units))
         checked += len(orbit)
-        profiles = tuple(divisor_profile(rep.orbit_matrix_at(ring, x)) for rep in reps)
+        # over F_q the walk meets each orbit once, so nothing is kept
+        key = _orbit_key(ring, x) if mode == "sample" else None
+        profiles = profiles_of.get(key)
+        if profiles is None:
+            profiles = tuple(divisor_profile(rep.orbit_matrix_at(ring, x)) for rep in reps)
+            if key is not None:
+                profiles_of[key] = profiles = shared.setdefault(profiles, profiles)
         if not holds(*profiles):
             violations = order(violations + [(y,) + profiles for y in orbit])[:10]
     return PointReport(checked, tuple(violations), mode, not violations)

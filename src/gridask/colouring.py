@@ -168,15 +168,19 @@ def colour_closure(beta: PartialColouring, seed: Subgrid) -> Subgrid:
     Iterates to a fixpoint: whenever a colour appears inside the current
     I' x J', all rows and columns met by that colour's fibre are added.
     """
+    return _closure([beta.fibre(c) for c in beta.colours()], seed)
+
+
+def _closure(fibres: list[list[Cell]], seed: Subgrid) -> Subgrid:
+    """colour_closure from the colouring's fibres."""
     I = set(seed[0])
     J = set(seed[1])
     if not I or not J:
         raise EmptySeed("seed subgrid must be non-empty")
-    fibres = {c: beta.fibre(c) for c in beta.colours()}
     changed = True
     while changed:
         changed = False
-        for colour, cells in fibres.items():
+        for cells in fibres:
             if any(i in I and j in J for (i, j) in cells):
                 for (i, j) in cells:
                     if i not in I:
@@ -216,8 +220,9 @@ def is_admissible_rect(beta: PartialColouring) -> RectVerdict:
     closure of each of its cells, so checking single-cell closures
     suffices.
     """
+    fibres = [beta.fibre(c) for c in beta.colours()]
     for cell in sorted(beta.colour_of):
-        closure = colour_closure(beta, ((cell[0],), (cell[1],)))
+        closure = _closure(fibres, ((cell[0],), (cell[1],)))
         if not has_blank(beta, closure):
             return RectVerdict(False, closure)
     return RectVerdict(True)

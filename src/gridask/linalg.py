@@ -30,15 +30,9 @@ class Mat:
             raise ValueError("entry count does not match shape")
 
     @staticmethod
-    def from_rows(ring: Ring, rows: Sequence[Sequence]) -> "Mat":
-        r = len(rows)
-        c = len(rows[0]) if r else 0
-        ents = tuple(x for row in rows for x in row)
-        return Mat(ring, r, c, ents)
-
-    @staticmethod
     def from_int_rows(ring: Ring, rows: Sequence[Sequence[int]]) -> "Mat":
-        return Mat.from_rows(ring, [[ring.from_int(x) for x in row] for row in rows])
+        return Mat(ring, len(rows), len(rows[0]) if rows else 0,
+                   tuple(ring.from_int(x) for row in rows for x in row))
 
     @staticmethod
     def zero(ring: Ring, rows: int, cols: int) -> "Mat":
@@ -120,23 +114,21 @@ def divisor_profile(m: Mat) -> tuple[int, ...]:
         if best is None:
             break  # all-zero block: capped valuations fill the rest
         bi, bj = best
+        # only the active block is read again: rows top.., columns top..
         a[top], a[bi] = a[bi], a[top]
-        for row in a:
+        for row in a[top:]:
             row[top], row[bj] = row[bj], row[top]
-        pivot = a[top][top]
-        # pivot = p^v * unit; dividing the pivot row by the unit part
-        # leaves p^v exactly (1 over a field) at the pivot
-        unit_inv = R.inv(R.exact_div(pivot, best_v))
-        a[top] = [R.mul(unit_inv, x) for x in a[top]]
-        for i in range(top + 1, rows):
-            x = a[i][top]
+        # pivot = p^v * unit and each entry x below it has valuation >= v,
+        # so factor = (x / p^v) * unit^-1 has factor * pivot = x
+        unit_inv = R.inv(R.exact_div(a[top][top], best_v))
+        pivot_tail = a[top][top + 1:]
+        for row in a[top + 1:]:
+            x = row[top]
             if R.is_zero(x):
                 continue
-            # x has valuation >= v, so x / p^v is exact
-            factor = R.exact_div(x, best_v)
-            a[i] = [R.sub(a[i][j], R.mul(factor, a[top][j])) for j in range(cols)]
-        # column clearing is implicit: remaining rows already have 0 in
-        # column top, and the pivot row is dropped from the active block
+            factor = R.mul(unit_inv, R.exact_div(x, best_v))
+            row[top + 1:] = [R.sub(y, R.mul(factor, z))
+                             for y, z in zip(row[top + 1:], pivot_tail)]
         profile.append(best_v)
         top += 1
     profile += [cap] * (min(rows, cols) - len(profile))

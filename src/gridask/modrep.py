@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .boardgame import Family
@@ -61,35 +62,24 @@ class ModuleRep:
 
     def element(self, ring: Ring, coeffs: Sequence) -> Mat:
         """sum_b coeffs_b * a_b over the ring (coeffs are ring elements)."""
-        R = ring
-        rows, cols = len(self.I), len(self.J)
-        ents = [R.zero] * (rows * cols)
-        for c, g in zip(coeffs, self.gens):
-            if R.is_zero(c):
-                continue
-            k = 0
-            for row in g:
-                for x in row:
-                    if x:
-                        ents[k] = R.add(ents[k], R.mul(c, R.from_int(x)))
-                    k += 1
-        return Mat(R, rows, cols, tuple(ents))
+        return Mat(ring, len(self.I), len(self.J),
+                   tuple(ring.linear_form(coeffs, col) for col in self._element_columns))
 
     def orbit_matrix_at(self, ring: Ring, x: Sequence) -> Mat:
         """C(x): the B x J matrix with entries sum_i x_i a_{bij}."""
-        R = ring
-        rows = []
-        for g in self.gens:
-            row = []
-            for j in range(len(self.J)):
-                acc = R.zero
-                for i in range(len(self.I)):
-                    a = g[i][j]
-                    if a:
-                        acc = R.add(acc, R.mul(x[i], R.from_int(a)))
-                row.append(acc)
-            rows.append(row)
-        return Mat.from_rows(R, rows) if rows else Mat(R, 0, len(self.J), ())
+        return Mat(ring, self.rank, len(self.J),
+                   tuple(ring.linear_form(x, col) for col in self._orbit_columns))
+
+    @cached_property
+    def _element_columns(self) -> tuple[tuple[int, ...], ...]:
+        """(a_{bij} for b in B) for each entry (i, j), row by row."""
+        return tuple(tuple(g[i][j] for g in self.gens)
+                     for i in range(len(self.I)) for j in range(len(self.J)))
+
+    @cached_property
+    def _orbit_columns(self) -> tuple[tuple[int, ...], ...]:
+        """(a_{bij} for i in I) for each entry (b, j) of C(x), row by row."""
+        return tuple(tuple(row[j] for row in g) for g in self.gens for j in range(len(self.J)))
 
     def circ_forms(self) -> list[list[dict[int, int]]]:
         """Symbolic C(X_I): entry (b, j) as {row index i: coefficient}."""

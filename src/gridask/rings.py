@@ -8,6 +8,7 @@ here ever touches floating point.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Iterator, Sequence
 
 
@@ -177,6 +178,14 @@ class Ring:
         """a / p^v for an element a of valuation >= v (over a field v is 0)."""
         return a
 
+    def linear_form(self, x: Sequence, coeffs: Sequence[int]):
+        """sum_i x_i c_i for ring elements x_i and integer coefficients c_i."""
+        acc = self.zero
+        for xi, c in zip(x, coeffs):
+            if c:
+                acc = self.add(acc, self.mul(xi, self.from_int(c)))
+        return acc
+
 
 @dataclass(frozen=True)
 class PadicQuotient(Ring):
@@ -239,6 +248,9 @@ class PadicQuotient(Ring):
 
     def exact_div(self, a: int, v: int) -> int:
         return a // self.p**v
+
+    def linear_form(self, x: Sequence[int], coeffs: Sequence[int]) -> int:
+        return sum(map(mul, x, coeffs)) % self._m
 
     def elements(self) -> Iterator[int]:
         return iter(range(self._m))

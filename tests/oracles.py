@@ -75,35 +75,57 @@ def naive_ask(rep, ring) -> Fraction:
     return Fraction(total, count)
 
 
+def naive_orbit_matrix(rep, ring, x) -> Mat:
+    """C(x) formed entry by entry from the generators: entry (b, j) is
+    sum_i x_i a_{bij}, every term taken in the ring."""
+    entries = []
+    for g in rep.gens:
+        for j in range(len(rep.J)):
+            acc = ring.zero
+            for i, xi in enumerate(x):
+                acc = ring.add(acc, ring.mul(xi, ring.from_int(g[i][j])))
+            entries.append(acc)
+    return Mat(ring, rep.rank, len(rep.J), tuple(entries))
+
+
+def naive_element(rep, ring, coeffs) -> Mat:
+    """sum_b c_b a_b formed entry by entry: entry (i, j) is sum_b c_b a_{bij},
+    every term taken in the ring."""
+    entries = []
+    for i in range(len(rep.I)):
+        for j in range(len(rep.J)):
+            acc = ring.zero
+            for c, g in zip(coeffs, rep.gens):
+                acc = ring.add(acc, ring.mul(c, ring.from_int(g[i][j])))
+            entries.append(acc)
+    return Mat(ring, len(rep.I), len(rep.J), tuple(entries))
+
+
 def naive_orbit_ask(rep, ring) -> Fraction:
-    """ask by the orbit identity, summed over every x in R^I: C(x) has entry
-    (b, j) = sum_i x_i a_{bij}, formed here straight from the generators,
-    and its image is counted by vector enumeration."""
-    elems = list(ring.elements())
-    cols = len(rep.J)
+    """ask by the orbit identity, summed over every x in R^I: C(x) is formed
+    straight from the generators, and its image is counted by vector
+    enumeration."""
     total = Fraction(0)
-    for x in itertools.product(elems, repeat=len(rep.I)):
-        entries = []
-        for g in rep.gens:
-            for j in range(cols):
-                acc = ring.zero
-                for i, xi in enumerate(x):
-                    acc = ring.add(acc, ring.mul(xi, ring.from_int(g[i][j])))
-                entries.append(acc)
-        total += Fraction(1, brute_image_size(Mat(ring, rep.rank, cols, tuple(entries))))
+    for x in itertools.product(list(ring.elements()), repeat=len(rep.I)):
+        total += Fraction(1, brute_image_size(naive_orbit_matrix(rep, ring, x)))
     return total
 
 
 # ---------------------------------------------------------------------------
-# Certifier oracles: every point of F_p^I.
+# Certifier oracles: every point of F_p^I, or every seeded draw from
+# (Z/p^n)^I.
 # ---------------------------------------------------------------------------
+
+def _orbit_rows(rep, x) -> list[list[int]]:
+    """C(x) over the integers: entry (b, j) is sum_i x_i a_{bij}."""
+    return [[sum(xi * g[i][j] for i, xi in enumerate(x)) for j in range(len(rep.J))]
+            for g in rep.gens]
+
 
 def _field_profile(rep, x, p: int) -> tuple[int, int]:
     """(zeros, ones) of the divisor profile of C(x) over F_p: the rank r of
-    the B x J matrix with entries sum_i x_i a_{bij}, then min(B, J) - r."""
-    rows = [[sum(xi * g[i][j] for i, xi in enumerate(x)) for j in range(len(rep.J))]
-            for g in rep.gens]
-    r = naive_rank_modp(rows, p)
+    C(x), then min(B, J) - r."""
+    r = naive_rank_modp(_orbit_rows(rep, x), p)
     return r, min(rep.rank, len(rep.J)) - r
 
 
@@ -121,6 +143,86 @@ def naive_orbital(big, sub, p: int) -> tuple[int, list]:
     points = list(itertools.product(range(1, p), repeat=len(big.I)))
     bad = [x for x in points if _field_profile(big, x, p) != _field_profile(sub, x, p)]
     return len(points), bad
+
+
+def naive_divisor_profile(int_rows: list[list[int]], p: int, n: int) -> tuple[int, ...]:
+    """Sorted Smith valuations over Z/p^n, capped at n, of an integer matrix.
+
+    An entry of least valuation v clears its column by row operations; every
+    other entry of its row is then a multiple of p^v, so column operations
+    clear the row without touching the rest.  Record v, delete the row and
+    the column, and repeat until only zeros are left.
+    """
+    m = p**n
+
+    def val(a: int) -> int:
+        v = 0
+        while v < n and a % p ** (v + 1) == 0:
+            v += 1
+        return v
+
+    a = [[x % m for x in row] for row in int_rows]
+    size = min(len(a), len(a[0])) if a else 0
+    profile = []
+    while a and a[0]:
+        v, r, c = min((val(x), r, c) for r, row in enumerate(a) for c, x in enumerate(row))
+        if v == n:
+            break
+        inv = pow(a[r][c] // p**v, -1, m)
+        a = [[(x - (row[c] // p**v) * inv * y) % m
+              for k, (x, y) in enumerate(zip(row, a[r])) if k != c]
+             for s, row in enumerate(a) if s != r]
+        profile.append(v)
+    return tuple(sorted(profile + [n] * (size - len(profile))))
+
+
+def seeded_draws(p: int, n: int, dim: int, samples: int, seed: int,
+                 all_units: bool) -> list[tuple]:
+    """The sampled certifiers' draws from (Z/p^n)^dim: random.Random(seed)
+    picks each coordinate from the units in increasing order (all_units) or
+    from 0..p^n - 1, drawing the whole point again until some coordinate is
+    a unit.  Over (Z/p^n)^0 only all_units draws anything: the empty point,
+    `samples` times."""
+    rng = random.Random(seed)
+    units = [a for a in range(p**n) if a % p]
+    elems = list(range(p**n))
+    draws = []
+    for _ in range(samples if dim or all_units else 0):
+        if all_units:
+            draws.append(tuple(rng.choice(units) for _ in range(dim)))
+            continue
+        x = tuple(rng.choice(elems) for _ in range(dim))
+        while not any(c % p for c in x):
+            x = tuple(rng.choice(elems) for _ in range(dim))
+        draws.append(x)
+    return draws
+
+
+def naive_sampled_constant_rank(rep, p: int, n: int, l: int, samples: int,
+                                seed: int) -> tuple[int, list]:
+    """(draws checked, violations in draw order): (x, profile of C(x)) at
+    every draw where coker C(x) is not (Z/p^n)^l, that is where the profile
+    has a valuation strictly between 0 and n or |J| - #zeros != l."""
+    draws = seeded_draws(p, n, len(rep.I), samples, seed, False)
+    bad = []
+    for x in draws:
+        prof = naive_divisor_profile(_orbit_rows(rep, x), p, n)
+        if any(0 < v < n for v in prof) or len(rep.J) - prof.count(0) != l:
+            bad.append((x, prof))
+    return len(draws), bad
+
+
+def naive_sampled_orbital(big, sub, p: int, n: int, samples: int,
+                          seed: int) -> tuple[int, list]:
+    """(draws checked, violations in draw order): (x, both profiles) at
+    every draw, all coordinates units, where the two C(x) differ in profile."""
+    draws = seeded_draws(p, n, len(big.I), samples, seed, True)
+    bad = []
+    for x in draws:
+        profs = tuple(naive_divisor_profile(_orbit_rows(rep, x), p, n) for rep in (big, sub))
+        if profs[0] != profs[1]:
+            bad.append((x,) + profs)
+    return len(draws), bad
 
 
 # ---------------------------------------------------------------------------

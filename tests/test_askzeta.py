@@ -22,7 +22,8 @@ from gridask.predictions import predict
 from gridask.rings import make_ring
 
 from oracles import (naive_ask, naive_constant_rank, naive_orbit_ask, naive_orbital,
-                     random_rep)
+                     naive_sampled_constant_rank, naive_sampled_orbital, random_rep,
+                     seeded_draws)
 
 GRIDS = Path(__file__).resolve().parent.parent / "grids"
 F3 = make_ring("field", 3)
@@ -444,3 +445,62 @@ def test_certifiers_walk_unit_orbit_representatives(check, calls, checked, monke
     report = check()
     assert len(count) == calls
     assert report.passed and report.checked == checked
+
+
+def _board_in_mat(name):
+    big = classic_rep("mat", 3, 3)
+    sub = load_board(name)
+    return big, ModuleRep(sub.labels, big.I, big.J, sub.gens)
+
+
+@pytest.mark.parametrize("reps,l,samples,seed", [
+    (lambda: (alpha_rep(3), alphahat_rep(3)), None, 300, 51),
+    (lambda: _board_in_mat("sample_d"), None, 400, 5),
+    (lambda: (family_rep(Family.RHO, (1, 2), (1, 2, 3)),), 0, 500, 7),
+    (lambda: (load_board("sample_c"),), 0, 300, 3),
+], ids=["orbital-alpha3", "orbital-sample_d", "constant-rank-rho", "constant-rank-sample_c"])
+@pytest.mark.parametrize("p,n", [(3, 2), (3, 3), (5, 2)], ids=["Z/9", "Z/27", "Z/25"])
+def test_sampled_certifiers_match_draw_oracle(reps, l, samples, seed, p, n):
+    # eliminating each drawn unit orbit once reports what forming and
+    # eliminating C(x) at every draw does: the same count, verdict and first
+    # 10 violations (the drawn points, in draw order, with their profiles);
+    # l is None for the orbital check
+    reps, ring = reps(), make_ring("padic", p, n)
+    if l is None:
+        report = orbital_equivalence_check(*reps, ring, samples=samples, seed=seed)
+        checked, bad = naive_sampled_orbital(*reps, p, n, samples, seed)
+    else:
+        report = constant_rank_check(*reps, ring, l, samples=samples, seed=seed)
+        checked, bad = naive_sampled_constant_rank(*reps, p, n, l, samples, seed)
+    assert (report.checked, report.passed, report.mode) == (checked, not bad, "sample")
+    assert list(report.violations) == bad[:10]
+
+
+@pytest.mark.parametrize("check,dim,all_units", [
+    (lambda R: orbital_equivalence_check(alpha_rep(3), alphahat_rep(3), R,
+                                         samples=2000, seed=51), 6, True),
+    (lambda R: constant_rank_check(family_rep(Family.GAMMA, (1, 2, 3), (1, 2, 3)), R, 1,
+                                   samples=2000, seed=51), 3, False),
+], ids=["orbital-alpha3", "constant-rank-gamma"])
+def test_sampled_certifiers_eliminate_each_drawn_unit_orbit_once(check, dim, all_units,
+                                                                monkeypatch):
+    # over Z/9 a draw x stands for its unit orbit, represented by x divided
+    # by its first unit coordinate: one orbit matrix per rep for each
+    # distinct representative, however often its orbit is drawn
+    draws = seeded_draws(3, 2, dim, 2000, 51, all_units)
+    orbits = set()
+    for x in draws:
+        inv = pow(next(c for c in x if c % 3), -1, 9)
+        orbits.add(tuple(c * inv % 9 for c in x))
+    count = []
+    orbit_matrix_at = ModuleRep.orbit_matrix_at
+
+    def counted(self, level, x):
+        count.append(x)
+        return orbit_matrix_at(self, level, x)
+
+    monkeypatch.setattr(ModuleRep, "orbit_matrix_at", counted)
+    report = check(make_ring("padic", 3, 2))
+    reps = 2 if all_units else 1
+    assert len(count) == reps * len(orbits) < reps * len(set(draws))
+    assert report.passed and report.checked == 2000

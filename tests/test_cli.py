@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -459,3 +462,19 @@ def test_header_echoes_seed_only(capsys):
                          "--json", "--seed", "7"], capsys)
     assert code == 0
     assert json.loads(out)["header"] == {"seed": 7}
+
+
+def test_orbit_path_runs_without_numpy():
+    # the acceptance manifest and the sampled orbital check over Z/9 run in
+    # pure Python: numpy is imported by the direct census alone
+    script = ("import sys\n"
+              "from gridask.cli import run\n"
+              "codes = [run(argv.split()) for argv in sys.argv[1:]]\n"
+              "print(codes, 'numpy' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", script, "batch manifests/acceptance.txt",
+         "orbital-check --big alpha:3 --sub alphahat:3 --prime 3 --n 2 --samples 300"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[0, 0] False"

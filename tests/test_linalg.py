@@ -1,11 +1,13 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gridask.linalg import Mat, divisor_profile, image_size, kernel_size, rank
 from gridask.rings import make_ring
 
-from oracles import brute_image_size, brute_kernel_size, naive_rank_modp
+from oracles import (brute_image_size, brute_kernel_size, naive_divisor_profile,
+                     naive_rank_modp)
 
 RINGS = [make_ring("field", 3), make_ring("field", 5),
          make_ring("padic", 2, 2), make_ring("padic", 3, 2),
@@ -128,3 +130,23 @@ def test_transpose_preserves_profile():
     for _ in range(30):
         m = _random_mat(R, rng.randrange(1, 4), rng.randrange(1, 4), rng)
         assert divisor_profile(m) == divisor_profile(m.transpose())
+
+
+@st.composite
+def int_matrices(draw):
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    return [[draw(st.integers(-60, 60)) for _ in range(cols)] for _ in range(rows)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(pk=st.sampled_from([(2, 3), (3, 3)]), ints=int_matrices())
+@example(pk=(3, 3), ints=[[0, 9, 3], [0, 3, 18], [0, 6, 6]])  # zero column, p-adic pivots
+@example(pk=(2, 3), ints=[[4, 2, 0, 6], [2, 0, 0, 4]])
+def test_profile_matches_enumeration_over_z8_and_z27(pk, ints):
+    # the elimination touches only the active block (rows and columns from
+    # the pivot on); its profile is the Smith profile, and the image size
+    # it gives is the enumerated one
+    p, n = pk
+    m = Mat.from_int_rows(make_ring("padic", p, n), ints)
+    assert divisor_profile(m) == naive_divisor_profile(ints, p, n)
+    assert image_size(m) == brute_image_size(m)

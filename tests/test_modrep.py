@@ -5,6 +5,7 @@ from math import comb
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gridask.boardgame import Family
 from gridask.colouring import (UnitAssignment, all_blank, parse_grid,
@@ -19,7 +20,7 @@ from gridask.modrep import (IndexNotSubset, ModuleRep, ShapeMismatch,
                             symboard_rep, threshold_graph, triangular_pair_rep)
 from gridask.rings import make_ring
 
-from oracles import naive_ask, random_rep
+from oracles import naive_ask, naive_element, naive_orbit_matrix, random_rep
 
 GRIDS = Path(__file__).resolve().parent.parent / "grids"
 F3 = make_ring("field", 3)
@@ -32,6 +33,45 @@ def load(name: str):
 def stacked_rank(rep: ModuleRep, ring) -> int:
     rows = [sum((list(r) for r in g), []) for g in rep.gens]
     return rank(Mat.from_int_rows(ring, rows))
+
+
+# ---------------------------------------------------------------------------
+# Module elements and orbit matrices against entry-by-entry formation.
+# ---------------------------------------------------------------------------
+
+MATRIX_RINGS = {"F3": F3, "F5": make_ring("field", 5), "Z/8": make_ring("padic", 2, 3),
+                "Z/9": make_ring("padic", 3, 2), "Z/27": make_ring("padic", 3, 3),
+                "F4": make_ring("ext", 2, 2), "F9": make_ring("ext", 3, 2)}
+
+
+@st.composite
+def reps_and_points(draw):
+    """A ring, a representation of shape up to 3 x 3 with up to 3 generators
+    (entries in -30..30), a point of ring^I and a coefficient tuple."""
+    name = draw(st.sampled_from(sorted(MATRIX_RINGS)))
+    elems = list(MATRIX_RINGS[name].elements())
+    dI, dJ, k = (draw(st.integers(0, 3)) for _ in range(3))
+    gens = tuple(tuple(tuple(draw(st.integers(-30, 30)) for _ in range(dJ))
+                       for _ in range(dI)) for _ in range(k))
+    rep = ModuleRep(tuple(range(k)), tuple(range(1, dI + 1)), tuple(range(1, dJ + 1)), gens)
+    x = tuple(draw(st.sampled_from(elems)) for _ in range(dI))
+    coeffs = tuple(draw(st.sampled_from(elems)) for _ in range(k))
+    return name, rep, x, coeffs
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=reps_and_points())
+@example(case=("Z/9", ModuleRep((), (1, 2), (1, 2, 3), ()), (4, 5), ()))  # 0 x J
+@example(case=("F4", ModuleRep(("a", "b"), (), (1, 2), ((), ())), (), ((1, 1), (0, 1))))
+@example(case=("Z/27", ModuleRep(("a", "b"), (1, 2), (1, 2),
+                                 (((-1, 5), (-26, 0)), ((0, 0), (0, 0)))), (3, 25), (26, 9)))
+@example(case=("F9", ModuleRep(("a",), (1, 2), (1,), (((-4,), (7,)),)), ((2, 1), (0, 2)),
+               ((1, 2),)))
+def test_matrices_match_entrywise_formation(case):
+    name, rep, x, coeffs = case
+    ring = MATRIX_RINGS[name]
+    assert rep.orbit_matrix_at(ring, x) == naive_orbit_matrix(rep, ring, x)
+    assert rep.element(ring, coeffs) == naive_element(rep, ring, coeffs)
 
 
 # ---------------------------------------------------------------------------
