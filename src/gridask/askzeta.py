@@ -26,6 +26,17 @@ first unit coordinate is 1, every earlier one a non-unit.  The k-th term
 does not depend on n, so zeta_coefficients computes each level once:
 c_k = c_{k-1} + (the k-th term).
 
+From level 2 on the k-th term is lifted from level k - 1.  Each x in N_k
+is x' + p^(k-1) y, with x' in N_(k-1) and y over F_p.  C(x') is eliminated
+once over Z/p^k, until P C(x') Q = diag(p^v_1 .. p^v_t) + Z with every
+v_i <= k - 2 and Z = 0 mod p^(k-1) (linalg.partial_smith); with L, R the
+rows of P and the columns of Q at Z, the divisor profile of C(x) over
+Z/p^k is v_1 .. v_t, then k - 1 as often as the rank over F_p of the
+affine matrix K(y) = Z / p^(k-1) + L C(y) R, then k.  Every cross term is
+a multiple of p^(2(k-1) - v), which is 0 mod p^k.  So level k costs
+|N_(k-1)| eliminations over Z/p^k and, per point, the rank of a small
+matrix over F_p.
+
 The direct census counts the divisor profiles of all module elements
 sum_b c_b gen_b the same way: the zero tuple, then each c in N_e (e = 1..n)
 standing for |(Z/p^e)^x| tuples, with its profile over Z/p^e raised by
@@ -44,9 +55,11 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
-from .linalg import divisor_profile, image_size, profile_image_size
+from .linalg import (Mat, divisor_profile, image_size, partial_smith, profile_image_size,
+                     rank)
 from .modrep import ModuleRep, ShapeMismatch
 from .predictions import Prediction
 from .rings import ExtField, PadicQuotient, Ring
@@ -125,17 +138,79 @@ def _normalised_primitive_points(ring: Ring, dim: int):
 def _orbit_level_sums(rep: ModuleRep, ring: Ring, budget: int):
     """|(Z/p^k)^x| * sum_{x in N_k} 1/|image_k C(x)| for the levels Z/p^k,
     k = 1..n, of R = Z/p^n (the last level is ring itself, so F_q has one),
-    once |R|^I is within the budget."""
+    once |R|^I is within the budget.
+
+    Level 1 eliminates C(x) at each point of N_1.  Each level k >= 2 is
+    lifted from the classes of N_(k-1): for x = x' + p^(k-1) y, the profile
+    of C(x) over Z/p^k is the valuations below k - 1 of C(x'), eliminated
+    once, then k - 1 as often as the rank over F_p of the affine matrix
+    K(y) = Z / p^(k-1) + L C(y) R, then k (_class_lift).
+    """
     dI = len(rep.I)
     size = ring.cardinality() ** dI
     if size > budget:
         raise BudgetExceeded(f"{size} orbit points exceed budget {budget}")
-    for level in [PadicQuotient(ring.p, k) for k in range(1, ring.cap)] + [ring]:
-        sizes = Counter(image_size(rep.orbit_matrix_at(level, x))
-                        for x in _normalised_primitive_points(level, dI))
-        q = level.cardinality()
-        units = q - q // level.residue_cardinality()
-        yield units * sum(Fraction(n, s) for s, n in sizes.items())
+    first = ring if ring.cap == 1 else PadicQuotient(ring.p, 1)
+    sizes = Counter(image_size(rep.orbit_matrix_at(first, x))
+                    for x in _normalised_primitive_points(first, dI))
+    q = first.cardinality()
+    yield (q - 1) * sum(Fraction(n, s) for s, n in sizes.items())
+    for k in range(2, ring.cap + 1):
+        yield _lifted_level_sum(rep, PadicQuotient(ring.p, k))
+
+
+def _lifted_level_sum(rep: ModuleRep, level: PadicQuotient) -> Fraction:
+    """Level k >= 2 of the orbit sum, lifted from the classes x' in N_(k-1).
+
+    The points of N_k are x = x' + p^(k-1) y, for x' in N_(k-1) (entries
+    in [0, p^(k-1))) and y in F_p^I with y_j = 0 at the first unit
+    coordinate j of x'.  By the lifting identity (_class_lift) each class
+    is eliminated once over Z/p^k, and each lift x only takes the rank of
+    a small matrix K(y) over F_p, once per distinct K(y).
+    """
+    p, k, dI = level.p, level.cap, len(rep.I)
+    residue = PadicQuotient(p)
+    lifts = {}  # first unit coordinate j -> the points (1, y) with y_j = 0
+    exponents = Counter()  # log_p |image_k C(x)| -> number of points x
+    for x in _normalised_primitive_points(PadicQuotient(p, k - 1), dI):
+        valuations, forms = _class_lift(rep, level, x)
+        base = sum(k - v for v in valuations)
+        if not forms:  # K(y) has a zero dimension: every lift has one image
+            exponents[base] += p ** (dI - 1)
+            continue
+        j = next(i for i, c in enumerate(x) if c % p)
+        if j not in lifts:
+            lifts[j] = [(1,) + y for y in itertools.product(range(p), repeat=dI) if not y[j]]
+        shape = (rep.rank - len(valuations), len(rep.J) - len(valuations))
+        blocks = Counter(tuple(residue.linear_form(y, f) for f in forms) for y in lifts[j])
+        for entries, n in blocks.items():
+            exponents[base + rank(Mat(residue, *shape, entries))] += n
+    return (level.cardinality() - level.cardinality() // p) * sum(
+        Fraction(n, p**e) for e, n in exponents.items())
+
+
+def _class_lift(rep: ModuleRep, level: PadicQuotient, x: Sequence[int]):
+    """(valuations, forms): the lifting identity for the class of x over
+    Z/p^k, k >= 2, with x in [0, p^(k-1))^I.
+
+    partial_smith takes C(x) over Z/p^k to P C(x) Q = diag(p^v_1 .. p^v_t)
+    + Z, every v_i <= k - 2 and Z = 0 mod p^(k-1); L and R are the rows of
+    P and the columns of Q that belong to Z.  For every y in F_p^I,
+    C(x + p^(k-1) y) = C(x) + p^(k-1) C(y) then has the divisor profile
+    v_1 .. v_t, then k - 1 s times, then k, where s is the rank over F_p
+    of the (B - t) x (J - t) matrix K(y) = Z / p^(k-1) + L C(y) R: every
+    cross term is a multiple of p^(2(k-1) - v), which is 0 mod p^k.  The
+    forms are K's entries, row by row, each as its coefficients mod p on
+    (1, y_1, .., y_I).
+    """
+    p, k = level.p, level.cap
+    valuations, left, right, block = partial_smith(rep.orbit_matrix_at(level, x), k - 1)
+    # (L A_i)[r][j] = sum_b L[r][b] a_{bij}, then dotted with each column of R
+    LA = [[[sum(l * g[i][j] for l, g in zip(row, rep.gens)) % p for j in range(len(rep.J))]
+           for i in range(len(rep.I))] for row in left]
+    forms = [(level.exact_div(z, k - 1),) + tuple(sum(map(mul, la_i, col)) % p for la_i in la)
+             for la, zrow in zip(LA, block) for col, z in zip(right, zrow)]
+    return valuations, forms
 
 
 def ask_orbit(rep: ModuleRep, ring: Ring, budget: int = DEFAULT_BUDGET) -> AskResult:
@@ -147,6 +222,10 @@ def ask_orbit(rep: ModuleRep, ring: Ring, budget: int = DEFAULT_BUDGET) -> AskRe
     1 + sum_{k=1..n} |(Z/p^k)^x| * sum_{x in N_k} 1/|image_k C(x)|, with N_k
     the normalised primitive points over Z/p^k (see the module docstring).
     Only the points of the N_k are enumerated; the budget still bounds |R|^I.
+    C(x) is eliminated at each point of N_1; for k >= 2 the points
+    x' + p^(k-1) y of N_k are lifted from their class x' in N_(k-1): C(x')
+    is eliminated once over Z/p^k, and each y adds the rank over F_p of a
+    small matrix K(y) that is affine in y (the lifting identity).
     """
     value = Fraction(1) + sum(_orbit_level_sums(rep, ring, budget))  # x = 0: C(0) = 0
     return AskResult(value, "orbit")

@@ -135,6 +135,63 @@ def divisor_profile(m: Mat) -> tuple[int, ...]:
     return tuple(sorted(profile))
 
 
+def partial_smith(m: Mat, stop: int) -> tuple[list[int], list[list], list[list], list[list]]:
+    """Diagonalise m until every entry of the active block has valuation >= stop.
+
+    Returns (valuations, left, right, block) with P m Q = diag(p^v for v in
+    valuations) + block (a block sum) for invertible P and Q: every v is
+    below stop, every entry of block has valuation >= stop, left holds the
+    rows of P and right the columns of Q that belong to block.  With stop =
+    the ring cap the valuations, padded with the cap, are divisor_profile(m).
+    """
+    R = m.ring
+    rows, cols = m.rows, m.cols
+    a = [list(m.row(i)) for i in range(rows)]
+    left = [[R.one if i == j else R.zero for j in range(rows)] for i in range(rows)]
+    right = [[R.one if i == j else R.zero for i in range(cols)] for j in range(cols)]
+    valuations: list[int] = []
+    top = 0
+    while top < rows and top < cols:
+        best, best_v = None, stop
+        for i in range(top, rows):
+            for j in range(top, cols):
+                v = R.valuation(a[i][j])
+                if v < best_v:
+                    best, best_v = (i, j), v
+                    if v == 0:
+                        break
+            if best_v == 0:
+                break
+        if best is None:
+            break
+        bi, bj = best
+        a[top], a[bi] = a[bi], a[top]
+        left[top], left[bi] = left[bi], left[top]
+        for row in a[top:]:
+            row[top], row[bj] = row[bj], row[top]
+        right[top], right[bj] = right[bj], right[top]
+        unit_inv = R.inv(R.exact_div(a[top][top], best_v))
+        pivot_row, pivot_left, pivot_right = a[top], left[top], right[top]
+        # rows below the pivot lose their entry in its column (as in
+        # divisor_profile), and the columns right of it lose their entry in
+        # its row, which changes only Q: the pivot column is now zero below
+        for r in range(top + 1, rows):
+            x = a[r][top]
+            if not R.is_zero(x):
+                f = R.mul(unit_inv, R.exact_div(x, best_v))
+                a[r][top + 1:] = [R.sub(y, R.mul(f, z))
+                                  for y, z in zip(a[r][top + 1:], pivot_row[top + 1:])]
+                left[r] = [R.sub(y, R.mul(f, z)) for y, z in zip(left[r], pivot_left)]
+        for c in range(top + 1, cols):
+            x = pivot_row[c]
+            if not R.is_zero(x):
+                f = R.mul(unit_inv, R.exact_div(x, best_v))
+                right[c] = [R.sub(y, R.mul(f, z)) for y, z in zip(right[c], pivot_right)]
+        valuations.append(best_v)
+        top += 1
+    return valuations, left[top:], right[top:], [row[top:] for row in a[top:]]
+
+
 def rank(m: Mat) -> int:
     """Rank over a field = number of zero valuations in the profile."""
     return sum(1 for v in divisor_profile(m) if v == 0)

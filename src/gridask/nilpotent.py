@@ -1,6 +1,6 @@
 """Graded anticommutative algebras of class <= 3, their adjoint
-representations, the truncated Baker-Campbell-Hausdorff group law, and
-conjugacy-class counting through average kernel sizes.
+representations, and conjugacy-class counting through average kernel
+sizes (the truncated Baker-Campbell-Hausdorff group law is a test oracle).
 
 Algebras are stored as integer structure constants on a graded basis.
 Products raise degree; everything in degree > 3 vanishes.  The free
@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from . import askzeta
 from .modrep import ModuleRep, _freeze, _zero
@@ -81,19 +81,6 @@ class GradedAlgebra:
 
     def product_basis(self, a: int, b: int) -> SparseVec:
         return self.structure.get((a, b), ())
-
-    def product(self, ring: Ring, x: Sequence, y: Sequence) -> list:
-        out = [ring.zero] * self.dim
-        for a in range(self.dim):
-            if ring.is_zero(x[a]):
-                continue
-            for b in range(self.dim):
-                if ring.is_zero(y[b]):
-                    continue
-                xy = ring.mul(x[a], y[b])
-                for i, c in self.product_basis(a, b):
-                    out[i] = ring.add(out[i], ring.mul(xy, ring.from_int(c)))
-        return out
 
     def jacobi_defect(self, a: int, b: int, c: int) -> dict[int, int]:
         """[[a,b],c] + [[b,c],a] + [[c,a],b] as a sparse integer vector."""
@@ -246,26 +233,6 @@ def _check_characteristic(alg: GradedAlgebra, ring: Ring) -> None:
         raise BadCharacteristic("class-3 truncation needs p >= 5")
     if max_deg == 2 and ring.p == 2:
         raise BadCharacteristic("class-2 truncation needs odd p")
-
-
-def bch_multiply(alg: GradedAlgebra, ring: Ring, x: Sequence, y: Sequence) -> tuple:
-    """Truncated product x + y + (1/2)[x,y] + (1/12)[x,[x,y]] + (1/12)[y,[y,x]]."""
-    _check_characteristic(alg, ring)
-    br = alg.product(ring, x, y)
-    half = ring.inv(ring.from_int(2))
-    out = [ring.add(ring.add(a, b), ring.mul(half, c)) for a, b, c in zip(x, y, br)]
-    if max(alg.degrees, default=1) >= 3:
-        twelfth = ring.inv(ring.from_int(12))
-        xxy = alg.product(ring, x, br)
-        neg_br = [ring.neg(c) for c in br]
-        yyx = alg.product(ring, y, neg_br)
-        out = [ring.add(o, ring.mul(twelfth, ring.add(a, b)))
-               for o, a, b in zip(out, xxy, yyx)]
-    return tuple(out)
-
-
-def bch_inverse(alg: GradedAlgebra, ring: Ring, x: Sequence) -> tuple:
-    return tuple(ring.neg(c) for c in x)
 
 
 def _class_count(scale: int, ask: Fraction) -> int:

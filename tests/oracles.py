@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from gridask.colouring import PartialColouring
 from gridask.linalg import Mat
+from gridask.nilpotent import _check_characteristic
 
 
 # ---------------------------------------------------------------------------
@@ -226,8 +227,45 @@ def naive_sampled_orbital(big, sub, p: int, n: int, samples: int,
 
 
 # ---------------------------------------------------------------------------
-# Conjugacy-class oracle.
+# Conjugacy-class oracle and the group laws it sweeps.
 # ---------------------------------------------------------------------------
+
+def _bracket(alg, ring, x, y) -> list:
+    """[x, y] = sum_{a,b} x_a y_b [e_a, e_b] from the structure constants."""
+    out = [ring.zero] * alg.dim
+    for a in range(alg.dim):
+        if ring.is_zero(x[a]):
+            continue
+        for b in range(alg.dim):
+            if ring.is_zero(y[b]):
+                continue
+            xy = ring.mul(x[a], y[b])
+            for i, c in alg.product_basis(a, b):
+                out[i] = ring.add(out[i], ring.mul(xy, ring.from_int(c)))
+    return out
+
+
+def bch_multiply(alg, ring, x, y) -> tuple:
+    """Truncated BCH product x + y + (1/2)[x,y] + (1/12)[x,[x,y]] + (1/12)[y,[y,x]],
+    under the library's characteristic rule (BadCharacteristic where 2, or
+    from class 3 on 12, is not invertible)."""
+    _check_characteristic(alg, ring)
+    br = _bracket(alg, ring, x, y)
+    half = ring.inv(ring.from_int(2))
+    out = [ring.add(ring.add(a, b), ring.mul(half, c)) for a, b, c in zip(x, y, br)]
+    if max(alg.degrees, default=1) >= 3:
+        twelfth = ring.inv(ring.from_int(12))
+        xxy = _bracket(alg, ring, x, br)
+        yyx = _bracket(alg, ring, y, [ring.neg(c) for c in br])
+        out = [ring.add(o, ring.mul(twelfth, ring.add(a, b)))
+               for o, a, b in zip(out, xxy, yyx)]
+    return tuple(out)
+
+
+def bch_inverse(alg, ring, x) -> tuple:
+    """-x, the inverse of x in the BCH group."""
+    return tuple(ring.neg(c) for c in x)
+
 
 def conjugacy_class_count(law, m: int, dim: int) -> int:
     """Conjugacy classes of a group on (Z/m)^dim with identity 0 and

@@ -15,17 +15,15 @@ from gridask.boardgame import (Family, greedy_reduce, is_admissible_game,
                                master_rho, master_symmetric, rainbow_colouring)
 from gridask.colouring import (PartialColouring, is_admissible_rect,
                                parse_grid, sl_colouring)
-from gridask.modrep import (ModuleRep, alpha_rep, alphahat_rep, altboard_rep,
-                            board_rep, classic_rep, family_rep, symboard_rep,
-                            triangular_pair_rep)
-from gridask.nilpotent import baer_group_cc, bch_multiply, \
-    conjugacy_count_bch, free_nilpotent_lie
+from gridask.modrep import (alpha_rep, alphahat_rep, altboard_rep, board_rep,
+                            classic_rep, family_rep, symboard_rep, triangular_pair_rep)
+from gridask.nilpotent import baer_group_cc, conjugacy_count_bch, free_nilpotent_lie
 from gridask.predictions import class_number_F3d, predict
 from gridask.rings import count_roots, make_ring
 
-from oracles import (baer_law, conjugacy_class_count, exhaustive_game_clearable,
-                     exhaustive_rect_admissible, random_colouring, random_rep,
-                     random_symmetric_colouring)
+from oracles import (baer_law, bch_multiply, conjugacy_class_count,
+                     exhaustive_game_clearable, exhaustive_rect_admissible,
+                     random_colouring, random_rep, random_symmetric_colouring)
 
 GRIDS = Path(__file__).resolve().parent.parent / "grids"
 

@@ -3,7 +3,8 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gridask.linalg import Mat, divisor_profile, image_size, kernel_size, rank
+from gridask.linalg import (Mat, divisor_profile, image_size, kernel_size, partial_smith,
+                            rank)
 from gridask.rings import make_ring
 
 from oracles import (brute_image_size, brute_kernel_size, naive_divisor_profile,
@@ -150,3 +151,37 @@ def test_profile_matches_enumeration_over_z8_and_z27(pk, ints):
     m = Mat.from_int_rows(make_ring("padic", p, n), ints)
     assert divisor_profile(m) == naive_divisor_profile(ints, p, n)
     assert image_size(m) == brute_image_size(m)
+
+
+@st.composite
+def smith_cases(draw):
+    p, n = draw(st.sampled_from([(2, 2), (2, 4), (3, 3), (5, 2)]))
+    rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    # entries u * p^e, so that valuations above 0 and blocks are common
+    ints = [[draw(st.integers(-4, 4)) * p ** draw(st.integers(0, n)) for _ in range(cols)]
+            for _ in range(rows)]
+    return p, n, draw(st.integers(1, n)), rows, cols, ints
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=smith_cases())
+@example(case=(3, 3, 2, 3, 3, [[0, 12, 27], [12, 9, 3], [27, 3, 0]]))
+@example(case=(2, 4, 3, 2, 0, [[], []]))
+def test_partial_smith_splits_off_the_block(case):
+    # L m R is the block, every block entry has valuation >= stop, L and R
+    # have full rank mod p (rows of P, columns of Q), and the valuations
+    # with the block's profile make the profile of m
+    p, n, stop, rows, cols, ints = case
+    R = make_ring("padic", p, n)
+    m = Mat(R, rows, cols, tuple(R.from_int(x) for row in ints for x in row))
+    valuations, left, right, block = partial_smith(m, stop)
+    t = len(valuations)
+    assert (len(left), len(right)) == (rows - t, cols - t)
+    L = Mat(R, rows - t, rows, tuple(x for row in left for x in row))
+    Q = Mat(R, cols - t, cols, tuple(x for col in right for x in col)).transpose()
+    Z = Mat(R, rows - t, cols - t, tuple(x for row in block for x in row))
+    assert L.mul(m).mul(Q) == Z
+    assert all(v < stop for v in valuations)
+    assert all(R.valuation(z) >= stop for z in Z.entries)
+    assert naive_rank_modp(left, p) == rows - t and naive_rank_modp(right, p) == cols - t
+    assert tuple(sorted(valuations + list(divisor_profile(Z)))) == divisor_profile(m)

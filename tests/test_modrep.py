@@ -1,6 +1,5 @@
 import itertools
 import random
-from fractions import Fraction
 from math import comb
 from pathlib import Path
 

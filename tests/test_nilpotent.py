@@ -1,4 +1,3 @@
-import itertools
 import random
 from math import comb
 
@@ -7,17 +6,16 @@ import pytest
 from gridask.askzeta import ask_direct, ask_orbit
 from gridask.colouring import parse_grid
 from gridask.fastcount import baer_orbit_count
-from gridask.modrep import altboard_rep, classic_rep, knuth_bullet, symboard_rep
+from gridask.modrep import altboard_rep, classic_rep, knuth_bullet
 from gridask.nilpotent import (BadCharacteristic, GradedAlgebra, NotAlternating,
                                UnsupportedClass, a_d_algebra, adjoint_rep,
-                               baer_group_cc, bch_inverse, bch_multiply,
-                               conjugacy_count_bch, free_nilpotent_lie,
+                               baer_group_cc, conjugacy_count_bch, free_nilpotent_lie,
                                jacobi_quotient)
 from gridask.rings import PadicQuotient, make_ring
 
 from pathlib import Path
 
-from oracles import baer_law, conjugacy_class_count
+from oracles import baer_law, bch_inverse, bch_multiply, conjugacy_class_count
 
 GRIDS = Path(__file__).resolve().parent.parent / "grids"
 F5 = make_ring("field", 5)

@@ -3,8 +3,7 @@ from fractions import Fraction
 import pytest
 
 from gridask.predictions import (Prediction, UnknownPrediction,
-                                 class_number_F3d, one_minus, predict, qt_mul,
-                                 qt_one)
+                                 class_number_F3d, one_minus, predict, qt_mul)
 
 F = Fraction
 
