@@ -7,49 +7,65 @@ action.  It is computed two independent ways: directly, by enumerating
 module elements, and through the orbit matrix C(x), using the identity
 ask = sum over x in R^I of 1/|image of C(x)|.
 
-Both enumerations visit one point per unit orbit, level by level, by two
-exact identities over R = Z/p^n (a field F_q has n = 1):
+Both enumerations visit one point per torus orbit, level by level (the
+direct census only under the scalar weight, that is per unit orbit), by
+two exact identities over R = Z/p^n (a field F_q has n = 1):
 
-- unit scaling: for a unit u, C(u x) = u C(x) has the image size of C(x)
-  and u A has the divisor profile of A, and units act freely on primitive
-  points;
+- the torus (gridask.torus): for integer weights a on I, b on the
+  generators and c on J with a_i = b_g + c_j wherever gens[g][i][j] != 0,
+  and any unit t, C(t.x) = diag(t^b) C(x) diag(t^c), where
+  (t.x)_i = t^(a_i) x_i; so t.x has the divisor profile of x.  Unit
+  scaling is the weight a = 1, b = 0, c = 1.  With the valuations v_i of
+  x fixed and x_i = p^(v_i) u_i, the logs of the units u_i (to a primitive
+  root mod p^2 for odd p; to -1 and 5 for p = 2, whose units are +-5^l;
+  to a primitive element of F_q) move by the lattice L_S spanned by the
+  weights on the support S and by ord_i e_i, ord_i the order of the unit
+  group mod p^(n - v_i).  A triangular basis of L_S with diagonal h gives
+  one point per orbit and the orbit size prod ord_i / prod h_i;
 - level recursion: for x = p y over Z/p^k, |image_k C(x)| = |image_{k-1} C(y)|;
   and the divisor profile of p^s B over Z/p^n is that of B over Z/p^(n-s)
   with every entry raised by s.
 
 The orbit sum, with C(0) = 0 contributing 1, is therefore
 
-    ask = 1 + sum_{k=1..n} |(Z/p^k)^x| * sum_{x in N_k} 1/|image_k C(x)|,
+    ask = 1 + sum_{k=1..n} sum_{x in P_k} 1/|image_k C(x)|,
 
-where N_k is the set of normalised primitive points over Z/p^k: the
-first unit coordinate is 1, every earlier one a non-unit.  The k-th term
-does not depend on n, so zeta_coefficients computes each level once:
-c_k = c_{k-1} + (the k-th term).
+where P_k is the set of primitive points over Z/p^k (some coordinate a
+unit), each level summed over one point per torus orbit weighted by the
+orbit size.  The k-th term does not depend on n, so zeta_coefficients
+computes each level once: c_k = c_{k-1} + (the k-th term).
 
-From level 2 on the k-th term is lifted from level k - 1.  Each x in N_k
-is x' + p^(k-1) y, with x' in N_(k-1) and y over F_p.  C(x') is eliminated
-once over Z/p^k, until P C(x') Q = diag(p^v_1 .. p^v_t) + Z with every
-v_i <= k - 2 and Z = 0 mod p^(k-1) (linalg.partial_smith); with L, R the
-rows of P and the columns of Q at Z, the divisor profile of C(x) over
-Z/p^k is v_1 .. v_t, then k - 1 as often as the rank over F_p of the
-affine matrix K(y) = Z / p^(k-1) + L C(y) R, then k.  Every cross term is
-a multiple of p^(2(k-1) - v), which is 0 mod p^k.  So level k costs
-|N_(k-1)| eliminations over Z/p^k and, per point, the rank of a small
-matrix over F_p.
+From level 2 on the k-th term is lifted from level k - 1.  Each x in P_k
+is x' + p^(k-1) y, with x' in P_(k-1) and y over F_p, and a torus element
+maps the lifts of x' onto those of its image, so x' runs over one class
+per torus orbit over Z/p^(k-1) (with mixed valuations from k = 3 on),
+weighted by its orbit size.  C(x') is eliminated once over Z/p^k, until
+P C(x') Q = diag(p^v_1 .. p^v_t) + Z with every v_i <= k - 2 and
+Z = 0 mod p^(k-1) (linalg.partial_smith); with L, R the rows of P and the
+columns of Q at Z, the divisor profile of C(x) over Z/p^k is v_1 .. v_t,
+then k - 1 as often as the rank over F_p of the affine matrix
+K(y) = Z / p^(k-1) + L C(y) R, then k.  Every cross term is a multiple of
+p^(2(k-1) - v), which is 0 mod p^k.  The values of K over all y are K(0)
+plus the image of its linear part, each taken equally often, so level k
+costs one elimination over Z/p^k per class and one rank over F_p per
+value of K.
 
 The direct census counts the divisor profiles of all module elements
-sum_b c_b gen_b the same way: the zero tuple, then each c in N_e (e = 1..n)
-standing for |(Z/p^e)^x| tuples, with its profile over Z/p^e raised by
-n - e.  It runs the vectorised kernel of fastcount over F_p and Z/p^n
-(numpy is imported only there) and exact elimination, element by element,
-over F_{p^f}.  One census over Z/p^n also gives ask over every Z/p^k,
-k <= n, with each valuation capped at k.  By unit scaling the certifiers,
-too, eliminate each unit orbit once: over a field they visit one point
-per unit orbit, and over Z/p^n a seeded draw whose unit orbit was drawn
-before reuses that orbit's profiles.
+sum_b c_b gen_b by unit scaling: the zero tuple, then one primitive tuple
+c over Z/p^e (e = 1..n) per unit orbit, standing for |(Z/p^e)^x| tuples,
+with its profile over Z/p^e raised by n - e.  It runs the vectorised
+kernel of fastcount over F_p and Z/p^n (numpy is imported only there) and
+exact elimination over F_{p^f}, at one tuple per orbit of the scalar
+weight (1, .., 1).  One census over Z/p^n also gives ask over every
+Z/p^k, k <= n, with each valuation capped at k.
+The certifiers eliminate each orbit of the torus of both reps' joint
+incidence system once: over a field they visit one point per orbit, and
+over Z/p^n a seeded draw whose orbit was drawn before reuses that orbit's
+profiles.
 """
 from __future__ import annotations
 
+import heapq
 import itertools
 import random
 from collections import Counter
@@ -58,6 +74,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
+from . import torus
 from .linalg import (Mat, divisor_profile, image_size, partial_smith, profile_image_size,
                      rank)
 from .modrep import ModuleRep, ShapeMismatch
@@ -83,7 +100,8 @@ def direct_profile_counts(rep: ModuleRep, ring: Ring,
 
     Over F_p and Z/p^n the vectorised kernel (fastcount.profile_counts)
     runs; numpy cannot hold F_{p^f} elements, so there one element per
-    unit orbit is formed and eliminated (see the module docstring).
+    orbit of the scalar weight (1, .., 1), that is per unit orbit, is
+    formed and eliminated (see the module docstring).
     """
     k = rep.rank
     size = ring.cardinality() ** k
@@ -95,10 +113,9 @@ def direct_profile_counts(rep: ModuleRep, ring: Ring,
     if not isinstance(ring, ExtField):
         from .fastcount import profile_counts
         return profile_counts(rep.gens, ring.p, ring.cap)
-    units = ring.cardinality() - 1
     counts = Counter({zero: 1})
-    for coeffs in _normalised_primitive_points(ring, k):
-        counts[divisor_profile(rep.element(ring, coeffs))] += units
+    for coeffs, n in torus.Torus(((1,) * k,), ring).orbits(k, False):
+        counts[divisor_profile(rep.element(ring, coeffs))] += n
     return counts
 
 
@@ -122,71 +139,59 @@ def ask_direct(rep: ModuleRep, ring: Ring, budget: int = DEFAULT_BUDGET) -> AskR
     return AskResult(_census_ask(counts, ring, len(rep.I)), "direct")
 
 
-def _normalised_primitive_points(ring: Ring, dim: int):
-    """One point of ring^dim per unit orbit of primitive points: the first
-    unit coordinate is ring.one, earlier ones are non-units, later ones
-    arbitrary."""
-    elems = list(ring.elements())
-    nonunits = [a for a in elems if not ring.is_unit(a)]
-    one = (ring.one,)
-    for j in range(dim):
-        for head in itertools.product(nonunits, repeat=j):
-            for tail in itertools.product(elems, repeat=dim - 1 - j):
-                yield head + one + tail
-
-
 def _orbit_level_sums(rep: ModuleRep, ring: Ring, budget: int):
-    """|(Z/p^k)^x| * sum_{x in N_k} 1/|image_k C(x)| for the levels Z/p^k,
-    k = 1..n, of R = Z/p^n (the last level is ring itself, so F_q has one),
-    once |R|^I is within the budget.
+    """sum_{x in P_k} 1/|image_k C(x)| for the levels Z/p^k, k = 1..n, of
+    R = Z/p^n (the last level is ring itself, so F_q has one), P_k the
+    primitive points over Z/p^k, once |R|^I is within the budget.
 
-    Level 1 eliminates C(x) at each point of N_1.  Each level k >= 2 is
-    lifted from the classes of N_(k-1): for x = x' + p^(k-1) y, the profile
-    of C(x) over Z/p^k is the valuations below k - 1 of C(x'), eliminated
-    once, then k - 1 as often as the rank over F_p of the affine matrix
-    K(y) = Z / p^(k-1) + L C(y) R, then k (_class_lift).
+    Level 1 eliminates C(x) at one point x per torus orbit, weighted by the
+    orbit size.  Each level k >= 2 is lifted from the torus classes of
+    P_(k-1) (_lifted_level_sum).
     """
     dI = len(rep.I)
     size = ring.cardinality() ** dI
     if size > budget:
         raise BudgetExceeded(f"{size} orbit points exceed budget {budget}")
+    weights = torus.weights(rep)
     first = ring if ring.cap == 1 else PadicQuotient(ring.p, 1)
-    sizes = Counter(image_size(rep.orbit_matrix_at(first, x))
-                    for x in _normalised_primitive_points(first, dI))
-    q = first.cardinality()
-    yield (q - 1) * sum(Fraction(n, s) for s, n in sizes.items())
+    sizes = Counter()
+    for x, n in torus.Torus(weights, first).orbits(dI, False):
+        sizes[image_size(rep.orbit_matrix_at(first, x))] += n
+    yield sum(Fraction(n, s) for s, n in sizes.items())
     for k in range(2, ring.cap + 1):
-        yield _lifted_level_sum(rep, PadicQuotient(ring.p, k))
+        yield _lifted_level_sum(rep, weights, PadicQuotient(ring.p, k))
 
 
-def _lifted_level_sum(rep: ModuleRep, level: PadicQuotient) -> Fraction:
-    """Level k >= 2 of the orbit sum, lifted from the classes x' in N_(k-1).
+def _lifted_level_sum(rep: ModuleRep, weights, level: PadicQuotient) -> Fraction:
+    """Level k >= 2 of the orbit sum, lifted from the torus classes of P_(k-1).
 
-    The points of N_k are x = x' + p^(k-1) y, for x' in N_(k-1) (entries
-    in [0, p^(k-1))) and y in F_p^I with y_j = 0 at the first unit
-    coordinate j of x'.  By the lifting identity (_class_lift) each class
-    is eliminated once over Z/p^k, and each lift x only takes the rank of
-    a small matrix K(y) over F_p, once per distinct K(y).
+    The points of P_k are x = x' + p^(k-1) y, for x' in P_(k-1) (entries in
+    [0, p^(k-1))) and y in F_p^I.  A torus element maps the lifts of x'
+    onto those of its image, so one class x' per torus orbit over
+    Z/p^(k-1), lifted by every y, stands for its whole orbit.  By the
+    lifting identity (_class_lift) each class is eliminated once over
+    Z/p^k, and each lift only takes the rank of a small matrix K(y) over
+    F_p.  K(y) = K(0) + M y is affine in y, so its values are K(0) plus the
+    image of M over F_p, each taken by p^(I - rank M) lifts: each value is
+    ranked once.
     """
     p, k, dI = level.p, level.cap, len(rep.I)
     residue = PadicQuotient(p)
-    lifts = {}  # first unit coordinate j -> the points (1, y) with y_j = 0
     exponents = Counter()  # log_p |image_k C(x)| -> number of points x
-    for x in _normalised_primitive_points(PadicQuotient(p, k - 1), dI):
+    for x, n in torus.Torus(weights, PadicQuotient(p, k - 1)).orbits(dI, False):
         valuations, forms = _class_lift(rep, level, x)
         base = sum(k - v for v in valuations)
-        if not forms:  # K(y) has a zero dimension: every lift has one image
-            exponents[base] += p ** (dI - 1)
-            continue
-        j = next(i for i, c in enumerate(x) if c % p)
-        if j not in lifts:
-            lifts[j] = [(1,) + y for y in itertools.product(range(p), repeat=dI) if not y[j]]
         shape = (rep.rank - len(valuations), len(rep.J) - len(valuations))
-        blocks = Counter(tuple(residue.linear_form(y, f) for f in forms) for y in lifts[j])
-        for entries, n in blocks.items():
-            exponents[base + rank(Mat(residue, *shape, entries))] += n
-    return (level.cardinality() - level.cardinality() // p) * sum(
-        Fraction(n, p**e) for e, n in exponents.items())
+        # the image of M over F_p is the lattice of M's columns and the p e_j
+        # mod p: the basis rows with a diagonal 1 (the others are p e_j)
+        image = [h for j, h in enumerate(torus.echelon(list(zip(*(f[1:] for f in forms))),
+                                                       [p] * len(forms))) if h[j] == 1]
+        share = n * p ** (dI - len(image))
+        for coeffs in itertools.product(range(p), repeat=len(image)):
+            entries = tuple((f[0] + sum(c * b[i] for c, b in zip(coeffs, image))) % p
+                            for i, f in enumerate(forms))
+            exponents[base + rank(Mat(residue, *shape, entries))] += share
+    return sum(Fraction(n, p**e) for e, n in exponents.items())
 
 
 def _class_lift(rep: ModuleRep, level: PadicQuotient, x: Sequence[int]):
@@ -216,16 +221,17 @@ def _class_lift(rep: ModuleRep, level: PadicQuotient, x: Sequence[int]):
 def ask_orbit(rep: ModuleRep, ring: Ring, budget: int = DEFAULT_BUDGET) -> AskResult:
     """ask via the orbit matrix: sum over x in R^I of 1/|image C(x)|.
 
-    R = Z/p^n, or F_q with n = 1.  By unit scaling (C(u x) = u C(x), units
-    acting freely on primitive points) and the level recursion
+    R = Z/p^n, or F_q with n = 1.  By the torus (C(t.x) =
+    diag(t^b) C(x) diag(t^c)) and the level recursion
     (|image_k C(p y)| = |image_{k-1} C(y)|), the sum equals
-    1 + sum_{k=1..n} |(Z/p^k)^x| * sum_{x in N_k} 1/|image_k C(x)|, with N_k
-    the normalised primitive points over Z/p^k (see the module docstring).
-    Only the points of the N_k are enumerated; the budget still bounds |R|^I.
-    C(x) is eliminated at each point of N_1; for k >= 2 the points
-    x' + p^(k-1) y of N_k are lifted from their class x' in N_(k-1): C(x')
-    is eliminated once over Z/p^k, and each y adds the rank over F_p of a
-    small matrix K(y) that is affine in y (the lifting identity).
+    1 + sum_{k=1..n} sum_{x in P_k} 1/|image_k C(x)|, with P_k the primitive
+    points over Z/p^k, each level summed over one point per torus orbit
+    weighted by its size (see the module docstring).  The budget bounds
+    |R|^I.  C(x) is eliminated at each orbit point of level 1; for k >= 2
+    the points x' + p^(k-1) y of P_k are lifted from one class x' per
+    torus orbit of P_(k-1): C(x') is eliminated once over Z/p^k, and each
+    y adds the rank over F_p of a small matrix K(y) that is affine in y
+    (the lifting identity).
     """
     value = Fraction(1) + sum(_orbit_level_sums(rep, ring, budget))  # x = 0: C(0) = 0
     return AskResult(value, "orbit")
@@ -349,66 +355,57 @@ def _sampled_points(ring: Ring, dim: int, samples: int, seed: int, all_units: bo
             yield x
 
 
-def _orbit_key(ring: PadicQuotient, x: tuple) -> int:
-    """The unit orbit of x over Z/p^n as one int: x divided by its first
-    unit coordinate, read as digits in base p^n."""
-    u_inv = ring.inv(next((c for c in x if ring.is_unit(c)), ring.one))
-    key = 0
-    for c in x:
-        key = key * ring.cardinality() + ring.mul(u_inv, c)
-    return key
-
-
 def _certify(reps: Sequence[ModuleRep], ring: Ring, holds, all_units: bool,
              samples: int, seed: int, budget: int) -> PointReport:
     """The certifiers' one loop: a violation wherever holds(*profiles), the
     divisor profiles of C(x) for each rep, fails at a point x with every
-    (all_units) or some coordinate a unit.  By unit scaling C(u x) = u C(x)
-    has the profile of C(x), so each unit orbit is eliminated once.  Over
-    F_q, within the budget on q^I, x runs over one point per unit orbit (0
-    and the normalised primitive points) and certifies, or reports, its
-    multiples.  Over Z/p^n x runs over seeded draws; each is divided by its
-    first unit coordinate, and a draw whose orbit was drawn before reuses
+    (all_units) or some coordinate a unit.  A torus element t of the reps'
+    joint incidence system keeps every profile, so each torus orbit is
+    eliminated once.  Over F_q, within the budget on q^I, x runs over one
+    point per orbit and certifies, or reports, the whole orbit.  Over Z/p^n,
+    within the budget on |R| (the size of the log table behind the keys),
+    x runs over seeded draws, and a draw whose orbit was drawn before reuses
     that orbit's profiles.  The report keeps the first 10 violating points,
     in lexicographic order over a field and in draw order over Z/p^n.
     """
     dim = len(reps[0].I)
+    group = torus.Torus(torus.weights(*reps), ring)
     if ring.cap == 1:
         size = ring.cardinality() ** dim
         if size > budget:
             raise BudgetExceeded(f"{size} points exceed budget {budget}")
-        units, order, mode = list(ring.units()), sorted, "exhaustive"
-        keep = all if all_units else any
-        points = (x for x in itertools.chain([(ring.zero,) * dim],
-                                             _normalised_primitive_points(ring, dim))
-                  if keep(ring.is_unit(c) for c in x))
+        mode, points = "exhaustive", group.orbits(dim, all_units)
     else:
-        units, order, mode = [ring.one], list, "sample"
-        points = _sampled_points(ring, dim, samples, seed, all_units)
-    profiles_of = {}  # Z/p^n: orbit key -> profiles, one shared tuple per value
-    shared = {}
+        if ring.cardinality() > budget:
+            raise BudgetExceeded(f"{ring.cardinality()} log-table entries exceed budget {budget}")
+        mode = "sample"
+        points = ((x, 1) for x in _sampled_points(ring, dim, samples, seed, all_units))
+    profiles_of = {}  # Z/p^n: orbit key -> profiles
     violations = []
     checked = 0
-    for x in points:
-        # units act freely on primitive points; the empty point is its own orbit
-        orbit = list(dict.fromkeys(tuple(ring.mul(u, c) for c in x) for u in units))
-        checked += len(orbit)
+    for x, size in points:
+        checked += size
         # over F_q the walk meets each orbit once, so nothing is kept
-        key = _orbit_key(ring, x) if mode == "sample" else None
+        key = group.key(x) if mode == "sample" else None
         profiles = profiles_of.get(key)
         if profiles is None:
             profiles = tuple(divisor_profile(rep.orbit_matrix_at(ring, x)) for rep in reps)
             if key is not None:
-                profiles_of[key] = profiles = shared.setdefault(profiles, profiles)
-        if not holds(*profiles):
-            violations = order(violations + [(y,) + profiles for y in orbit])[:10]
+                profiles_of[key] = profiles
+        if holds(*profiles):
+            continue
+        if mode == "sample":
+            violations = (violations + [(x,) + profiles])[:10]
+        else:
+            violations = heapq.nsmallest(10, violations + [(y,) + profiles
+                                                           for y in group.orbit(x)])
     return PointReport(checked, tuple(violations), mode, not violations)
 
 
 def constant_rank_check(rep: ModuleRep, ring: Ring, l: int, samples: int = 10**4,
                         seed: int = 0, budget: int = DEFAULT_BUDGET) -> PointReport:
     """Check coker C(x) = ring^l at every point with a unit coordinate (one
-    point per unit orbit over a field, seeded samples over Z/p^n)."""
+    point per torus orbit over a field, seeded samples over Z/p^n)."""
     return _certify([rep], ring,
                     lambda prof: _coker_is_free_of_rank(prof, ring.cap, len(rep.J), l),
                     False, samples, seed, budget)
@@ -418,8 +415,8 @@ def orbital_equivalence_check(rep_big: ModuleRep, rep_sub: ModuleRep, ring: Ring
                               samples: int = 10**4, seed: int = 0,
                               budget: int = DEFAULT_BUDGET) -> PointReport:
     """Equal divisor profiles of the two orbit matrices at every point with
-    all coordinates units (over a field those with x_1 = 1, each standing
-    for its q - 1 multiples; seeded samples over Z/p^n)."""
+    all coordinates units (over a field one point per orbit of the torus of
+    both reps, standing for its whole orbit; seeded samples over Z/p^n)."""
     if rep_big.I != rep_sub.I or rep_big.J != rep_sub.J:
         raise ShapeMismatch("representations must share index sets")
     return _certify([rep_big, rep_sub], ring, lambda pb, ps: pb == ps, True,

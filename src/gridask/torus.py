@@ -1,0 +1,291 @@
+"""The diagonal torus of a module: the symmetry every orbit sum and
+certifier quotients by.
+
+Take integer weights a on I, b on the generators and c on J with
+a_i = b_g + c_j wherever gens[g][i][j] != 0.  For every unit t,
+C(t.x) = diag(t^b) C(x) diag(t^c), where (t.x)_i = t^(a_i) x_i, so t.x has
+the divisor profile of x.  The weights form the integer kernel of that
+0/+-1 incidence system (incidence_kernel); a = 1, b = 0, c = 1 always
+solves it, and is unit scaling.  Several reps on one I (the certifiers)
+share a and keep their own b and c.
+
+Orbits.  Over R = Z/p^n write x_i = p^(v_i) u_i, the unit u_i taken mod
+p^(n - v_i) (v_i = n means x_i = 0).  The units of every level Z/p^m are
+products of powers of fixed generators: one integer g, a primitive root
+mod p^2 and so of every Z/p^m, for odd p; -1 and 5 for p = 2, since
+(Z/2^m)^x = {+-1} x <5> is not cyclic for m >= 3; a primitive element of
+F_q.  The same generators serve every valuation, so the logs l_i of u_i
+(one per generator) on coordinates of different valuation share a base.
+A torus element t = gen^m adds sum_s m_s a^s_i to l_i, so with the
+valuations fixed, the orbit of l (one generator at a time) is l + L_S:
+L_S is spanned by the weights restricted to the support S and by
+ord_i e_i, ord_i the order of the generator mod p^(n - v_i).  A triangular
+basis of L_S (echelon) with diagonal h gives the canonical key (reduce l
+coordinate by coordinate), one representative per orbit (the box
+0 <= l_i < h_i) and the orbit size prod ord_i / prod h_i.
+"""
+from __future__ import annotations
+
+import itertools
+from math import prod
+from typing import Sequence
+
+from .rings import ExtField, Ring
+
+
+def incidence_kernel(*reps) -> list[tuple[int, ...]]:
+    """An integer basis of the solutions (a, b_1, c_1, b_2, c_2, ..) of
+    a_i = b_g + c_j at every nonzero gens[g][i][j] of each rep, with a on
+    the reps' shared I.  Each vector is checked against every equation."""
+    width = len(reps[0].I)
+    equations = []
+    for rep in reps:
+        b0, c0 = width, width + rep.rank
+        width = c0 + len(rep.J)
+        equations += [(i, b0 + g, c0 + j) for g, gen in enumerate(rep.gens)
+                      for i, row in enumerate(gen) for j, e in enumerate(row) if e]
+    # row-reduce the images of the unit vectors, carrying each vector along:
+    # the vectors whose image ends at 0 span the integer kernel
+    rows = [(list(unit), [unit[i] - unit[b] - unit[c] for i, b, c in equations])
+            for unit in (tuple(int(k == r) for k in range(width)) for r in range(width))]
+    top = 0
+    for col in range(len(equations)):
+        while any(rows[r][1][col] for r in range(top, width)):
+            best = min((r for r in range(top, width) if rows[r][1][col]),
+                       key=lambda r: abs(rows[r][1][col]))
+            rows[top], rows[best] = rows[best], rows[top]
+            pivot = rows[top]
+            for r in range(top + 1, width):
+                q = rows[r][1][col] // pivot[1][col]
+                if q:
+                    rows[r] = tuple([x - q * y for x, y in zip(part, piv)]
+                                    for part, piv in zip(rows[r], pivot))
+            if not any(rows[r][1][col] for r in range(top + 1, width)):
+                top += 1
+    kernel = [tuple(vec) for vec, _ in rows[top:]]
+    for vec in kernel:
+        if any(vec[i] != vec[b] + vec[c] for i, b, c in equations):
+            raise RuntimeError(f"torus weight {vec} fails the incidence system")
+    return kernel
+
+
+def weights(*reps) -> tuple[tuple[int, ...], ...]:
+    """The a-parts of the incidence kernel of the reps: vectors on I whose
+    torus elements keep the divisor profile of every rep's C(x)."""
+    dI = len(reps[0].I)
+    return tuple(vec[:dI] for vec in incidence_kernel(*reps) if any(vec[:dI]))
+
+
+def echelon(rows: Sequence[Sequence[int]], ords: Sequence[int]) -> list[list[int]]:
+    """A triangular basis h_1 .. h_d of the lattice spanned by rows and the
+    ord_j e_j: h_j is 0 before column j, 0 < h_j[j] divides ord_j, and its
+    later entries are reduced mod their ord.  Where h_j[j] = ord_j, no row
+    reached column j, and h_j = ord_j e_j."""
+    d = len(ords)
+    basis = []
+    rows = [[x % o for x, o in zip(r, ords)] for r in rows]
+    for j, o in enumerate(ords):
+        pivot = [0] * d
+        pivot[j] = o
+        rest = []
+        for r in rows:
+            a, b = pivot[j], r[j]
+            if b:  # a unimodular pair of combinations leaves gcd(a, b) and 0
+                g, s, t = _xgcd(a, b)
+                pivot, r = ([s * x + t * y for x, y in zip(pivot, r)],
+                            [(a // g * y - b // g * x) % m for x, y, m in zip(pivot, r, ords)])
+            if any(r):
+                rest.append(r)
+        basis.append(pivot[:j + 1] + [x % ords[k] for k, x in enumerate(pivot[j + 1:], j + 1)])
+        rows = rest
+    return basis
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with g = gcd(a, b) = s a + t b, for a > 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, (a, b) = a // b, (b, a % b)
+        s0, s1, t0, t1 = s1, s0 - q * s1, t1, t0 - q * t1
+    return (a, s0, t0) if a > 0 else (-a, -s0, -t0)
+
+
+def _reduce(basis: list[list[int]], logs: Sequence[int]) -> tuple[int, ...]:
+    """The point of the box 0 <= l_j < h_j[j] in logs + the lattice."""
+    logs = list(logs)
+    for j, h in enumerate(basis):
+        q = logs[j] // h[j]
+        if q:
+            logs[j:] = [x - q * y for x, y in zip(logs[j:], h[j:])]
+    return tuple(logs)
+
+
+class _Units:
+    """The units of every level of ring (Z/p^m for m <= n, or F_q) as
+    products of powers of fixed generators, with the logs of any element."""
+
+    def __init__(self, ring: Ring) -> None:
+        self.ring = ring
+        self.p, self.n = ring.p, ring.cap
+        self._logs = None
+        if isinstance(ring, ExtField):
+            self.powers = _primitive_powers(ring)
+        elif self.p == 2:
+            self.gens = (-1, 5)
+        else:
+            self.gens = (_primitive_root(self.p),)
+
+    def orders(self, m: int) -> tuple[int, ...]:
+        """The order of each generator in the units of level m."""
+        p = self.p
+        if isinstance(self.ring, ExtField):
+            return (len(self.powers),)
+        if p == 2:
+            return (2, 2 ** (m - 2)) if m >= 2 else (1, 1)
+        return (p ** (m - 1) * (p - 1),)
+
+    def join(self, v: int, logs: Sequence[int]):
+        """p^v times the unit with these logs at level n - v (0 when v = n)."""
+        if v == self.n:
+            return self.ring.zero
+        if isinstance(self.ring, ExtField):
+            return self.powers[logs[0]]
+        mod = self.p ** (self.n - v)
+        u = 1
+        for g, l in zip(self.gens, logs):
+            u = u * pow(g, l, mod) % mod
+        return self.p ** v * u
+
+    def split(self, a) -> tuple[int, tuple[int, ...]]:
+        """(v, logs) with a = join(v, logs), logs reduced mod orders(n - v)."""
+        if self._logs is None:
+            self._logs = self._log_table()
+        v = self.ring.valuation(a)
+        if v == self.n:
+            return v, ()
+        if isinstance(self.ring, ExtField):
+            return v, (self._logs[a],)
+        logs = self._logs[a // self.p ** v]
+        return v, tuple(l % o for l, o in zip(logs, self.orders(self.n - v)))
+
+    def _log_table(self):
+        """Unit -> logs at the top level, built from the generators' powers;
+        a unit of a lower level, read as an integer, is a unit of the top
+        level, and its logs there reduce to its logs at its own level."""
+        if isinstance(self.ring, ExtField):
+            return {u: l for l, u in enumerate(self.powers)}
+        mod = self.p ** self.n
+        table = [None] * mod
+        *heads, last = self.orders(self.n)
+        for head in itertools.product(*map(range, heads)):
+            u = self.join(0, head + (0,))
+            for l in range(last):
+                table[u] = head + (l,)
+                u = u * self.gens[-1] % mod
+        return table
+
+
+def _primitive_root(p: int) -> int:
+    """The least g generating (Z/p^2)^x, p odd; it generates every (Z/p^m)^x."""
+    order, rest, primes = p * (p - 1), p - 1, {p}
+    d = 2
+    while d * d <= rest:
+        while rest % d == 0:
+            primes.add(d)
+            rest //= d
+        d += 1
+    if rest > 1:
+        primes.add(rest)
+    return next(g for g in itertools.count(2)
+                if all(pow(g, order // r, p * p) != 1 for r in primes))
+
+
+def _primitive_powers(field: ExtField) -> list:
+    """[1, g, g^2, .., g^(q-2)] for the first element g of F_q of order q - 1."""
+    for g in itertools.islice(field.units(), 1, None):
+        powers = [field.one]
+        x = g
+        while x != field.one:
+            powers.append(x)
+            x = field.mul(x, g)
+        if len(powers) == field.cardinality() - 1:
+            return powers
+    return [field.one]  # F_2: the unit group is trivial
+
+
+class Torus:
+    """The torus of the weights acting on the points of ring^dim: one point
+    and the size of each orbit, the key of a point's orbit, and the points
+    of an orbit."""
+
+    def __init__(self, weights: Sequence[Sequence[int]], ring: Ring) -> None:
+        self.weights, self.ring, self.units = weights, ring, _Units(ring)
+        self._lattices = {}
+        self._splits = {}
+
+    def _lattice(self, v: tuple[int, ...]):
+        """(support, [(ords, basis) per generator], orbit size) for the
+        points with valuations v: L_S for each generator of the units."""
+        found = self._lattices.get(v)
+        if found is None:
+            n = self.units.n
+            support = [i for i, vi in enumerate(v) if vi < n]
+            rows = [[w[i] for i in support] for w in self.weights]
+            ords = list(zip(*(self.units.orders(n - v[i]) for i in support)))
+            bases = [(o, echelon(rows, o)) for o in ords]
+            size = prod(prod(o) // prod(h[j] for j, h in enumerate(b)) for o, b in bases)
+            found = self._lattices[v] = (support, bases, size)
+        return found
+
+    def _point(self, v, support, logs) -> tuple:
+        """The point with valuations v and, on the support, these logs (one
+        vector over the support per generator)."""
+        x = [self.ring.zero] * len(v)
+        for pos, i in enumerate(support):
+            x[i] = self.units.join(v[i], [l[pos] for l in logs])
+        return tuple(x)
+
+    def _split(self, x):
+        """(valuations, [logs over the support per generator], lattice) of x."""
+        parts = []
+        for c in x:
+            part = self._splits.get(c)
+            if part is None:
+                part = self._splits[c] = self.units.split(c)
+            parts.append(part)
+        v = tuple(vi for vi, _ in parts)
+        lattice = self._lattice(v)
+        logs = [[parts[i][1][g] for i in lattice[0]] for g in range(len(lattice[1]))]
+        return v, logs, lattice
+
+    def orbits(self, dim: int, all_units: bool):
+        """(x, |orbit of x|) for one point x of each orbit on the points of
+        ring^dim with every coordinate (all_units) or some coordinate a unit:
+        the points whose logs lie in the box 0 <= l_j < h_j."""
+        for v in itertools.product(range(1 if all_units else self.units.n + 1), repeat=dim):
+            if not all_units and 0 not in v:
+                continue
+            support, bases, size = self._lattice(v)
+            boxes = [itertools.product(*(range(h[j]) for j, h in enumerate(b)))
+                     for _, b in bases]
+            for logs in itertools.product(*boxes):
+                yield self._point(v, support, logs), size
+
+    def key(self, x) -> tuple:
+        """The valuations and the box point of the logs of x: equal for two
+        points exactly when they share an orbit."""
+        v, logs, (_, bases, _) = self._split(x)
+        return v, tuple(_reduce(b, l) for l, (_, b) in zip(logs, bases))
+
+    def orbit(self, x) -> list:
+        """Every point of the orbit of x: its logs plus each element of the
+        lattice modulo the ords."""
+        v, logs, (support, bases, _) = self._split(x)
+        cosets = []
+        for start, (ords, basis) in zip(logs, bases):
+            steps = itertools.product(*(range(o // h[j])
+                                        for j, (o, h) in enumerate(zip(ords, basis))))
+            cosets.append([tuple((s + sum(c * h[k] for c, h in zip(cs, basis))) % o
+                                 for k, (s, o) in enumerate(zip(start, ords)))
+                           for cs in steps])
+        return [self._point(v, support, logs) for logs in itertools.product(*cosets)]

@@ -226,6 +226,29 @@ def naive_sampled_orbital(big, sub, p: int, n: int, samples: int,
     return len(draws), bad
 
 
+def torus_orbit(ring, weights, x) -> frozenset:
+    """The orbit of the point x under the torus of the weight vectors, by
+    breadth-first closure: a step multiplies every coordinate x_i by
+    u^(a_i), for a weight vector a and any unit u of the ring."""
+    def power(u, e):
+        out = ring.one
+        for _ in range(abs(e)):
+            out = ring.mul(out, u)
+        return out if e >= 0 else ring.inv(out)
+
+    steps = [tuple(power(u, e) for e in a) for a in weights for u in ring.units()]
+    seen = {tuple(x)}
+    frontier = [tuple(x)]
+    while frontier:
+        y = frontier.pop()
+        for step in steps:
+            z = tuple(ring.mul(s, c) for s, c in zip(step, y))
+            if z not in seen:
+                seen.add(z)
+                frontier.append(z)
+    return frozenset(seen)
+
+
 # ---------------------------------------------------------------------------
 # Conjugacy-class oracle and the group laws it sweeps.
 # ---------------------------------------------------------------------------

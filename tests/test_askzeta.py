@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gridask import askzeta, fastcount
+from gridask import askzeta, fastcount, torus
 from gridask.askzeta import (BudgetExceeded, ask, ask_direct, ask_orbit,
                              constant_rank_check, direct_profile_counts,
                              orbital_equivalence_check, rank_distribution,
@@ -24,7 +24,7 @@ from gridask.rings import make_ring
 from oracles import (naive_ask, naive_constant_rank, naive_divisor_profile,
                      naive_orbit_ask, naive_orbit_matrix, naive_orbital,
                      naive_sampled_constant_rank, naive_sampled_orbital, random_rep,
-                     seeded_draws)
+                     seeded_draws, torus_orbit)
 
 GRIDS = Path(__file__).resolve().parent.parent / "grids"
 F3 = make_ring("field", 3)
@@ -92,8 +92,9 @@ def test_fast_census_matches_pure():
 
 
 ORACLE_RINGS = {"F2": make_ring("field", 2), "F3": F3, "Z/4": make_ring("padic", 2, 2),
-                "Z/8": make_ring("padic", 2, 3), "Z/9": make_ring("padic", 3, 2),
-                "Z/27": make_ring("padic", 3, 3), "F4": make_ring("ext", 2, 2)}
+                "Z/8": make_ring("padic", 2, 3), "Z/16": make_ring("padic", 2, 4),
+                "Z/9": make_ring("padic", 3, 2), "Z/27": make_ring("padic", 3, 3),
+                "F4": make_ring("ext", 2, 2)}
 
 
 @st.composite
@@ -106,16 +107,20 @@ def tiny_reps(draw, min_rank=0, size=2):
                      tuple(range(1, dJ + 1)), gens)
 
 
-# Z/27 runs as an explicit example only: naive_orbit_ask enumerates 27^I
-# points and 27^B images for each, up to 2 s per drawn rep
+# Z/16 and Z/27 run as explicit examples only: naive_orbit_ask enumerates
+# R^I points and R^B images for each, up to 2 s per drawn rep
 @settings(max_examples=50, deadline=None)
-@given(rep=tiny_reps(), ring_name=st.sampled_from(sorted(set(ORACLE_RINGS) - {"Z/27"})))
+@given(rep=tiny_reps(),
+       ring_name=st.sampled_from(sorted(set(ORACLE_RINGS) - {"Z/16", "Z/27"})))
 @example(rep=ModuleRep((), (), (1, 2), ()), ring_name="Z/8")  # I empty
 @example(rep=ModuleRep((), (1, 2), (1,), ()), ring_name="F4")  # rank 0
 @example(rep=ModuleRep(("a",), (1, 2), (1, 2), (((-1, 2), (0, -3)),)),
          ring_name="Z/4")
 @example(rep=ModuleRep(("a", "b"), (1, 2), (1, 2), (((3, 0), (0, -1)), ((0, 1), (9, 0)))),
          ring_name="Z/27")  # levels 2 and 3 lifted, with middle valuations
+# level 4 is lifted from classes over Z/8, where the units are +-5^l
+@example(rep=ModuleRep(("a", "b"), (1, 2), (1, 2), (((2, 1), (0, -1)), ((0, 4), (1, 3)))),
+         ring_name="Z/16")
 def test_orbit_matches_orbit_oracle(rep, ring_name):
     ring = ORACLE_RINGS[ring_name]
     assert ask_orbit(rep, ring).value == naive_orbit_ask(rep, ring)
@@ -237,13 +242,15 @@ def test_extension_field_census_eliminates_unit_orbit_representatives(monkeypatc
     assert counts == element_census(rep, F4)
 
 
-@pytest.mark.parametrize("ring,points", [(F5, (5**3 - 1) // 4),
-                                         (make_ring("padic", 3, 2), 13 + 13)])
+@pytest.mark.parametrize("ring,points", [(F5, 7), (make_ring("padic", 3, 2), 7 + 7)],
+                         ids=["F5", "Z/9"])
 def test_orbit_enumerates_unit_orbit_representatives(ring, points, monkeypatch):
-    # one orbit matrix per normalised primitive point at level 1 and per
-    # class of level k - 1 at level k >= 2: over F_5, the 31 points of P^2;
-    # over Z/9, the 13 points of P^2 over F_3 and then the same 13 as
-    # classes, whose 81 + 27 + 9 = 117 lifts take ranks over F_3 instead
+    # one orbit matrix per torus orbit of primitive points at level 1 and
+    # per torus class of level k - 1 at level k >= 2.  The weights of alt:3
+    # span Z^3, so each of the 7 supports in F_q^3 is one orbit: over F_5,
+    # 7 points where unit orbits took the 31 points of P^2; over Z/9, the 7
+    # points over F_3 and then the same 7 as classes, whose 7 * 27 lifts
+    # take ranks over F_3 instead
     calls = []
     orbit_matrix_at = ModuleRep.orbit_matrix_at
 
@@ -259,9 +266,9 @@ def test_orbit_enumerates_unit_orbit_representatives(ring, points, monkeypatch):
 
 
 def test_zeta_coefficients_sum_each_level_once(monkeypatch):
-    # c_1 and c_2 over Z/3, Z/9 from one pass per level: 13 points at level
-    # 1, then level 2 lifted from those 13 classes (one matrix over Z/9
-    # each), where recomputing c_1 inside c_2 would make 13 more
+    # c_1 and c_2 over Z/3, Z/9 from one pass per level: 7 torus orbits at
+    # level 1, then level 2 lifted from those 7 classes (one matrix over Z/9
+    # each), where recomputing c_1 inside c_2 would make 7 more
     calls = []
     orbit_matrix_at = ModuleRep.orbit_matrix_at
 
@@ -271,7 +278,7 @@ def test_zeta_coefficients_sum_each_level_once(monkeypatch):
 
     monkeypatch.setattr(ModuleRep, "orbit_matrix_at", counted)
     coeffs = zeta_coefficients(classic_rep("alt", 3), 3, 2)
-    assert len(calls) == 13 + 13
+    assert len(calls) == 7 + 7
     assert coeffs == predict("classical_alt", d=3).series(3, 2)
 
 
@@ -449,7 +456,7 @@ def certifier_cases(draw):
                ModuleRep(("c",), (1, 2, 3), (1, 2), (((-1, 0), (0, 1), (1, 1)),))),
          p=5, l=1)
 def test_certifiers_match_all_points_oracle(case, p, l):
-    # one point per unit orbit certifies, and reports, what checking every
+    # one point per torus orbit certifies, and reports, what checking every
     # point of F_p^I does: the same counts, verdicts and first 10 violations
     big, sub = case
     ring = make_ring("field", p)
@@ -473,15 +480,16 @@ def test_certifiers_on_empty_index_set(ring):
 
 @pytest.mark.parametrize("check,calls,checked", [
     (lambda: constant_rank_check(family_rep(Family.GAMMA, (1, 2, 3), (1, 2, 3)), F5, 1),
-     31, 5**3 - 1),
+     7, 5**3 - 1),
     (lambda: orbital_equivalence_check(alpha_rep(3), alphahat_rep(3), F5),
-     2 * 4**5, 4**6),
+     2 * 16, 4**6),
 ], ids=["constant-rank-gamma-F5", "orbital-alpha3-F5"])
 def test_certifiers_walk_unit_orbit_representatives(check, calls, checked, monkeypatch):
-    # over F_5 one orbit matrix per rep at each walked point: the 31
-    # normalised primitive points of F_5^3 (the points of P^2), and for each
-    # of alpha and alphahat the 4^5 points of F_5^6 with x_1 = 1 and every
-    # coordinate a unit
+    # over F_5 one orbit matrix per rep at each walked torus orbit, while
+    # `checked` still counts every point: the 7 supports of F_5^3 (unit
+    # orbits took 31 points), and for each of alpha and alphahat the 16
+    # orbits of the all-unit points of F_5^6 under the rank-4 lattice of
+    # their joint incidence system (unit orbits took 4^5)
     count = []
     orbit_matrix_at = ModuleRep.orbit_matrix_at
 
@@ -507,9 +515,10 @@ def _board_in_mat(name):
     (lambda: (family_rep(Family.RHO, (1, 2), (1, 2, 3)),), 0, 500, 7),
     (lambda: (load_board("sample_c"),), 0, 300, 3),
 ], ids=["orbital-alpha3", "orbital-sample_d", "constant-rank-rho", "constant-rank-sample_c"])
-@pytest.mark.parametrize("p,n", [(3, 2), (3, 3), (5, 2)], ids=["Z/9", "Z/27", "Z/25"])
+@pytest.mark.parametrize("p,n", [(3, 2), (3, 3), (5, 2), (2, 3), (2, 4)],
+                         ids=["Z/9", "Z/27", "Z/25", "Z/8", "Z/16"])
 def test_sampled_certifiers_match_draw_oracle(reps, l, samples, seed, p, n):
-    # eliminating each drawn unit orbit once reports what forming and
+    # eliminating each drawn torus orbit once reports what forming and
     # eliminating C(x) at every draw does: the same count, verdict and first
     # 10 violations (the drawn points, in draw order, with their profiles);
     # l is None for the orbital check
@@ -524,22 +533,26 @@ def test_sampled_certifiers_match_draw_oracle(reps, l, samples, seed, p, n):
     assert list(report.violations) == bad[:10]
 
 
-@pytest.mark.parametrize("check,dim,all_units", [
+@pytest.mark.parametrize("check,reps,dim,all_units", [
     (lambda R: orbital_equivalence_check(alpha_rep(3), alphahat_rep(3), R,
-                                         samples=2000, seed=51), 6, True),
+                                         samples=2000, seed=51),
+     (alpha_rep(3), alphahat_rep(3)), 6, True),
     (lambda R: constant_rank_check(family_rep(Family.GAMMA, (1, 2, 3), (1, 2, 3)), R, 1,
-                                   samples=2000, seed=51), 3, False),
+                                   samples=2000, seed=51),
+     (family_rep(Family.GAMMA, (1, 2, 3), (1, 2, 3)),), 3, False),
 ], ids=["orbital-alpha3", "constant-rank-gamma"])
-def test_sampled_certifiers_eliminate_each_drawn_unit_orbit_once(check, dim, all_units,
+def test_sampled_certifiers_eliminate_each_drawn_unit_orbit_once(check, reps, dim, all_units,
                                                                 monkeypatch):
-    # over Z/9 a draw x stands for its unit orbit, represented by x divided
-    # by its first unit coordinate: one orbit matrix per rep for each
-    # distinct representative, however often its orbit is drawn
+    # over Z/9 a draw x stands for its torus orbit: one orbit matrix per rep
+    # for each distinct orbit, however often it is drawn, counted here by
+    # breadth-first closure of the draws under the weights
+    ring = make_ring("padic", 3, 2)
     draws = seeded_draws(3, 2, dim, 2000, 51, all_units)
+    weights = torus.weights(*reps)
     orbits = set()
     for x in draws:
-        inv = pow(next(c for c in x if c % 3), -1, 9)
-        orbits.add(tuple(c * inv % 9 for c in x))
+        if not any(x in orbit for orbit in orbits):
+            orbits.add(torus_orbit(ring, weights, x))
     count = []
     orbit_matrix_at = ModuleRep.orbit_matrix_at
 
@@ -548,7 +561,6 @@ def test_sampled_certifiers_eliminate_each_drawn_unit_orbit_once(check, dim, all
         return orbit_matrix_at(self, level, x)
 
     monkeypatch.setattr(ModuleRep, "orbit_matrix_at", counted)
-    report = check(make_ring("padic", 3, 2))
-    reps = 2 if all_units else 1
-    assert len(count) == reps * len(orbits) < reps * len(set(draws))
+    report = check(ring)
+    assert len(count) == len(reps) * len(orbits) < len(reps) * len(set(draws))
     assert report.passed and report.checked == 2000

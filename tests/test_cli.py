@@ -275,6 +275,19 @@ def test_budget_exit_four(capsys):
     capsys.readouterr()
 
 
+def test_sampled_certifiers_budget_bounds_log_table(capsys):
+    # over Z/p^n the draws are keyed through a log table of |R| entries, so
+    # a budget below |R| = 9 is refused before anything is drawn
+    for argv in (["orbital-check", "--big", "alpha:3", "--sub", "alphahat:3"],
+                 ["constant-rank", "--family", "gamma", "--I", "1-3", "--J", "1-3",
+                  "--rank", "1"]):
+        argv += ["--prime", "3", "--n", "2"]
+        assert run(argv + ["--budget", "5"]) == 4
+        assert capsys.readouterr().err.startswith("budget exceeded: ")
+        assert run(argv + ["--budget", "9", "--samples", "50"]) == 0
+    capsys.readouterr()
+
+
 def test_direct_census_without_rows(tmp_path, capsys):
     # I is empty, so every element is the empty matrix and ask = 1, both
     # over F_3 (3^5 elements) and over F_11 (11^5)

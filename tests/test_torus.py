@@ -1,0 +1,101 @@
+import itertools
+
+from hypothesis import example, given, settings, strategies as st
+
+from gridask import torus
+from gridask.modrep import ModuleRep, alpha_rep, alphahat_rep
+from gridask.rings import make_ring
+
+from oracles import naive_orbit_matrix, torus_orbit
+from test_askzeta import tiny_reps
+
+IDENTITY_RINGS = {"Z/8": make_ring("padic", 2, 3), "Z/16": make_ring("padic", 2, 4),
+                  "Z/9": make_ring("padic", 3, 2), "Z/25": make_ring("padic", 5, 2),
+                  "F4": make_ring("ext", 2, 2), "F9": make_ring("ext", 3, 2)}
+
+
+def power(ring, u, e):
+    out = ring.one
+    for _ in range(abs(e)):
+        out = ring.mul(out, u)
+    return out if e >= 0 else ring.inv(out)
+
+
+@settings(max_examples=80, deadline=None)
+@given(rep=tiny_reps(size=3), ring_name=st.sampled_from(sorted(IDENTITY_RINGS)),
+       data=st.data())
+@example(rep=ModuleRep(("a", "b"), (), (1, 2), ((), ())), ring_name="Z/16",
+         data=None)  # I empty
+@example(rep=ModuleRep(("a",), (1, 2), (), (((), ()),)), ring_name="F9", data=None)  # J empty
+@example(rep=ModuleRep(("a", "b"), (1, 2), (1, 2), (((0, 0), (0, 0)), ((3, -1), (0, 4)))),
+         ring_name="Z/8", data=None)  # a zero generator
+def test_torus_element_scales_orbit_matrix(rep, ring_name, data):
+    # C(t.x) = diag(t^b) C(x) diag(t^c) exactly, for t = prod_s u_s^(w_s)
+    # over the incidence kernel vectors w_s = (a, b, c) and any units u_s
+    ring = IDENTITY_RINGS[ring_name]
+    units, elems = list(ring.units()), list(ring.elements())
+    kernel = torus.incidence_kernel(rep)
+
+    def draw(strategy, fallback):
+        return data.draw(strategy) if data is not None else fallback
+
+    us = [units[draw(st.integers(0, len(units) - 1), -1)] for _ in kernel]
+    x = tuple(elems[draw(st.integers(0, len(elems) - 1), 1)] for _ in rep.I)
+    dI, dB = len(rep.I), rep.rank
+
+    def scale(offset, count):
+        out = [ring.one] * count
+        for u, w in zip(us, kernel):
+            out = [ring.mul(o, power(ring, u, e)) for o, e in zip(out, w[offset:offset + count])]
+        return out
+
+    a, b, c = scale(0, dI), scale(dI, dB), scale(dI + dB, len(rep.J))
+    tx = tuple(ring.mul(s, xi) for s, xi in zip(a, x))
+    before, after = naive_orbit_matrix(rep, ring, x), naive_orbit_matrix(rep, ring, tx)
+    for g in range(dB):
+        for j in range(len(rep.J)):
+            assert after[g, j] == ring.mul(ring.mul(b[g], before[g, j]), c[j])
+
+
+ORBIT_RINGS = {"F2": make_ring("field", 2), "F5": make_ring("field", 5),
+               "Z/4": make_ring("padic", 2, 2), "Z/8": make_ring("padic", 2, 3),
+               "Z/16": make_ring("padic", 2, 4), "Z/9": make_ring("padic", 3, 2),
+               "F4": make_ring("ext", 2, 2)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(rep=tiny_reps(size=3), ring_name=st.sampled_from(sorted(ORBIT_RINGS)))
+@example(rep=ModuleRep(("a", "b"), (1, 2, 3), (1, 2),
+                       (((1, 0), (0, 1), (0, 0)), ((0, 0), (1, 0), (0, -1)))),
+         ring_name="Z/16")
+@example(rep=ModuleRep((), (1, 2), (1,), ()), ring_name="Z/8")  # rank 0: weights span Z^I
+def test_orbits_and_keys_match_orbit_oracle(rep, ring_name):
+    # the keys group the points with a unit coordinate exactly as the
+    # breadth-first orbits do; Torus.orbits yields one point per orbit with
+    # its size, Torus.orbit expands it, and the sizes add up to the point counts
+    ring = ORBIT_RINGS[ring_name]
+    dim = len(rep.I)
+    weights = torus.weights(rep)
+    group = torus.Torus(weights, ring)
+    groups = {}
+    for x in itertools.product(list(ring.elements()), repeat=dim):
+        if any(ring.is_unit(c) for c in x):
+            groups.setdefault(group.key(x), set()).add(x)
+    found = list(group.orbits(dim, False))
+    assert len(found) == len(groups)
+    for x, size in found:
+        orbit = torus_orbit(ring, weights, x)
+        assert orbit == groups[group.key(x)] == set(group.orbit(x))
+        assert size == len(orbit)
+    q, units = ring.cardinality(), len(list(ring.units()))
+    assert sum(size for _, size in found) == q**dim - (q - units) ** dim
+    assert sum(size for _, size in group.orbits(dim, True)) == units**dim
+
+
+def test_joint_torus_orbits_of_alpha_pair():
+    # the joint lattice of alpha:3 and alphahat:3 has rank 4 and unimodular
+    # divisors on the all-unit points, so they fall into phi^6 / phi^4 orbits
+    weights = torus.weights(alpha_rep(3), alphahat_rep(3))
+    for p, n, phi in ((5, 1, 4), (3, 2, 6), (2, 3, 4)):
+        found = list(torus.Torus(weights, make_ring("padic", p, n)).orbits(6, True))
+        assert len(found) == phi**2 and {size for _, size in found} == {phi**4}
