@@ -3,13 +3,21 @@ and the numerical constant-rank / orbital-equivalence certifiers.
 
 The average kernel size ("ask") of a module M of matrices is
 (1/|M|) sum_{m in M} |Ker m|, kernels taken for the left row-vector
-action.  It is computed two independent ways: directly, by enumerating
-module elements, and through the orbit matrix C(x), using the identity
-ask = sum over x in R^I of 1/|image of C(x)|.
+action.  It is computed two independent ways: directly, as the mean of
+|Ker A(c)| over the module elements A(c) = sum_b c_b a_b, and through the
+orbit matrix C(x), using the identity ask = sum over x in R^I of
+1/|image of C(x)|.
 
-Both enumerations visit one point per torus orbit, level by level (the
-direct census only under the scalar weight, that is per unit orbit), by
-two exact identities over R = Z/p^n (a field F_q has n = 1):
+Both read one census.  A(c) is the orbit matrix, at c, of the module's
+dual (modrep.element_dual: basis I, shape B x J, generator i with entries
+a_{bij}).  So profile_census, the number of points x in R^I with each
+divisor profile of C(x), is the orbit census of the rep and, taken on the
+dual, the direct census of its elements; _census_ask reads either as the
+mean of |R|^I / |image| over the census points, which is
+sum_x 1/|image C(x)| for the rep and the mean of |Ker A(c)| for its dual.
+
+The census visits one point per torus orbit, level by level, by two exact
+identities over R = Z/p^n (a field F_q has n = 1):
 
 - the torus (gridask.torus): for integer weights a on I, b on the
   generators and c on J with a_i = b_g + c_j wherever gens[g][i][j] != 0,
@@ -22,25 +30,23 @@ two exact identities over R = Z/p^n (a field F_q has n = 1):
   weights on the support S and by ord_i e_i, ord_i the order of the unit
   group mod p^(n - v_i).  A triangular basis of L_S with diagonal h gives
   one point per orbit and the orbit size prod ord_i / prod h_i;
-- level recursion: for x = p y over Z/p^k, |image_k C(x)| = |image_{k-1} C(y)|;
-  and the divisor profile of p^s B over Z/p^n is that of B over Z/p^(n-s)
-  with every entry raised by s.
+- level recursion: every x != 0 in R^I is p^(n-e) x' for one x' in P_e,
+  the primitive points over Z/p^e (some coordinate a unit), and the
+  divisor profile of p^(n-e) B over Z/p^n is that of B over Z/p^e with
+  every entry raised by n - e.
 
-The orbit sum, with C(0) = 0 contributing 1, is therefore
+So the census counts x = 0 once, with C(0) = 0, and then the profiles of
+each level P_e, e = 1..n, raised by n - e, each level taken over one point
+per torus orbit weighted by the orbit size.  One census over Z/p^n gives
+ask over every Z/p^k, k <= n, with each valuation capped at k: the points
+of Z/p^k each have the same number of lifts.
 
-    ask = 1 + sum_{k=1..n} sum_{x in P_k} 1/|image_k C(x)|,
-
-where P_k is the set of primitive points over Z/p^k (some coordinate a
-unit), each level summed over one point per torus orbit weighted by the
-orbit size.  The k-th term does not depend on n, so zeta_coefficients
-computes each level once: c_k = c_{k-1} + (the k-th term).
-
-From level 2 on the k-th term is lifted from level k - 1.  Each x in P_k
-is x' + p^(k-1) y, with x' in P_(k-1) and y over F_p, and a torus element
-maps the lifts of x' onto those of its image, so x' runs over one class
-per torus orbit over Z/p^(k-1) (with mixed valuations from k = 3 on),
-weighted by its orbit size.  C(x') is eliminated once over Z/p^k, until
-P C(x') Q = diag(p^v_1 .. p^v_t) + Z with every v_i <= k - 2 and
+From level 2 on the level census is lifted from level k - 1.  Each x in
+P_k is x' + p^(k-1) y, with x' in P_(k-1) and y over F_p, and a torus
+element maps the lifts of x' onto those of its image, so x' runs over one
+class per torus orbit over Z/p^(k-1) (with mixed valuations from k = 3
+on), weighted by its orbit size.  C(x') is eliminated once over Z/p^k,
+until P C(x') Q = diag(p^v_1 .. p^v_t) + Z with every v_i <= k - 2 and
 Z = 0 mod p^(k-1) (linalg.partial_smith); with L, R the rows of P and the
 columns of Q at Z, the divisor profile of C(x) over Z/p^k is v_1 .. v_t,
 then k - 1 as often as the rank over F_p of the affine matrix
@@ -50,14 +56,6 @@ plus the image of its linear part, each taken equally often, so level k
 costs one elimination over Z/p^k per class and one rank over F_p per
 value of K.
 
-The direct census counts the divisor profiles of all module elements
-sum_b c_b gen_b by unit scaling: the zero tuple, then one primitive tuple
-c over Z/p^e (e = 1..n) per unit orbit, standing for |(Z/p^e)^x| tuples,
-with its profile over Z/p^e raised by n - e.  It runs the vectorised
-kernel of fastcount over F_p and Z/p^n (numpy is imported only there) and
-exact elimination over F_{p^f}, at one tuple per orbit of the scalar
-weight (1, .., 1).  One census over Z/p^n also gives ask over every
-Z/p^k, k <= n, with each valuation capped at k.
 The certifiers eliminate each orbit of the torus of both reps' joint
 incidence system once: over a field they visit one point per orbit, and
 over Z/p^n a seeded draw whose orbit was drawn before reuses that orbit's
@@ -75,11 +73,11 @@ from operator import mul
 from typing import Sequence
 
 from . import torus
-from .linalg import (Mat, divisor_profile, image_size, partial_smith, profile_image_size,
-                     rank)
-from .modrep import ModuleRep, ShapeMismatch
+from .linalg import Mat, divisor_profile, partial_smith, profile_image_size, rank
+from .linalg import image_size  # noqa: F401  (perfbench/tracing.py patches askzeta.image_size)
+from .modrep import ModuleRep, ShapeMismatch, element_dual
 from .predictions import Prediction
-from .rings import ExtField, PadicQuotient, Ring
+from .rings import PadicQuotient, Ring
 
 DEFAULT_BUDGET = 10**7
 
@@ -94,76 +92,33 @@ class AskResult:
     method: str
 
 
-def direct_profile_counts(rep: ModuleRep, ring: Ring,
-                          budget: int = DEFAULT_BUDGET) -> Counter:
-    """Divisor-profile census over all coefficient tuples of the generators.
+def profile_census(rep: ModuleRep, ring: Ring, budget: int = DEFAULT_BUDGET) -> Counter:
+    """Divisor profile of C(x) over ring -> the number of x in ring^I with
+    it, once |ring|^I is within the budget.
 
-    Over F_p and Z/p^n the vectorised kernel (fastcount.profile_counts)
-    runs; numpy cannot hold F_{p^f} elements, so there one element per
-    orbit of the scalar weight (1, .., 1), that is per unit orbit, is
-    formed and eliminated (see the module docstring).
+    x = 0 is counted once.  Level 1 eliminates C(x) at one point x per
+    torus orbit, weighted by the orbit size; each level k >= 2 is lifted
+    from the torus classes of P_(k-1) (_lifted_level_census).  The profiles
+    of level e are raised by n - e (see the module docstring).
     """
-    k = rep.rank
-    size = ring.cardinality() ** k
+    dI, n = len(rep.I), ring.cap
+    size = ring.cardinality() ** dI
     if size > budget:
-        raise BudgetExceeded(f"{size} module elements exceed budget {budget}")
-    zero = (ring.cap,) * min(len(rep.I), len(rep.J))
-    if k == 0 or not rep.I or not rep.J:
-        return Counter({zero: size})
-    if not isinstance(ring, ExtField):
-        from .fastcount import profile_counts
-        return profile_counts(rep.gens, ring.p, ring.cap)
-    counts = Counter({zero: 1})
-    for coeffs, n in torus.Torus(((1,) * k,), ring).orbits(k, False):
-        counts[divisor_profile(rep.element(ring, coeffs))] += n
+        raise BudgetExceeded(f"{size} census points exceed budget {budget}")
+    weights = torus.weights(rep)
+    counts = Counter({(n,) * min(rep.rank, len(rep.J)): 1})
+    first = ring if n == 1 else PadicQuotient(ring.p, 1)
+    for x, m in torus.Torus(weights, first).orbits(dI, False):
+        counts[tuple(v + n - 1 for v in divisor_profile(rep.orbit_matrix_at(first, x)))] += m
+    for k in range(2, n + 1):
+        for prof, m in _lifted_level_census(rep, weights, PadicQuotient(ring.p, k)).items():
+            counts[tuple(v + n - k for v in prof)] += m
     return counts
 
 
-def _census_ask(counts: Counter, level: Ring, rows: int) -> Fraction:
-    """ask over level from a divisor-profile census over level itself or,
-    for level = Z/p^k, over any Z/p^n with n >= k.
-
-    Reducing mod p^k caps every Smith valuation at k, and each tuple over
-    Z/p^k has the same number of lifts, which the Fraction cancels.
-    """
-    space = level.cardinality() ** rows
-    ker_sum = sum(n * (space // profile_image_size([min(v, level.cap) for v in prof],
-                                                   level))
-                  for prof, n in counts.items())
-    return Fraction(ker_sum, sum(counts.values()))
-
-
-def ask_direct(rep: ModuleRep, ring: Ring, budget: int = DEFAULT_BUDGET) -> AskResult:
-    """Brute-force ask by enumerating every module element."""
-    counts = direct_profile_counts(rep, ring, budget)
-    return AskResult(_census_ask(counts, ring, len(rep.I)), "direct")
-
-
-def _orbit_level_sums(rep: ModuleRep, ring: Ring, budget: int):
-    """sum_{x in P_k} 1/|image_k C(x)| for the levels Z/p^k, k = 1..n, of
-    R = Z/p^n (the last level is ring itself, so F_q has one), P_k the
-    primitive points over Z/p^k, once |R|^I is within the budget.
-
-    Level 1 eliminates C(x) at one point x per torus orbit, weighted by the
-    orbit size.  Each level k >= 2 is lifted from the torus classes of
-    P_(k-1) (_lifted_level_sum).
-    """
-    dI = len(rep.I)
-    size = ring.cardinality() ** dI
-    if size > budget:
-        raise BudgetExceeded(f"{size} orbit points exceed budget {budget}")
-    weights = torus.weights(rep)
-    first = ring if ring.cap == 1 else PadicQuotient(ring.p, 1)
-    sizes = Counter()
-    for x, n in torus.Torus(weights, first).orbits(dI, False):
-        sizes[image_size(rep.orbit_matrix_at(first, x))] += n
-    yield sum(Fraction(n, s) for s, n in sizes.items())
-    for k in range(2, ring.cap + 1):
-        yield _lifted_level_sum(rep, weights, PadicQuotient(ring.p, k))
-
-
-def _lifted_level_sum(rep: ModuleRep, weights, level: PadicQuotient) -> Fraction:
-    """Level k >= 2 of the orbit sum, lifted from the torus classes of P_(k-1).
+def _lifted_level_census(rep: ModuleRep, weights, level: PadicQuotient) -> Counter:
+    """The divisor profiles over Z/p^k, k >= 2, of C(x) at the points of
+    P_k, lifted from the torus classes of P_(k-1).
 
     The points of P_k are x = x' + p^(k-1) y, for x' in P_(k-1) (entries in
     [0, p^(k-1))) and y in F_p^I.  A torus element maps the lifts of x'
@@ -177,11 +132,12 @@ def _lifted_level_sum(rep: ModuleRep, weights, level: PadicQuotient) -> Fraction
     """
     p, k, dI = level.p, level.cap, len(rep.I)
     residue = PadicQuotient(p)
-    exponents = Counter()  # log_p |image_k C(x)| -> number of points x
+    steps = min(rep.rank, len(rep.J))
+    counts = Counter()
     for x, n in torus.Torus(weights, PadicQuotient(p, k - 1)).orbits(dI, False):
         valuations, forms = _class_lift(rep, level, x)
-        base = sum(k - v for v in valuations)
-        shape = (rep.rank - len(valuations), len(rep.J) - len(valuations))
+        head, t = tuple(sorted(valuations)), len(valuations)
+        shape = (rep.rank - t, len(rep.J) - t)
         # the image of M over F_p is the lattice of M's columns and the p e_j
         # mod p: the basis rows with a diagonal 1 (the others are p e_j)
         image = [h for j, h in enumerate(torus.echelon(list(zip(*(f[1:] for f in forms))),
@@ -190,8 +146,9 @@ def _lifted_level_sum(rep: ModuleRep, weights, level: PadicQuotient) -> Fraction
         for coeffs in itertools.product(range(p), repeat=len(image)):
             entries = tuple((f[0] + sum(c * b[i] for c, b in zip(coeffs, image))) % p
                             for i, f in enumerate(forms))
-            exponents[base + rank(Mat(residue, *shape, entries))] += share
-    return sum(Fraction(n, p**e) for e, n in exponents.items())
+            s = rank(Mat(residue, *shape, entries))
+            counts[head + (k - 1,) * s + (k,) * (steps - t - s)] += share
+    return counts
 
 
 def _class_lift(rep: ModuleRep, level: PadicQuotient, x: Sequence[int]):
@@ -218,23 +175,43 @@ def _class_lift(rep: ModuleRep, level: PadicQuotient, x: Sequence[int]):
     return valuations, forms
 
 
-def ask_orbit(rep: ModuleRep, ring: Ring, budget: int = DEFAULT_BUDGET) -> AskResult:
-    """ask via the orbit matrix: sum over x in R^I of 1/|image C(x)|.
+def direct_profile_counts(rep: ModuleRep, ring: Ring,
+                          budget: int = DEFAULT_BUDGET) -> Counter:
+    """Divisor profile of the element A(c) = sum_b c_b a_b -> the number of
+    coefficient tuples c in ring^B with it: the profile census of the
+    module's dual, whose orbit matrix at c is A(c)."""
+    return profile_census(element_dual(rep), ring, budget)
 
-    R = Z/p^n, or F_q with n = 1.  By the torus (C(t.x) =
-    diag(t^b) C(x) diag(t^c)) and the level recursion
-    (|image_k C(p y)| = |image_{k-1} C(y)|), the sum equals
-    1 + sum_{k=1..n} sum_{x in P_k} 1/|image_k C(x)|, with P_k the primitive
-    points over Z/p^k, each level summed over one point per torus orbit
-    weighted by its size (see the module docstring).  The budget bounds
-    |R|^I.  C(x) is eliminated at each orbit point of level 1; for k >= 2
-    the points x' + p^(k-1) y of P_k are lifted from one class x' per
-    torus orbit of P_(k-1): C(x') is eliminated once over Z/p^k, and each
-    y adds the rank over F_p of a small matrix K(y) that is affine in y
-    (the lifting identity).
+
+def _census_ask(counts: Counter, level: Ring, rows: int) -> Fraction:
+    """The mean of |level|^rows / |image| over the census points, from a
+    divisor-profile census over level itself or, for level = Z/p^k, over
+    any Z/p^n with n >= k.
+
+    Reducing mod p^k caps every Smith valuation at k, and each point over
+    Z/p^k has the same number of lifts, which the mean cancels.  The image
+    of C(x) need not divide |level|^rows, so each term is a Fraction.
     """
-    value = Fraction(1) + sum(_orbit_level_sums(rep, ring, budget))  # x = 0: C(0) = 0
-    return AskResult(value, "orbit")
+    space = level.cardinality() ** rows
+    total = sum(Fraction(n * space, profile_image_size([min(v, level.cap) for v in prof], level))
+                for prof, n in counts.items())
+    return total / sum(counts.values())
+
+
+def ask_direct(rep: ModuleRep, ring: Ring, budget: int = DEFAULT_BUDGET) -> AskResult:
+    """ask as the mean kernel size over every module element."""
+    counts = direct_profile_counts(rep, ring, budget)
+    return AskResult(_census_ask(counts, ring, len(rep.I)), "direct")
+
+
+def ask_orbit(rep: ModuleRep, ring: Ring, budget: int = DEFAULT_BUDGET) -> AskResult:
+    """ask via the orbit matrix: sum over x in R^I of 1/|image C(x)|, read
+    from the profile census of C(x) (one point per torus orbit at level 1,
+    each level k >= 2 lifted from the torus classes of level k - 1; see the
+    module docstring).  R = Z/p^n, or F_q with n = 1.  The budget bounds
+    |R|^I.
+    """
+    return AskResult(_census_ask(profile_census(rep, ring, budget), ring, len(rep.I)), "orbit")
 
 
 def ask(rep: ModuleRep, ring: Ring, method: str = "orbit",
@@ -248,22 +225,21 @@ def ask(rep: ModuleRep, ring: Ring, method: str = "orbit",
 
 def zeta_coefficients(rep: ModuleRep, p: int, n_max: int, method: str = "orbit",
                       budget: int = DEFAULT_BUDGET) -> list[Fraction]:
-    """[c_0, ..., c_{n_max}] with c_k = ask over Z/p^k (c_0 = 1).
-
-    The orbit method sums each level once, c_k = c_{k-1} + (level k's sum);
-    the direct method takes one census over Z/p^n_max and reads every c_k
-    from it with the profiles capped at k.
+    """[c_0, ..., c_{n_max}] with c_k = ask over Z/p^k (c_0 = 1), every c_k
+    read from one census over Z/p^n_max with the profiles capped at k: the
+    census of C(x) for the orbit method, of the elements for the direct
+    method.
     """
     out = [Fraction(1)]
     if not n_max:
         return out
+    top = PadicQuotient(p, n_max)
     if method == "orbit":
-        for level_sum in _orbit_level_sums(rep, PadicQuotient(p, n_max), budget):
-            out.append(out[-1] + level_sum)
-        return out
-    if method != "direct":
+        counts = profile_census(rep, top, budget)
+    elif method == "direct":
+        counts = direct_profile_counts(rep, top, budget)
+    else:
         raise ValueError(f"unknown method {method!r}")
-    counts = direct_profile_counts(rep, PadicQuotient(p, n_max), budget)
     return out + [_census_ask(counts, PadicQuotient(p, k), len(rep.I))
                   for k in range(1, n_max + 1)]
 

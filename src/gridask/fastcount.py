@@ -1,11 +1,15 @@
-"""Vectorised counting kernels (numpy int64, exact modular arithmetic).
+"""Vectorised test oracles (numpy int64, exact modular arithmetic).
 
-Two loops live here.  The census kernel (profile_counts over
+No library path imports this module: numpy is a test dependency only.  It
+stays in the package because the benchmark's tracer (perfbench/tracing.py)
+imports it and patches its functions by name.
+
+Two oracles live here.  The census oracle (profile_counts over
 batched_profiles) counts the divisor profiles of every element of a module
-of matrices over F_p or Z/p^n; every direct census over those rings runs
-it (askzeta.direct_profile_counts), and the pure elimination in linalg is
-its reference.  It eliminates one coefficient tuple per unit orbit, level
-by level, by two exact identities:
+of matrices over F_p or Z/p^n, by an enumeration independent of the
+library's census (askzeta.direct_profile_counts walks torus orbits of the
+module's dual in pure Python).  It eliminates one coefficient tuple per
+unit orbit, level by level, by two exact identities:
 
 - unit scaling: u A has the divisor profile of A for a unit u, and units
   act freely on primitive tuples;
@@ -20,8 +24,8 @@ tuples of each level e = 1..n only, and counts profiles by a 1-D
 multiset key instead of sorting the rows.
 
 baer_orbit_count, the conjugation-orbit sweep for class-2 groups built
-from alternating forms, is kept as a vectorised test oracle: the library
-counts those classes as p^l * ask (nilpotent.baer_group_cc).
+from alternating forms, checks the library's class counts, which are
+p^l * ask (nilpotent.baer_group_cc).
 All arithmetic stays in int64.  The largest intermediate of the census is
 a sum of k products of two residues mod p^n, so profile_counts refuses k
 generators unless k * (p^n - 1)^2 <= 2^63 - 1.

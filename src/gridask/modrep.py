@@ -6,6 +6,11 @@ module they span inside Hom(R^I, R^J).  This module also provides the two
 companion ("Knuth dual") views, relation modules cut out of a grid
 colouring, the classical matrix families, graph adjacency representations,
 and the degree-3 commutator representations alpha / alphahat.
+
+Of the companions, element_dual (basis I, shape B x J) turns module
+elements into orbit matrices: its orbit matrix at c is the element
+sum_b c_b a_b, so one orbit-matrix census serves both ways of computing
+ask (askzeta.profile_census).
 """
 from __future__ import annotations
 
@@ -50,8 +55,9 @@ class ModuleRep:
     def __post_init__(self) -> None:
         if len(self.labels) != len(self.gens):
             raise ShapeMismatch("label/generator count mismatch")
-        if len(set(self.labels)) != len(self.labels):
-            raise ShapeMismatch("duplicate labels")
+        for name, index in (("labels", self.labels), ("I", self.I), ("J", self.J)):
+            if len(set(index)) != len(index):  # element_dual makes I the labels
+                raise ShapeMismatch(f"duplicate {name}")
         for g in self.gens:
             if len(g) != len(self.I) or any(len(r) != len(self.J) for r in g):
                 raise ShapeMismatch("generator shape mismatch")
@@ -281,6 +287,14 @@ def knuth_bullet(rep: ModuleRep) -> ModuleRep:
              for i in range(len(rep.I))]
         gens.append(_freeze(g))
     return ModuleRep(tuple(rep.J), tuple(rep.I), tuple(rep.labels), tuple(gens))
+
+
+def element_dual(rep: ModuleRep) -> ModuleRep:
+    """The companion representation with basis I and shape B x J: generator
+    i has entries a_{bij}, so its orbit matrix at c is the module element
+    sum_b c_b a_b, and element_dual(element_dual(rep)) == rep."""
+    gens = tuple(tuple(g[i] for g in rep.gens) for i in range(len(rep.I)))
+    return ModuleRep(tuple(rep.I), tuple(rep.labels), tuple(rep.J), gens)
 
 
 def restrict_rep(rep: ModuleRep, I_sub: Sequence, J_sub: Sequence) -> ModuleRep:

@@ -2,6 +2,7 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction
+from math import prod
 from pathlib import Path
 
 import numpy as np
@@ -198,6 +199,18 @@ def test_profile_counts_matches_element_census(rep, ring_name):
     assert counts == element_census(rep, ring)
 
 
+@pytest.mark.parametrize("spec,p,n", [("sl:3", 5, 1), ("mat:2,3", 3, 2), ("sym:3", 3, 2),
+                                      ("tr:3", 3, 2), ("alt:3", 3, 3), ("mat:2", 2, 3),
+                                      ("sym:2", 2, 4)])
+def test_census_matches_vectorised_oracle(spec, p, n):
+    # at sizes the drawn reps never reach: up to 5^8 elements, and levels
+    # lifted over Z/16 and Z/27
+    name, dims = spec.split(":")
+    rep = classic_rep(name, *map(int, dims.split(",")))
+    ring = make_ring("field", p) if n == 1 else make_ring("padic", p, n)
+    assert direct_profile_counts(rep, ring) == fastcount.profile_counts(rep.gens, p, n)
+
+
 def test_multiset_keys_beyond_int64():
     # 7 steps at level 31: 8^22 = 2^66 wraps to 0 in int64, so these two
     # profiles would share a key; such keys are Python ints instead
@@ -206,39 +219,44 @@ def test_multiset_keys_beyond_int64():
                                                      ((23,) + (31,) * 6, 1)]
 
 
-@pytest.mark.parametrize("ring,matrices", [(F5, (5**4 - 1) // 4),
-                                           (make_ring("padic", 3, 2), 40 + 1080)])
+def counted_orbit_matrices(monkeypatch) -> list:
+    """The points at which ModuleRep.orbit_matrix_at is called from now on."""
+    calls = []
+    orbit_matrix_at = ModuleRep.orbit_matrix_at
+
+    def counted(self, level, x):
+        calls.append(x)
+        return orbit_matrix_at(self, level, x)
+
+    monkeypatch.setattr(ModuleRep, "orbit_matrix_at", counted)
+    return calls
+
+
+@pytest.mark.parametrize("ring,matrices", [(F5, 14 + 4), (make_ring("padic", 3, 2), 16 + 16)],
+                         ids=["F5", "Z/9"])
 def test_census_eliminates_unit_orbit_representatives(ring, matrices, monkeypatch):
-    # one normalised primitive tuple per unit orbit at each level e <= n:
-    # over F_5, the 156 points of P^3; over Z/9, (3^4 - 1)/2 = 40 at level
-    # 1 and (9^4 - 3^4)/6 = 1080 at level 2
-    batches = []
-    batched_profiles = fastcount.batched_profiles
-
-    def counted(A, p, n):
-        batches.append(len(A))
-        return batched_profiles(A, p, n)
-
-    monkeypatch.setattr(fastcount, "batched_profiles", counted)
+    # the direct census is the orbit census of the dual, whose torus on the
+    # coefficients of e_ij has weights b_i + c_j, a lattice of rank 3 on the
+    # 4 coordinates.  Each support of at most 3 coordinates is one orbit,
+    # and the full support splits into phi^4 / phi^3 = phi orbits: over F_5,
+    # 14 + 4 = 18 orbit matrices where unit orbits took the 156 points of
+    # P^3; over Z/9, 14 + 2 = 16 at level 1 and the same 16 as classes at
+    # level 2, where unit orbits took 40 + 1080
+    calls = counted_orbit_matrices(monkeypatch)
     counts = direct_profile_counts(classic_rep("mat", 2), ring)
-    assert sum(batches) == matrices
+    assert len(calls) == matrices
     assert sum(counts.values()) == ring.cardinality() ** 4
 
 
 def test_extension_field_census_eliminates_unit_orbit_representatives(monkeypatch):
     # over F_4 the zero element is counted without elimination, and the
-    # other 255 elements by the (4^4 - 1)/3 = 85 points of P^3
+    # other 255 elements by 14 + 3^4 / 3^3 = 17 torus orbits, where unit
+    # orbits took the (4^4 - 1)/3 = 85 points of P^3
     F4 = make_ring("ext", 2, 2)
-    calls = []
-
-    def counted(m):
-        calls.append(m)
-        return divisor_profile(m)
-
-    monkeypatch.setattr(askzeta, "divisor_profile", counted)
+    calls = counted_orbit_matrices(monkeypatch)
     rep = classic_rep("mat", 2)
     counts = direct_profile_counts(rep, F4)
-    assert len(calls) == 85
+    assert len(calls) == 17
     assert counts == element_census(rep, F4)
 
 
@@ -251,14 +269,7 @@ def test_orbit_enumerates_unit_orbit_representatives(ring, points, monkeypatch):
     # 7 points where unit orbits took the 31 points of P^2; over Z/9, the 7
     # points over F_3 and then the same 7 as classes, whose 7 * 27 lifts
     # take ranks over F_3 instead
-    calls = []
-    orbit_matrix_at = ModuleRep.orbit_matrix_at
-
-    def counted(self, level, x):
-        calls.append(x)
-        return orbit_matrix_at(self, level, x)
-
-    monkeypatch.setattr(ModuleRep, "orbit_matrix_at", counted)
+    calls = counted_orbit_matrices(monkeypatch)
     rep = classic_rep("alt", 3)
     value = ask_orbit(rep, ring).value
     assert len(calls) == points
@@ -269,32 +280,20 @@ def test_zeta_coefficients_sum_each_level_once(monkeypatch):
     # c_1 and c_2 over Z/3, Z/9 from one pass per level: 7 torus orbits at
     # level 1, then level 2 lifted from those 7 classes (one matrix over Z/9
     # each), where recomputing c_1 inside c_2 would make 7 more
-    calls = []
-    orbit_matrix_at = ModuleRep.orbit_matrix_at
-
-    def counted(self, level, x):
-        calls.append(x)
-        return orbit_matrix_at(self, level, x)
-
-    monkeypatch.setattr(ModuleRep, "orbit_matrix_at", counted)
+    calls = counted_orbit_matrices(monkeypatch)
     coeffs = zeta_coefficients(classic_rep("alt", 3), 3, 2)
     assert len(calls) == 7 + 7
     assert coeffs == predict("classical_alt", d=3).series(3, 2)
 
 
 def test_direct_zeta_takes_one_census(monkeypatch):
-    # c_1..c_3 from the Z/27 census with profiles capped at k: 1,183
-    # matrices, where a census per level took 13 + 130 + 1,183 = 1,326
-    batches = []
-    batched_profiles = fastcount.batched_profiles
-
-    def counted(A, p, n):
-        batches.append(len(A))
-        return batched_profiles(A, p, n)
-
-    monkeypatch.setattr(fastcount, "batched_profiles", counted)
+    # c_1..c_3 from the Z/27 census with profiles capped at k.  The dual's
+    # torus weights span Z^3, so each valuation pattern of a primitive point
+    # is one orbit: 7 orbit matrices at level 1, 7 classes at level 2 and
+    # 3^3 - 2^3 = 19 at level 3, 33 where unit orbits took 1,183 matrices
+    calls = counted_orbit_matrices(monkeypatch)
     coeffs = zeta_coefficients(classic_rep("alt", 3), 3, 3, method="direct")
-    assert sum(batches) == 1183
+    assert len(calls) == 33
     assert coeffs == predict("classical_alt", d=3).series(3, 3)
 
 
@@ -362,6 +361,16 @@ def test_rank_distribution_recovers_ask():
         assert dist.counts[0] == 1
         assert sum(dist.counts.values()) == q**rep.rank
         assert dist.ask_value(len(rep.I)) == ask_direct(rep, Fq).value
+
+
+def test_rank_distribution_counts_matrices_of_each_rank():
+    # prod_{i<r} (q^3 - q^i)^2 / (q^r - q^i) matrices of rank r in F_q^(3x3):
+    # 1, 3,844, 461,280 and 1,488,000 at q = 5
+    q = 5
+    expected = {r: prod((q**3 - q**i) ** 2 for i in range(r))
+                // prod(q**r - q**i for i in range(r)) for r in range(4)}
+    assert expected == {0: 1, 1: 3844, 2: 461280, 3: 1488000}
+    assert rank_distribution(classic_rep("mat", 3), F5).counts == expected
 
 
 def test_rank_distribution_requires_field():

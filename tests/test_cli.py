@@ -302,12 +302,14 @@ def test_direct_census_without_rows(tmp_path, capsys):
             assert (code, out.strip()) == (0, "1/1"), (prime, method)
 
 
-def test_direct_census_refuses_moduli_beyond_int64(capsys):
-    # 3037000507 is the least prime p with (p - 1)^2 >= 2^63: the census
-    # arithmetic would overflow, so the input is refused before enumeration
-    assert run(["ask", "--method", "direct", "--rep", "classic:mat:1",
-                "--prime", "3037000507", "--budget", "10000000000"]) == 3
-    assert capsys.readouterr().err.startswith("error: ")
+def test_census_runs_beyond_int64(capsys):
+    # 3037000507 is the least prime p with (p - 1)^2 >= 2^63, where int64
+    # products of residues would overflow; the census is exact at any p:
+    # ask = (p + (p - 1)) / p, the kernels of c = 0 and of c != 0
+    for method in ("direct", "orbit"):
+        code, out = run_out(["ask", "--method", method, "--rep", "classic:mat:1",
+                             "--prime", "3037000507", "--budget", "10000000000"], capsys)
+        assert (code, out.strip()) == (0, "6074001013/3037000507"), method
 
 
 def test_reports_have_no_floats_and_are_deterministic(capsys):
@@ -478,8 +480,9 @@ def test_header_echoes_seed_only(capsys):
 
 
 def test_orbit_path_runs_without_numpy():
-    # the acceptance manifest and the sampled orbital check over Z/9 run in
-    # pure Python: numpy is imported by the direct census alone
+    # every library path runs in pure Python: the acceptance manifest, the
+    # sampled orbital check over Z/9, and the direct census (rank-dist and
+    # ask --method direct); numpy serves only the tests' vectorised oracles
     script = ("import sys\n"
               "from gridask.cli import run\n"
               "codes = [run(argv.split()) for argv in sys.argv[1:]]\n"
@@ -487,7 +490,9 @@ def test_orbit_path_runs_without_numpy():
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     done = subprocess.run(
         [sys.executable, "-c", script, "batch manifests/acceptance.txt",
-         "orbital-check --big alpha:3 --sub alphahat:3 --prime 3 --n 2 --samples 300"],
+         "orbital-check --big alpha:3 --sub alphahat:3 --prime 3 --n 2 --samples 300",
+         "rank-dist --rep classic:mat:2 --prime 5",
+         "ask --method direct --rep classic:sym:3 --prime 3 --n 2"],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "[0, 0] False"
+    assert done.stdout.splitlines()[-1] == "[0, 0, 0, 0] False"

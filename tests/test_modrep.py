@@ -13,7 +13,7 @@ from gridask.linalg import Mat, rank
 from gridask.modrep import (IndexNotSubset, ModuleRep, ShapeMismatch,
                             adjacency_rep, alpha_rep, alphahat_rep,
                             altboard_rep, board_rep, classic_rep,
-                            complete_graph, discrete_graph, family_rep,
+                            complete_graph, discrete_graph, element_dual, family_rep,
                             graph_join, inflate_rep, knuth_bullet,
                             rep_from_json, rep_to_json, restrict_rep,
                             symboard_rep, threshold_graph, triangular_pair_rep)
@@ -245,6 +245,25 @@ def test_bullet_involution_up_to_relabelling():
             tuple(tuple(map(tuple, g)) for g in rep.gens)
 
 
+def test_element_dual_orbit_matrix_is_element():
+    # the dual's orbit matrix at c is the module element sum_b c_b a_b
+    rep = classic_rep("mat", 2, 3)
+    dual = element_dual(rep)
+    assert (dual.labels, dual.I, dual.J) == (rep.I, rep.labels, rep.J)
+    Z9 = make_ring("padic", 3, 2)
+    rng = random.Random(17)
+    for _ in range(20):
+        c = tuple(rng.randrange(9) for _ in rep.labels)
+        assert dual.orbit_matrix_at(Z9, c) == rep.element(Z9, c)
+
+
+def test_element_dual_involution():
+    rng = random.Random(19)
+    for _ in range(10):
+        rep = random_rep(3, 3, rng)
+        assert element_dual(element_dual(rep)) == rep
+
+
 def test_restrict_inflate_roundtrip():
     rep = family_rep(Family.GAMMA, (1, 2, 3), (1, 2, 3))
     big = inflate_rep(rep, (1, 2, 3, 4), (1, 2, 3, 4, 5))
@@ -354,6 +373,11 @@ def test_shape_mismatch_rejected():
         ModuleRep(("a",), (1, 2), (1,), (((0,), (0,), (0,)),))
     with pytest.raises(ShapeMismatch):
         ModuleRep(("a", "a"), (1,), (1,), (((0,),), ((0,),)))
+    # repeated indices: the element dual would have repeated labels
+    with pytest.raises(ShapeMismatch):
+        rep_from_json({"B": ["a"], "I": ["1", "1"], "J": ["1"], "gens": {"a": [[1], [2]]}})
+    with pytest.raises(ShapeMismatch):
+        ModuleRep(("a",), (1,), (2, 2), (((0, 0),),))
     with pytest.raises(ShapeMismatch):
         rep_from_json({"B": ["a"], "I": ["1"], "J": ["1"]})  # no "gens"
     with pytest.raises(ShapeMismatch):
