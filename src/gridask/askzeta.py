@@ -46,15 +46,16 @@ P_k is x' + p^(k-1) y, with x' in P_(k-1) and y over F_p, and a torus
 element maps the lifts of x' onto those of its image, so x' runs over one
 class per torus orbit over Z/p^(k-1) (with mixed valuations from k = 3
 on), weighted by its orbit size.  C(x') is eliminated once over Z/p^k,
-until P C(x') Q = diag(p^v_1 .. p^v_t) + Z with every v_i <= k - 2 and
-Z = 0 mod p^(k-1) (linalg.partial_smith); with L, R the rows of P and the
-columns of Q at Z, the divisor profile of C(x) over Z/p^k is v_1 .. v_t,
-then k - 1 as often as the rank over F_p of the affine matrix
-K(y) = Z / p^(k-1) + L C(y) R, then k.  Every cross term is a multiple of
-p^(2(k-1) - v), which is 0 mod p^k.  The values of K over all y are K(0)
-plus the image of its linear part, each taken equally often, so level k
-costs one elimination over Z/p^k per class and one rank over F_p per
-value of K.
+to diag(p^v_1 .. p^v_t) + Z with every v_i <= k - 2 and Z = 0 mod p^(k-1)
+(linalg.partial_smith), and the basis matrices C(e_i) are carried through
+the same row and column operations to blocks K_i at Z's rows and columns.
+As C(x) = C(x') + p^(k-1) sum_i y_i C(e_i), the divisor profile of C(x)
+over Z/p^k is v_1 .. v_t, then k - 1 as often as the rank over F_p of the
+affine matrix K(y) = Z / p^(k-1) + sum_i y_i K_i, then k: every cross term
+is a multiple of p^(2(k-1) - v), which is 0 mod p^k.  The values of K over
+all y are K(0) plus the span of the K_i, each taken equally often, so
+level k costs one elimination over Z/p^k per class and one rank over F_p
+per value of K.
 
 The certifiers eliminate each orbit of the torus of both reps' joint
 incidence system once: over a field they visit one point per orbit, and
@@ -69,7 +70,6 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 from typing import Sequence
 
 from . import torus
@@ -126,53 +126,56 @@ def _lifted_level_census(rep: ModuleRep, weights, level: PadicQuotient) -> Count
     Z/p^(k-1), lifted by every y, stands for its whole orbit.  By the
     lifting identity (_class_lift) each class is eliminated once over
     Z/p^k, and each lift only takes the rank of a small matrix K(y) over
-    F_p.  K(y) = K(0) + M y is affine in y, so its values are K(0) plus the
-    image of M over F_p, each taken by p^(I - rank M) lifts: each value is
-    ranked once.
+    F_p.  K(y) = K(0) + sum_i y_i K_i is affine in y, so its values are
+    K(0) plus the span of the K_i over F_p, each taken by p^(I - dim span)
+    lifts: each value is ranked once.
     """
-    p, k, dI = level.p, level.cap, len(rep.I)
+    p, k, dI, dJ = level.p, level.cap, len(rep.I), len(rep.J)
     residue = PadicQuotient(p)
-    steps = min(rep.rank, len(rep.J))
+    steps = min(rep.rank, dJ)
+    # C(e_i), the orbit matrix at each basis vector, carried by every class
+    basis = [Mat(level, rep.rank, dJ, tuple(level.from_int(g[i][j])
+                                            for g in rep.gens for j in range(dJ)))
+             for i in range(dI)]
     counts = Counter()
     for x, n in torus.Torus(weights, PadicQuotient(p, k - 1)).orbits(dI, False):
-        valuations, forms = _class_lift(rep, level, x)
+        valuations, constant, linear = _class_lift(level, rep.orbit_matrix_at(level, x), basis)
         head, t = tuple(sorted(valuations)), len(valuations)
-        shape = (rep.rank - t, len(rep.J) - t)
-        # the image of M over F_p is the lattice of M's columns and the p e_j
+        shape = (rep.rank - t, dJ - t)
+        # the span of the K_i over F_p is the lattice of the K_i and the p e_j
         # mod p: the basis rows with a diagonal 1 (the others are p e_j)
-        image = [h for j, h in enumerate(torus.echelon(list(zip(*(f[1:] for f in forms))),
-                                                       [p] * len(forms))) if h[j] == 1]
-        share = n * p ** (dI - len(image))
-        for coeffs in itertools.product(range(p), repeat=len(image)):
-            entries = tuple((f[0] + sum(c * b[i] for c, b in zip(coeffs, image))) % p
-                            for i, f in enumerate(forms))
+        span = [h for j, h in enumerate(torus.echelon(linear, [p] * len(constant)))
+                if h[j] == 1]
+        share = n * p ** (dI - len(span))
+        for coeffs in itertools.product(range(p), repeat=len(span)):
+            entries = tuple((z + sum(c * b[e] for c, b in zip(coeffs, span))) % p
+                            for e, z in enumerate(constant))
             s = rank(Mat(residue, *shape, entries))
             counts[head + (k - 1,) * s + (k,) * (steps - t - s)] += share
     return counts
 
 
-def _class_lift(rep: ModuleRep, level: PadicQuotient, x: Sequence[int]):
-    """(valuations, forms): the lifting identity for the class of x over
-    Z/p^k, k >= 2, with x in [0, p^(k-1))^I.
+def _class_lift(level: PadicQuotient, cx: Mat, basis: Sequence[Mat]):
+    """(valuations, constant, linear): the lifting identity for the class
+    of x over Z/p^k, k >= 2, from cx = C(x), x in [0, p^(k-1))^I, and the
+    basis matrices C(e_i).
 
-    partial_smith takes C(x) over Z/p^k to P C(x) Q = diag(p^v_1 .. p^v_t)
-    + Z, every v_i <= k - 2 and Z = 0 mod p^(k-1); L and R are the rows of
-    P and the columns of Q that belong to Z.  For every y in F_p^I,
-    C(x + p^(k-1) y) = C(x) + p^(k-1) C(y) then has the divisor profile
-    v_1 .. v_t, then k - 1 s times, then k, where s is the rank over F_p
-    of the (B - t) x (J - t) matrix K(y) = Z / p^(k-1) + L C(y) R: every
-    cross term is a multiple of p^(2(k-1) - v), which is 0 mod p^k.  The
-    forms are K's entries, row by row, each as its coefficients mod p on
-    (1, y_1, .., y_I).
+    partial_smith takes C(x) over Z/p^k to diag(p^v_1 .. p^v_t) + Z, every
+    v_i <= k - 2 and Z = 0 mod p^(k-1), and carries each C(e_i) through the
+    same row and column operations to a block K_i at Z's rows and columns.
+    For every y in F_p^I, C(x + p^(k-1) y) = C(x) + p^(k-1) sum_i y_i C(e_i)
+    then has the divisor profile v_1 .. v_t, then k - 1 s times, then k,
+    where s is the rank over F_p of the (B - t) x (J - t) matrix
+    K(y) = Z / p^(k-1) + sum_i y_i K_i: clearing the rest of the carried
+    terms against the pivots adds multiples of p^(2(k-1) - v), which are 0
+    mod p^k.  constant holds the entries of K(0) and linear[i] those of
+    K_i, mod p and row by row.
     """
     p, k = level.p, level.cap
-    valuations, left, right, block = partial_smith(rep.orbit_matrix_at(level, x), k - 1)
-    # (L A_i)[r][j] = sum_b L[r][b] a_{bij}, then dotted with each column of R
-    LA = [[[sum(l * g[i][j] for l, g in zip(row, rep.gens)) % p for j in range(len(rep.J))]
-           for i in range(len(rep.I))] for row in left]
-    forms = [(level.exact_div(z, k - 1),) + tuple(sum(map(mul, la_i, col)) % p for la_i in la)
-             for la, zrow in zip(LA, block) for col, z in zip(right, zrow)]
-    return valuations, forms
+    valuations, (block, *blocks) = partial_smith(cx, k - 1, basis)
+    constant = tuple(level.exact_div(z, k - 1) for row in block for z in row)
+    linear = [tuple(z % p for row in b for z in row) for b in blocks]
+    return valuations, constant, linear
 
 
 def direct_profile_counts(rep: ModuleRep, ring: Ring,

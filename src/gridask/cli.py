@@ -54,6 +54,14 @@ def positive_int(text: str) -> int:
     return value
 
 
+def non_negative_int(text: str) -> int:
+    """argparse type for levels and ranks, which may be 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def _frac(x: Fraction) -> dict:
     return {"num": str(x.numerator), "den": str(x.denominator)}
 
@@ -307,7 +315,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("check-admissible")
     p.add_argument("grid")
     p.add_argument("--family", choices=["rho", "gamma", "sigma"])
-    p.add_argument("--level", type=int, default=0)
+    p.add_argument("--level", type=non_negative_int, default=0)
     p.add_argument("--expect-inadmissible", action="store_true")
     common(p)
     p.set_defaults(func=_cmd_check_admissible)
@@ -342,7 +350,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--family", required=True, choices=["rho", "gamma", "sigma"])
     p.add_argument("--I", required=True)
     p.add_argument("--J", required=True)
-    p.add_argument("--rank", type=int, required=True)
+    p.add_argument("--rank", type=non_negative_int, required=True)
     p.add_argument("--prime", type=int, required=True)
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--samples", type=positive_int, default=10**4)

@@ -1,9 +1,9 @@
 """Matrices over the finite rings of :mod:`gridask.rings`.
 
-Rank and elementary-divisor computations by exact Gaussian elimination;
-over Z/p^n pivots are chosen by minimal valuation and cleared with
-unit-part inversion, so the resulting valuation multiset is the
-Smith-type divisor profile (capped at n).
+Rank and elementary-divisor computations by exact Gaussian elimination,
+all in one loop (partial_smith); over Z/p^n pivots are chosen by minimal
+valuation and cleared with unit-part inversion, so the resulting
+valuation multiset is the Smith-type divisor profile (capped at n).
 
 Convention: matrices act on the left on row vectors, x |-> x m, so the
 kernel of an r x c matrix lives in R^r.
@@ -90,18 +90,37 @@ def divisor_profile(m: Mat) -> tuple[int, ...]:
     """Sorted multiset of elementary-divisor valuations, capped at the ring cap.
 
     Length min(rows, cols).  Over a field the cap is 1 and the profile
-    encodes the rank as the number of zero entries.
+    encodes the rank as the number of zero entries.  This is partial_smith
+    run to stop = cap with nothing carried: its valuations, padded with the
+    cap for the all-zero block that is left.
+    """
+    cap = m.ring.cap
+    valuations = partial_smith(m, cap)[0]
+    return tuple(sorted(valuations + [cap] * (min(m.rows, m.cols) - len(valuations))))
+
+
+def partial_smith(m: Mat, stop: int,
+                  carried: Sequence[Mat] = ()) -> tuple[list[int], list[list[list]]]:
+    """Diagonalise m until every entry of the active block has valuation >= stop.
+
+    The row and column operations bring m to P m Q = diag(p^v for v in
+    valuations) + Z (a block sum) for invertible P and Q: every v is below
+    stop and every entry of Z has valuation >= stop.  Each carried matrix c,
+    of m's shape, goes through the same operations.  Returns (valuations,
+    blocks): blocks[0] is Z, and blocks[1:] are the blocks of P c Q at Z's
+    rows and columns, one per carried c, each a list of rows.  With stop =
+    the ring cap and nothing carried this is divisor_profile.
     """
     R = m.ring
-    cap = R.cap
-    a = [list(m.row(i)) for i in range(m.rows)]
     rows, cols = m.rows, m.cols
-    profile: list[int] = []
+    a = [list(m.row(i)) for i in range(rows)]
+    carried = [[list(c.row(i)) for i in range(rows)] for c in carried]
+    valuations: list[int] = []
     top = 0  # active block starts at (top, top) after swaps
     while top < rows and top < cols:
         # pivot of minimal valuation in the active block
         best = None
-        best_v = cap
+        best_v = stop
         for i in range(top, rows):
             for j in range(top, cols):
                 v = R.valuation(a[i][j])
@@ -112,7 +131,7 @@ def divisor_profile(m: Mat) -> tuple[int, ...]:
             if best_v == 0:
                 break
         if best is None:
-            break  # all-zero block: capped valuations fill the rest
+            break  # every entry of the active block has valuation >= stop
         bi, bj = best
         # only the active block is read again: rows top.., columns top..
         a[top], a[bi] = a[bi], a[top]
@@ -129,67 +148,29 @@ def divisor_profile(m: Mat) -> tuple[int, ...]:
             factor = R.mul(unit_inv, R.exact_div(x, best_v))
             row[top + 1:] = [R.sub(y, R.mul(factor, z))
                              for y, z in zip(row[top + 1:], pivot_tail)]
-        profile.append(best_v)
-        top += 1
-    profile += [cap] * (min(rows, cols) - len(profile))
-    return tuple(sorted(profile))
-
-
-def partial_smith(m: Mat, stop: int) -> tuple[list[int], list[list], list[list], list[list]]:
-    """Diagonalise m until every entry of the active block has valuation >= stop.
-
-    Returns (valuations, left, right, block) with P m Q = diag(p^v for v in
-    valuations) + block (a block sum) for invertible P and Q: every v is
-    below stop, every entry of block has valuation >= stop, left holds the
-    rows of P and right the columns of Q that belong to block.  With stop =
-    the ring cap the valuations, padded with the cap, are divisor_profile(m).
-    """
-    R = m.ring
-    rows, cols = m.rows, m.cols
-    a = [list(m.row(i)) for i in range(rows)]
-    left = [[R.one if i == j else R.zero for j in range(rows)] for i in range(rows)]
-    right = [[R.one if i == j else R.zero for i in range(cols)] for j in range(cols)]
-    valuations: list[int] = []
-    top = 0
-    while top < rows and top < cols:
-        best, best_v = None, stop
-        for i in range(top, rows):
-            for j in range(top, cols):
-                v = R.valuation(a[i][j])
-                if v < best_v:
-                    best, best_v = (i, j), v
-                    if v == 0:
-                        break
-            if best_v == 0:
-                break
-        if best is None:
-            break
-        bi, bj = best
-        a[top], a[bi] = a[bi], a[top]
-        left[top], left[bi] = left[bi], left[top]
-        for row in a[top:]:
-            row[top], row[bj] = row[bj], row[top]
-        right[top], right[bj] = right[bj], right[top]
-        unit_inv = R.inv(R.exact_div(a[top][top], best_v))
-        pivot_row, pivot_left, pivot_right = a[top], left[top], right[top]
-        # rows below the pivot lose their entry in its column (as in
-        # divisor_profile), and the columns right of it lose their entry in
-        # its row, which changes only Q: the pivot column is now zero below
-        for r in range(top + 1, rows):
-            x = a[r][top]
-            if not R.is_zero(x):
-                f = R.mul(unit_inv, R.exact_div(x, best_v))
-                a[r][top + 1:] = [R.sub(y, R.mul(f, z))
-                                  for y, z in zip(a[r][top + 1:], pivot_row[top + 1:])]
-                left[r] = [R.sub(y, R.mul(f, z)) for y, z in zip(left[r], pivot_left)]
-        for c in range(top + 1, cols):
-            x = pivot_row[c]
-            if not R.is_zero(x):
-                f = R.mul(unit_inv, R.exact_div(x, best_v))
-                right[c] = [R.sub(y, R.mul(f, z)) for y, z in zip(right[c], pivot_right)]
+        if carried:
+            # the same swaps and operations on every carried matrix: the row
+            # factors are read again from m's pivot column, which the row
+            # update leaves in place, and the column factors clear the pivot
+            # row's tail (m skips them: after its row operations they would
+            # change only its pivot row)
+            row_factors = [R.mul(unit_inv, R.exact_div(row[top], best_v)) for row in a[top + 1:]]
+            col_factors = [R.mul(unit_inv, R.exact_div(z, best_v)) for z in pivot_tail]
+            for c in carried:
+                c[top], c[bi] = c[bi], c[top]
+                for row in c[top:]:
+                    row[top], row[bj] = row[bj], row[top]
+                pivot = c[top][top:]
+                for row, f in zip(c[top + 1:], row_factors):
+                    if not R.is_zero(f):
+                        row[top:] = [R.sub(y, R.mul(f, z)) for y, z in zip(row[top:], pivot)]
+                    x = row[top]
+                    if not R.is_zero(x):
+                        row[top + 1:] = [R.sub(y, R.mul(x, g))
+                                         for y, g in zip(row[top + 1:], col_factors)]
         valuations.append(best_v)
         top += 1
-    return valuations, left[top:], right[top:], [row[top:] for row in a[top:]]
+    return valuations, [[row[top:] for row in c[top:]] for c in [a] + carried]
 
 
 def rank(m: Mat) -> int:

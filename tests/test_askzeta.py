@@ -157,11 +157,15 @@ def test_lifting_identity_matches_profile_oracle(case):
     p, k = LIFT_RINGS[ring_name]
     level = make_ring("padic", p, k)
     top = p ** (k - 1)
-    valuations, forms = askzeta._class_lift(rep, level, [c % top for c in x])
-    Fp = make_ring("field", p)
+    basis = [naive_orbit_matrix(rep, level, [int(i == l) for i in range(len(rep.I))])
+             for l in range(len(rep.I))]
+    valuations, constant, linear = askzeta._class_lift(
+        level, naive_orbit_matrix(rep, level, [c % top for c in x]), basis)
+    y = [c // top for c in x]
     t = len(valuations)
-    K = Mat(Fp, rep.rank - t, len(rep.J) - t,
-            tuple(Fp.linear_form((1,) + tuple(c // top for c in x), f) for f in forms))
+    K = Mat(make_ring("field", p), rep.rank - t, len(rep.J) - t,
+            tuple((z + sum(yi * b[e] for yi, b in zip(y, linear))) % p
+                  for e, z in enumerate(constant)))
     s = rank(K)
     assembled = sorted(valuations + [k - 1] * s + [k] * (min(rep.rank, len(rep.J)) - t - s))
     C = naive_orbit_matrix(rep, level, x)

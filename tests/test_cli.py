@@ -413,6 +413,10 @@ INPUT_ERRORS = [
     ["orbital-check", "--big", "classic:alt:3", "--sub", "classic:alt:2", "--prime", "3"],
     ["ask", "--rep", "classic:alt:3,7", "--prime", "3"],  # alt takes one dimension
     ["ask", "--rep", "classic:mat:2,2,9", "--prime", "3"],  # mat takes at most two
+    # a negative cokernel rank or level names no claim to check
+    ["constant-rank", "--family", "rho", "--I", "1-2", "--J", "1-3", "--rank", "-1",
+     "--prime", "3"],
+    ["check-admissible", str(ROOT / "grids" / "sample_a.grid"), "--level", "-1"],
 ]
 
 

@@ -167,21 +167,35 @@ def smith_cases(draw):
 @given(case=smith_cases())
 @example(case=(3, 3, 2, 3, 3, [[0, 12, 27], [12, 9, 3], [27, 3, 0]]))
 @example(case=(2, 4, 3, 2, 0, [[], []]))
+@example(case=(3, 3, 2, 2, 2, [[1, 1], [0, 9]]))  # the pivot row has a nonzero tail
 def test_partial_smith_splits_off_the_block(case):
-    # L m R is the block, every block entry has valuation >= stop, L and R
-    # have full rank mod p (rows of P, columns of Q), and the valuations
-    # with the block's profile make the profile of m
+    # P m Q = diag(p^v) + Z: m carried through the operations gives back Z;
+    # the carried unit matrices E_ij give blocks that span every matrix of
+    # Z's shape mod p (the rows of P and the columns of Q at Z have full
+    # rank mod p); every valuation is below stop and every entry of Z at or
+    # above it; and the valuations with Z's profile make the profile of m
     p, n, stop, rows, cols, ints = case
     R = make_ring("padic", p, n)
     m = Mat(R, rows, cols, tuple(R.from_int(x) for row in ints for x in row))
-    valuations, left, right, block = partial_smith(m, stop)
+    units = [Mat(R, rows, cols, tuple(R.from_int(int(e == f)) for f in range(rows * cols)))
+             for e in range(rows * cols)]
+    valuations, (block, carried_m, *unit_blocks) = partial_smith(m, stop, [m] + units)
     t = len(valuations)
-    assert (len(left), len(right)) == (rows - t, cols - t)
-    L = Mat(R, rows - t, rows, tuple(x for row in left for x in row))
-    Q = Mat(R, cols - t, cols, tuple(x for col in right for x in col)).transpose()
+    assert carried_m == block
+    flat_blocks = [[x for row in b for x in row] for b in unit_blocks]
+    assert naive_rank_modp(flat_blocks, p) == (rows - t) * (cols - t)
     Z = Mat(R, rows - t, cols - t, tuple(x for row in block for x in row))
-    assert L.mul(m).mul(Q) == Z
     assert all(v < stop for v in valuations)
     assert all(R.valuation(z) >= stop for z in Z.entries)
-    assert naive_rank_modp(left, p) == rows - t and naive_rank_modp(right, p) == cols - t
     assert tuple(sorted(valuations + list(divisor_profile(Z)))) == divisor_profile(m)
+    # each carried block is the one the operations on m make of E_ij: for
+    # 2s - (stop - 1) >= n every cross term of m + p^s E_ij vanishes, so its
+    # profile is the valuations and that of Z + p^s (the block of E_ij)
+    s = max(stop, (n + stop) // 2)
+    scale = R.from_int(p**s)
+    for e, b in zip(units, flat_blocks):
+        lifted = Mat(R, rows - t, cols - t,
+                     tuple(R.add(z, R.mul(scale, x)) for z, x in zip(Z.entries, b)))
+        scaled = Mat(R, rows, cols, tuple(R.mul(scale, x) for x in e.entries))
+        assert (tuple(sorted(valuations + list(divisor_profile(lifted))))
+                == divisor_profile(m.add(scaled)))
