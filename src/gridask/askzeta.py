@@ -41,21 +41,26 @@ per torus orbit weighted by the orbit size.  One census over Z/p^n gives
 ask over every Z/p^k, k <= n, with each valuation capped at k: the points
 of Z/p^k each have the same number of lifts.
 
-From level 2 on the level census is lifted from level k - 1.  Each x in
-P_k is x' + p^(k-1) y, with x' in P_(k-1) and y over F_p, and a torus
-element maps the lifts of x' onto those of its image, so x' runs over one
-class per torus orbit over Z/p^(k-1) (with mixed valuations from k = 3
-on), weighted by its orbit size.  C(x') is eliminated once over Z/p^k,
-to diag(p^v_1 .. p^v_t) + Z with every v_i <= k - 2 and Z = 0 mod p^(k-1)
-(linalg.partial_smith), and the basis matrices C(e_i) are carried through
-the same row and column operations to blocks K_i at Z's rows and columns.
-As C(x) = C(x') + p^(k-1) sum_i y_i C(e_i), the divisor profile of C(x)
-over Z/p^k is v_1 .. v_t, then k - 1 as often as the rank over F_p of the
-affine matrix K(y) = Z / p^(k-1) + sum_i y_i K_i, then k: every cross term
-is a multiple of p^(2(k-1) - v), which is 0 mod p^k.  The values of K over
-all y are K(0) plus the span of the K_i, each taken equally often, so
-level k costs one elimination over Z/p^k per class and one rank over F_p
-per value of K.
+The levels come in pairs: level k >= 2 is lifted from level k - 1, and
+the same pass gives the census of level k - 1.  So levels n, n - 2, ..
+are lifted, and level 1 is walked, one point per torus orbit, only when
+n is odd.  Each x in P_k is x' + p^(k-1) y, with x' in P_(k-1) and y
+over F_p, and a torus element maps the lifts of x' onto those of its
+image, so x' runs over one class per torus orbit over Z/p^(k-1) (with
+mixed valuations from k = 3 on), weighted by its orbit size.  C(x') is
+eliminated once over Z/p^k, to diag(p^v_1 .. p^v_t) + Z with every
+v_i <= k - 2 and Z = 0 mod p^(k-1) (linalg.partial_smith), and the basis
+matrices C(e_i) are carried through the same row and column operations
+to blocks K_i at Z's rows and columns.  As
+C(x) = C(x') + p^(k-1) sum_i y_i C(e_i), the divisor profile of C(x)
+over Z/p^k is v_1 .. v_t, then k - 1 as often as the rank over F_p of
+the affine matrix K(y) = Z / p^(k-1) + sum_i y_i K_i, then k: every
+cross term is a multiple of p^(2(k-1) - v), which is 0 mod p^k.  The
+values of K over all y are K(0) plus the span of the K_i, each taken
+equally often, so level k costs one elimination over Z/p^k per class and
+one rank over F_p per value of K.  The elimination reduced mod p^(k-1)
+leaves diag(p^v_1 .. p^v_t) and 0, so over Z/p^(k-1) the class x' itself
+has the profile v_1 .. v_t, then k - 1: level k - 1 costs nothing more.
 
 The certifiers eliminate each orbit of the torus of both reps' joint
 incidence system once: over a field they visit one point per orbit, and
@@ -96,29 +101,38 @@ def profile_census(rep: ModuleRep, ring: Ring, budget: int = DEFAULT_BUDGET) -> 
     """Divisor profile of C(x) over ring -> the number of x in ring^I with
     it, once |ring|^I is within the budget.
 
-    x = 0 is counted once.  Level 1 eliminates C(x) at one point x per
-    torus orbit, weighted by the orbit size; each level k >= 2 is lifted
-    from the torus classes of P_(k-1) (_lifted_level_census).  The profiles
-    of level e are raised by n - e (see the module docstring).
+    x = 0 is counted once.  The levels come in pairs: the lift of level
+    k >= 2 from the torus classes of P_(k-1) also gives the census of level
+    k - 1 (_lifted_level_census), so levels n, n - 2, .. are lifted, and
+    level 1 is walked, one point per torus orbit weighted by the orbit
+    size, only when n is odd.  Each distinct profile of level e is raised
+    by n - e once (see the module docstring).
     """
     dI, n = len(rep.I), ring.cap
     size = ring.cardinality() ** dI
     if size > budget:
         raise BudgetExceeded(f"{size} census points exceed budget {budget}")
     weights = torus.weights(rep)
+    levels = []  # (e, census of level e)
+    for k in range(n, 1, -2):
+        levels += zip((k, k - 1), _lifted_level_census(rep, weights, PadicQuotient(ring.p, k)))
+    if n % 2:
+        first = ring if n == 1 else PadicQuotient(ring.p, 1)
+        walk = Counter()
+        for x, m in torus.Torus(weights, first).orbits(dI, False):
+            walk[divisor_profile(rep.orbit_matrix_at(first, x))] += m
+        levels.append((1, walk))
     counts = Counter({(n,) * min(rep.rank, len(rep.J)): 1})
-    first = ring if n == 1 else PadicQuotient(ring.p, 1)
-    for x, m in torus.Torus(weights, first).orbits(dI, False):
-        counts[tuple(v + n - 1 for v in divisor_profile(rep.orbit_matrix_at(first, x)))] += m
-    for k in range(2, n + 1):
-        for prof, m in _lifted_level_census(rep, weights, PadicQuotient(ring.p, k)).items():
-            counts[tuple(v + n - k for v in prof)] += m
+    for e, level in levels:
+        for prof, m in level.items():
+            counts[tuple(v + n - e for v in prof)] += m
     return counts
 
 
-def _lifted_level_census(rep: ModuleRep, weights, level: PadicQuotient) -> Counter:
+def _lifted_level_census(rep: ModuleRep, weights, level: PadicQuotient) -> tuple[Counter, Counter]:
     """The divisor profiles over Z/p^k, k >= 2, of C(x) at the points of
-    P_k, lifted from the torus classes of P_(k-1).
+    P_k, lifted from the torus classes of P_(k-1), and those over
+    Z/p^(k-1) at the points of P_(k-1), read from the same classes.
 
     The points of P_k are x = x' + p^(k-1) y, for x' in P_(k-1) (entries in
     [0, p^(k-1))) and y in F_p^I.  A torus element maps the lifts of x'
@@ -128,7 +142,9 @@ def _lifted_level_census(rep: ModuleRep, weights, level: PadicQuotient) -> Count
     Z/p^k, and each lift only takes the rank of a small matrix K(y) over
     F_p.  K(y) = K(0) + sum_i y_i K_i is affine in y, so its values are
     K(0) plus the span of the K_i over F_p, each taken by p^(I - dim span)
-    lifts: each value is ranked once.
+    lifts: each value is ranked once.  The elimination reduced mod p^(k-1)
+    leaves diag(p^v_1 .. p^v_t) and 0, so the class itself has the profile
+    v_1 .. v_t, then k - 1, over Z/p^(k-1).
     """
     p, k, dI, dJ = level.p, level.cap, len(rep.I), len(rep.J)
     residue = PadicQuotient(p)
@@ -137,10 +153,11 @@ def _lifted_level_census(rep: ModuleRep, weights, level: PadicQuotient) -> Count
     basis = [Mat(level, rep.rank, dJ, tuple(level.from_int(g[i][j])
                                             for g in rep.gens for j in range(dJ)))
              for i in range(dI)]
-    counts = Counter()
+    counts, below = Counter(), Counter()
     for x, n in torus.Torus(weights, PadicQuotient(p, k - 1)).orbits(dI, False):
         valuations, constant, linear = _class_lift(level, rep.orbit_matrix_at(level, x), basis)
         head, t = tuple(sorted(valuations)), len(valuations)
+        below[head + (k - 1,) * (steps - t)] += n
         shape = (rep.rank - t, dJ - t)
         # the span of the K_i over F_p is the lattice of the K_i and the p e_j
         # mod p: the basis rows with a diagonal 1 (the others are p e_j)
@@ -152,7 +169,7 @@ def _lifted_level_census(rep: ModuleRep, weights, level: PadicQuotient) -> Count
                             for e, z in enumerate(constant))
             s = rank(Mat(residue, *shape, entries))
             counts[head + (k - 1,) * s + (k,) * (steps - t - s)] += share
-    return counts
+    return counts, below
 
 
 def _class_lift(level: PadicQuotient, cx: Mat, basis: Sequence[Mat]):
@@ -209,9 +226,10 @@ def ask_direct(rep: ModuleRep, ring: Ring, budget: int = DEFAULT_BUDGET) -> AskR
 
 def ask_orbit(rep: ModuleRep, ring: Ring, budget: int = DEFAULT_BUDGET) -> AskResult:
     """ask via the orbit matrix: sum over x in R^I of 1/|image C(x)|, read
-    from the profile census of C(x) (one point per torus orbit at level 1,
-    each level k >= 2 lifted from the torus classes of level k - 1; see the
-    module docstring).  R = Z/p^n, or F_q with n = 1.  The budget bounds
+    from the profile census of C(x) (levels n, n - 2, .. lifted from the
+    torus classes of the level below, which they give as well, and level 1
+    walked at one point per torus orbit when n is odd; see the module
+    docstring).  R = Z/p^n, or F_q with n = 1.  The budget bounds
     |R|^I.
     """
     return AskResult(_census_ask(profile_census(rep, ring, budget), ring, len(rep.I)), "orbit")

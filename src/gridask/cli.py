@@ -55,7 +55,7 @@ def positive_int(text: str) -> int:
 
 
 def non_negative_int(text: str) -> int:
-    """argparse type for levels and ranks, which may be 0."""
+    """argparse type for levels, ranks and budgets, which may be 0."""
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
@@ -310,7 +310,7 @@ def _build_parser() -> _Parser:
     def common(p):
         p.add_argument("--json", action="store_true")
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--budget", type=int, default=askzeta.DEFAULT_BUDGET)
+        p.add_argument("--budget", type=non_negative_int, default=askzeta.DEFAULT_BUDGET)
 
     p = sub.add_parser("check-admissible")
     p.add_argument("grid")

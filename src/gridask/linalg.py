@@ -146,8 +146,7 @@ def partial_smith(m: Mat, stop: int,
             if R.is_zero(x):
                 continue
             factor = R.mul(unit_inv, R.exact_div(x, best_v))
-            row[top + 1:] = [R.sub(y, R.mul(factor, z))
-                             for y, z in zip(row[top + 1:], pivot_tail)]
+            row[top + 1:] = R.sub_multiple(row[top + 1:], factor, pivot_tail)
         if carried:
             # the same swaps and operations on every carried matrix: the row
             # factors are read again from m's pivot column, which the row
@@ -163,11 +162,10 @@ def partial_smith(m: Mat, stop: int,
                 pivot = c[top][top:]
                 for row, f in zip(c[top + 1:], row_factors):
                     if not R.is_zero(f):
-                        row[top:] = [R.sub(y, R.mul(f, z)) for y, z in zip(row[top:], pivot)]
+                        row[top:] = R.sub_multiple(row[top:], f, pivot)
                     x = row[top]
                     if not R.is_zero(x):
-                        row[top + 1:] = [R.sub(y, R.mul(x, g))
-                                         for y, g in zip(row[top + 1:], col_factors)]
+                        row[top + 1:] = R.sub_multiple(row[top + 1:], x, col_factors)
         valuations.append(best_v)
         top += 1
     return valuations, [[row[top:] for row in c[top:]] for c in [a] + carried]

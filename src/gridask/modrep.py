@@ -69,12 +69,12 @@ class ModuleRep:
     def element(self, ring: Ring, coeffs: Sequence) -> Mat:
         """sum_b coeffs_b * a_b over the ring (coeffs are ring elements)."""
         return Mat(ring, len(self.I), len(self.J),
-                   tuple(ring.linear_form(coeffs, col) for col in self._element_columns))
+                   ring.linear_forms(coeffs, self._element_columns))
 
     def orbit_matrix_at(self, ring: Ring, x: Sequence) -> Mat:
         """C(x): the B x J matrix with entries sum_i x_i a_{bij}."""
         return Mat(ring, self.rank, len(self.J),
-                   tuple(ring.linear_form(x, col) for col in self._orbit_columns))
+                   ring.linear_forms(x, self._orbit_columns))
 
     @cached_property
     def _element_columns(self) -> tuple[tuple[int, ...], ...]:

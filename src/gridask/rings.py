@@ -178,13 +178,21 @@ class Ring:
         """a / p^v for an element a of valuation >= v (over a field v is 0)."""
         return a
 
-    def linear_form(self, x: Sequence, coeffs: Sequence[int]):
-        """sum_i x_i c_i for ring elements x_i and integer coefficients c_i."""
-        acc = self.zero
-        for xi, c in zip(x, coeffs):
-            if c:
-                acc = self.add(acc, self.mul(xi, self.from_int(c)))
-        return acc
+    def linear_forms(self, x: Sequence, columns: Sequence[Sequence[int]]) -> tuple:
+        """(sum_i x_i c_i for each column c): ring elements x_i, integer
+        coefficients c_i."""
+        out = []
+        for coeffs in columns:
+            acc = self.zero
+            for xi, c in zip(x, coeffs):
+                if c:
+                    acc = self.add(acc, self.mul(xi, self.from_int(c)))
+            out.append(acc)
+        return tuple(out)
+
+    def sub_multiple(self, ys: Sequence, f, zs: Sequence) -> list:
+        """[y - f z for y, z in zip(ys, zs)]: one row operation."""
+        return [self.sub(y, self.mul(f, z)) for y, z in zip(ys, zs)]
 
 
 @dataclass(frozen=True)
@@ -249,8 +257,13 @@ class PadicQuotient(Ring):
     def exact_div(self, a: int, v: int) -> int:
         return a // self.p**v
 
-    def linear_form(self, x: Sequence[int], coeffs: Sequence[int]) -> int:
-        return sum(map(mul, x, coeffs)) % self._m
+    def linear_forms(self, x: Sequence[int], columns: Sequence[Sequence[int]]) -> tuple:
+        m = self._m
+        return tuple(sum(map(mul, x, coeffs)) % m for coeffs in columns)
+
+    def sub_multiple(self, ys: Sequence[int], f: int, zs: Sequence[int]) -> list[int]:
+        m = self._m
+        return [(y - f * z) % m for y, z in zip(ys, zs)]
 
     def elements(self) -> Iterator[int]:
         return iter(range(self._m))

@@ -22,7 +22,10 @@ L_S is spanned by the weights restricted to the support S and by
 ord_i e_i, ord_i the order of the generator mod p^(n - v_i).  A triangular
 basis of L_S (echelon) with diagonal h gives the canonical key (reduce l
 coordinate by coordinate), one representative per orbit (the box
-0 <= l_i < h_i) and the orbit size prod ord_i / prod h_i.
+0 <= l_i < h_i) and the orbit size prod ord_i / prod h_i.  The box is a
+product over coordinates, so the representatives of one valuation pattern
+are the product of per-coordinate value lists: 0 off the support, and
+p^(v_i) times the unit of every log in the coordinate's ranges on it.
 """
 from __future__ import annotations
 
@@ -261,15 +264,19 @@ class Torus:
     def orbits(self, dim: int, all_units: bool):
         """(x, |orbit of x|) for one point x of each orbit on the points of
         ring^dim with every coordinate (all_units) or some coordinate a unit:
-        the points whose logs lie in the box 0 <= l_j < h_j."""
+        the points whose logs lie in the box 0 <= l_j < h_j, built as the
+        product of per-coordinate value lists."""
+        zero = [self.ring.zero]
         for v in itertools.product(range(1 if all_units else self.units.n + 1), repeat=dim):
             if not all_units and 0 not in v:
                 continue
             support, bases, size = self._lattice(v)
-            boxes = [itertools.product(*(range(h[j]) for j, h in enumerate(b)))
-                     for _, b in bases]
-            for logs in itertools.product(*boxes):
-                yield self._point(v, support, logs), size
+            values = [zero] * dim
+            for pos, i in enumerate(support):
+                values[i] = [self.units.join(v[i], logs) for logs in
+                             itertools.product(*(range(b[pos][pos]) for _, b in bases))]
+            for x in itertools.product(*values):
+                yield x, size
 
     def key(self, x) -> tuple:
         """The valuations and the box point of the logs of x: equal for two

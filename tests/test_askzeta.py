@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from gridask import askzeta, fastcount, torus
 from gridask.askzeta import (BudgetExceeded, ask, ask_direct, ask_orbit,
@@ -236,7 +236,7 @@ def counted_orbit_matrices(monkeypatch) -> list:
     return calls
 
 
-@pytest.mark.parametrize("ring,matrices", [(F5, 14 + 4), (make_ring("padic", 3, 2), 16 + 16)],
+@pytest.mark.parametrize("ring,matrices", [(F5, 14 + 4), (make_ring("padic", 3, 2), 14 + 2)],
                          ids=["F5", "Z/9"])
 def test_census_eliminates_unit_orbit_representatives(ring, matrices, monkeypatch):
     # the direct census is the orbit census of the dual, whose torus on the
@@ -244,8 +244,8 @@ def test_census_eliminates_unit_orbit_representatives(ring, matrices, monkeypatc
     # 4 coordinates.  Each support of at most 3 coordinates is one orbit,
     # and the full support splits into phi^4 / phi^3 = phi orbits: over F_5,
     # 14 + 4 = 18 orbit matrices where unit orbits took the 156 points of
-    # P^3; over Z/9, 14 + 2 = 16 at level 1 and the same 16 as classes at
-    # level 2, where unit orbits took 40 + 1080
+    # P^3; over Z/9, 14 + 2 = 16 classes over F_3, each eliminated once over
+    # Z/9 for both levels, where unit orbits took 40 + 1080
     calls = counted_orbit_matrices(monkeypatch)
     counts = direct_profile_counts(classic_rep("mat", 2), ring)
     assert len(calls) == matrices
@@ -264,15 +264,16 @@ def test_extension_field_census_eliminates_unit_orbit_representatives(monkeypatc
     assert counts == element_census(rep, F4)
 
 
-@pytest.mark.parametrize("ring,points", [(F5, 7), (make_ring("padic", 3, 2), 7 + 7)],
+@pytest.mark.parametrize("ring,points", [(F5, 7), (make_ring("padic", 3, 2), 7)],
                          ids=["F5", "Z/9"])
 def test_orbit_enumerates_unit_orbit_representatives(ring, points, monkeypatch):
-    # one orbit matrix per torus orbit of primitive points at level 1 and
-    # per torus class of level k - 1 at level k >= 2.  The weights of alt:3
-    # span Z^3, so each of the 7 supports in F_q^3 is one orbit: over F_5,
-    # 7 points where unit orbits took the 31 points of P^2; over Z/9, the 7
-    # points over F_3 and then the same 7 as classes, whose 7 * 27 lifts
-    # take ranks over F_3 instead
+    # one orbit matrix per torus orbit of primitive points over a field, and
+    # over Z/p^k per torus class of level k - 1, which gives levels k and
+    # k - 1 at once.  The weights of alt:3 span Z^3, so each of the 7
+    # supports in F_q^3 is one orbit: over F_5, 7 points where unit orbits
+    # took the 31 points of P^2; over Z/9, the 7 classes over F_3 give
+    # level 1 from their elimination over Z/9 and level 2 from the ranks
+    # over F_3 of their 7 * 27 lifts
     calls = counted_orbit_matrices(monkeypatch)
     rep = classic_rep("alt", 3)
     value = ask_orbit(rep, ring).value
@@ -281,23 +282,25 @@ def test_orbit_enumerates_unit_orbit_representatives(ring, points, monkeypatch):
 
 
 def test_zeta_coefficients_sum_each_level_once(monkeypatch):
-    # c_1 and c_2 over Z/3, Z/9 from one pass per level: 7 torus orbits at
-    # level 1, then level 2 lifted from those 7 classes (one matrix over Z/9
-    # each), where recomputing c_1 inside c_2 would make 7 more
+    # c_1 and c_2 over Z/3, Z/9 from one pass over the 7 torus classes of
+    # level 1 (one matrix over Z/9 each), which gives both levels: walking
+    # level 1 on its own would make 7 more, and recomputing c_1 inside c_2
+    # 7 more again
     calls = counted_orbit_matrices(monkeypatch)
     coeffs = zeta_coefficients(classic_rep("alt", 3), 3, 2)
-    assert len(calls) == 7 + 7
+    assert len(calls) == 7
     assert coeffs == predict("classical_alt", d=3).series(3, 2)
 
 
 def test_direct_zeta_takes_one_census(monkeypatch):
     # c_1..c_3 from the Z/27 census with profiles capped at k.  The dual's
     # torus weights span Z^3, so each valuation pattern of a primitive point
-    # is one orbit: 7 orbit matrices at level 1, 7 classes at level 2 and
-    # 3^3 - 2^3 = 19 at level 3, 33 where unit orbits took 1,183 matrices
+    # is one orbit: 3^3 - 2^3 = 19 classes over Z/9 give levels 3 and 2,
+    # and level 1 is walked at 7 orbit matrices, 26 where unit orbits took
+    # 1,183 matrices (and lifting level 2 on its own 7 more)
     calls = counted_orbit_matrices(monkeypatch)
     coeffs = zeta_coefficients(classic_rep("alt", 3), 3, 3, method="direct")
-    assert len(calls) == 33
+    assert len(calls) == 7 + 19
     assert coeffs == predict("classical_alt", d=3).series(3, 3)
 
 
@@ -306,6 +309,24 @@ def test_direct_zeta_matches_orbit_zeta(p, n_max):
     rep = classic_rep("mat", 2, 3)
     assert (zeta_coefficients(rep, p, n_max, method="direct")
             == zeta_coefficients(rep, p, n_max))
+
+
+# levels come in pairs: Z/8 and Z/27 lift levels 3 (giving 3 and 2) and walk
+# level 1, Z/16 lifts levels 4 and 2 (giving all four).  naive_orbit_ask
+# enumerates R^I points and R^B images for each, so |R|^(I + B) is kept at
+# most 16^4
+@settings(max_examples=30, deadline=None)
+@given(pn=st.sampled_from([(2, 3), (2, 4), (3, 3)]), rep=tiny_reps())
+@example(pn=(2, 4), rep=ModuleRep(("a", "b"), (1, 2), (1, 2),
+                                  (((3, 0), (0, -1)), ((0, 1), (9, 0)))))
+@example(pn=(3, 3), rep=ModuleRep(("a",), (1, 2), (1, 2), (((3, -1), (0, 9)),)))
+@example(pn=(2, 3), rep=ModuleRep(("a", "b"), (1,), (1, 2), (((2, 1),), ((0, 4),))))
+def test_zeta_coefficients_match_orbit_oracle_at_every_level(pn, rep):
+    p, n = pn
+    assume(p ** (n * (len(rep.I) + rep.rank)) <= 16 ** 4)
+    coeffs = zeta_coefficients(rep, p, n)
+    assert coeffs[1:] == [naive_orbit_ask(rep, make_ring("padic", p, k))
+                          for k in range(1, n + 1)]
 
 
 def test_budget_enforced():

@@ -417,6 +417,8 @@ INPUT_ERRORS = [
     ["constant-rank", "--family", "rho", "--I", "1-2", "--J", "1-3", "--rank", "-1",
      "--prime", "3"],
     ["check-admissible", str(ROOT / "grids" / "sample_a.grid"), "--level", "-1"],
+    # a negative budget is a bad input, not a census too large for it
+    ["ask", "--rep", "classic:mat:2", "--prime", "3", "--budget", "-1"],
 ]
 
 

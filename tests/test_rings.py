@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gridask.rings import (CompositeModulus, ExtField, NotAField, PadicQuotient,
-                           ReducibleModulus, count_roots, is_prime, make_ring,
+                           ReducibleModulus, Ring, count_roots, is_prime, make_ring,
                            smallest_irreducible)
 
 
@@ -114,6 +114,26 @@ def test_ring_ops_match_integer_arithmetic(spec, a, b):
     for e in range(v + 1):
         assert R.exact_div(x, e) == x // p**e
         assert R.mul(R.exact_div(x, e), R.from_int(p**e)) == x
+
+
+@st.composite
+def row_cases(draw):
+    p, n = draw(st.sampled_from([(2, 1), (3, 1), (5, 1), (2, 3), (3, 2), (2, 4)]))
+    width = draw(st.integers(0, 5))
+    elements = st.lists(st.integers(0, p**n - 1), min_size=width, max_size=width)
+    columns = draw(st.lists(st.lists(st.integers(-9, 9), min_size=width, max_size=width),
+                            max_size=4))
+    return PadicQuotient(p, n), draw(elements), columns, draw(elements), draw(elements)
+
+
+@given(case=row_cases())
+def test_padic_row_primitives_match_generic_ring(case):
+    # the one-call overrides of PadicQuotient against the Ring defaults,
+    # which are built from add, sub, mul and from_int
+    R, x, columns, ys, zs = case
+    assert R.linear_forms(x, columns) == Ring.linear_forms(R, x, columns)
+    f = x[0] if x else R.one
+    assert R.sub_multiple(ys, f, zs) == Ring.sub_multiple(R, ys, f, zs)
 
 
 def test_ext_field_frobenius_fixed_field():
