@@ -339,17 +339,13 @@ def _coker_is_free_of_rank(profile: Sequence[int], cap: int, cols: int, l: int) 
 def _sampled_points(ring: Ring, dim: int, samples: int, seed: int, all_units: bool):
     """`samples` seeded draws from ring^dim with every coordinate a unit
     (all_units) or, redrawn until so, some coordinate a unit."""
-    rng = random.Random(seed)
-    units = list(ring.units())
-    elems = list(ring.elements())
+    choice = random.Random(seed).choice
+    pool = list(ring.units() if all_units else ring.elements())
     for _ in range(samples if dim or all_units else 0):  # ring^0 has no unit coordinate
-        if all_units:
-            yield tuple(rng.choice(units) for _ in range(dim))
-        else:
-            x = tuple(rng.choice(elems) for _ in range(dim))
-            while not any(ring.is_unit(c) for c in x):
-                x = tuple(rng.choice(elems) for _ in range(dim))
-            yield x
+        x = tuple([choice(pool) for _ in range(dim)])
+        while not all_units and not any(map(ring.is_unit, x)):
+            x = tuple([choice(pool) for _ in range(dim)])
+        yield x
 
 
 def _certify(reps: Sequence[ModuleRep], ring: Ring, holds, all_units: bool,
@@ -361,9 +357,10 @@ def _certify(reps: Sequence[ModuleRep], ring: Ring, holds, all_units: bool,
     eliminated once.  Over F_q, within the budget on q^I, x runs over one
     point per orbit and certifies, or reports, the whole orbit.  Over Z/p^n,
     within the budget on |R| (the size of the log table behind the keys),
-    x runs over seeded draws, and a draw whose orbit was drawn before reuses
-    that orbit's profiles.  The report keeps the first 10 violating points,
-    in lexicographic order over a field and in draw order over Z/p^n.
+    x runs over seeded draws, each keyed by the characters of its orbit
+    (torus.Torus.key), and a draw whose orbit was drawn before reuses that
+    orbit's profiles.  The report keeps the first 10 violating points, in
+    lexicographic order over a field and in draw order over Z/p^n.
     """
     dim = len(reps[0].I)
     group = torus.Torus(torus.weights(*reps), ring)

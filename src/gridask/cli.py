@@ -283,14 +283,17 @@ def _cmd_batch(args) -> int:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        code = run(shlex.split(line))
-        results.append({"command": line, "exit": code})
-        if code == 0:
-            counts["pass"] += 1
-        elif code == 2:
-            counts["soft"] += 1
+        try:  # an unbalanced quote, or batch again, is an input error of this line
+            argv = shlex.split(line)
+            if argv[:1] == ["batch"]:
+                raise UsageError("a manifest line cannot run batch")
+        except (ValueError, UsageError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            code = 3
         else:
-            counts["fail"] += 1
+            code = run(argv)
+        results.append({"command": line, "exit": code})
+        counts[{0: "pass", 2: "soft"}.get(code, "fail")] += 1
     _emit({"header": _header(args), "results": results, "counts": counts}, args.json)
     if counts["fail"]:
         return 1

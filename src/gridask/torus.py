@@ -20,17 +20,20 @@ A torus element t = gen^m adds sum_s m_s a^s_i to l_i, so with the
 valuations fixed, the orbit of l (one generator at a time) is l + L_S:
 L_S is spanned by the weights restricted to the support S and by
 ord_i e_i, ord_i the order of the generator mod p^(n - v_i).  A triangular
-basis of L_S (echelon) with diagonal h gives the canonical key (reduce l
-coordinate by coordinate), one representative per orbit (the box
-0 <= l_i < h_i) and the orbit size prod ord_i / prod h_i.  The box is a
-product over coordinates, so the representatives of one valuation pattern
-are the product of per-coordinate value lists: 0 off the support, and
-p^(v_i) times the unit of every log in the coordinate's ranges on it.
+basis H of L_S (echelon) with diagonal h gives the key (the characters
+l -> l X mod N, X = N H^-1 and N = prod h_i, vanish exactly on L_S and add
+over coordinates), one representative per orbit (the box 0 <= l_i < h_i)
+and the orbit size prod ord_i / prod h_i.  The box is a product over
+coordinates, so the representatives of one valuation pattern are the
+product of per-coordinate value lists: 0 off the support, and p^(v_i)
+times the unit of every log in the coordinate's ranges on it.
 """
 from __future__ import annotations
 
 import itertools
+from functools import cached_property, partial
 from math import prod
+from operator import getitem
 from typing import Sequence
 
 from .rings import ExtField, Ring
@@ -113,14 +116,28 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return (a, s0, t0) if a > 0 else (-a, -s0, -t0)
 
 
-def _reduce(basis: list[list[int]], logs: Sequence[int]) -> tuple[int, ...]:
-    """The point of the box 0 <= l_j < h_j[j] in logs + the lattice."""
-    logs = list(logs)
-    for j, h in enumerate(basis):
-        q = logs[j] // h[j]
-        if q:
-            logs[j:] = [x - q * y for x, y in zip(logs[j:], h[j:])]
-    return tuple(logs)
+def characters(basis: list[list[int]]) -> tuple[int, list[list[int]]]:
+    """(N, the columns nonzero mod N of X = N H^-1, reduced mod N) for the
+    triangular basis H of a lattice L, N = prod h_j[j]: l lies in L exactly
+    when l X = 0 mod N.  X = adj(H), so back-substitution divides exactly."""
+    d, modulus = len(basis), prod(h[j] for j, h in enumerate(basis))
+    x = [None] * d
+    for j in reversed(range(d)):
+        x[j] = [(modulus * (k == j) - sum(basis[j][m] * x[m][k] for m in range(j + 1, d)))
+                // basis[j][j] for k in range(d)]
+    columns = [[row[k] % modulus for row in x] for k in range(d)]
+    return modulus, [c for c in columns if any(c)]
+
+
+class _Table(dict):
+    """A dict that fills a missing entry with fill(key)."""
+
+    def __init__(self, fill) -> None:
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
 
 
 class _Units:
@@ -130,7 +147,6 @@ class _Units:
     def __init__(self, ring: Ring) -> None:
         self.ring = ring
         self.p, self.n = ring.p, ring.cap
-        self._logs = None
         if isinstance(ring, ExtField):
             self.powers = _primitive_powers(ring)
         elif self.p == 2:
@@ -161,8 +177,6 @@ class _Units:
 
     def split(self, a) -> tuple[int, tuple[int, ...]]:
         """(v, logs) with a = join(v, logs), logs reduced mod orders(n - v)."""
-        if self._logs is None:
-            self._logs = self._log_table()
         v = self.ring.valuation(a)
         if v == self.n:
             return v, ()
@@ -171,7 +185,8 @@ class _Units:
         logs = self._logs[a // self.p ** v]
         return v, tuple(l % o for l, o in zip(logs, self.orders(self.n - v)))
 
-    def _log_table(self):
+    @cached_property
+    def _logs(self):
         """Unit -> logs at the top level, built from the generators' powers;
         a unit of a lower level, read as an integer, is a unit of the top
         level, and its logs there reduce to its logs at its own level."""
@@ -216,6 +231,36 @@ def _primitive_powers(field: ExtField) -> list:
     return [field.one]  # F_2: the unit group is trivial
 
 
+def _lattice(weights, units: _Units, v: tuple[int, ...]):
+    """(support, [(ords, basis) per generator], orbit size) for the points
+    with valuations v: L_S for each generator of the units."""
+    n = units.n
+    support = [i for i, vi in enumerate(v) if vi < n]
+    rows = [[w[i] for i in support] for w in weights]
+    ords = list(zip(*(units.orders(n - v[i]) for i in support)))
+    bases = [(o, echelon(rows, o)) for o in ords]
+    size = prod(prod(o) // prod(h[j] for j, h in enumerate(b)) for o, b in bases)
+    return support, bases, size
+
+
+def _character_terms(lattices, splits, zero, v):
+    """(per coordinate a table from its value to its term, the characters)
+    for valuations v: character (g, column, N, shift, mask) of L_S for
+    generator g is a field of the terms, wide enough for a sum of len(v)."""
+    support, bases, _ = lattices[v]
+    chars, shift = [], 0
+    for g, (_, basis) in enumerate(bases):
+        modulus, columns = characters(basis)
+        width = (len(v) * modulus).bit_length()
+        for column in columns:
+            chars.append((g, column, modulus, shift, (1 << width) - 1))
+            shift += width
+    positions = {i: pos for pos, i in enumerate(support)}
+    return [_Table(lambda c, pos=positions[i]: sum(
+                splits[c][1][g] * column[pos] % m << s for g, column, m, s, _ in chars))
+            if i in positions else {zero: 0} for i in range(len(v))], chars
+
+
 class Torus:
     """The torus of the weights acting on the points of ring^dim: one point
     and the size of each orbit, the key of a point's orbit, and the points
@@ -223,22 +268,10 @@ class Torus:
 
     def __init__(self, weights: Sequence[Sequence[int]], ring: Ring) -> None:
         self.weights, self.ring, self.units = weights, ring, _Units(ring)
-        self._lattices = {}
-        self._splits = {}
-
-    def _lattice(self, v: tuple[int, ...]):
-        """(support, [(ords, basis) per generator], orbit size) for the
-        points with valuations v: L_S for each generator of the units."""
-        found = self._lattices.get(v)
-        if found is None:
-            n = self.units.n
-            support = [i for i, vi in enumerate(v) if vi < n]
-            rows = [[w[i] for i in support] for w in self.weights]
-            ords = list(zip(*(self.units.orders(n - v[i]) for i in support)))
-            bases = [(o, echelon(rows, o)) for o in ords]
-            size = prod(prod(o) // prod(h[j] for j, h in enumerate(b)) for o, b in bases)
-            found = self._lattices[v] = (support, bases, size)
-        return found
+        # no fill refers to self, so no cycle keeps a Torus's tables alive
+        self._lattices = _Table(partial(_lattice, weights, self.units))
+        self._splits = _Table(self.units.split)
+        self._characters = _Table(partial(_character_terms, self._lattices, self._splits, ring.zero))
 
     def _point(self, v, support, logs) -> tuple:
         """The point with valuations v and, on the support, these logs (one
@@ -250,14 +283,9 @@ class Torus:
 
     def _split(self, x):
         """(valuations, [logs over the support per generator], lattice) of x."""
-        parts = []
-        for c in x:
-            part = self._splits.get(c)
-            if part is None:
-                part = self._splits[c] = self.units.split(c)
-            parts.append(part)
+        parts = [self._splits[c] for c in x]
         v = tuple(vi for vi, _ in parts)
-        lattice = self._lattice(v)
+        lattice = self._lattices[v]
         logs = [[parts[i][1][g] for i in lattice[0]] for g in range(len(lattice[1]))]
         return v, logs, lattice
 
@@ -270,7 +298,7 @@ class Torus:
         for v in itertools.product(range(1 if all_units else self.units.n + 1), repeat=dim):
             if not all_units and 0 not in v:
                 continue
-            support, bases, size = self._lattice(v)
+            support, bases, size = self._lattices[v]
             values = [zero] * dim
             for pos, i in enumerate(support):
                 values[i] = [self.units.join(v[i], logs) for logs in
@@ -279,10 +307,12 @@ class Torus:
                 yield x, size
 
     def key(self, x) -> tuple:
-        """The valuations and the box point of the logs of x: equal for two
-        points exactly when they share an orbit."""
-        v, logs, (_, bases, _) = self._split(x)
-        return v, tuple(_reduce(b, l) for l, (_, b) in zip(logs, bases))
+        """The valuations of x and the characters of its logs (one cached
+        term per coordinate, summed): equal exactly on each orbit."""
+        v = tuple([self._splits[c][0] for c in x])
+        terms, chars = self._characters[v]
+        total = sum(map(getitem, terms, x))
+        return v, tuple([(total >> shift & mask) % m for _, _, m, shift, mask in chars])
 
     def orbit(self, x) -> list:
         """Every point of the orbit of x: its logs plus each element of the

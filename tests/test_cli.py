@@ -456,6 +456,19 @@ def test_batch_continues_past_input_errors(tmp_path, monkeypatch, capsys):
     assert report["counts"] == {"pass": 1, "soft": 0, "fail": len(INPUT_ERRORS)}
 
 
+@pytest.mark.parametrize("bad", ['ask --rep "classic:mat:2 --prime 3', "batch {manifest}"])
+def test_batch_refuses_a_bad_line_and_goes_on(bad, tmp_path, capsys):
+    # an unbalanced quote ended the whole run with no report, and a batch
+    # line recursed into a RecursionError (exit 1)
+    manifest = tmp_path / "lines.txt"
+    manifest.write_text(bad.format(manifest=manifest) + "\nask --rep classic:alt:2 --prime 3\n")
+    code, out = run_out(["batch", str(manifest), "--json"], capsys)
+    assert code == 1
+    report = json.loads(out.strip().splitlines()[-1])
+    assert [r["exit"] for r in report["results"]] == [3, 0]
+    assert report["counts"] == {"pass": 1, "soft": 0, "fail": 1}
+
+
 VACUOUS_CHECKS = [
     ["orbital-check", "--big", "alpha:3", "--sub", "alphahat:3", "--prime", "3",
      "--n", "2", "--samples", "0"],

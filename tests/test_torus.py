@@ -1,5 +1,8 @@
 import itertools
+from collections import Counter
+from math import prod
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from gridask import torus
@@ -99,3 +102,46 @@ def test_joint_torus_orbits_of_alpha_pair():
     for p, n, phi in ((5, 1, 4), (3, 2, 6), (2, 3, 4)):
         found = list(torus.Torus(weights, make_ring("padic", p, n)).orbits(6, True))
         assert len(found) == phi**2 and {size for _, size in found} == {phi**4}
+
+
+@settings(max_examples=80, deadline=None)
+@given(ords=st.lists(st.integers(1, 12), min_size=1, max_size=4), data=st.data())
+def test_characters_cut_out_the_lattice(ords, data):
+    # every character vanishes on the lattice's generators, and the box
+    # prod [0, ord_j) meets each of its prod h_j[j] cosets in as many points
+    d = len(ords)
+    rows = data.draw(st.lists(st.lists(st.integers(-30, 30), min_size=d, max_size=d),
+                              max_size=3))
+    basis = torus.echelon(rows, ords)
+    modulus, columns = torus.characters(basis)
+
+    def chars(l):
+        return tuple(sum(a * c for a, c in zip(l, column)) % modulus for column in columns)
+
+    for gen in rows + basis + [[o * (k == j) for k in range(d)] for j, o in enumerate(ords)]:
+        assert not any(chars(gen))
+    index = 1
+    for j, h in enumerate(basis):
+        index *= h[j]
+    counts = Counter(chars(l) for l in itertools.product(*map(range, ords)))
+    assert len(counts) == index
+    assert set(counts.values()) == {prod(ords) // index}
+
+
+@pytest.mark.parametrize("ring,groups", [(make_ring("padic", 2, 3), 16),
+                                         (make_ring("padic", 3, 2), 36)],
+                         ids=["Z/8", "Z/9"])
+def test_keys_group_the_joint_torus(ring, groups):
+    # every all-unit point of the joint torus of alpha:3 and alphahat:3 is
+    # keyed as its orbit under Torus.orbits and Torus.orbit
+    group = torus.Torus(torus.weights(alpha_rep(3), alphahat_rep(3)), ring)
+    orbits = {}
+    for x, size in group.orbits(6, True):
+        orbit = group.orbit(x)
+        assert len(set(orbit)) == size
+        orbits[group.key(x)] = set(orbit)
+    assert len(orbits) == groups
+    keyed = {}
+    for x in itertools.product(list(ring.units()), repeat=6):
+        keyed.setdefault(group.key(x), set()).add(x)
+    assert keyed == orbits
