@@ -9,7 +9,9 @@ only cell of its class on the board lets you delete its column.
 `legal_moves` is that one rule, read straight off the master.  A colouring
 is admissible of level l when for every non-empty row subset H some <= l
 columns can be discarded so that moves delete all remaining columns.
-Certificates are replayable move lists.
+Certificates are replayable move lists.  The same grids and cell classes
+carry the modules: modrep.relation_rep builds every relation module on a
+master colouring.
 """
 from __future__ import annotations
 

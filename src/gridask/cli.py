@@ -19,6 +19,7 @@ Relative input paths are resolved against the working directory.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import shlex
 import sys
@@ -26,7 +27,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import askzeta, boardgame, modrep, nilpotent, predictions
-from .colouring import ParseError, parse_grid
+from .colouring import NonUnitCoefficient, ParseError, parse_grid
 from .rings import PadicQuotient, RingError
 
 DEFAULT_SEED = 20240601
@@ -187,9 +188,18 @@ def _cmd_zeta_verify(args) -> int:
         raise UsageError("zeta-verify needs --module/--grid or --rep")
     parsed = _load_grid(args.grid) if args.grid else None
     if args.module:
-        rep = BOARD_BUILDERS[args.module](parsed.colouring, parsed.units)
+        head, board = args.module, parsed
     else:
+        head, _, path = args.rep.partition(":")
+        board = _load_grid(path) if head in BOARD_BUILDERS else None
+    if board is None:
         rep = build_rep(args.rep)
+    else:  # the closed forms need units mod p on the coloured cells
+        for p, cell in itertools.product(args.primes, sorted(board.colouring.colour_of)):
+            if board.units[cell] % p == 0:
+                raise UsageError(f"u{cell} = {board.units[cell]} is divisible by "
+                                 f"the prime {p}")
+        rep = BOARD_BUILDERS[head](board.colouring, board.units)
     prediction = _prediction_for(args, parsed)
     exit_code = 0
     reports = []
@@ -397,7 +407,7 @@ def run(argv: list[str]) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (UsageError, ParseError, OSError, ValueError, RingError,
+    except (UsageError, ParseError, NonUnitCoefficient, OSError, ValueError, RingError,
             modrep.ShapeMismatch, predictions.UnknownPrediction,
             nilpotent.BadCharacteristic, nilpotent.NotAlternating,
             nilpotent.UnsupportedClass) as exc:

@@ -10,7 +10,7 @@ subgrid contains a blank cell.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Mapping
 
 
 Cell = tuple[int, int]
@@ -56,9 +56,6 @@ class PartialColouring:
 
     def fibre(self, colour: str) -> list[Cell]:
         return sorted(c for c, col in self.colour_of.items() if col == colour)
-
-    def cells(self) -> Iterable[Cell]:
-        return ((i, j) for i in range(1, self.d + 1) for j in range(1, self.e + 1))
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,11 @@
 
 A representation theta is a basis-labelled family of integer matrices of a
 common shape I x J; specialising the entries to a finite ring realises the
-module they span inside Hom(R^I, R^J).  This module also provides the two
-companion ("Knuth dual") views, relation modules cut out of a grid
-colouring, the classical matrix families, graph adjacency representations,
-and the degree-3 commutator representations alpha / alphahat.
+module they span inside Hom(R^I, R^J).  relation_rep builds every module
+on a boardgame family grid cut out by one relation per colour: the generic
+families, boards and their hats, sl, upper triangular matrices and graph
+adjacency modules.  Also: the two companion ("Knuth dual") views and the
+degree-3 commutator representations alpha / alphahat.
 
 Of the companions, element_dual (basis I, shape B x J) turns module
 elements into orbit matrices: its orbit matrix at c is the element
@@ -19,8 +20,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
 
-from .boardgame import Family
-from .colouring import PartialColouring, UnitAssignment
+from .boardgame import Family, GameColouring, build_grid, hat_colouring, master_rho
+from .colouring import PartialColouring, UnitAssignment, sl_colouring
 from .linalg import Mat
 from .rings import Ring
 
@@ -111,78 +112,77 @@ class ModuleRep:
 
 
 # ---------------------------------------------------------------------------
-# Relation modules from colourings.
+# Relation modules on family grids.
 # ---------------------------------------------------------------------------
 
-def board_rep(beta: PartialColouring, u: UnitAssignment | None = None) -> ModuleRep:
-    """The relation module on [d] x [e]: one free generator per blank cell,
-    and for each colour with pivot cell s = min(fibre) the generators
-    u_s e_{ij} - u_{ij} e_s  for the other cells (i,j) of the fibre.
+def relation_rep(master: GameColouring, u: UnitAssignment | None = None) -> ModuleRep:
+    """The module of matrices on the master's grid cut out by its colours.
 
-    Generator count = d*e - #colours; over any ring where the u entries
-    are units this spans the solution set of the colour relations.
+    Cell class c gives the matrix E(c): 1 at its cells (i, j) with i <= j,
+    the family sign (-1 for gamma, +1 otherwise) at those with i > j.  A
+    blank class c gives the generator E(c), labelled by its least cell.  A
+    colour with least class s gives u_s E(c) - u_c E(s), labelled (colour,
+    least cell of c), for each of its other classes c, where u_c is the
+    unit at c's least cell (1 without units).  Over a ring where the units
+    are units, this spans the solution set of sum_c u_c x_c = 0, one
+    relation per colour.
     """
-    d, e = beta.d, beta.e
-    if u is None:
-        u = UnitAssignment.ones(d, e)
-    labels: list = []
-    gens: list[IntMatrix] = []
-    for (i, j) in sorted(beta.cells()):
-        if beta.is_blank((i, j)):
-            g = _zero(d, e)
-            g[i - 1][j - 1] = 1
-            labels.append(("blank", (i, j)))
-            gens.append(_freeze(g))
-    for colour in beta.colours():
-        fibre = beta.fibre(colour)
-        pivot = fibre[0]
-        for cell in fibre[1:]:
-            g = _zero(d, e)
-            g[cell[0] - 1][cell[1] - 1] = u[pivot]
-            g[pivot[0] - 1][pivot[1] - 1] = -u[cell]
-            labels.append((colour, cell))
-            gens.append(_freeze(g))
-    return ModuleRep(tuple(labels), tuple(range(1, d + 1)), tuple(range(1, e + 1)),
-                     tuple(gens))
+    grid = master.grid
+    ri = {v: k for k, v in enumerate(grid.I)}
+    cj = {v: k for k, v in enumerate(grid.J)}
+    sign = -1 if grid.family is Family.GAMMA else 1
+
+    def unit(cls) -> int:
+        return 1 if u is None else u[min(cls)]
+
+    blank = sorted({cls for cell, cls in grid.class_of.items()
+                    if master.colour(cell) is None}, key=min)
+    terms = [(min(cls), ((cls, 1),)) for cls in blank]
+    for colour, classes in master.classes_of.items():
+        pivot, *rest = sorted(classes, key=min)
+        terms += [((colour, min(cls)), ((cls, unit(pivot)), (pivot, -unit(cls))))
+                  for cls in rest]
+    gens = []
+    for _, parts in terms:
+        g = _zero(len(grid.I), len(grid.J))
+        for cls, value in parts:
+            for (i, j) in cls:
+                g[ri[i]][cj[j]] = value if i <= j else sign * value
+        gens.append(_freeze(g))
+    return ModuleRep(tuple(label for label, _ in terms), grid.I, grid.J, tuple(gens))
 
 
-def _block_rep(beta: PartialColouring, u: UnitAssignment | None, sign: int) -> ModuleRep:
+def family_rep(family: Family, I: Sequence[int], J: Sequence[int]) -> ModuleRep:
+    """The generic rectangular / alternating / symmetric family on (I, J):
+    the relation module of the family grid with every class blank."""
+    return relation_rep(GameColouring(build_grid(family, I, J)))
+
+
+def board_rep(beta: PartialColouring, u: UnitAssignment | None = None) -> ModuleRep:
+    """The relation module of a colouring of [d] x [e]: d*e - #colours
+    generators."""
+    return relation_rep(master_rho(beta), u)
+
+
+def _hat_rep(beta: PartialColouring, u: UnitAssignment | None,
+             family: Family) -> ModuleRep:
     """(d+e) x (d+e) module [[a, x], [sign * x^T, b]] with x in the relation
-    module and a, b running over the alternating (sign=-1) or symmetric
-    (sign=+1) matrices of sizes d and e."""
+    module of beta and a, b free alternating (gamma) or symmetric (sigma):
+    the relation module of beta's hat colouring on [d + e]."""
     d, e = beta.d, beta.e
-    n = d + e
-    inner = board_rep(beta, u)
-    labels: list = []
-    gens: list[IntMatrix] = []
-    for lab, g in zip(inner.labels, inner.gens):
-        big = _zero(n, n)
-        for i in range(d):
-            for j in range(e):
-                big[i][d + j] = g[i][j]
-                big[d + j][i] = sign * g[i][j]
-        labels.append(("x", lab))
-        gens.append(_freeze(big))
-    for (lo, size, tag) in ((0, d, "a"), (d, e, "b")):
-        for i in range(size):
-            start_j = i if sign == 1 else i + 1
-            for j in range(start_j, size):
-                big = _zero(n, n)
-                big[lo + i][lo + j] = 1
-                if i != j:
-                    big[lo + j][lo + i] = sign
-                labels.append((tag, (i + 1, j + 1)))
-                gens.append(_freeze(big))
-    idx = tuple(range(1, n + 1))
-    return ModuleRep(tuple(labels), idx, idx, tuple(gens))
+    master = hat_colouring(beta, range(1, d + 1), range(d + 1, d + e + 1), family)
+    if u is not None:
+        u = UnitAssignment(d + e, d + e, {(i, d + j): u[(i, j)]
+                                          for (i, j) in beta.colour_of})
+    return relation_rep(master, u)
 
 
 def altboard_rep(beta: PartialColouring, u: UnitAssignment | None = None) -> ModuleRep:
-    return _block_rep(beta, u, -1)
+    return _hat_rep(beta, u, Family.GAMMA)
 
 
 def symboard_rep(beta: PartialColouring, u: UnitAssignment | None = None) -> ModuleRep:
-    return _block_rep(beta, u, +1)
+    return _hat_rep(beta, u, Family.SIGMA)
 
 
 # ---------------------------------------------------------------------------
@@ -190,88 +190,22 @@ def symboard_rep(beta: PartialColouring, u: UnitAssignment | None = None) -> Mod
 # ---------------------------------------------------------------------------
 
 def classic_rep(name: str, d: int, e: int | None = None) -> ModuleRep:
-    """Standard integer bases: mat(d,e), alt(d), sym(d), sl(d), tr(d)."""
+    """Standard integer bases: mat(d,e), alt(d), sym(d), sl(d), tr(d).
+
+    sl(d) is the board of one colour on the diagonal: e_ij (i != j) and
+    e_ii - e_11.  tr(d), the upper triangular matrices, is the board in
+    which each cell below the diagonal has a colour of its own."""
     idx = tuple(range(1, d + 1))
     families = {"mat": Family.RHO, "alt": Family.GAMMA, "sym": Family.SIGMA}
     if name in families:  # only mat is rectangular
         cols = range(1, e + 1) if name == "mat" and e is not None else idx
         return family_rep(families[name], idx, cols)
-    labels, gens = [], []
     if name == "sl":
-        for i in range(d):
-            for j in range(d):
-                if i != j:
-                    g = _zero(d, d)
-                    g[i][j] = 1
-                    labels.append((i + 1, j + 1))
-                    gens.append(_freeze(g))
-        for i in range(d - 1):
-            g = _zero(d, d)
-            g[i][i] = 1
-            g[d - 1][d - 1] = -1
-            labels.append(("h", i + 1))
-            gens.append(_freeze(g))
-    elif name == "tr":
-        for i in range(d):
-            for j in range(i, d):
-                g = _zero(d, d)
-                g[i][j] = 1
-                labels.append((i + 1, j + 1))
-                gens.append(_freeze(g))
-    else:
-        raise ValueError(f"unknown classic module {name!r}")
-    return ModuleRep(tuple(labels), idx, idx, tuple(gens))
-
-
-# ---------------------------------------------------------------------------
-# The generic families rho / gamma / sigma on index sets (I, J).
-# ---------------------------------------------------------------------------
-
-def family_rep(family: Family, I: Sequence[int], J: Sequence[int]) -> ModuleRep:
-    """Generator matrices of the generic rectangular / alternating /
-    symmetric family on (I, J), rows indexed by I and columns by J."""
-    family = Family(family)
-    I = tuple(sorted(set(I)))
-    J = tuple(sorted(set(J)))
-    ri = {v: k for k, v in enumerate(I)}
-    cj = {v: k for k, v in enumerate(J)}
-    labels, gens = [], []
-    if family is Family.RHO:
-        for i in I:
-            for j in J:
-                g = _zero(len(I), len(J))
-                g[ri[i]][cj[j]] = 1
-                labels.append((i, j))
-                gens.append(_freeze(g))
-    elif family is Family.GAMMA:
-        pairs = sorted({tuple(sorted((i, j))) for i in I for j in J if i != j})
-        for (u, v) in pairs:
-            g = _zero(len(I), len(J))
-            if u in ri and v in cj and v in ri and u in cj:
-                g[ri[u]][cj[v]] = 1
-                g[ri[v]][cj[u]] = -1
-            elif u in ri and v in cj:
-                g[ri[u]][cj[v]] = 1
-            else:
-                g[ri[v]][cj[u]] = -1
-            labels.append((u, v))
-            gens.append(_freeze(g))
-    else:
-        pairs = sorted({tuple(sorted((i, j))) for i in I for j in J})
-        for (u, v) in pairs:
-            g = _zero(len(I), len(J))
-            if u == v:
-                g[ri[u]][cj[u]] = 1
-            elif u in ri and v in cj and v in ri and u in cj:
-                g[ri[u]][cj[v]] = 1
-                g[ri[v]][cj[u]] = 1
-            elif u in ri and v in cj:
-                g[ri[u]][cj[v]] = 1
-            else:
-                g[ri[v]][cj[u]] = 1
-            labels.append((u, v))
-            gens.append(_freeze(g))
-    return ModuleRep(tuple(labels), I, J, tuple(gens))
+        return board_rep(sl_colouring(d))
+    if name == "tr":
+        return board_rep(PartialColouring(d, d, {(i, j): f"{i},{j}" for i in idx
+                                                 for j in idx if i > j}))
+    raise ValueError(f"unknown classic module {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -401,25 +335,16 @@ def threshold_graph(m: int, n: int) -> SimpleGraph:
 
 def adjacency_rep(g: SimpleGraph, sign: str = "negative") -> ModuleRep:
     """Edge {v < w} maps to e_vw - e_wv (negative) or e_vw + e_wv
-    (positive); loops {v} map to e_vv (positive only)."""
-    vs = tuple(sorted(g.vertices))
-    pos = {v: k for k, v in enumerate(vs)}
-    s = -1 if sign == "negative" else 1
-    labels, gens = [], []
-    for edge in sorted(g.edges, key=lambda E: tuple(sorted(E))):
-        e = tuple(sorted(edge))
-        gmat = _zero(len(vs), len(vs))
-        if len(e) == 1:
-            if s == -1:
-                raise ValueError("negative adjacency has no loop generators")
-            gmat[pos[e[0]]][pos[e[0]]] = 1
-        else:
-            v, w = e
-            gmat[pos[v]][pos[w]] = 1
-            gmat[pos[w]][pos[v]] = s
-        labels.append(e)
-        gens.append(_freeze(gmat))
-    return ModuleRep(tuple(labels), vs, vs, tuple(gens))
+    (positive); loops {v} map to e_vv (positive only).  This is the
+    relation module of the gamma (negative) or sigma (positive) grid on the
+    vertices in which each non-edge class has a colour of its own."""
+    if sign == "negative" and any(len(edge) == 1 for edge in g.edges):
+        raise ValueError("negative adjacency has no loop generators")
+    family = Family.GAMMA if sign == "negative" else Family.SIGMA
+    grid = build_grid(family, g.vertices, g.vertices)
+    return relation_rep(GameColouring(grid, {
+        cell: str(min(grid.class_of[cell])) for cell in grid.cells
+        if frozenset(cell) not in g.edges}))
 
 
 # ---------------------------------------------------------------------------

@@ -414,6 +414,36 @@ def exhaustive_game_clearable(master, I, J) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Relation modules from the definition.
+# ---------------------------------------------------------------------------
+
+def family_classes(family: str, I, J) -> list[frozenset]:
+    """Cell classes of the family grid on (I, J): the cells of I x J, less
+    the diagonal for gamma; (i, j) and (j, i) form one class in gamma and
+    sigma, and every cell is a class of its own in rho."""
+    cells = {(i, j) for i in I for j in J if family != "gamma" or i != j}
+    if family == "rho":
+        return [frozenset([cell]) for cell in cells]
+    return list({frozenset({(i, j), (j, i)} & cells) for (i, j) in cells})
+
+
+def class_values(g, I, J, family: str, classes) -> list[int] | None:
+    """The value of the integer matrix g (rows I, columns J) on each class:
+    its entry at a cell (i, j) with i <= j, and the family sign (-1 for
+    gamma, +1 otherwise) times its entry at a cell with i > j.  None when g
+    is nonzero off the cells, or two cells of a class disagree."""
+    sign = -1 if family == "gamma" else 1
+    entry = {(i, j): g[a][b] for a, i in enumerate(I) for b, j in enumerate(J)}
+    values = []
+    for cls in classes:
+        signed = {entry.pop(cell) * (1 if cell[0] <= cell[1] else sign) for cell in cls}
+        if len(signed) != 1:
+            return None
+        values.append(signed.pop())
+    return None if any(entry.values()) else values
+
+
+# ---------------------------------------------------------------------------
 # Random instance generators (seeded by the caller).
 # ---------------------------------------------------------------------------
 

@@ -178,6 +178,43 @@ def test_zeta_verify_hard_failure_outranks_soft(capsys):
     assert not checks[1]["passed"]
 
 
+def test_zero_unit_is_an_input_error(tmp_path, capsys):
+    # a 0 in a units block ended in a traceback with exit 1, the code of a
+    # mismatch, and inside batch it stopped the lines after it from running
+    zero = tmp_path / "zero.grid"
+    zero.write_text("grid:\na .\n. a\nunits:\n1 0\n1 1\n")
+    line = f"zeta-verify --module board --grid {zero} --against classical_mat --prime 3"
+    assert run(line.split()) == 3
+    assert capsys.readouterr().err == "error: u(1, 2) = 0\n"
+    manifest = tmp_path / "lines.txt"
+    manifest.write_text(line + "\nask --rep classic:alt:2 --prime 3\n")
+    code, out = run_out(["batch", str(manifest), "--json"], capsys)
+    assert code == 1
+    report = json.loads(out.strip().splitlines()[-1])
+    assert [r["exit"] for r in report["results"]] == [3, 0]
+
+
+@pytest.mark.parametrize("spec,against", [("--module board --grid {grid}", "classical_mat"),
+                                          ("--rep board:{grid}", "classical_mat"),
+                                          ("--rep altboard:{grid}", "cor_C"),
+                                          ("--rep symboard:{grid}", "cor_D")])
+def test_zeta_verify_refuses_units_divisible_by_the_prime(spec, against, tmp_path, capsys):
+    # the closed forms need units mod p on the coloured cells: at p = 3 the
+    # board of these units read brute 7/3 against the predicted 17/9, exit 1
+    units = tmp_path / "units.grid"
+    units.write_text("grid:\na .\n. a\nunits:\n1 1\n1 3\n")
+    argv = ["zeta-verify", *spec.format(grid=units).split(),
+            "--against", against, "--params", "d=2,e=2"]
+    assert run(argv + ["--prime", "5", "--prime", "3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: u(2, 2) = 3 is divisible by the prime 3")
+    assert run(argv + ["--prime", "5"]) == 0
+    # a unit on a blank cell is unused
+    units.write_text("grid:\na .\n. a\nunits:\n1 3\n1 1\n")
+    assert run(argv + ["--prime", "3"]) == 0
+
+
 # ---------------------------------------------------------------------------
 # constant-rank / orbital-check / cc
 # ---------------------------------------------------------------------------

@@ -19,7 +19,8 @@ from gridask.modrep import (IndexNotSubset, ModuleRep, ShapeMismatch,
                             symboard_rep, threshold_graph, triangular_pair_rep)
 from gridask.rings import make_ring
 
-from oracles import naive_ask, naive_element, naive_orbit_matrix, random_rep
+from oracles import (class_values, family_classes, naive_ask, naive_element,
+                     naive_orbit_matrix, naive_rank_modp, random_rep)
 
 GRIDS = Path(__file__).resolve().parent.parent / "grids"
 F3 = make_ring("field", 3)
@@ -80,7 +81,7 @@ def test_matrices_match_entrywise_formation(case):
 def test_board_all_blank_elementary_basis():
     rep = board_rep(all_blank(2, 3))
     assert rep.rank == 6
-    assert sorted(rep.labels) == sorted(rep.labels)
+    assert sorted(rep.labels) == [(i, j) for i in (1, 2) for j in (1, 2, 3)]
     totals = [sum(sum(r) for r in g) for g in rep.gens]
     assert totals == [1] * 6  # each generator is one elementary matrix
 
@@ -145,6 +146,62 @@ def test_one_by_one_blocks():
     assert alt.gens[0] == ((0, 1), (-1, 0))
     sym = symboard_rep(all_blank(1, 1))
     assert sym.rank == 3
+
+
+# Units on sample_a's coloured cells, units mod 5 and mod 7; the 5 sits on
+# a blank cell, where units are unused.
+SAMPLE_A_UNITS = {(1, 1): 2, (1, 2): 3, (2, 1): 6, (2, 2): -1, (3, 3): 4, (1, 3): 5}
+FAMILY_SHAPES = [((1, 2, 3), (1, 2, 3)), ((1, 2), (2, 3, 4)), ((1, 2), (2, 3)),
+                 ((2, 3), (1, 2)), ((1, 2), (3, 4, 5))]
+BOARDS = {"board": board_rep, "altboard": altboard_rep, "symboard": symboard_rep}
+RELATION_CASES = (
+    [(family, shape) for family in ("rho", "gamma", "sigma") for shape in FAMILY_SHAPES]
+    + [(kind, name) for kind in BOARDS for name in sorted(p.stem for p in GRIDS.glob("*.grid"))]
+    + [(kind, "sample_a+units") for kind in BOARDS])
+
+
+def relation_case(kind: str, source):
+    """(rep, family, I, J, colours), colours mapping each colour to the
+    (class, unit) pairs of its relation sum_c u_c x_c = 0."""
+    if kind not in BOARDS:
+        I, J = source
+        return family_rep(Family(kind), I, J), kind, I, J, {}
+    name, _, units = source.partition("+")
+    g = load(name)
+    beta = g.colouring
+    u = UnitAssignment(beta.d, beta.e, SAMPLE_A_UNITS) if units else g.units
+    d, e = beta.d, beta.e
+    if kind == "board":
+        family, I, J = "rho", tuple(range(1, d + 1)), tuple(range(1, e + 1))
+        place = {cell: frozenset([cell]) for cell in beta.colour_of}
+    else:  # the cell (i, j) of beta sits on the class of (i, d + j)
+        family = "gamma" if kind == "altboard" else "sigma"
+        I = J = tuple(range(1, d + e + 1))
+        place = {(i, j): frozenset({(i, d + j), (d + j, i)}) for (i, j) in beta.colour_of}
+    colours: dict = {}
+    for cell, colour in beta.colour_of.items():
+        colours.setdefault(colour, []).append((place[cell], u[cell]))
+    return BOARDS[kind](beta, u), family, I, J, colours
+
+
+@pytest.mark.parametrize("kind,source", RELATION_CASES,
+                         ids=[f"{kind}-{source}" for kind, source in RELATION_CASES])
+def test_relation_module_is_the_solution_set_of_its_relations(kind, source):
+    # every generator lies on the grid's cells with the family sign on each
+    # class and solves each colour's relation, and over F_5 and F_7 the
+    # generators are independent and as many as the solution set's
+    # dimension, #classes - #colours
+    rep, family, I, J, colours = relation_case(kind, source)
+    assert (rep.I, rep.J) == (I, J)
+    classes = family_classes(family, I, J)
+    index = {cls: k for k, cls in enumerate(classes)}
+    values = [class_values(g, I, J, family, classes) for g in rep.gens]
+    assert None not in values
+    for x in values:
+        for terms in colours.values():
+            assert sum(u * x[index[cls]] for cls, u in terms) == 0
+    for p in (5, 7):
+        assert naive_rank_modp(values, p) == rep.rank == len(classes) - len(colours)
 
 
 # ---------------------------------------------------------------------------
