@@ -192,6 +192,8 @@ def _cmd_zeta_verify(args) -> int:
     else:
         head, _, path = args.rep.partition(":")
         board = _load_grid(path) if head in BOARD_BUILDERS else None
+        if parsed is not None and parsed != board:  # --grid would set d, e and b
+            raise UsageError(f"--rep {args.rep} is not built from --grid {args.grid}")
     if board is None:
         rep = build_rep(args.rep)
     else:  # the closed forms need units mod p on the coloured cells
@@ -200,7 +202,7 @@ def _cmd_zeta_verify(args) -> int:
                 raise UsageError(f"u{cell} = {board.units[cell]} is divisible by "
                                  f"the prime {p}")
         rep = BOARD_BUILDERS[head](board.colouring, board.units)
-    prediction = _prediction_for(args, parsed)
+    prediction = _prediction_for(args, board)
     exit_code = 0
     reports = []
     for p in args.primes:

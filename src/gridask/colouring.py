@@ -66,10 +66,7 @@ class UnitAssignment:
 
     def __post_init__(self) -> None:
         filled = {(i, j): 1 for i in range(1, self.d + 1) for j in range(1, self.e + 1)}
-        for cell, val in dict(self.u).items():
-            if val == 0:
-                raise NonUnitCoefficient(f"u{cell} = 0")
-            filled[cell] = val
+        filled.update(self.u)
         object.__setattr__(self, "u", filled)
 
     def __getitem__(self, cell: Cell) -> int:
@@ -98,7 +95,8 @@ def parse_grid(text: str) -> ParsedGrid:
 
     Optional "family: rho|gamma|sigma" header, then "grid:" followed by d
     rows of whitespace-separated tokens ("." = blank), then an optional
-    "units:" block of d rows of non-zero integers.  "#" starts a comment.
+    "units:" block of d rows of integers, non-zero on the coloured cells.
+    "#" starts a comment.
     """
     family: str | None = None
     grid_rows: list[list[str]] = []
@@ -148,6 +146,10 @@ def parse_grid(text: str) -> ParsedGrid:
             raise ParseError("units block shape does not match grid")
         u = {(i, j): unit_rows[i - 1][j - 1]
              for i in range(1, d + 1) for j in range(1, e + 1)}
+        # the modules read the units of the coloured cells only
+        for cell in sorted(colour_of):
+            if u[cell] == 0:
+                raise NonUnitCoefficient(f"u{cell} = 0")
         units = UnitAssignment(d, e, u)
     else:
         units = UnitAssignment.ones(d, e)

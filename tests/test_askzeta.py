@@ -15,6 +15,7 @@ from gridask.askzeta import (BudgetExceeded, ask, ask_direct, ask_orbit,
                              orbital_equivalence_check, rank_distribution,
                              verify_prediction, zeta_coefficients)
 from gridask.boardgame import Family
+from gridask.cli import run
 from gridask.colouring import parse_grid
 from gridask.linalg import Mat, divisor_profile, rank
 from gridask.modrep import (ModuleRep, alpha_rep, alphahat_rep, board_rep,
@@ -396,6 +397,48 @@ def test_rank_distribution_counts_matrices_of_each_rank():
                 // prod(q**r - q**i for i in range(r)) for r in range(4)}
     assert expected == {0: 1, 1: 3844, 2: 461280, 3: 1488000}
     assert rank_distribution(classic_rep("mat", 3), F5).counts == expected
+
+
+RANK_FIELDS = {"F2": make_ring("field", 2), "F3": F3, "F5": F5, "F4": make_ring("ext", 2, 2)}
+
+
+@st.composite
+def rank_cases(draw):
+    dI, dJ = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    k = draw(st.integers(0, 4))
+    gens = tuple(tuple(tuple(draw(st.integers(-1, 1)) for _ in range(dJ))
+                       for _ in range(dI)) for _ in range(k))
+    return ModuleRep(tuple(range(k)), tuple(range(1, dI + 1)),
+                     tuple(range(1, dJ + 1)), gens)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rep=rank_cases(), field_name=st.sampled_from(sorted(RANK_FIELDS)))
+@example(rep=ModuleRep((), (1, 2, 3), (1, 2), ()), field_name="F5")  # B = 0, J < I
+@example(rep=ModuleRep(("a", "b"), (1, 2, 3), (1, 2),
+                       (((1, 0), (0, 1), (1, 1)), ((0, 1), (-1, 0), (0, 0)))),
+         field_name="F4")  # J < I: right kernels, knuth_bullet's side
+@example(rep=ModuleRep(("a", "b", "c"), (1, 2), (1, 2, 3),
+                       (((1, 0, -1), (0, 1, 0)), ((0, 0, 1), (1, 1, 0)), ((1, 1, 0), (0, 0, 1)))),
+         field_name="F3")  # I < J: left kernels
+def test_rank_distribution_matches_the_census(rep, field_name):
+    # the subspace moments, inverted, count what the kept census counts
+    field = RANK_FIELDS[field_name]
+    by_rank = Counter()
+    for prof, n in direct_profile_counts(rep, field).items():
+        by_rank[prof.count(0)] += n
+    assert rank_distribution(rep, field).counts == dict(by_rank)
+
+
+def test_rank_distribution_budget_bounds_subspaces(capsys):
+    # F_5^3 has 1 + 31 + 31 + 1 = 64 subspaces, for classic:mat:3 and for
+    # classic:mat:3,5 (the walk takes the side with fewer coordinates)
+    for rep in (classic_rep("mat", 3), classic_rep("mat", 5, 3), classic_rep("mat", 3, 5)):
+        assert rank_distribution(rep, F5, budget=64).counts[0] == 1
+        with pytest.raises(BudgetExceeded, match="64 subspaces exceed budget 63"):
+            rank_distribution(rep, F5, budget=63)
+    assert run(["rank-dist", "--rep", "classic:mat:3", "--prime", "5", "--budget", "63"]) == 4
+    assert capsys.readouterr().err == "budget exceeded: 64 subspaces exceed budget 63\n"
 
 
 def test_rank_distribution_requires_field():

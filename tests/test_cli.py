@@ -182,16 +182,30 @@ def test_zero_unit_is_an_input_error(tmp_path, capsys):
     # a 0 in a units block ended in a traceback with exit 1, the code of a
     # mismatch, and inside batch it stopped the lines after it from running
     zero = tmp_path / "zero.grid"
-    zero.write_text("grid:\na .\n. a\nunits:\n1 0\n1 1\n")
+    zero.write_text("grid:\na .\n. a\nunits:\n0 1\n1 1\n")
     line = f"zeta-verify --module board --grid {zero} --against classical_mat --prime 3"
     assert run(line.split()) == 3
-    assert capsys.readouterr().err == "error: u(1, 2) = 0\n"
+    assert capsys.readouterr().err == "error: u(1, 1) = 0\n"
     manifest = tmp_path / "lines.txt"
     manifest.write_text(line + "\nask --rep classic:alt:2 --prime 3\n")
     code, out = run_out(["batch", str(manifest), "--json"], capsys)
     assert code == 1
     report = json.loads(out.strip().splitlines()[-1])
     assert [r["exit"] for r in report["results"]] == [3, 0]
+
+
+@pytest.mark.parametrize("module,against", [("board", "classical_mat"), ("altboard", "cor_C"),
+                                            ("symboard", "cor_D")])
+def test_zero_unit_on_a_blank_cell_is_unused(module, against, tmp_path, capsys):
+    # the modules read the units of the coloured cells only: a 0 on the
+    # blank cell (1, 2) was refused (exit 3), where a 3 there passed at p = 3
+    zero = tmp_path / "zero.grid"
+    zero.write_text("grid:\na .\n. a\nunits:\n1 0\n1 1\n")
+    code, out = run_out(["zeta-verify", "--module", module, "--grid", str(zero),
+                         "--against", against, "--prime", "3", "--prime", "5", "--json"],
+                        capsys)
+    assert code == 0
+    assert [check["passed"] for check in json.loads(out)["checks"]] == [True, True]
 
 
 @pytest.mark.parametrize("spec,against", [("--module board --grid {grid}", "classical_mat"),
@@ -213,6 +227,34 @@ def test_zeta_verify_refuses_units_divisible_by_the_prime(spec, against, tmp_pat
     # a unit on a blank cell is unused
     units.write_text("grid:\na .\n. a\nunits:\n1 3\n1 1\n")
     assert run(argv + ["--prime", "3"]) == 0
+
+
+def test_zeta_verify_reads_parameters_from_the_rep_grid(capsys):
+    # d and e come from the grid the module is built from: without --grid
+    # this exited 3 with "classical_mat needs parameter d"
+    code, out = run_out(["zeta-verify", "--rep", f"board:{grid('sample_a')}",
+                         "--against", "classical_mat", "--prime", "3", "--json"], capsys)
+    assert code == 0
+    assert json.loads(out)["checks"][0]["passed"] is True
+
+
+@pytest.mark.parametrize("spec", [f"board:{grid('sample_a')}", "classic:mat:2"],
+                         ids=["board", "classic"])
+def test_zeta_verify_refuses_a_grid_the_rep_is_not_built_from(spec, capsys):
+    # the module against the closed form at adm_2x3's d and e read as a
+    # hard mismatch (exit 1)
+    argv = ["zeta-verify", "--rep", spec, "--grid", grid("adm_2x3"),
+            "--against", "classical_mat", "--prime", "3"]
+    assert run(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --rep {spec} is not built from --grid {grid('adm_2x3')}\n"
+
+
+def test_zeta_verify_takes_the_rep_grid_twice(capsys):
+    argv = ["zeta-verify", "--rep", f"board:{grid('sample_a')}", "--grid", grid("sample_a"),
+            "--against", "classical_mat", "--prime", "3"]
+    assert run(argv) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -537,8 +579,9 @@ def test_header_echoes_seed_only(capsys):
 
 def test_orbit_path_runs_without_numpy():
     # every library path runs in pure Python: the acceptance manifest, the
-    # sampled orbital check over Z/9, and the direct census (rank-dist and
-    # ask --method direct); numpy serves only the tests' vectorised oracles
+    # sampled orbital check over Z/9, the subspace walk of rank-dist and the
+    # direct census of ask --method direct; numpy serves only the tests'
+    # vectorised oracles
     script = ("import sys\n"
               "from gridask.cli import run\n"
               "codes = [run(argv.split()) for argv in sys.argv[1:]]\n"

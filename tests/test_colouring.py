@@ -43,9 +43,11 @@ def test_parse_ragged_rows_rejected():
 
 
 def test_parse_zero_unit_rejected():
+    # refused on a coloured cell; a blank cell's unit is never read
     from gridask.colouring import NonUnitCoefficient
-    with pytest.raises(NonUnitCoefficient):
-        parse_grid("grid:\na .\n. a\nunits:\n1 0\n1 1\n")
+    with pytest.raises(NonUnitCoefficient, match=r"u\(2, 2\) = 0"):
+        parse_grid("grid:\na .\n. a\nunits:\n1 1\n1 0\n")
+    assert parse_grid("grid:\na .\n. a\nunits:\n1 0\n1 1\n").units[(1, 2)] == 0
 
 
 def test_parse_units_and_family_sections():
@@ -205,5 +207,5 @@ def test_unit_assignment_basics():
     assert u[(2, 3)] == 1
     ut = UnitAssignment(2, 2, {(1, 2): -3}).transpose()
     assert ut[(2, 1)] == -3
-    with pytest.raises(Exception):
-        UnitAssignment(2, 2, {(1, 1): 0})
+    # a 0 is refused by parse_grid, which knows which cells are coloured
+    assert UnitAssignment(2, 2, {(1, 1): 0})[(1, 1)] == 0

@@ -160,6 +160,20 @@ RELATION_CASES = (
     + [(kind, "sample_a+units") for kind in BOARDS])
 
 
+@pytest.mark.parametrize("kind", sorted(BOARDS))
+def test_relation_modules_read_the_units_of_coloured_cells_only(kind):
+    # the hat colouring has more cells than beta, but its coloured classes
+    # are beta's coloured cells: a 0 on every blank cell changes no module
+    for path in sorted(GRIDS.glob("*.grid")):
+        beta = load(path.stem).colouring
+        d, e = beta.d, beta.e
+        coloured = {cell: 2 + k for k, cell in enumerate(sorted(beta.colour_of))}
+        zeros = {(i, j): 0 for i in range(1, d + 1) for j in range(1, e + 1)
+                 if beta.is_blank((i, j))}
+        assert (BOARDS[kind](beta, UnitAssignment(d, e, {**coloured, **zeros}))
+                == BOARDS[kind](beta, UnitAssignment(d, e, coloured))), path.stem
+
+
 def relation_case(kind: str, source):
     """(rep, family, I, J, colours), colours mapping each colour to the
     (class, unit) pairs of its relation sum_c u_c x_c = 0."""

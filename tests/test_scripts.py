@@ -11,7 +11,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("argv", [
-    ["rank_census.py", "grids/sample_a.grid", "3"],
+    ["rank_census.py", "grids/sample_a.grid", "3", "17"],
     ["cc_table.py", "5"],
     ["sweep_colourings.py", "2", "2", "2"],
 ], ids=lambda argv: argv[0])
