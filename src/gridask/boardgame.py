@@ -18,8 +18,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from math import comb
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .colouring import PartialColouring
 
@@ -79,6 +80,15 @@ def build_grid(family: Family, I: Sequence[int], J: Sequence[int]) -> GameGrid:
     return GameGrid(family, I, J, cells, class_of)
 
 
+class Masks(NamedTuple):
+    """A master's cells as bits: bit k is cells[k], cells row-major."""
+    cells: tuple[Cell, ...]
+    row: dict[int, int]
+    col: dict[int, int]
+    colours: tuple[tuple[int, tuple[int, ...]], ...]  # (cells, classes) per colour
+    pairs: tuple[int, ...]  # the two-cell classes
+
+
 @dataclass(frozen=True)
 class GameColouring:
     grid: GameGrid
@@ -101,6 +111,24 @@ class GameColouring:
 
     def colour(self, cell: Cell) -> str | None:
         return self.colour_of.get(cell)
+
+    @cached_property
+    def masks(self) -> Masks:
+        """The bit table the game is played on, built on first play."""
+        cells = tuple(sorted(self.grid.cells))
+        bit = {cell: 1 << k for k, cell in enumerate(cells)}
+        row, col = dict.fromkeys(self.grid.I, 0), dict.fromkeys(self.grid.J, 0)
+        for (i, j), b in bit.items():
+            row[i] |= b
+            col[j] |= b
+
+        def union(cs) -> int:
+            return sum(map(bit.__getitem__, cs))
+
+        colours = tuple((union(itertools.chain(*classes)), tuple(map(union, classes)))
+                        for classes in self.classes_of.values())
+        pairs = {union(cls) for cls in self.grid.class_of.values() if len(cls) == 2}
+        return Masks(cells, row, col, colours, tuple(pairs))
 
 
 def master_rho(beta: PartialColouring) -> GameColouring:
@@ -129,6 +157,25 @@ def master_symmetric(family: Family, beta: PartialColouring) -> GameColouring:
     return GameColouring(grid, beta.colour_of)
 
 
+def _board(masks: Masks, H: Sequence[int], cols: Sequence[int]) -> int:
+    """The master's cells in H x cols, as a mask."""
+    return (sum(masks.row.get(i, 0) for i in set(H))
+            & sum(masks.col.get(j, 0) for j in set(cols)))
+
+
+def _moves(masks: Masks, board: int) -> int:
+    """The moves on a board, as a mask: the board, less the cells of every
+    colour whose classes all meet it and every two-cell class lying on it."""
+    moves = board
+    for cells, classes in masks.colours:
+        if all(map(board.__and__, classes)):
+            moves &= ~cells
+    for pair in masks.pairs:
+        if pair & board == pair:
+            moves &= ~pair
+    return moves
+
+
 def legal_moves(master: GameColouring, H: Sequence[int],
                 cols: Sequence[int]) -> list[Cell]:
     """Moves at position (H, cols), row-major: the isolated blank cells of
@@ -138,14 +185,9 @@ def legal_moves(master: GameColouring, H: Sequence[int],
     A move is a board cell that is blank or whose colour did not stay, and
     whose class has no other cell on the board.
     """
-    grid = master.grid
-    board = [cell for cell in itertools.product(sorted(set(H)), sorted(set(cols)))
-             if cell in grid.cells]
-    on_board = set(board)
-    stayed = {colour for colour, classes in master.classes_of.items()
-              if all(not cls.isdisjoint(on_board) for cls in classes)}
-    return [cell for cell in board if master.colour(cell) not in stayed
-            and len(grid.class_of[cell] & on_board) == 1]
+    masks = master.masks
+    moves = _moves(masks, _board(masks, H, cols))
+    return [cell for k, cell in enumerate(masks.cells) if moves >> k & 1]
 
 
 def greedy_reduce(master: GameColouring,
@@ -154,18 +196,18 @@ def greedy_reduce(master: GameColouring,
                   ) -> tuple[tuple[int, ...], list[tuple[Cell, int]]]:
     """Play moves greedily from position (I, J); defaults to the full grid.
 
-    Repeatedly deletes the column of the least legal move, until no move
-    remains.  Returns the surviving columns and the move log
-    [(cell, deleted column), ...].
+    Repeatedly deletes the column of the least legal move (the lowest set
+    bit of the moves), until no move remains.  Returns the surviving
+    columns and the move log [(cell, deleted column), ...].
     """
+    masks = master.masks
     I = master.grid.I if I is None else I
     cols = sorted(set(master.grid.J if J is None else J))
+    board = _board(masks, I, cols)
     log: list[tuple[Cell, int]] = []
-    while cols:
-        moves = legal_moves(master, I, cols)
-        if not moves:
-            break
-        cell = moves[0]
+    while moves := _moves(masks, board):
+        cell = masks.cells[(moves & -moves).bit_length() - 1]
+        board &= ~masks.col[cell[1]]
         cols.remove(cell[1])
         log.append((cell, cell[1]))
     return tuple(cols), log
@@ -217,20 +259,17 @@ def is_admissible_game(master: GameColouring, level: int,
         subsets.extend(itertools.combinations(I, r))
     certificates = []
     for H in subsets:
-        found = None
-        for size in range(level + 1):
-            for D in itertools.combinations(J, size):
-                final, log = greedy_reduce(master, H, [j for j in J if j not in D])
-                if not final:
-                    found = MoveCertificate(tuple(H), D, tuple(log))
-                    break
-            if found:
+        for D in itertools.chain.from_iterable(
+                itertools.combinations(J, size) for size in range(level + 1)):
+            final, log = greedy_reduce(master, H, [j for j in J if j not in D])
+            if not D:  # the first play; its survivors witness a failure at H
+                survivors = final
+            if not final:
+                certificates.append(MoveCertificate(tuple(H), D, tuple(log)))
                 break
-        if found is None:
-            final, log = greedy_reduce(master, H, J)
+        else:
             return GameVerdict(False, level, tuple(certificates),
-                               witness={"H": list(H), "surviving_columns": list(final)})
-        certificates.append(found)
+                               witness={"H": list(H), "surviving_columns": list(survivors)})
     return GameVerdict(True, level, tuple(certificates))
 
 

@@ -6,6 +6,8 @@ orbital-check, cc, dump-rep, batch.  Exit codes: 0 = all checks pass,
 3 = usage, parse or unsupported-input error, 4 = budget exceeded.
 Reports go to stdout (text, or canonical JSON with --json); diagnostics
 to stderr.  All randomness flows from --seed, echoed in the report header.
+The argument grammar is built on the first `run` and reused for every
+later one in the process (each line of `gridask batch` is one `run`).
 
 Representation specs (for --rep/--big/--sub/--baer):
   classic:NAME:d[,e]      standard module (mat, alt, sym, sl, tr)
@@ -19,6 +21,7 @@ Relative input paths are resolved against the working directory.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import shlex
@@ -318,6 +321,7 @@ def _cmd_batch(args) -> int:
 # Argument grammar.
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="gridask")
     sub = parser.add_subparsers(dest="verb", required=True)

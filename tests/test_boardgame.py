@@ -87,7 +87,9 @@ def test_induce_full_grid_is_identity():
     assert legal_moves(master, master.grid.I, master.grid.J) == blank
 
 
-def test_legal_moves_match_oracle_at_every_position():
+def random_masters():
+    """Seeded rho, sigma, gamma and hat-colouring masters, small enough to
+    visit every position."""
     rng = random.Random(83)
     masters = []
     for _ in range(8):
@@ -99,14 +101,39 @@ def test_legal_moves_match_oracle_at_every_position():
         rect = random_colouring(2, 2, 2, rng)
         masters.append(hat_colouring(rect, (1, 3), (2, 4), Family.SIGMA))
         masters.append(hat_colouring(rect, (1, 4), (2, 3), Family.GAMMA))
+    return masters
 
-    def subsets(xs):
-        return [s for r in range(len(xs) + 1) for s in itertools.combinations(xs, r)]
 
-    for master in masters:
+def subsets(xs):
+    return [s for r in range(len(xs) + 1) for s in itertools.combinations(xs, r)]
+
+
+def test_legal_moves_match_oracle_at_every_position():
+    for master in random_masters():
         for H in subsets(master.grid.I):
             for cols in subsets(master.grid.J):
                 assert legal_moves(master, H, cols) == oracle_moves(master, H, cols)
+
+
+def test_greedy_play_takes_the_oracles_least_move():
+    # the least move is the lowest set bit of the board's move mask; a naive
+    # replay, deleting the column of the oracle's first move at each step,
+    # must give the same log.  The replay from (H, cols) is its first move,
+    # then the replay from a smaller position, already worked out.
+    masters = random_masters() + [master_symmetric(Family.GAMMA, rainbow_colouring(b, 7))
+                                  for b in (4, 6)]
+    for master in masters:
+        for H in subsets(master.grid.I):
+            naive = {}
+            for cols in subsets(master.grid.J):
+                moves = oracle_moves(master, H, cols)
+                if moves:
+                    cell = moves[0]
+                    left, log = naive[tuple(j for j in cols if j != cell[1])]
+                    naive[cols] = (left, [(cell, cell[1])] + log)
+                else:
+                    naive[cols] = (cols, [])
+                assert greedy_reduce(master, H, cols) == naive[cols]
 
 
 # ---------------------------------------------------------------------------

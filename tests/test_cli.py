@@ -413,6 +413,29 @@ def test_reports_have_no_floats_and_are_deterministic(capsys):
     assert json.dumps(report, sort_keys=True, separators=(",", ":")) == out1.strip()
 
 
+def test_reused_parser_leaks_no_state(capsys):
+    # run builds its grammar once per process, so no parse may leave state
+    # for the next: not the primes --prime appended, not a verb's func, not
+    # a parse that failed half-way.  Each line must print what a fresh
+    # process prints.
+    zeta = ["zeta-verify", "--rep", "classic:sl:2", "--against", "classical_sl",
+            "--params", "d=2", "--json"]
+    lines = [(zeta + ["--prime", "3", "--prime", "5"], 0),
+             (zeta + ["--prime", "11", "--terms", "0"], 3),
+             (["check-admissible", grid("sample_a"), "--family", "rho", "--json"], 0),
+             (zeta + ["--prime", "7"], 0)]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    for argv, expected in lines:
+        code = run(argv)
+        captured = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "gridask", *argv], cwd=ROOT,
+                               env=env, capture_output=True, text=True, timeout=120)
+        assert code == expected
+        assert (code, captured.out, captured.err) == (
+            fresh.returncode, fresh.stdout, fresh.stderr)
+    assert [c["prime"] for c in json.loads(captured.out)["checks"]] == [7]
+
+
 def test_batch_empty_manifest(tmp_path, capsys):
     manifest = tmp_path / "empty.txt"
     manifest.write_text("# nothing to do\n\n")
