@@ -10,7 +10,7 @@ from pathlib import Path
 from gridask.askzeta import rank_distribution
 from gridask.colouring import parse_grid
 from gridask.modrep import board_rep
-from gridask.rings import make_ring
+from gridask.rings import PadicQuotient
 
 
 def main() -> None:
@@ -22,7 +22,7 @@ def main() -> None:
     d, e = len(rep.I), len(rep.J)
     print(f"{sys.argv[1]}: {d}x{e} grid, module rank {rep.rank}")
     for q in primes:
-        dist = rank_distribution(rep, make_ring("field", q))
+        dist = rank_distribution(rep, PadicQuotient(q))
         counts = " ".join(f"r{r}:{dist.counts[r]}" for r in sorted(dist.counts))
         print(f"q={q:3d}  {counts}  avg|ker| = {dist.ask_value(d)}")
 

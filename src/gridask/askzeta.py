@@ -24,11 +24,11 @@ identities over R = Z/p^n (a field F_q has n = 1):
   and any unit t, C(t.x) = diag(t^b) C(x) diag(t^c), where
   (t.x)_i = t^(a_i) x_i; so t.x has the divisor profile of x.  Unit
   scaling is the weight a = 1, b = 0, c = 1.  With the valuations v_i of
-  x fixed and x_i = p^(v_i) u_i, the logs of the units u_i (to a primitive
-  root mod p^2 for odd p; to -1 and 5 for p = 2, whose units are +-5^l;
-  to a primitive element of F_q) move by the lattice L_S spanned by the
-  weights on the support S and by ord_i e_i, ord_i the order of the unit
-  group mod p^(n - v_i).  A triangular basis of L_S with diagonal h gives
+  x fixed and x_i = p^(v_i) u_i, the logs of the units u_i (to the
+  generators the ring supplies, Ring.unit_generators: one of full order
+  for odd p and for F_q, -1 and 5 for p = 2) move by the lattice L_S
+  spanned by the weights on the support S and by ord_i e_i, ord_i the
+  order of the generator mod p^(n - v_i) (Ring.unit_orders).  A triangular basis of L_S with diagonal h gives
   one point per orbit and the orbit size prod ord_i / prod h_i;
 - level recursion: every x != 0 in R^I is p^(n-e) x' for one x' in P_e,
   the primitive points over Z/p^e (some coordinate a unit), and the

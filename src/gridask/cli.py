@@ -187,8 +187,6 @@ def _prediction_for(args, parsed) -> predictions.Prediction:
 def _cmd_zeta_verify(args) -> int:
     if args.module and not args.grid:
         raise UsageError("--module requires --grid")
-    if not args.module and not args.rep:
-        raise UsageError("zeta-verify needs --module/--grid or --rep")
     parsed = _load_grid(args.grid) if args.grid else None
     if args.module:
         head, board = args.module, parsed
@@ -348,9 +346,10 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_ask)
 
     p = sub.add_parser("zeta-verify")
-    p.add_argument("--module", choices=list(BOARD_BUILDERS))
+    group = p.add_mutually_exclusive_group(required=True)  # one module, from a grid or a spec
+    group.add_argument("--module", choices=list(BOARD_BUILDERS))
+    group.add_argument("--rep")
     p.add_argument("--grid")
-    p.add_argument("--rep")
     p.add_argument("--against", required=True)
     p.add_argument("--params")
     p.add_argument("--prime", dest="primes", type=int, action="append", required=True)

@@ -2,7 +2,9 @@
 
 The prime field F_p is Z/p^1, so PadicQuotient(p, 1) serves for it.
 Elements are plain Python values: ints in [0, p^n) for Z/p^n, coefficient
-tuples of length f for extension fields.  All arithmetic is exact; nothing
+tuples of length f for extension fields.  Each ring owns its unit group:
+generators whose powers give the units of every level, and their orders,
+which the torus (gridask.torus) walks.  All arithmetic is exact; nothing
 here ever touches floating point.
 """
 from __future__ import annotations
@@ -28,18 +30,20 @@ class NotAField(RingError):
     """Raised when a field-only operation is applied to Z/p^n with n > 1."""
 
 
+def _prime_factors(n: int) -> set[int]:
+    """The primes dividing n >= 1, by trial division."""
+    primes, d = set(), 2
+    while d * d <= n:
+        while n % d == 0:
+            primes.add(d)
+            n //= d
+        d += 1
+    return primes | {n} if n > 1 else primes
+
+
 def is_prime(p: int) -> bool:
     """Trial-division primality test (desk scale, p < 2^20)."""
-    if p < 2:
-        return False
-    if p % 2 == 0:
-        return p == 2
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
-    return True
+    return p >= 2 and _prime_factors(p) == {p}
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +198,36 @@ class Ring:
         """[y - f z for y, z in zip(ys, zs)]: one row operation."""
         return [self.sub(y, self.mul(f, z)) for y, z in zip(ys, zs)]
 
+    def pow(self, a, e: int):
+        """a^e for e >= 0, by square and multiply."""
+        result = self.one
+        while e:
+            if e & 1:
+                result = self.mul(result, a)
+            a = self.mul(a, a)
+            e >>= 1
+        return result
+
+    def unit_orders(self, m: int) -> tuple[int, ...]:
+        """The order of each of unit_generators() in the units of the level
+        R / p^m R, m <= cap: (q - 1) q^(m - 1) for the one generator of a
+        cyclic unit group, q the residue cardinality."""
+        q = self.residue_cardinality()
+        return ((q - 1) * q ** (m - 1),)
+
+    def unit_generators(self) -> tuple:
+        """Units g_s such that every unit of every level m is prod g_s^(l_s)
+        for exactly one l with 0 <= l_s < unit_orders(m)[s].  Here the least
+        unit g of full order N: g^(N / r) != 1 for each prime r dividing N,
+        the primes of q - 1 and p when p divides N.  A generator of the top
+        level reduces to one of every level below."""
+        order, = self.unit_orders(self.cap)
+        primes = _prime_factors(self.residue_cardinality() - 1)
+        if order % self.p == 0:
+            primes.add(self.p)
+        return (next(g for g in self.units()
+                     if all(self.pow(g, order // r) != self.one for r in primes)),)
+
 
 @dataclass(frozen=True)
 class PadicQuotient(Ring):
@@ -264,6 +298,20 @@ class PadicQuotient(Ring):
     def sub_multiple(self, ys: Sequence[int], f: int, zs: Sequence[int]) -> list[int]:
         m = self._m
         return [(y - f * z) % m for y, z in zip(ys, zs)]
+
+    def pow(self, a: int, e: int) -> int:
+        return pow(a, e, self._m)
+
+    def unit_orders(self, m: int) -> tuple[int, ...]:
+        # (Z/2^m)^x = {+-1} x <5> is not cyclic for m >= 3
+        if self.p == 2:
+            return (2, 2 ** (m - 2)) if m >= 2 else (1, 1)
+        return super().unit_orders(m)
+
+    def unit_generators(self) -> tuple[int, ...]:
+        if self.p == 2:
+            return self.from_int(-1), self.from_int(5)
+        return super().unit_generators()
 
     def elements(self) -> Iterator[int]:
         return iter(range(self._m))
@@ -336,16 +384,7 @@ class ExtField(Ring):
     def inv(self, a):
         if self.is_zero(a):
             raise RingError("zero is not invertible")
-        # a^(q-2) = a^{-1} in F_q
-        result = self.one
-        base = a
-        exp = self.cardinality() - 2
-        while exp:
-            if exp & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            exp >>= 1
-        return result
+        return self.pow(a, self.cardinality() - 2)  # a^(q-2) = a^{-1} in F_q
 
     def valuation(self, a) -> int:
         return 0 if not self.is_zero(a) else 1
@@ -364,24 +403,6 @@ class ExtField(Ring):
 
     def units(self) -> Iterator[tuple[int, ...]]:
         return (a for a in self.elements() if not self.is_zero(a))
-
-
-def make_ring(kind: str, p: int, f_or_n: int = 1,
-              modulus: Sequence[int] | None = None) -> Ring:
-    """Construct a validated coefficient ring.
-
-    kind is "field" (F_p, which is PadicQuotient(p, 1)), "padic" (Z/p^n
-    with n = f_or_n) or "ext" (F_{p^f} with f = f_or_n).  For extension
-    fields, a missing modulus defaults to the lexicographically smallest
-    monic irreducible of the requested degree.
-    """
-    if kind == "field":
-        return PadicQuotient(p)
-    if kind == "padic":
-        return PadicQuotient(p, f_or_n)
-    if kind == "ext":
-        return ExtField(p, f_or_n, tuple(modulus) if modulus else ())
-    raise RingError(f"unknown ring kind {kind!r}")
 
 
 def count_roots(coeffs: Sequence[int], ring: Ring) -> int:

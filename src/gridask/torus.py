@@ -10,12 +10,12 @@ solves it, and is unit scaling.  Several reps on one I (the certifiers)
 share a and keep their own b and c.
 
 Orbits.  Over R = Z/p^n write x_i = p^(v_i) u_i, the unit u_i taken mod
-p^(n - v_i) (v_i = n means x_i = 0).  The units of every level Z/p^m are
-products of powers of fixed generators: one integer g, a primitive root
-mod p^2 and so of every Z/p^m, for odd p; -1 and 5 for p = 2, since
-(Z/2^m)^x = {+-1} x <5> is not cyclic for m >= 3; a primitive element of
-F_q.  The same generators serve every valuation, so the logs l_i of u_i
-(one per generator) on coordinates of different valuation share a base.
+p^(n - v_i) (v_i = n means x_i = 0).  The ring supplies generators whose
+powers give the units of every level Z/p^m, and their orders there
+(Ring.unit_generators and Ring.unit_orders): the least unit of full order
+for odd p and for F_q, and -1 and 5 for p = 2.  The same generators
+serve every valuation, so the logs l_i of u_i (one per generator) on
+coordinates of different valuation share a base.
 A torus element t = gen^m adds sum_s m_s a^s_i to l_i, so with the
 valuations fixed, the orbit of l (one generator at a time) is l + L_S:
 L_S is spanned by the weights restricted to the support S and by
@@ -36,7 +36,7 @@ from math import prod
 from operator import getitem
 from typing import Sequence
 
-from .rings import ExtField, Ring
+from .rings import Ring
 
 
 def incidence_kernel(*reps) -> list[tuple[int, ...]]:
@@ -141,103 +141,47 @@ class _Table(dict):
 
 
 class _Units:
-    """The units of every level of ring (Z/p^m for m <= n, or F_q) as
-    products of powers of fixed generators, with the logs of any element."""
+    """The units of every level of ring as products of powers of the ring's
+    unit generators, with the logs of any element."""
 
     def __init__(self, ring: Ring) -> None:
-        self.ring = ring
-        self.p, self.n = ring.p, ring.cap
-        if isinstance(ring, ExtField):
-            self.powers = _primitive_powers(ring)
-        elif self.p == 2:
-            self.gens = (-1, 5)
-        else:
-            self.gens = (_primitive_root(self.p),)
-
-    def orders(self, m: int) -> tuple[int, ...]:
-        """The order of each generator in the units of level m."""
-        p = self.p
-        if isinstance(self.ring, ExtField):
-            return (len(self.powers),)
-        if p == 2:
-            return (2, 2 ** (m - 2)) if m >= 2 else (1, 1)
-        return (p ** (m - 1) * (p - 1),)
+        self.ring, self.n, self.gens = ring, ring.cap, ring.unit_generators()
 
     def join(self, v: int, logs: Sequence[int]):
         """p^v times the unit with these logs at level n - v (0 when v = n)."""
+        ring = self.ring
         if v == self.n:
-            return self.ring.zero
-        if isinstance(self.ring, ExtField):
-            return self.powers[logs[0]]
-        mod = self.p ** (self.n - v)
-        u = 1
+            return ring.zero
+        u = ring.from_int(ring.p ** v)
         for g, l in zip(self.gens, logs):
-            u = u * pow(g, l, mod) % mod
-        return self.p ** v * u
+            u = ring.mul(u, ring.pow(g, l))
+        return u
 
     def split(self, a) -> tuple[int, tuple[int, ...]]:
-        """(v, logs) with a = join(v, logs), logs reduced mod orders(n - v)."""
+        """(v, logs) with a = join(v, logs), logs reduced mod the unit orders
+        of level n - v."""
         v = self.ring.valuation(a)
         if v == self.n:
             return v, ()
-        if isinstance(self.ring, ExtField):
-            return v, (self._logs[a],)
-        logs = self._logs[a // self.p ** v]
-        return v, tuple(l % o for l, o in zip(logs, self.orders(self.n - v)))
+        logs = self._logs[self.ring.exact_div(a, v)]
+        return v, tuple(l % o for l, o in zip(logs, self.ring.unit_orders(self.n - v)))
 
     @cached_property
-    def _logs(self):
-        """Unit -> logs at the top level, built from the generators' powers;
-        a unit of a lower level, read as an integer, is a unit of the top
-        level, and its logs there reduce to its logs at its own level."""
-        if isinstance(self.ring, ExtField):
-            return {u: l for l, u in enumerate(self.powers)}
-        mod = self.p ** self.n
-        table = [None] * mod
-        *heads, last = self.orders(self.n)
-        for head in itertools.product(*map(range, heads)):
-            u = self.join(0, head + (0,))
-            for l in range(last):
-                table[u] = head + (l,)
-                u = u * self.gens[-1] % mod
-        return table
+    def _logs(self) -> dict:
+        """Unit -> logs at the top level.  A unit of a lower level, read as
+        an element of the top level, is a unit there, and its logs there
+        reduce to its logs at its own level."""
+        return {self.join(0, logs): logs for logs in
+                itertools.product(*map(range, self.ring.unit_orders(self.n)))}
 
 
-def _primitive_root(p: int) -> int:
-    """The least g generating (Z/p^2)^x, p odd; it generates every (Z/p^m)^x."""
-    order, rest, primes = p * (p - 1), p - 1, {p}
-    d = 2
-    while d * d <= rest:
-        while rest % d == 0:
-            primes.add(d)
-            rest //= d
-        d += 1
-    if rest > 1:
-        primes.add(rest)
-    return next(g for g in itertools.count(2)
-                if all(pow(g, order // r, p * p) != 1 for r in primes))
-
-
-def _primitive_powers(field: ExtField) -> list:
-    """[1, g, g^2, .., g^(q-2)] for the first element g of F_q of order q - 1."""
-    for g in itertools.islice(field.units(), 1, None):
-        powers = [field.one]
-        x = g
-        while x != field.one:
-            powers.append(x)
-            x = field.mul(x, g)
-        if len(powers) == field.cardinality() - 1:
-            return powers
-    return [field.one]  # F_2: the unit group is trivial
-
-
-def _lattice(weights, units: _Units, v: tuple[int, ...]):
+def _lattice(weights, ring: Ring, v: tuple[int, ...]):
     """(support, [(ords, basis) per generator], orbit size) for the points
     with valuations v: L_S for each generator of the units."""
-    n = units.n
+    n = ring.cap
     support = [i for i, vi in enumerate(v) if vi < n]
     rows = [[w[i] for i in support] for w in weights]
-    ords = list(zip(*(units.orders(n - v[i]) for i in support)))
+    ords = list(zip(*(ring.unit_orders(n - v[i]) for i in support)))
     bases = [(o, echelon(rows, o)) for o in ords]
     size = prod(prod(o) // prod(h[j] for j, h in enumerate(b)) for o, b in bases)
     return support, bases, size
@@ -269,7 +213,7 @@ class Torus:
     def __init__(self, weights: Sequence[Sequence[int]], ring: Ring) -> None:
         self.weights, self.ring, self.units = weights, ring, _Units(ring)
         # no fill refers to self, so no cycle keeps a Torus's tables alive
-        self._lattices = _Table(partial(_lattice, weights, self.units))
+        self._lattices = _Table(partial(_lattice, weights, ring))
         self._splits = _Table(self.units.split)
         self._characters = _Table(partial(_character_terms, self._lattices, self._splits, ring.zero))
 
@@ -295,7 +239,7 @@ class Torus:
         the points whose logs lie in the box 0 <= l_j < h_j, built as the
         product of per-coordinate value lists."""
         zero = [self.ring.zero]
-        for v in itertools.product(range(1 if all_units else self.units.n + 1), repeat=dim):
+        for v in itertools.product(range(1 if all_units else self.ring.cap + 1), repeat=dim):
             if not all_units and 0 not in v:
                 continue
             support, bases, size = self._lattices[v]

@@ -19,7 +19,7 @@ from gridask.modrep import (alpha_rep, alphahat_rep, altboard_rep, board_rep,
                             classic_rep, family_rep, symboard_rep, triangular_pair_rep)
 from gridask.nilpotent import baer_group_cc, conjugacy_count_bch, free_nilpotent_lie
 from gridask.predictions import class_number_F3d, predict
-from gridask.rings import count_roots, make_ring
+from gridask.rings import PadicQuotient, count_roots
 
 from oracles import (baer_law, bch_multiply, conjugacy_class_count,
                      exhaustive_game_clearable, exhaustive_rect_admissible,
@@ -78,7 +78,7 @@ def test_criterion_01():
         rep = classic_rep(name, d, e)
         pred = predict(f"classical_{name}", d=d, **({"e": e} if e else {}))
         for q in (2, 3, 5):
-            got = ask_direct(rep, make_ring("field", q)).value
+            got = ask_direct(rep, PadicQuotient(q)).value
             assert got == pred.coefficient(q, 1), (name, d, e, q)
     small = [("mat", d, e) for d in (1, 2) for e in (1, 2)]
     small += [("alt", 2, None), ("sym", 1, None), ("sym", 2, None),
@@ -87,7 +87,7 @@ def test_criterion_01():
         rep = classic_rep(name, d, e)
         pred = predict(f"classical_{name}", d=d, **({"e": e} if e else {}))
         for p in (3, 5):
-            got = ask_direct(rep, make_ring("padic", p, 2)).value
+            got = ask_direct(rep, PadicQuotient(p, 2)).value
             assert got == pred.series(p, 2)[2], (name, d, e, p)
 
 
@@ -173,10 +173,10 @@ def test_criterion_05():
                               for _ in range(5)]
             for u in units:
                 rep = board_rep(beta, u)
-                got = ask_orbit(rep, make_ring("field", q)).value
+                got = ask_orbit(rep, PadicQuotient(q)).value
                 assert got == pred.coefficient(q, 1), (name, q)
         if beta.d == beta.e == 3:
-            R = make_ring("padic", 5, 2)
+            R = PadicQuotient(5, 2)
             for u in [None, random_unit_assignment(3, 3, 5, rng)]:
                 got = ask_orbit(board_rep(beta, u), R).value
                 assert got == pred.series(5, 2)[2], name
@@ -188,7 +188,7 @@ def test_criterion_06():
         g = load(name)
         beta = g.colouring
         for q in (3, 5):
-            Fq = make_ring("field", q)
+            Fq = PadicQuotient(q)
             alt = ask_orbit(altboard_rep(beta, g.units), Fq).value
             assert alt == predict("cor_C", d=beta.d, e=beta.e).coefficient(q, 1)
             sym = ask_orbit(symboard_rep(beta, g.units), Fq).value
@@ -200,7 +200,7 @@ def test_criterion_07():
     rep_c = board_rep(load("sample_c").colouring)
     rep_d = board_rep(load("sample_d").colouring)
     for q in (5, 7):
-        Fq = make_ring("field", q)
+        Fq = PadicQuotient(q)
         got_c = ask_orbit(rep_c, Fq).value
         assert got_c == predict("nfamily", N=2).coefficient(q, 1)
         N = count_roots((1, 1, 1), Fq)
@@ -212,24 +212,24 @@ def test_criterion_07():
 def test_criterion_08():
     quartic = board_rep(load("quartic").colouring)
     for q in (3, 5, 7, 17):
-        Fq = make_ring("field", q)
+        Fq = PadicQuotient(q)
         dist = rank_distribution(quartic, Fq)
         N = count_roots((1, 0, 0, 0, 1), Fq)
         assert dist.counts.get(1, 0) == (N + 1) * (q - 1), q
     quintic = board_rep(load("quintic").colouring)
     for q in (5, 7, 11):
-        Fq = make_ring("field", q)
+        Fq = PadicQuotient(q)
         dist = rank_distribution(quintic, Fq)
         N = count_roots((-1, 1, 0, 0, 0, 1), Fq)
         assert dist.counts.get(1, 0) == (N + 1) * (q - 1), q
     for q in (5, 7):
-        got = ask_orbit(quintic, make_ring("field", q)).value
+        got = ask_orbit(quintic, PadicQuotient(q)).value
         assert got == predict("ex19").coefficient(q, 1)
 
 
 @criterion(9)
 def test_criterion_09():
-    fields = [make_ring("field", 3), make_ring("field", 5)]
+    fields = [PadicQuotient(3), PadicQuotient(5)]
     for ring in fields:
         for d in (1, 2, 3):
             for e in (1, 2, 3):
@@ -246,7 +246,7 @@ def test_criterion_09():
             I = tuple(range(1, n + 1))
             assert constant_rank_check(family_rep(Family.GAMMA, I, I),
                                        ring, 1).passed, ("gamma", n)
-    Z25 = make_ring("padic", 5, 2)
+    Z25 = PadicQuotient(5, 2)
     rho23 = family_rep(Family.RHO, (1, 2), (1, 2, 3))
     assert constant_rank_check(rho23, Z25, 0, samples=10**4, seed=9).passed
     sig3 = family_rep(Family.SIGMA, (1, 2, 3), (1, 2, 3))
@@ -329,9 +329,9 @@ def test_criterion_10():
     assert ah.matrix_forms() == _parse_forms(FIXTURE_A_HAT, 6)
     assert a.circ_forms() == _parse_forms(FIXTURE_C, 6)
     assert ah.circ_forms() == _parse_forms(FIXTURE_C_HAT, 6)
-    report = orbital_equivalence_check(a, ah, make_ring("field", 5))
+    report = orbital_equivalence_check(a, ah, PadicQuotient(5))
     assert report.passed and report.checked == 4**6
-    sampled = orbital_equivalence_check(a, ah, make_ring("padic", 5, 2),
+    sampled = orbital_equivalence_check(a, ah, PadicQuotient(5, 2),
                                         samples=10**4, seed=10)
     assert sampled.passed and sampled.checked == 10**4
 
@@ -341,7 +341,7 @@ def test_criterion_11():
     for d in (2, 3):
         pred = predict("kite", m=comb(d, 2), n=d)
         for q in (3, 5):
-            got = ask_orbit(alpha_rep(d), make_ring("field", q)).value
+            got = ask_orbit(alpha_rep(d), PadicQuotient(q)).value
             assert got == pred.coefficient(q, 1), (d, q)
 
 
@@ -354,7 +354,7 @@ def test_criterion_12():
         assert count == p**3 + p**2 - 1
         assert count == class_number_F3d(2, p)
         assert count == predict("F3d_cc", d=2).coefficient(p, 1)
-    F5 = make_ring("field", 5)
+    F5 = PadicQuotient(5)
     assert conjugacy_count_bch(alg, 5) == conjugacy_class_count(
         lambda a, b: bch_multiply(alg, F5, a, b), 5, alg.dim)
     # second coefficient over Z/25
@@ -378,7 +378,7 @@ def test_criterion_13():
     for rep in modules:
         for p in (3, 5):
             cc = baer_group_cc(rep, p)
-            ask = ask_direct(rep, make_ring("field", p)).value
+            ask = ask_direct(rep, PadicQuotient(p)).value
             assert cc == p**rep.rank * ask, (rep.rank, p)
     # the group-law sweep on the groups of order at most 5^6; adm_2x2 at
     # p = 3 is swept in test_nilpotent, and at p = 5 it is the catalog value
@@ -392,8 +392,8 @@ def test_criterion_13():
 
 @criterion(14)
 def test_criterion_14():
-    rings = [make_ring("field", 2), make_ring("field", 3),
-             make_ring("padic", 2, 2), make_ring("padic", 3, 2)]
+    rings = [PadicQuotient(2), PadicQuotient(3),
+             PadicQuotient(2, 2), PadicQuotient(3, 2)]
     rng = random.Random(20240601)
     for k in range(200):
         rep = random_rep(3, 4, rng)
@@ -405,7 +405,7 @@ def test_criterion_14():
 def test_criterion_15():
     pred = predict("ex14_L", d=2)
     for q in (3, 5):
-        Fq = make_ring("field", q)
+        Fq = PadicQuotient(q)
         l2 = ask_orbit(triangular_pair_rep(2), Fq).value
         t4 = ask_orbit(classic_rep("tr", 4), Fq).value
         assert l2 == t4 == pred.coefficient(q, 1), q

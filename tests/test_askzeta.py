@@ -21,7 +21,7 @@ from gridask.linalg import Mat, divisor_profile, rank
 from gridask.modrep import (ModuleRep, alpha_rep, alphahat_rep, board_rep,
                             classic_rep, family_rep)
 from gridask.predictions import predict
-from gridask.rings import make_ring
+from gridask.rings import ExtField, PadicQuotient
 
 from oracles import (naive_ask, naive_constant_rank, naive_divisor_profile,
                      naive_orbit_ask, naive_orbit_matrix, naive_orbital,
@@ -29,8 +29,8 @@ from oracles import (naive_ask, naive_constant_rank, naive_divisor_profile,
                      seeded_draws, torus_orbit)
 
 GRIDS = Path(__file__).resolve().parent.parent / "grids"
-F3 = make_ring("field", 3)
-F5 = make_ring("field", 5)
+F3 = PadicQuotient(3)
+F5 = PadicQuotient(5)
 F = Fraction
 
 
@@ -65,8 +65,8 @@ def test_trivial_I_gives_one():
 
 def test_direct_equals_orbit_random():
     rng = random.Random(101)
-    rings = [make_ring("field", 2), F3, make_ring("padic", 2, 2),
-             make_ring("padic", 3, 2), make_ring("ext", 2, 2)]
+    rings = [PadicQuotient(2), F3, PadicQuotient(2, 2),
+             PadicQuotient(3, 2), ExtField(2, 2)]
     for k in range(40):
         rep = random_rep(3, 3, rng)
         ring = rings[k % len(rings)]
@@ -89,14 +89,14 @@ def element_census(rep, ring) -> Counter:
 
 def test_fast_census_matches_pure():
     rep = classic_rep("mat", 2, 2)
-    for ring in (F5, make_ring("padic", 3, 2)):
+    for ring in (F5, PadicQuotient(3, 2)):
         assert direct_profile_counts(rep, ring) == element_census(rep, ring)
 
 
-ORACLE_RINGS = {"F2": make_ring("field", 2), "F3": F3, "Z/4": make_ring("padic", 2, 2),
-                "Z/8": make_ring("padic", 2, 3), "Z/16": make_ring("padic", 2, 4),
-                "Z/9": make_ring("padic", 3, 2), "Z/27": make_ring("padic", 3, 3),
-                "F4": make_ring("ext", 2, 2)}
+ORACLE_RINGS = {"F2": PadicQuotient(2), "F3": F3, "Z/4": PadicQuotient(2, 2),
+                "Z/8": PadicQuotient(2, 3), "Z/16": PadicQuotient(2, 4),
+                "Z/9": PadicQuotient(3, 2), "Z/27": PadicQuotient(3, 3),
+                "F4": ExtField(2, 2)}
 
 
 @st.composite
@@ -156,7 +156,7 @@ def test_lifting_identity_matches_profile_oracle(case):
     # F_p at y = (x - x') / p^(k-1), then k
     ring_name, rep, x = case
     p, k = LIFT_RINGS[ring_name]
-    level = make_ring("padic", p, k)
+    level = PadicQuotient(p, k)
     top = p ** (k - 1)
     basis = [naive_orbit_matrix(rep, level, [int(i == l) for i in range(len(rep.I))])
              for l in range(len(rep.I))]
@@ -164,7 +164,7 @@ def test_lifting_identity_matches_profile_oracle(case):
         level, naive_orbit_matrix(rep, level, [c % top for c in x]), basis)
     y = [c // top for c in x]
     t = len(valuations)
-    K = Mat(make_ring("field", p), rep.rank - t, len(rep.J) - t,
+    K = Mat(PadicQuotient(p), rep.rank - t, len(rep.J) - t,
             tuple((z + sum(yi * b[e] for yi, b in zip(y, linear))) % p
                   for e, z in enumerate(constant)))
     s = rank(K)
@@ -185,9 +185,9 @@ def test_census_matches_element_census(rep, ring_name):
     assert direct_profile_counts(rep, ring) == element_census(rep, ring)
 
 
-KERNEL_RINGS = {"F2": make_ring("field", 2), "F3": F3, "F5": F5,
-                "Z/8": make_ring("padic", 2, 3), "Z/9": make_ring("padic", 3, 2),
-                "Z/27": make_ring("padic", 3, 3)}
+KERNEL_RINGS = {"F2": PadicQuotient(2), "F3": F3, "F5": F5,
+                "Z/8": PadicQuotient(2, 3), "Z/9": PadicQuotient(3, 2),
+                "Z/27": PadicQuotient(3, 3)}
 
 
 @settings(max_examples=50, deadline=None)
@@ -212,7 +212,7 @@ def test_census_matches_vectorised_oracle(spec, p, n):
     # lifted over Z/16 and Z/27
     name, dims = spec.split(":")
     rep = classic_rep(name, *map(int, dims.split(",")))
-    ring = make_ring("field", p) if n == 1 else make_ring("padic", p, n)
+    ring = PadicQuotient(p, n)
     assert direct_profile_counts(rep, ring) == fastcount.profile_counts(rep.gens, p, n)
 
 
@@ -237,7 +237,7 @@ def counted_orbit_matrices(monkeypatch) -> list:
     return calls
 
 
-@pytest.mark.parametrize("ring,matrices", [(F5, 14 + 4), (make_ring("padic", 3, 2), 14 + 2)],
+@pytest.mark.parametrize("ring,matrices", [(F5, 14 + 4), (PadicQuotient(3, 2), 14 + 2)],
                          ids=["F5", "Z/9"])
 def test_census_eliminates_unit_orbit_representatives(ring, matrices, monkeypatch):
     # the direct census is the orbit census of the dual, whose torus on the
@@ -257,7 +257,7 @@ def test_extension_field_census_eliminates_unit_orbit_representatives(monkeypatc
     # over F_4 the zero element is counted without elimination, and the
     # other 255 elements by 14 + 3^4 / 3^3 = 17 torus orbits, where unit
     # orbits took the (4^4 - 1)/3 = 85 points of P^3
-    F4 = make_ring("ext", 2, 2)
+    F4 = ExtField(2, 2)
     calls = counted_orbit_matrices(monkeypatch)
     rep = classic_rep("mat", 2)
     counts = direct_profile_counts(rep, F4)
@@ -265,7 +265,7 @@ def test_extension_field_census_eliminates_unit_orbit_representatives(monkeypatc
     assert counts == element_census(rep, F4)
 
 
-@pytest.mark.parametrize("ring,points", [(F5, 7), (make_ring("padic", 3, 2), 7)],
+@pytest.mark.parametrize("ring,points", [(F5, 7), (PadicQuotient(3, 2), 7)],
                          ids=["F5", "Z/9"])
 def test_orbit_enumerates_unit_orbit_representatives(ring, points, monkeypatch):
     # one orbit matrix per torus orbit of primitive points over a field, and
@@ -326,7 +326,7 @@ def test_zeta_coefficients_match_orbit_oracle_at_every_level(pn, rep):
     p, n = pn
     assume(p ** (n * (len(rep.I) + rep.rank)) <= 16 ** 4)
     coeffs = zeta_coefficients(rep, p, n)
-    assert coeffs[1:] == [naive_orbit_ask(rep, make_ring("padic", p, k))
+    assert coeffs[1:] == [naive_orbit_ask(rep, PadicQuotient(p, k))
                           for k in range(1, n + 1)]
 
 
@@ -382,7 +382,7 @@ def test_verify_prediction_pass_and_fail():
 def test_rank_distribution_recovers_ask():
     rep = classic_rep("alt", 3)
     for q in (3, 5):
-        Fq = make_ring("field", q)
+        Fq = PadicQuotient(q)
         dist = rank_distribution(rep, Fq)
         assert dist.counts[0] == 1
         assert sum(dist.counts.values()) == q**rep.rank
@@ -399,7 +399,7 @@ def test_rank_distribution_counts_matrices_of_each_rank():
     assert rank_distribution(classic_rep("mat", 3), F5).counts == expected
 
 
-RANK_FIELDS = {"F2": make_ring("field", 2), "F3": F3, "F5": F5, "F4": make_ring("ext", 2, 2)}
+RANK_FIELDS = {"F2": PadicQuotient(2), "F3": F3, "F5": F5, "F4": ExtField(2, 2)}
 
 
 @st.composite
@@ -443,7 +443,7 @@ def test_rank_distribution_budget_bounds_subspaces(capsys):
 
 def test_rank_distribution_requires_field():
     with pytest.raises(ValueError):
-        rank_distribution(classic_rep("alt", 2), make_ring("padic", 3, 2))
+        rank_distribution(classic_rep("alt", 2), PadicQuotient(3, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +458,7 @@ def test_gamma_square_constant_corank_one():
 
 def test_rho_rectangular_corank_zero_over_z25():
     rep = family_rep(Family.RHO, (1, 2), (1, 2, 3))
-    report = constant_rank_check(rep, make_ring("padic", 5, 2), 0,
+    report = constant_rank_check(rep, PadicQuotient(5, 2), 0,
                                  samples=2000, seed=7)
     assert report.passed and report.mode == "sample"
 
@@ -486,7 +486,7 @@ def test_orbital_failure_for_inadmissible():
     big = classic_rep("mat", 3, 3)
     sub = load_board("sample_d")
     fixed = ModuleRep(sub.labels, big.I, big.J, sub.gens)
-    report = orbital_equivalence_check(big, fixed, make_ring("field", 7))
+    report = orbital_equivalence_check(big, fixed, PadicQuotient(7))
     assert not report.passed
     assert len(report.violations) == 10  # capped report
 
@@ -500,7 +500,7 @@ def test_orbital_requires_matching_shapes():
 
 def test_sampling_is_deterministic():
     rep = family_rep(Family.RHO, (1, 2), (1, 2))
-    R = make_ring("padic", 3, 2)
+    R = PadicQuotient(3, 2)
     a = constant_rank_check(rep, R, 0, samples=500, seed=42)
     b = constant_rank_check(rep, R, 0, samples=500, seed=42)
     assert a == b
@@ -536,7 +536,7 @@ def test_certifiers_match_all_points_oracle(case, p, l):
     # one point per torus orbit certifies, and reports, what checking every
     # point of F_p^I does: the same counts, verdicts and first 10 violations
     big, sub = case
-    ring = make_ring("field", p)
+    ring = PadicQuotient(p)
     for report, (checked, bad) in (
             (constant_rank_check(big, ring, l), naive_constant_rank(big, p, l)),
             (orbital_equivalence_check(big, sub, ring), naive_orbital(big, sub, p))):
@@ -545,7 +545,7 @@ def test_certifiers_match_all_points_oracle(case, p, l):
         assert report.mode == "exhaustive"
 
 
-@pytest.mark.parametrize("ring", [F3, make_ring("padic", 3, 2)], ids=["F3", "Z/9"])
+@pytest.mark.parametrize("ring", [F3, PadicQuotient(3, 2)], ids=["F3", "Z/9"])
 def test_certifiers_on_empty_index_set(ring):
     # no point of R^0 has a unit coordinate, and the empty point has every
     # coordinate a unit; over Z/9 the empty point is drawn `samples` times
@@ -599,7 +599,7 @@ def test_sampled_certifiers_match_draw_oracle(reps, l, samples, seed, p, n):
     # eliminating C(x) at every draw does: the same count, verdict and first
     # 10 violations (the drawn points, in draw order, with their profiles);
     # l is None for the orbital check
-    reps, ring = reps(), make_ring("padic", p, n)
+    reps, ring = reps(), PadicQuotient(p, n)
     if l is None:
         report = orbital_equivalence_check(*reps, ring, samples=samples, seed=seed)
         checked, bad = naive_sampled_orbital(*reps, p, n, samples, seed)
@@ -623,7 +623,7 @@ def test_sampled_certifiers_eliminate_each_drawn_unit_orbit_once(check, reps, di
     # over Z/9 a draw x stands for its torus orbit: one orbit matrix per rep
     # for each distinct orbit, however often it is drawn, counted here by
     # breadth-first closure of the draws under the weights
-    ring = make_ring("padic", 3, 2)
+    ring = PadicQuotient(3, 2)
     draws = seeded_draws(3, 2, dim, 2000, 51, all_units)
     weights = torus.weights(*reps)
     orbits = set()

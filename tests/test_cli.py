@@ -519,6 +519,9 @@ INPUT_ERRORS = [
     ["constant-rank", "--family", "rho", "--I", "1-2", "--J", "1-3", "--rank", "-1",
      "--prime", "3"],
     ["check-admissible", str(ROOT / "grids" / "sample_a.grid"), "--level", "-1"],
+    # --module builds the module from --grid, so a --rep beside it was ignored
+    ["zeta-verify", "--module", "board", "--grid", str(ROOT / "grids" / "sample_a.grid"),
+     "--rep", "alpha:3", "--against", "classical_mat", "--prime", "3"],
     # a negative budget is a bad input, not a census too large for it
     ["ask", "--rep", "classic:mat:2", "--prime", "3", "--budget", "-1"],
 ]

@@ -5,43 +5,43 @@ from hypothesis import example, given, settings, strategies as st
 
 from gridask.linalg import (Mat, divisor_profile, image_size, kernel_size, partial_smith,
                             rank)
-from gridask.rings import make_ring
+from gridask.rings import ExtField, PadicQuotient
 
 from oracles import (brute_image_size, brute_kernel_size, naive_divisor_profile,
                      naive_rank_modp)
 
-RINGS = [make_ring("field", 3), make_ring("field", 5),
-         make_ring("padic", 2, 2), make_ring("padic", 3, 2),
-         make_ring("ext", 2, 2)]
+RINGS = [PadicQuotient(3), PadicQuotient(5),
+         PadicQuotient(2, 2), PadicQuotient(3, 2),
+         ExtField(2, 2)]
 
 
 def test_profile_diag_example():
-    R = make_ring("padic", 5, 2)
+    R = PadicQuotient(5, 2)
     m = Mat.from_int_rows(R, [[1, 0], [0, 5]])
     assert divisor_profile(m) == (0, 1)
 
 
 def test_profile_zero_matrix_capped():
-    R = make_ring("padic", 5, 2)
+    R = PadicQuotient(5, 2)
     assert divisor_profile(Mat.zero(R, 2, 3)) == (2, 2)
 
 
 def test_profile_all_ones_rank_one():
-    F = make_ring("field", 3)
+    F = PadicQuotient(3)
     m = Mat.from_int_rows(F, [[1, 1, 1]] * 3)
     assert divisor_profile(m) == (0, 1, 1)
     assert rank(m) == 1
 
 
 def test_kernel_identity_and_zero():
-    F5 = make_ring("field", 5)
+    F5 = PadicQuotient(5)
     assert kernel_size(Mat.identity(F5, 3)) == 1
-    F3 = make_ring("field", 3)
+    F3 = PadicQuotient(3)
     assert kernel_size(Mat.zero(F3, 2, 2)) == 9
 
 
 def test_kernel_diag_5_1_over_z25():
-    R = make_ring("padic", 5, 2)
+    R = PadicQuotient(5, 2)
     m = Mat.from_int_rows(R, [[5, 0], [0, 1]])
     assert kernel_size(m) == 5
     assert brute_kernel_size(m) == 5
@@ -75,7 +75,7 @@ def test_kernel_and_image_match_enumeration(ring):
 def test_rank_matches_naive_row_reduction():
     rng = random.Random(37)
     for p in (2, 3, 5):
-        F = make_ring("field", p)
+        F = PadicQuotient(p)
         for _ in range(40):
             rows = [[rng.randrange(-9, 10) for _ in range(rng.randrange(1, 5))]
                     for _ in range(rng.randrange(1, 5))]
@@ -92,7 +92,7 @@ def _random_invertible(ring, n, rng):
             return m
 
 
-@pytest.mark.parametrize("ring", [make_ring("field", 3), make_ring("padic", 3, 2)],
+@pytest.mark.parametrize("ring", [PadicQuotient(3), PadicQuotient(3, 2)],
                          ids=str)
 def test_profile_invariant_under_invertible_multiplication(ring):
     rng = random.Random(53)
@@ -107,8 +107,8 @@ def test_profile_invariant_under_invertible_multiplication(ring):
 def test_profile_reduction_compatibility():
     # reduce a Z/p^n matrix mod p: residue-field rank = number of zero valuations
     rng = random.Random(71)
-    R = make_ring("padic", 3, 3)
-    F = make_ring("field", 3)
+    R = PadicQuotient(3, 3)
+    F = PadicQuotient(3)
     for _ in range(50):
         rows, cols = rng.randrange(1, 4), rng.randrange(1, 4)
         ints = [[rng.randrange(27) for _ in range(cols)] for _ in range(rows)]
@@ -118,7 +118,7 @@ def test_profile_reduction_compatibility():
 
 
 def test_act_left_matches_mul():
-    F = make_ring("field", 5)
+    F = PadicQuotient(5)
     m = Mat.from_int_rows(F, [[1, 2], [3, 4], [0, 1]])
     x = (1, 2, 3)
     row = Mat.from_int_rows(F, [list(x)])
@@ -127,7 +127,7 @@ def test_act_left_matches_mul():
 
 def test_transpose_preserves_profile():
     rng = random.Random(97)
-    R = make_ring("padic", 2, 3)
+    R = PadicQuotient(2, 3)
     for _ in range(30):
         m = _random_mat(R, rng.randrange(1, 4), rng.randrange(1, 4), rng)
         assert divisor_profile(m) == divisor_profile(m.transpose())
@@ -148,7 +148,7 @@ def test_profile_matches_enumeration_over_z8_and_z27(pk, ints):
     # the pivot on); its profile is the Smith profile, and the image size
     # it gives is the enumerated one
     p, n = pk
-    m = Mat.from_int_rows(make_ring("padic", p, n), ints)
+    m = Mat.from_int_rows(PadicQuotient(p, n), ints)
     assert divisor_profile(m) == naive_divisor_profile(ints, p, n)
     assert image_size(m) == brute_image_size(m)
 
@@ -175,7 +175,7 @@ def test_partial_smith_splits_off_the_block(case):
     # rank mod p); every valuation is below stop and every entry of Z at or
     # above it; and the valuations with Z's profile make the profile of m
     p, n, stop, rows, cols, ints = case
-    R = make_ring("padic", p, n)
+    R = PadicQuotient(p, n)
     m = Mat(R, rows, cols, tuple(R.from_int(x) for row in ints for x in row))
     units = [Mat(R, rows, cols, tuple(R.from_int(int(e == f)) for f in range(rows * cols)))
              for e in range(rows * cols)]

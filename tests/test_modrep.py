@@ -17,13 +17,13 @@ from gridask.modrep import (IndexNotSubset, ModuleRep, ShapeMismatch,
                             graph_join, inflate_rep, knuth_bullet,
                             rep_from_json, rep_to_json, restrict_rep,
                             symboard_rep, threshold_graph, triangular_pair_rep)
-from gridask.rings import make_ring
+from gridask.rings import ExtField, PadicQuotient
 
 from oracles import (class_values, family_classes, naive_ask, naive_element,
                      naive_orbit_matrix, naive_rank_modp, random_rep)
 
 GRIDS = Path(__file__).resolve().parent.parent / "grids"
-F3 = make_ring("field", 3)
+F3 = PadicQuotient(3)
 
 
 def load(name: str):
@@ -39,9 +39,9 @@ def stacked_rank(rep: ModuleRep, ring) -> int:
 # Module elements and orbit matrices against entry-by-entry formation.
 # ---------------------------------------------------------------------------
 
-MATRIX_RINGS = {"F3": F3, "F5": make_ring("field", 5), "Z/8": make_ring("padic", 2, 3),
-                "Z/9": make_ring("padic", 3, 2), "Z/27": make_ring("padic", 3, 3),
-                "F4": make_ring("ext", 2, 2), "F9": make_ring("ext", 3, 2)}
+MATRIX_RINGS = {"F3": F3, "F5": PadicQuotient(5), "Z/8": PadicQuotient(2, 3),
+                "Z/9": PadicQuotient(3, 2), "Z/27": PadicQuotient(3, 3),
+                "F4": ExtField(2, 2), "F9": ExtField(3, 2)}
 
 
 @st.composite
@@ -91,7 +91,7 @@ def test_board_rank_drops_per_colour():
         beta = load(name).colouring
         rep = board_rep(beta)
         assert rep.rank == beta.d * beta.e - len(beta.colours())
-        assert stacked_rank(rep, make_ring("field", 5)) == rep.rank
+        assert stacked_rank(rep, PadicQuotient(5)) == rep.rank
 
 
 def test_board_traceless_is_sl():
@@ -108,7 +108,7 @@ def test_board_scaled_units_same_module():
     u = UnitAssignment(3, 3, {(1, 1): 2, (2, 2): -1, (3, 3): 4})
     rep1 = board_rep(beta)
     rep2 = board_rep(beta, u)
-    F7 = make_ring("field", 7)
+    F7 = PadicQuotient(7)
     assert rep1.rank == rep2.rank
     assert stacked_rank(rep2, F7) == rep2.rank
 
@@ -253,7 +253,7 @@ def test_sigma_square_spans_symmetric():
         for i in range(3):
             for j in range(3):
                 assert g[i][j] == g[j][i]
-    assert stacked_rank(rep, make_ring("field", 5)) == 6
+    assert stacked_rank(rep, PadicQuotient(5)) == 6
 
 
 def test_gamma_disjoint_matches_rho():
@@ -321,7 +321,7 @@ def test_element_dual_orbit_matrix_is_element():
     rep = classic_rep("mat", 2, 3)
     dual = element_dual(rep)
     assert (dual.labels, dual.I, dual.J) == (rep.I, rep.labels, rep.J)
-    Z9 = make_ring("padic", 3, 2)
+    Z9 = PadicQuotient(3, 2)
     rng = random.Random(17)
     for _ in range(20):
         c = tuple(rng.randrange(9) for _ in rep.labels)

@@ -11,15 +11,15 @@ from gridask.nilpotent import (BadCharacteristic, GradedAlgebra, NotAlternating,
                                UnsupportedClass, a_d_algebra, adjoint_rep,
                                baer_group_cc, conjugacy_count_bch, free_nilpotent_lie,
                                jacobi_quotient)
-from gridask.rings import PadicQuotient, make_ring
+from gridask.rings import PadicQuotient
 
 from pathlib import Path
 
 from oracles import baer_law, bch_inverse, bch_multiply, conjugacy_class_count
 
 GRIDS = Path(__file__).resolve().parent.parent / "grids"
-F5 = make_ring("field", 5)
-F7 = make_ring("field", 7)
+F5 = PadicQuotient(5)
+F7 = PadicQuotient(7)
 
 
 # ---------------------------------------------------------------------------
@@ -86,10 +86,10 @@ def test_bch_group_axioms_sampled():
 def test_bch_class_three_needs_p_at_least_five():
     alg = free_nilpotent_lie(2, 3)
     with pytest.raises(BadCharacteristic):
-        bch_multiply(alg, make_ring("field", 3), (0,) * 5, (0,) * 5)
+        bch_multiply(alg, PadicQuotient(3), (0,) * 5, (0,) * 5)
     # class 2 only needs 2 invertible
     alg2 = free_nilpotent_lie(2, 2)
-    bch_multiply(alg2, make_ring("field", 3), (0,) * 3, (1,) * 3)
+    bch_multiply(alg2, PadicQuotient(3), (0,) * 3, (1,) * 3)
 
 
 def test_abelian_group_every_class_singleton():
@@ -124,7 +124,7 @@ def test_cc_equals_adjoint_ask():
     for d, nc, p in [(2, 2, 5), (2, 2, 7), (2, 3, 5)]:
         alg = free_nilpotent_lie(d, nc)
         ad = adjoint_rep(alg)
-        Fp = make_ring("field", p)
+        Fp = PadicQuotient(p)
         count = conjugacy_count_bch(alg, p)
         assert count == ask_direct(ad, Fp).value
         assert count == bch_oracle(alg, p)
@@ -176,7 +176,7 @@ def load_altboard(name: str):
 
 def test_baer_alt3_consistency():
     rep = classic_rep("alt", 3)
-    F3 = make_ring("field", 3)
+    F3 = PadicQuotient(3)
     cc = baer_group_cc(rep, 3)
     assert cc == 105
     assert cc == 3**rep.rank * ask_direct(rep, F3).value

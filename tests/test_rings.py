@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gridask.rings import (CompositeModulus, ExtField, NotAField, PadicQuotient,
-                           ReducibleModulus, Ring, count_roots, is_prime, make_ring,
+                           ReducibleModulus, Ring, count_roots, is_prime,
                            smallest_irreducible)
 
 
 def test_prime_field_basics():
-    F = make_ring("field", 17)
+    F = PadicQuotient(17)
     assert F.cardinality() == 17
     assert F.residue_cardinality() == 17
     assert F.inv(F.from_int(5)) == pow(5, 15, 17)
@@ -19,13 +19,13 @@ def test_prime_field_basics():
 
 def test_composite_modulus_rejected():
     with pytest.raises(CompositeModulus):
-        make_ring("field", 4)
+        PadicQuotient(4)
     with pytest.raises(CompositeModulus):
-        make_ring("padic", 6, 2)
+        PadicQuotient(6, 2)
 
 
 def test_padic_quotient_valuation():
-    R = make_ring("padic", 5, 2)
+    R = PadicQuotient(5, 2)
     assert R.cardinality() == 25
     assert R.valuation(R.from_int(5)) == 1
     assert R.valuation(R.from_int(0)) == 2
@@ -42,20 +42,20 @@ def test_f4_modulus_is_unique_irreducible_quadratic():
             irreducible.append((c, b, 1))
     assert irreducible == [(1, 1, 1)]
     assert smallest_irreducible(2, 2) == (1, 1, 1)
-    F4 = make_ring("ext", 2, 2)
+    F4 = ExtField(2, 2)
     assert F4.cardinality() == 4
 
 
 def test_reducible_modulus_rejected():
     with pytest.raises(ReducibleModulus):
-        make_ring("ext", 2, 2, modulus=(0, 0, 1))  # X^2 = X*X
+        ExtField(2, 2, (0, 0, 1))  # X^2 = X*X
     with pytest.raises(ReducibleModulus):
-        make_ring("ext", 3, 2, modulus=(2, 0, 1))  # X^2 - 1
+        ExtField(3, 2, (2, 0, 1))  # X^2 - 1
 
 
 @pytest.mark.parametrize("p,f", [(2, 2), (2, 3), (3, 2), (2, 4)])
 def test_ext_field_axioms_exhaustive(p, f):
-    F = make_ring("ext", p, f)
+    F = ExtField(p, f)
     elems = list(F.elements())
     assert len(elems) == p**f
     units = list(F.units())
@@ -71,23 +71,23 @@ def test_ext_field_axioms_exhaustive(p, f):
 
 def test_count_roots_quartic():
     # x^4 = -1 solvable iff the multiplicative group has an element of order 8
-    assert count_roots((1, 0, 0, 0, 1), make_ring("field", 17)) == 4
-    assert count_roots((1, 0, 0, 0, 1), make_ring("field", 3)) == 0
+    assert count_roots((1, 0, 0, 0, 1), PadicQuotient(17)) == 4
+    assert count_roots((1, 0, 0, 0, 1), PadicQuotient(3)) == 0
 
 
 def test_count_roots_cube_roots_of_unity():
-    assert count_roots((1, 1, 1), make_ring("field", 7)) == 2
-    assert count_roots((1, 1, 1), make_ring("field", 5)) == 0
+    assert count_roots((1, 1, 1), PadicQuotient(7)) == 2
+    assert count_roots((1, 1, 1), PadicQuotient(5)) == 0
 
 
 def test_count_roots_requires_field():
     with pytest.raises(NotAField):
-        count_roots((1, 1), make_ring("padic", 5, 2))
+        count_roots((1, 1), PadicQuotient(5, 2))
 
 
 def test_count_roots_extension_field():
     # X^2+X+1 splits in F_4 (its own splitting field)
-    assert count_roots((1, 1, 1), make_ring("ext", 2, 2)) == 2
+    assert count_roots((1, 1, 1), ExtField(2, 2)) == 2
 
 
 @given(st.sampled_from([2, 3, 5, 7, 11, 13]), st.integers(0, 10**6))
@@ -142,3 +142,42 @@ def test_ext_field_frobenius_fixed_field():
     fixed = [a for a in F.elements()
              if F.mul(F.mul(a, a), a) == a]
     assert len(fixed) == 3
+
+
+UNIT_RINGS = {"F2": PadicQuotient(2), "F3": PadicQuotient(3), "F4": ExtField(2, 2),
+              "F8": ExtField(2, 3), "F9": ExtField(3, 2), "Z/4": PadicQuotient(2, 2),
+              "Z/8": PadicQuotient(2, 3), "Z/16": PadicQuotient(2, 4),
+              "Z/9": PadicQuotient(3, 2), "Z/27": PadicQuotient(3, 3),
+              "Z/25": PadicQuotient(5, 2), "Z/49": PadicQuotient(7, 2)}
+
+
+@pytest.mark.parametrize("ring", UNIT_RINGS.values(), ids=UNIT_RINGS)
+def test_unit_generators_give_each_unit_of_each_level_once(ring):
+    # the oracle is ring.units() at the top level, and the units of Z/p^m
+    # at each level m below it
+    gens, n = ring.unit_generators(), ring.cap
+
+    def product(logs):
+        u = ring.one
+        for g, l in zip(gens, logs):
+            assert ring.pow(g, l) == Ring.pow(ring, g, l)
+            u = ring.mul(u, ring.pow(g, l))
+        return u
+
+    top = {logs: product(logs) for logs in itertools.product(*map(range, ring.unit_orders(n)))}
+    assert sorted(top.values()) == sorted(ring.units())
+    for m in range(1, n):
+        orders, modulus = ring.unit_orders(m), ring.p**m
+        level = {logs: product(logs) % modulus
+                 for logs in itertools.product(*map(range, orders))}
+        assert sorted(level.values()) == sorted(PadicQuotient(ring.p, m).units())
+        # a unit's logs at the top level, reduced mod the orders of level m,
+        # are the logs of its residue there
+        assert all(level[tuple(l % o for l, o in zip(logs, orders))] == u % modulus
+                   for logs, u in top.items())
+
+
+def test_unit_generators_come_from_a_factorisation():
+    # the unit group of F_3037000507 has 3 * 10^9 elements; the search
+    # reads the primes 2, 3 and 506166751 of its order and stops at 2
+    assert PadicQuotient(3037000507).unit_generators() == (2,)

@@ -7,14 +7,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from gridask import torus
 from gridask.modrep import ModuleRep, alpha_rep, alphahat_rep
-from gridask.rings import make_ring
+from gridask.rings import ExtField, PadicQuotient
 
 from oracles import naive_orbit_matrix, torus_orbit
 from test_askzeta import tiny_reps
 
-IDENTITY_RINGS = {"Z/8": make_ring("padic", 2, 3), "Z/16": make_ring("padic", 2, 4),
-                  "Z/9": make_ring("padic", 3, 2), "Z/25": make_ring("padic", 5, 2),
-                  "F4": make_ring("ext", 2, 2), "F9": make_ring("ext", 3, 2)}
+IDENTITY_RINGS = {"Z/8": PadicQuotient(2, 3), "Z/16": PadicQuotient(2, 4),
+                  "Z/9": PadicQuotient(3, 2), "Z/25": PadicQuotient(5, 2),
+                  "F4": ExtField(2, 2), "F9": ExtField(3, 2)}
 
 
 def power(ring, u, e):
@@ -60,10 +60,10 @@ def test_torus_element_scales_orbit_matrix(rep, ring_name, data):
             assert after[g, j] == ring.mul(ring.mul(b[g], before[g, j]), c[j])
 
 
-ORBIT_RINGS = {"F2": make_ring("field", 2), "F5": make_ring("field", 5),
-               "Z/4": make_ring("padic", 2, 2), "Z/8": make_ring("padic", 2, 3),
-               "Z/16": make_ring("padic", 2, 4), "Z/9": make_ring("padic", 3, 2),
-               "F4": make_ring("ext", 2, 2)}
+ORBIT_RINGS = {"F2": PadicQuotient(2), "F5": PadicQuotient(5),
+               "Z/4": PadicQuotient(2, 2), "Z/8": PadicQuotient(2, 3),
+               "Z/16": PadicQuotient(2, 4), "Z/9": PadicQuotient(3, 2),
+               "F4": ExtField(2, 2)}
 
 
 @settings(max_examples=60, deadline=None)
@@ -100,7 +100,7 @@ def test_joint_torus_orbits_of_alpha_pair():
     # divisors on the all-unit points, so they fall into phi^6 / phi^4 orbits
     weights = torus.weights(alpha_rep(3), alphahat_rep(3))
     for p, n, phi in ((5, 1, 4), (3, 2, 6), (2, 3, 4)):
-        found = list(torus.Torus(weights, make_ring("padic", p, n)).orbits(6, True))
+        found = list(torus.Torus(weights, PadicQuotient(p, n)).orbits(6, True))
         assert len(found) == phi**2 and {size for _, size in found} == {phi**4}
 
 
@@ -128,8 +128,8 @@ def test_characters_cut_out_the_lattice(ords, data):
     assert set(counts.values()) == {prod(ords) // index}
 
 
-@pytest.mark.parametrize("ring,groups", [(make_ring("padic", 2, 3), 16),
-                                         (make_ring("padic", 3, 2), 36)],
+@pytest.mark.parametrize("ring,groups", [(PadicQuotient(2, 3), 16),
+                                         (PadicQuotient(3, 2), 36)],
                          ids=["Z/8", "Z/9"])
 def test_keys_group_the_joint_torus(ring, groups):
     # every all-unit point of the joint torus of alpha:3 and alphahat:3 is
