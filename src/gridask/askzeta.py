@@ -485,15 +485,3 @@ def orbital_equivalence_check(rep_big: ModuleRep, rep_sub: ModuleRep, ring: Ring
         raise ShapeMismatch("representations must share index sets")
     return _certify([rep_big, rep_sub], ring, lambda pb, ps: pb == ps, True,
                     samples, seed, budget)
-
-
-# ---------------------------------------------------------------------------
-# Seeded helpers.
-# ---------------------------------------------------------------------------
-
-def random_unit_assignment(d: int, e: int, q: int, rng: random.Random):
-    """Random unit matrix for F_q checks: entries uniform in 1..q-1."""
-    from .colouring import UnitAssignment
-    u = {(i, j): rng.randrange(1, q)
-         for i in range(1, d + 1) for j in range(1, e + 1)}
-    return UnitAssignment(d, e, u)

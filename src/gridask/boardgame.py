@@ -298,14 +298,3 @@ def hat_colouring(beta: PartialColouring, I: Sequence[int], J: Sequence[int],
         colour_of[(i, j)] = colour
         colour_of[(j, i)] = colour
     return GameColouring(grid, colour_of)
-
-
-def rainbow_colouring(b: int, d: int) -> PartialColouring:
-    """Symmetric d x d colouring with colour "c{a}" on the pairs {i, i+a},
-    1 <= a <= b, i + a <= d (off-diagonal bands, one colour per offset)."""
-    colour_of: dict[Cell, str] = {}
-    for a in range(1, b + 1):
-        for i in range(1, d - a + 1):
-            colour_of[(i, i + a)] = f"c{a}"
-            colour_of[(i + a, i)] = f"c{a}"
-    return PartialColouring(d, d, colour_of)

@@ -88,6 +88,14 @@ def _parse_index_set(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.split(","))
 
 
+def _dimension(text: str) -> int:
+    """A dimension or generator count of a spec: at least 1."""
+    value = int(text)
+    if value < 1:
+        raise UsageError(f"dimension {value} names no module; it must be at least 1")
+    return value
+
+
 def _load_grid(path: str):
     return parse_grid(Path(path).read_text())
 
@@ -100,16 +108,16 @@ def build_rep(spec: str) -> modrep.ModuleRep:
     head, _, rest = spec.partition(":")
     if head == "classic":
         name, _, dims = rest.partition(":")
-        parts = [int(t) for t in dims.split(",")]
+        parts = [_dimension(t) for t in dims.split(",")]
         most = 2 if name == "mat" else 1
         if len(parts) > most:
             raise UsageError(f"classic:{name} takes at most {most} dimension(s), "
                              f"got {dims}")
         return modrep.classic_rep(name, *parts)
     if head == "alpha":
-        return modrep.alpha_rep(int(rest))
+        return modrep.alpha_rep(_dimension(rest))
     if head == "alphahat":
-        return modrep.alphahat_rep(int(rest))
+        return modrep.alphahat_rep(_dimension(rest))
     if head == "family":
         fam, _, sets = rest.partition(":")
         i_text, _, j_text = sets.partition(":")
@@ -119,7 +127,7 @@ def build_rep(spec: str) -> modrep.ModuleRep:
         parsed = _load_grid(rest)
         return BOARD_BUILDERS[head](parsed.colouring, parsed.units)
     if head == "triangular-pair":
-        return modrep.triangular_pair_rep(int(rest))
+        return modrep.triangular_pair_rep(_dimension(rest))
     if head == "file":
         return modrep.rep_from_json(json.loads(Path(rest).read_text()))
     raise UsageError(f"unknown representation spec {spec!r}")
@@ -265,7 +273,7 @@ def _cmd_orbital_check(args) -> int:
 def _cmd_cc(args) -> int:
     if args.free_nilpotent is not None:
         c_text, _, d_text = args.free_nilpotent.partition(",")
-        alg = nilpotent.free_nilpotent_lie(int(d_text), int(c_text))
+        alg = nilpotent.free_nilpotent_lie(_dimension(d_text), int(c_text))
         count = nilpotent.conjugacy_count_bch(alg, args.prime, args.n, args.budget)
         report = {"header": _header(args), "group": f"free class-{c_text} on {d_text}",
                   "prime": args.prime, "n": args.n, "classes": count}

@@ -72,9 +72,6 @@ class UnitAssignment:
     def __getitem__(self, cell: Cell) -> int:
         return self.u[cell]
 
-    def transpose(self) -> "UnitAssignment":
-        return UnitAssignment(self.e, self.d, {(j, i): v for (i, j), v in self.u.items()})
-
     @staticmethod
     def ones(d: int, e: int) -> "UnitAssignment":
         return UnitAssignment(d, e, {})
@@ -156,22 +153,13 @@ def parse_grid(text: str) -> ParsedGrid:
     return ParsedGrid(family, colouring, units)
 
 
-def parse_colouring(text: str) -> tuple[PartialColouring, UnitAssignment]:
-    parsed = parse_grid(text)
-    return parsed.colouring, parsed.units
-
-
-def colour_closure(beta: PartialColouring, seed: Subgrid) -> Subgrid:
-    """Smallest colour-closed product subgrid containing the seed.
+def _closure(fibres: list[list[Cell]], seed: Subgrid) -> Subgrid:
+    """Smallest colour-closed product subgrid containing the seed, from the
+    colouring's fibres.
 
     Iterates to a fixpoint: whenever a colour appears inside the current
     I' x J', all rows and columns met by that colour's fibre are added.
     """
-    return _closure([beta.fibre(c) for c in beta.colours()], seed)
-
-
-def _closure(fibres: list[list[Cell]], seed: Subgrid) -> Subgrid:
-    """colour_closure from the colouring's fibres."""
     I = set(seed[0])
     J = set(seed[1])
     if not I or not J:
@@ -189,16 +177,6 @@ def _closure(fibres: list[list[Cell]], seed: Subgrid) -> Subgrid:
                         J.add(j)
                         changed = True
     return (tuple(sorted(I)), tuple(sorted(J)))
-
-
-def is_colour_closed(beta: PartialColouring, sub: Subgrid) -> bool:
-    I, J = set(sub[0]), set(sub[1])
-    for colour in beta.colours():
-        cells = beta.fibre(colour)
-        if any(i in I and j in J for (i, j) in cells):
-            if not all(i in I and j in J for (i, j) in cells):
-                return False
-    return True
 
 
 def has_blank(beta: PartialColouring, sub: Subgrid) -> bool:
@@ -227,15 +205,6 @@ def is_admissible_rect(beta: PartialColouring) -> RectVerdict:
     return RectVerdict(True)
 
 
-def transpose_colouring(beta: PartialColouring) -> PartialColouring:
-    return PartialColouring(beta.e, beta.d,
-                            {(j, i): c for (i, j), c in beta.colour_of.items()})
-
-
 def sl_colouring(d: int) -> PartialColouring:
     """One colour on the main diagonal of [d] x [d] (trace-zero relation)."""
     return PartialColouring(d, d, {(i, i): "t" for i in range(1, d + 1)})
-
-
-def all_blank(d: int, e: int) -> PartialColouring:
-    return PartialColouring(d, e, {})

@@ -29,61 +29,8 @@ class Mat:
         if len(self.entries) != self.rows * self.cols:
             raise ValueError("entry count does not match shape")
 
-    @staticmethod
-    def from_int_rows(ring: Ring, rows: Sequence[Sequence[int]]) -> "Mat":
-        return Mat(ring, len(rows), len(rows[0]) if rows else 0,
-                   tuple(ring.from_int(x) for row in rows for x in row))
-
-    @staticmethod
-    def zero(ring: Ring, rows: int, cols: int) -> "Mat":
-        return Mat(ring, rows, cols, (ring.zero,) * (rows * cols))
-
-    @staticmethod
-    def identity(ring: Ring, n: int) -> "Mat":
-        ents = [ring.zero] * (n * n)
-        for i in range(n):
-            ents[i * n + i] = ring.one
-        return Mat(ring, n, n, tuple(ents))
-
-    def __getitem__(self, ij: tuple[int, int]):
-        i, j = ij
-        return self.entries[i * self.cols + j]
-
     def row(self, i: int) -> tuple:
         return self.entries[i * self.cols:(i + 1) * self.cols]
-
-    def add(self, other: "Mat") -> "Mat":
-        R = self.ring
-        return Mat(R, self.rows, self.cols,
-                   tuple(R.add(a, b) for a, b in zip(self.entries, other.entries)))
-
-    def mul(self, other: "Mat") -> "Mat":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        R = self.ring
-        out = []
-        for i in range(self.rows):
-            for j in range(other.cols):
-                acc = R.zero
-                for k in range(self.cols):
-                    acc = R.add(acc, R.mul(self[i, k], other[k, j]))
-                out.append(acc)
-        return Mat(R, self.rows, other.cols, tuple(out))
-
-    def transpose(self) -> "Mat":
-        return Mat(self.ring, self.cols, self.rows,
-                   tuple(self[i, j] for j in range(self.cols) for i in range(self.rows)))
-
-    def act_left(self, x: Sequence) -> tuple:
-        """Row vector times matrix: (x m)_j = sum_i x_i m_ij."""
-        R = self.ring
-        out = []
-        for j in range(self.cols):
-            acc = R.zero
-            for i in range(self.rows):
-                acc = R.add(acc, R.mul(x[i], self[i, j]))
-            out.append(acc)
-        return tuple(out)
 
 
 def divisor_profile(m: Mat) -> tuple[int, ...]:
@@ -177,18 +124,11 @@ def rank(m: Mat) -> int:
 
 
 def profile_image_size(profile: Sequence[int], ring: Ring) -> int:
-    """|{x m : x in R^rows}| for a matrix m over ring with this divisor profile."""
-    size = 1
-    for v in profile:
-        size *= ring.p ** (ring.residue_log * (ring.cap - v))
-    return size
+    """|{x m : x in R^rows}| for a matrix m over ring with this divisor
+    profile: a divisor p^v contributes q^(cap - v), q the residue field's size."""
+    return ring.residue_cardinality() ** sum(ring.cap - v for v in profile)
 
 
 def image_size(m: Mat) -> int:
     """|{x m : x in R^rows}| from the divisor profile."""
     return profile_image_size(divisor_profile(m), m.ring)
-
-
-def kernel_size(m: Mat) -> int:
-    """|{x in R^rows : x m = 0}| = |R|^rows / image_size(m)."""
-    return m.ring.cardinality() ** m.rows // image_size(m)

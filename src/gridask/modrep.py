@@ -4,8 +4,8 @@ A representation theta is a basis-labelled family of integer matrices of a
 common shape I x J; specialising the entries to a finite ring realises the
 module they span inside Hom(R^I, R^J).  relation_rep builds every module
 on a boardgame family grid cut out by one relation per colour: the generic
-families, boards and their hats, sl, upper triangular matrices and graph
-adjacency modules.  Also: the two companion ("Knuth dual") views and the
+families, boards and their hats, sl, the upper triangular matrices and the
+triangular pair.  Also: the two companion ("Knuth dual") views and the
 degree-3 commutator representations alpha / alphahat.
 
 Of the companions, element_dual (basis I, shape B x J) turns module
@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .boardgame import Family, GameColouring, build_grid, hat_colouring, master_rho
 from .colouring import PartialColouring, UnitAssignment, sl_colouring
@@ -26,10 +26,6 @@ from .linalg import Mat
 from .rings import Ring
 
 IntMatrix = tuple[tuple[int, ...], ...]
-
-
-class IndexNotSubset(Exception):
-    pass
 
 
 class ShapeMismatch(Exception):
@@ -87,28 +83,6 @@ class ModuleRep:
     def _orbit_columns(self) -> tuple[tuple[int, ...], ...]:
         """(a_{bij} for i in I) for each entry (b, j) of C(x), row by row."""
         return tuple(tuple(row[j] for row in g) for g in self.gens for j in range(len(self.J)))
-
-    def circ_forms(self) -> list[list[dict[int, int]]]:
-        """Symbolic C(X_I): entry (b, j) as {row index i: coefficient}."""
-        out = []
-        for g in self.gens:
-            row_forms = []
-            for j in range(len(self.J)):
-                form = {i: g[i][j] for i in range(len(self.I)) if g[i][j]}
-                row_forms.append(form)
-            out.append(row_forms)
-        return out
-
-    def matrix_forms(self) -> list[list[dict[int, int]]]:
-        """Symbolic A(X_B): entry (i, j) as {generator index b: coefficient}."""
-        out = []
-        for i in range(len(self.I)):
-            row_forms = []
-            for j in range(len(self.J)):
-                form = {b: g[i][j] for b, g in enumerate(self.gens) if g[i][j]}
-                row_forms.append(form)
-            out.append(row_forms)
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +163,11 @@ def symboard_rep(beta: PartialColouring, u: UnitAssignment | None = None) -> Mod
 # Classical families.
 # ---------------------------------------------------------------------------
 
+def _below_diagonal(n: int) -> dict:
+    """A colour of its own for each cell of [n] x [n] below the diagonal."""
+    return {(i, j): f"{i},{j}" for i in range(1, n + 1) for j in range(1, i)}
+
+
 def classic_rep(name: str, d: int, e: int | None = None) -> ModuleRep:
     """Standard integer bases: mat(d,e), alt(d), sym(d), sl(d), tr(d).
 
@@ -203,13 +182,22 @@ def classic_rep(name: str, d: int, e: int | None = None) -> ModuleRep:
     if name == "sl":
         return board_rep(sl_colouring(d))
     if name == "tr":
-        return board_rep(PartialColouring(d, d, {(i, j): f"{i},{j}" for i in idx
-                                                 for j in idx if i > j}))
+        return board_rep(PartialColouring(d, d, _below_diagonal(d)))
     raise ValueError(f"unknown classic module {name!r}")
 
 
+def triangular_pair_rep(d: int) -> ModuleRep:
+    """The 2d x 2d module [[upper triangular, trace zero], [0, upper
+    triangular]]: the board on [2d] x [2d] in which each cell below the
+    diagonal (below a diagonal block's diagonal, or in the lower-left
+    block) has a colour of its own and the diagonal of the upper-right
+    block shares one colour."""
+    trace = {(i, i + d): "t" for i in range(1, d + 1)}
+    return board_rep(PartialColouring(2 * d, 2 * d, _below_diagonal(2 * d) | trace))
+
+
 # ---------------------------------------------------------------------------
-# Companion views, restriction, inflation, sums, embeddings.
+# Companion views.
 # ---------------------------------------------------------------------------
 
 def knuth_bullet(rep: ModuleRep) -> ModuleRep:
@@ -229,122 +217,6 @@ def element_dual(rep: ModuleRep) -> ModuleRep:
     sum_b c_b a_b, and element_dual(element_dual(rep)) == rep."""
     gens = tuple(tuple(g[i] for g in rep.gens) for i in range(len(rep.I)))
     return ModuleRep(tuple(rep.I), tuple(rep.labels), tuple(rep.J), gens)
-
-
-def restrict_rep(rep: ModuleRep, I_sub: Sequence, J_sub: Sequence) -> ModuleRep:
-    I_sub, J_sub = tuple(I_sub), tuple(J_sub)
-    if not set(I_sub) <= set(rep.I) or not set(J_sub) <= set(rep.J):
-        raise IndexNotSubset("restriction indices must be subsets")
-    ri = [rep.I.index(i) for i in I_sub]
-    cj = [rep.J.index(j) for j in J_sub]
-    gens = tuple(_freeze([[g[i][j] for j in cj] for i in ri]) for g in rep.gens)
-    return ModuleRep(rep.labels, I_sub, J_sub, gens)
-
-
-def inflate_rep(rep: ModuleRep, I_big: Sequence, J_big: Sequence) -> ModuleRep:
-    if not set(rep.I) <= set(I_big) or not set(rep.J) <= set(J_big):
-        raise IndexNotSubset("inflation indices must be supersets")
-    return embed_rep(rep, I_big, J_big, {i: i for i in rep.I}, {j: j for j in rep.J})
-
-
-def embed_rep(rep: ModuleRep, I_big: Sequence, J_big: Sequence,
-              row_map: Mapping, col_map: Mapping, tag=None) -> ModuleRep:
-    """Embed via injections row_map: rep.I -> I_big, col_map: rep.J -> J_big."""
-    I_big, J_big = tuple(I_big), tuple(J_big)
-    ri = {v: k for k, v in enumerate(I_big)}
-    cj = {v: k for k, v in enumerate(J_big)}
-    gens = []
-    for g in rep.gens:
-        big = _zero(len(I_big), len(J_big))
-        for a, i in enumerate(rep.I):
-            for b, j in enumerate(rep.J):
-                big[ri[row_map[i]]][cj[col_map[j]]] = g[a][b]
-        gens.append(_freeze(big))
-    labels = tuple((tag, lab) for lab in rep.labels) if tag is not None else rep.labels
-    return ModuleRep(labels, I_big, J_big, tuple(gens))
-
-
-def sum_rep(*reps: ModuleRep) -> ModuleRep:
-    """Concatenate generator lists of representations with equal shape."""
-    first = reps[0]
-    labels: list = []
-    gens: list = []
-    for k, rep in enumerate(reps):
-        if rep.I != first.I or rep.J != first.J:
-            raise ShapeMismatch("summands must share index sets")
-        for lab, g in zip(rep.labels, rep.gens):
-            labels.append((k, lab))
-            gens.append(g)
-    return ModuleRep(tuple(labels), first.I, first.J, tuple(gens))
-
-
-def triangular_pair_rep(d: int) -> ModuleRep:
-    """The 2d x 2d module [[upper triangular, trace zero], [0, upper
-    triangular]], assembled from embedded blocks."""
-    n = 2 * d
-    idx = tuple(range(1, n + 1))
-    lo = {i: i for i in range(1, d + 1)}
-    hi = {i: i + d for i in range(1, d + 1)}
-    tr = classic_rep("tr", d)
-    sl = classic_rep("sl", d)
-    return sum_rep(embed_rep(tr, idx, idx, lo, lo),
-                   embed_rep(sl, idx, idx, lo, hi),
-                   embed_rep(tr, idx, idx, hi, hi))
-
-
-# ---------------------------------------------------------------------------
-# Graphs and adjacency representations.
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SimpleGraph:
-    vertices: tuple
-    edges: frozenset  # frozensets of size 2 (size 1 = loop, if allowed)
-    allow_loops: bool = False
-
-    def __post_init__(self) -> None:
-        for edge in self.edges:
-            if not set(edge) <= set(self.vertices):
-                raise ValueError(f"edge {set(edge)} leaves the vertex set")
-            if len(edge) == 1 and not self.allow_loops:
-                raise ValueError("loops are not allowed in this graph")
-
-
-def complete_graph(vertices: Sequence) -> SimpleGraph:
-    vs = tuple(vertices)
-    return SimpleGraph(vs, frozenset(frozenset(p) for p in itertools.combinations(vs, 2)))
-
-
-def discrete_graph(vertices: Sequence) -> SimpleGraph:
-    return SimpleGraph(tuple(vertices), frozenset())
-
-
-def graph_join(g1: SimpleGraph, g2: SimpleGraph) -> SimpleGraph:
-    if set(g1.vertices) & set(g2.vertices):
-        raise ValueError("join requires disjoint vertex sets")
-    cross = frozenset(frozenset((a, b)) for a in g1.vertices for b in g2.vertices)
-    return SimpleGraph(g1.vertices + g2.vertices, g1.edges | g2.edges | cross,
-                       g1.allow_loops or g2.allow_loops)
-
-
-def threshold_graph(m: int, n: int) -> SimpleGraph:
-    """Discrete graph on m vertices joined with a complete graph on n."""
-    return graph_join(discrete_graph(tuple(("d", k) for k in range(1, m + 1))),
-                      complete_graph(tuple(("k", k) for k in range(1, n + 1))))
-
-
-def adjacency_rep(g: SimpleGraph, sign: str = "negative") -> ModuleRep:
-    """Edge {v < w} maps to e_vw - e_wv (negative) or e_vw + e_wv
-    (positive); loops {v} map to e_vv (positive only).  This is the
-    relation module of the gamma (negative) or sigma (positive) grid on the
-    vertices in which each non-edge class has a colour of its own."""
-    if sign == "negative" and any(len(edge) == 1 for edge in g.edges):
-        raise ValueError("negative adjacency has no loop generators")
-    family = Family.GAMMA if sign == "negative" else Family.SIGMA
-    grid = build_grid(family, g.vertices, g.vertices)
-    return relation_rep(GameColouring(grid, {
-        cell: str(min(grid.class_of[cell])) for cell in grid.cells
-        if frozenset(cell) not in g.edges}))
 
 
 # ---------------------------------------------------------------------------

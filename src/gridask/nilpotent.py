@@ -4,9 +4,7 @@ sizes (the truncated Baker-Campbell-Hausdorff group law is a test oracle).
 
 Algebras are stored as integer structure constants on a graded basis.
 Products raise degree; everything in degree > 3 vanishes.  The free
-class-3 Lie algebra on d generators is built on a Hall basis; the bigger
-anticommutative (non-Lie) algebra on the same degree-1 part and its
-quotient by the Jacobi elements reproduce it.
+class-3 Lie algebra on d generators is built on a Hall basis.
 
 Class numbers over R = Z/p^n come from two identities (the orbit method
 and the Lazard correspondence; O'Brien-Voll, Rossmann):
@@ -22,7 +20,6 @@ Both asks are taken with askzeta.ask_orbit.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -75,26 +72,8 @@ class GradedAlgebra:
     def dim(self) -> int:
         return len(self.labels)
 
-    @property
-    def grading(self) -> tuple[int, int, int]:
-        return tuple(sum(1 for d in self.degrees if d == k) for k in (1, 2, 3))
-
     def product_basis(self, a: int, b: int) -> SparseVec:
         return self.structure.get((a, b), ())
-
-    def jacobi_defect(self, a: int, b: int, c: int) -> dict[int, int]:
-        """[[a,b],c] + [[b,c],a] + [[c,a],b] as a sparse integer vector."""
-        out: dict[int, int] = {}
-        for (x, y, z) in ((a, b, c), (b, c, a), (c, a, b)):
-            for i, ci in self.product_basis(x, y):
-                for j, cj in self.product_basis(i, z):
-                    out[j] = out.get(j, 0) + ci * cj
-        return {k: v for k, v in out.items() if v}
-
-    def is_lie(self) -> bool:
-        n = self.dim
-        return all(not self.jacobi_defect(a, b, c)
-                   for a in range(n) for b in range(n) for c in range(n))
 
 
 def _add_pair(structure: dict, a: int, b: int, vec: SparseVec) -> None:
@@ -146,66 +125,6 @@ def free_nilpotent_lie(d: int, nil_class: int = 3) -> GradedAlgebra:
                 vec = c3(j, i, k)
                 _add_pair(structure, pos[("c2", (j, i))], pos[("x", k)], vec)
     return GradedAlgebra(tuple(labels), tuple(degrees), structure)
-
-
-def a_d_algebra(d: int) -> GradedAlgebra:
-    """The anticommutative (generally non-Lie) algebra with basis
-    x_i; p_{i<j}; t_{(h, i<j)} and products x_i x_j = p_{i<j},
-    x_h p_{i<j} = t_{(h, i<j)} (everything else zero)."""
-    labels: list = [("x", i) for i in range(1, d + 1)]
-    degrees = [1] * d
-    pairs = list(itertools.combinations(range(1, d + 1), 2))
-    for pr in pairs:
-        labels.append(("p", pr))
-        degrees.append(2)
-    for h in range(1, d + 1):
-        for pr in pairs:
-            labels.append(("t", (h, pr)))
-            degrees.append(3)
-    pos = {lab: t for t, lab in enumerate(labels)}
-    structure: dict[tuple[int, int], SparseVec] = {}
-    for i, j in pairs:
-        _add_pair(structure, pos[("x", i)], pos[("x", j)], ((pos[("p", (i, j))], 1),))
-    for h in range(1, d + 1):
-        for pr in pairs:
-            _add_pair(structure, pos[("x", h)], pos[("p", pr)],
-                      ((pos[("t", (h, pr))], 1),))
-    return GradedAlgebra(tuple(labels), tuple(degrees), structure)
-
-
-def jacobi_quotient(alg: GradedAlgebra) -> GradedAlgebra:
-    """Quotient of the a_d algebra by the degree-3 Jacobi elements
-    t_{(i, j<k)} - t_{(j, i<k)} + t_{(k, i<j)}; for each triple the
-    basis element t_{(max, pair)} is eliminated."""
-    subs: dict[int, SparseVec] = {}
-    pos = {lab: t for t, lab in enumerate(alg.labels)}
-    kept = [t for t in range(alg.dim)]
-    d = alg.grading[0]
-    for a, b, c in itertools.combinations(range(1, d + 1), 3):
-        drop = pos[("t", (c, (a, b)))]
-        subs[drop] = ((pos[("t", (b, (a, c)))], 1), (pos[("t", (a, (b, c)))], -1))
-        kept.remove(drop)
-    new_index = {old: new for new, old in enumerate(kept)}
-
-    def rewrite(vec: SparseVec) -> SparseVec:
-        acc: dict[int, int] = {}
-        for i, c in vec:
-            if i in subs:
-                for i2, c2 in subs[i]:
-                    acc[i2] = acc.get(i2, 0) + c * c2
-            else:
-                acc[i] = acc.get(i, 0) + c
-        return tuple((new_index[i], c) for i, c in sorted(acc.items()) if c)
-
-    structure: dict[tuple[int, int], SparseVec] = {}
-    for (a, b), vec in alg.structure.items():
-        if a in subs or b in subs:
-            continue  # dropped elements are degree 3: their products vanish
-        new_vec = rewrite(vec)
-        if new_vec:
-            structure[(new_index[a], new_index[b])] = new_vec
-    return GradedAlgebra(tuple(alg.labels[t] for t in kept),
-                         tuple(alg.degrees[t] for t in kept), structure)
 
 
 def adjoint_rep(alg: GradedAlgebra) -> ModuleRep:

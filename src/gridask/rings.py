@@ -26,10 +26,6 @@ class ReducibleModulus(RingError):
     """Raised when a supplied extension-field modulus factors over F_p."""
 
 
-class NotAField(RingError):
-    """Raised when a field-only operation is applied to Z/p^n with n > 1."""
-
-
 def _prime_factors(n: int) -> set[int]:
     """The primes dividing n >= 1, by trial division."""
     primes, d = set(), 2
@@ -103,32 +99,17 @@ def _poly_powmod_x(exp: int, m: list[int], p: int) -> list[int]:
 
 
 def _is_irreducible(m: list[int], p: int) -> bool:
-    """Irreducibility of a monic polynomial over F_p.
-
-    Degree <= 3: no roots suffices.  Degree >= 4: additionally require
-    gcd(X^{p^k} - X, m) = 1 for all k <= deg/2 (no low-degree factors).
-    """
+    """Irreducibility of a monic polynomial over F_p (Ben-Or's test):
+    gcd(X^{p^k} - X, m) = 1 for every k <= deg/2, since a reducible m has
+    a monic irreducible factor of some degree k <= deg/2, and X^{p^k} - X
+    is the product of the monic irreducibles of degree dividing k."""
     deg = len(m) - 1
     if deg < 1:
         return False
-    if deg == 1:
-        return True
-    for a in range(p):
-        acc = 0
-        for c in reversed(m):
-            acc = (acc * a + c) % p
-        if acc == 0:
-            return False
-    if deg <= 3:
-        return True
     for k in range(1, deg // 2 + 1):
-        xq = _poly_powmod_x(p**k, m, p)
-        diff = list(xq)
-        while len(diff) < 2:
-            diff.append(0)
+        diff = _poly_powmod_x(p**k, m, p) + [0, 0]
         diff[1] = (diff[1] - 1) % p
-        g = _poly_gcd(list(m), _poly_trim(diff), p)
-        if len(g) - 1 >= 1:
+        if len(_poly_gcd(list(m), _poly_trim(diff), p)) > 1:
             return False
     return True
 
@@ -167,16 +148,12 @@ class Ring:
     def cap(self) -> int:
         return 1
 
-    @property
-    def residue_log(self) -> int:
-        """log_p of the residue-field cardinality (f for F_{p^f})."""
-        return 1
-
     def cardinality(self) -> int:
         raise NotImplementedError
 
     def residue_cardinality(self) -> int:
-        return self.p**self.residue_log
+        """q, the cardinality of the residue field (p^f for F_{p^f})."""
+        return self.p
 
     def exact_div(self, a, v: int):
         """a / p^v for an element a of valuation >= v (over a field v is 0)."""
@@ -342,11 +319,10 @@ class ExtField(Ring):
         if not _is_irreducible(mod_list, self.p):
             raise ReducibleModulus(f"{mod} is reducible over F_{self.p}")
 
-    @property
-    def residue_log(self) -> int:
-        return self.f
-
     def cardinality(self) -> int:
+        return self.p**self.f
+
+    def residue_cardinality(self) -> int:
         return self.p**self.f
 
     @property
@@ -403,20 +379,3 @@ class ExtField(Ring):
 
     def units(self) -> Iterator[tuple[int, ...]]:
         return (a for a in self.elements() if not self.is_zero(a))
-
-
-def count_roots(coeffs: Sequence[int], ring: Ring) -> int:
-    """Number of roots of an integer-coefficient polynomial in a finite field.
-
-    coeffs are low degree first.  Exhaustive evaluation over the field.
-    """
-    if ring.cap != 1:
-        raise NotAField("root counting requires a field")
-    count = 0
-    for a in ring.elements():
-        acc = ring.zero
-        for c in reversed(list(coeffs)):
-            acc = ring.add(ring.mul(acc, a), ring.from_int(c))
-        if ring.is_zero(acc):
-            count += 1
-    return count

@@ -1,8 +1,12 @@
-"""Independent brute-force reference implementations used only by tests.
+"""Independent brute-force reference implementations used only by tests,
+and the fixtures only tests need.
 
-Everything here is written directly from the definitions, with no reuse of
+The oracles are written directly from the definitions, with no reuse of
 the library's elimination, closure, or greedy-play code, so that agreement
-between the two is meaningful evidence.
+between the two is meaningful evidence.  The fixtures (matrix arithmetic,
+the symbolic forms of criterion 10, the class-3 relation algebra, seeded
+units, rainbow and transposed colourings, and a view of the library's
+colour closure) build test inputs and are not checks in their own right.
 """
 from __future__ import annotations
 
@@ -10,9 +14,63 @@ import itertools
 import random
 from fractions import Fraction
 
-from gridask.colouring import PartialColouring
+from gridask.colouring import PartialColouring, UnitAssignment, _closure
 from gridask.linalg import Mat
-from gridask.nilpotent import _check_characteristic
+from gridask.nilpotent import GradedAlgebra, _add_pair, _check_characteristic
+
+
+# ---------------------------------------------------------------------------
+# Matrix arithmetic (fixtures).
+# ---------------------------------------------------------------------------
+
+def mat_from_int_rows(ring, rows) -> Mat:
+    return Mat(ring, len(rows), len(rows[0]) if rows else 0,
+               tuple(ring.from_int(x) for row in rows for x in row))
+
+
+def mat_zero(ring, rows: int, cols: int) -> Mat:
+    return Mat(ring, rows, cols, (ring.zero,) * (rows * cols))
+
+
+def mat_identity(ring, n: int) -> Mat:
+    return Mat(ring, n, n, tuple(ring.one if i == j else ring.zero
+                                 for i in range(n) for j in range(n)))
+
+
+def mat_add(a: Mat, b: Mat) -> Mat:
+    R = a.ring
+    return Mat(R, a.rows, a.cols, tuple(R.add(x, y) for x, y in zip(a.entries, b.entries)))
+
+
+def mat_mul(a: Mat, b: Mat) -> Mat:
+    if a.cols != b.rows:
+        raise ValueError("shape mismatch")
+    R = a.ring
+    out = []
+    for i in range(a.rows):
+        for j in range(b.cols):
+            acc = R.zero
+            for k in range(a.cols):
+                acc = R.add(acc, R.mul(a.row(i)[k], b.row(k)[j]))
+            out.append(acc)
+    return Mat(R, a.rows, b.cols, tuple(out))
+
+
+def mat_transpose(m: Mat) -> Mat:
+    return Mat(m.ring, m.cols, m.rows,
+               tuple(m.row(i)[j] for j in range(m.cols) for i in range(m.rows)))
+
+
+def act_left(m: Mat, x) -> tuple:
+    """Row vector times matrix: (x m)_j = sum_i x_i m_ij."""
+    R = m.ring
+    out = []
+    for j in range(m.cols):
+        acc = R.zero
+        for i in range(m.rows):
+            acc = R.add(acc, R.mul(x[i], m.row(i)[j]))
+        out.append(acc)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -47,7 +105,7 @@ def brute_kernel_size(m: Mat) -> int:
     zero = ring.from_int(0)
     count = 0
     for x in itertools.product(list(ring.elements()), repeat=m.rows):
-        if all(v == zero for v in m.act_left(x)):
+        if all(v == zero for v in act_left(m, x)):
             count += 1
     return count
 
@@ -56,8 +114,47 @@ def brute_image_size(m: Mat) -> int:
     """Count distinct images x m by full enumeration."""
     images = set()
     for x in itertools.product(list(m.ring.elements()), repeat=m.rows):
-        images.add(m.act_left(x))
+        images.add(act_left(m, x))
     return len(images)
+
+
+# ---------------------------------------------------------------------------
+# Polynomials over finite fields.
+# ---------------------------------------------------------------------------
+
+def count_roots(coeffs, ring) -> int:
+    """Roots in a finite field of an integer polynomial (low degree first),
+    by evaluating it at every element."""
+    count = 0
+    for a in ring.elements():
+        acc = ring.zero
+        for c in reversed(coeffs):
+            acc = ring.add(ring.mul(acc, a), ring.from_int(c))
+        count += ring.is_zero(acc)
+    return count
+
+
+def _divides(f: list[int], g: list[int], p: int) -> bool:
+    """Does the monic f divide g over F_p?  Schoolbook long division."""
+    rem = [c % p for c in g]
+    for top in range(len(rem) - 1, len(f) - 2, -1):
+        c = rem[top]
+        for k, fc in enumerate(f):
+            rem[top - len(f) + 1 + k] = (rem[top - len(f) + 1 + k] - c * fc) % p
+    return not any(rem)
+
+
+def trial_division_irreducible(m: list[int], p: int) -> bool:
+    """A monic m over F_p (low degree first) of degree >= 1 is irreducible
+    iff no monic polynomial of degree 1 .. deg/2 divides it."""
+    deg = len(m) - 1
+    if deg < 1:
+        return False
+    for k in range(1, deg // 2 + 1):
+        for low in itertools.product(range(p), repeat=k):
+            if _divides(list(low) + [1], m, p):
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +347,92 @@ def torus_orbit(ring, weights, x) -> frozenset:
 
 
 # ---------------------------------------------------------------------------
+# The class-3 relation algebra and its Jacobi quotient: an independent
+# construction of the free class-3 Lie algebra.
+# ---------------------------------------------------------------------------
+
+def jacobi_defect(alg, a: int, b: int, c: int) -> dict[int, int]:
+    """[[a,b],c] + [[b,c],a] + [[c,a],b] as a sparse integer vector."""
+    out: dict[int, int] = {}
+    for (x, y, z) in ((a, b, c), (b, c, a), (c, a, b)):
+        for i, ci in alg.product_basis(x, y):
+            for j, cj in alg.product_basis(i, z):
+                out[j] = out.get(j, 0) + ci * cj
+    return {k: v for k, v in out.items() if v}
+
+
+def is_lie(alg) -> bool:
+    n = alg.dim
+    return all(not jacobi_defect(alg, a, b, c)
+               for a in range(n) for b in range(n) for c in range(n))
+
+
+def grading(alg) -> tuple[int, int, int]:
+    """The dimensions of the degree-1, 2 and 3 parts."""
+    return tuple(alg.degrees.count(k) for k in (1, 2, 3))
+
+
+def a_d_algebra(d: int) -> GradedAlgebra:
+    """The anticommutative (generally non-Lie) algebra with basis
+    x_i; p_{i<j}; t_{(h, i<j)} and products x_i x_j = p_{i<j},
+    x_h p_{i<j} = t_{(h, i<j)} (everything else zero)."""
+    labels: list = [("x", i) for i in range(1, d + 1)]
+    degrees = [1] * d
+    pairs = list(itertools.combinations(range(1, d + 1), 2))
+    for pr in pairs:
+        labels.append(("p", pr))
+        degrees.append(2)
+    for h in range(1, d + 1):
+        for pr in pairs:
+            labels.append(("t", (h, pr)))
+            degrees.append(3)
+    pos = {lab: t for t, lab in enumerate(labels)}
+    structure: dict = {}
+    for i, j in pairs:
+        _add_pair(structure, pos[("x", i)], pos[("x", j)], ((pos[("p", (i, j))], 1),))
+    for h in range(1, d + 1):
+        for pr in pairs:
+            _add_pair(structure, pos[("x", h)], pos[("p", pr)],
+                      ((pos[("t", (h, pr))], 1),))
+    return GradedAlgebra(tuple(labels), tuple(degrees), structure)
+
+
+def jacobi_quotient(alg) -> GradedAlgebra:
+    """Quotient of the a_d algebra by the degree-3 Jacobi elements
+    t_{(i, j<k)} - t_{(j, i<k)} + t_{(k, i<j)}; for each triple the
+    basis element t_{(max, pair)} is eliminated."""
+    subs: dict = {}
+    pos = {lab: t for t, lab in enumerate(alg.labels)}
+    kept = list(range(alg.dim))
+    d = grading(alg)[0]
+    for a, b, c in itertools.combinations(range(1, d + 1), 3):
+        drop = pos[("t", (c, (a, b)))]
+        subs[drop] = ((pos[("t", (b, (a, c)))], 1), (pos[("t", (a, (b, c)))], -1))
+        kept.remove(drop)
+    new_index = {old: new for new, old in enumerate(kept)}
+
+    def rewrite(vec):
+        acc: dict[int, int] = {}
+        for i, c in vec:
+            if i in subs:
+                for i2, c2 in subs[i]:
+                    acc[i2] = acc.get(i2, 0) + c * c2
+            else:
+                acc[i] = acc.get(i, 0) + c
+        return tuple((new_index[i], c) for i, c in sorted(acc.items()) if c)
+
+    structure: dict = {}
+    for (a, b), vec in alg.structure.items():
+        if a in subs or b in subs:
+            continue  # dropped elements are degree 3: their products vanish
+        new_vec = rewrite(vec)
+        if new_vec:
+            structure[(new_index[a], new_index[b])] = new_vec
+    return GradedAlgebra(tuple(alg.labels[t] for t in kept),
+                         tuple(alg.degrees[t] for t in kept), structure)
+
+
+# ---------------------------------------------------------------------------
 # Conjugacy-class oracle and the group laws it sweeps.
 # ---------------------------------------------------------------------------
 
@@ -367,6 +550,37 @@ def exhaustive_rect_admissible(beta: PartialColouring) -> bool:
     return True
 
 
+def is_colour_closed(beta: PartialColouring, sub) -> bool:
+    fibres = [beta.fibre(colour) for colour in beta.colours()]
+    return _is_closed(fibres, frozenset(sub[0]), frozenset(sub[1]))
+
+
+# ---------------------------------------------------------------------------
+# Colouring fixtures.
+# ---------------------------------------------------------------------------
+
+def colour_closure(beta: PartialColouring, seed):
+    """The library's smallest colour-closed product subgrid containing the
+    seed, read off the colouring's fibres."""
+    return _closure([beta.fibre(c) for c in beta.colours()], seed)
+
+
+def transpose_colouring(beta: PartialColouring) -> PartialColouring:
+    return PartialColouring(beta.e, beta.d,
+                            {(j, i): c for (i, j), c in beta.colour_of.items()})
+
+
+def rainbow_colouring(b: int, d: int) -> PartialColouring:
+    """Symmetric d x d colouring with colour "c{a}" on the pairs {i, i+a},
+    1 <= a <= b, i + a <= d (off-diagonal bands, one colour per offset)."""
+    colour_of = {}
+    for a in range(1, b + 1):
+        for i in range(1, d - a + 1):
+            colour_of[(i, i + a)] = f"c{a}"
+            colour_of[(i + a, i)] = f"c{a}"
+    return PartialColouring(d, d, colour_of)
+
+
 # ---------------------------------------------------------------------------
 # Board-game oracle: exhaustive move-tree reachability.
 # ---------------------------------------------------------------------------
@@ -443,9 +657,27 @@ def class_values(g, I, J, family: str, classes) -> list[int] | None:
     return None if any(entry.values()) else values
 
 
+def circ_forms(rep) -> list[list[dict[int, int]]]:
+    """Symbolic C(X_I): entry (b, j) as {row index i: coefficient}."""
+    return [[{i: g[i][j] for i in range(len(rep.I)) if g[i][j]}
+             for j in range(len(rep.J))] for g in rep.gens]
+
+
+def matrix_forms(rep) -> list[list[dict[int, int]]]:
+    """Symbolic A(X_B): entry (i, j) as {generator index b: coefficient}."""
+    return [[{b: g[i][j] for b, g in enumerate(rep.gens) if g[i][j]}
+             for j in range(len(rep.J))] for i in range(len(rep.I))]
+
+
 # ---------------------------------------------------------------------------
 # Random instance generators (seeded by the caller).
 # ---------------------------------------------------------------------------
+
+def random_unit_assignment(d: int, e: int, q: int, rng: random.Random) -> UnitAssignment:
+    """Random unit matrix for F_q checks: entries uniform in 1..q-1."""
+    return UnitAssignment(d, e, {(i, j): rng.randrange(1, q)
+                                 for i in range(1, d + 1) for j in range(1, e + 1)})
+
 
 def random_colouring(d: int, e: int, n_colours: int,
                      rng: random.Random) -> PartialColouring:

@@ -9,21 +9,21 @@ from math import comb
 from pathlib import Path
 
 from gridask.askzeta import (ask_direct, ask_orbit, constant_rank_check,
-                             orbital_equivalence_check, rank_distribution,
-                             random_unit_assignment)
+                             orbital_equivalence_check, rank_distribution)
 from gridask.boardgame import (Family, greedy_reduce, is_admissible_game,
-                               master_rho, master_symmetric, rainbow_colouring)
+                               master_rho, master_symmetric)
 from gridask.colouring import (PartialColouring, is_admissible_rect,
                                parse_grid, sl_colouring)
 from gridask.modrep import (alpha_rep, alphahat_rep, altboard_rep, board_rep,
                             classic_rep, family_rep, symboard_rep, triangular_pair_rep)
 from gridask.nilpotent import baer_group_cc, conjugacy_count_bch, free_nilpotent_lie
 from gridask.predictions import class_number_F3d, predict
-from gridask.rings import PadicQuotient, count_roots
+from gridask.rings import PadicQuotient
 
-from oracles import (baer_law, bch_multiply, conjugacy_class_count,
-                     exhaustive_game_clearable, exhaustive_rect_admissible,
-                     random_colouring, random_rep, random_symmetric_colouring)
+from oracles import (baer_law, bch_multiply, circ_forms, conjugacy_class_count,
+                     count_roots, exhaustive_game_clearable, exhaustive_rect_admissible,
+                     matrix_forms, rainbow_colouring, random_colouring, random_rep,
+                     random_symmetric_colouring, random_unit_assignment)
 
 GRIDS = Path(__file__).resolve().parent.parent / "grids"
 
@@ -325,10 +325,10 @@ FIXTURE_C_HAT = """
 def test_criterion_10():
     a = alpha_rep(3)
     ah = alphahat_rep(3)
-    assert a.matrix_forms() == _parse_forms(FIXTURE_A, 6)
-    assert ah.matrix_forms() == _parse_forms(FIXTURE_A_HAT, 6)
-    assert a.circ_forms() == _parse_forms(FIXTURE_C, 6)
-    assert ah.circ_forms() == _parse_forms(FIXTURE_C_HAT, 6)
+    assert matrix_forms(a) == _parse_forms(FIXTURE_A, 6)
+    assert matrix_forms(ah) == _parse_forms(FIXTURE_A_HAT, 6)
+    assert circ_forms(a) == _parse_forms(FIXTURE_C, 6)
+    assert circ_forms(ah) == _parse_forms(FIXTURE_C_HAT, 6)
     report = orbital_equivalence_check(a, ah, PadicQuotient(5))
     assert report.passed and report.checked == 4**6
     sampled = orbital_equivalence_check(a, ah, PadicQuotient(5, 2),

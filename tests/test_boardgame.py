@@ -7,12 +7,11 @@ import pytest
 from gridask.boardgame import (Family, LevelTooLarge, OverlappingIndexSets,
                                build_grid, greedy_reduce, hat_colouring,
                                is_admissible_game, legal_moves, master_rho,
-                               master_symmetric, rainbow_colouring,
-                               replay_certificate)
-from gridask.colouring import PartialColouring, all_blank, parse_grid
+                               master_symmetric, replay_certificate)
+from gridask.colouring import PartialColouring, parse_grid
 
-from oracles import (exhaustive_game_clearable, oracle_moves, random_colouring,
-                     random_symmetric_colouring)
+from oracles import (exhaustive_game_clearable, oracle_moves, rainbow_colouring,
+                     random_colouring, random_symmetric_colouring)
 
 GRIDS = Path(__file__).resolve().parent.parent / "grids"
 
@@ -141,29 +140,29 @@ def test_greedy_play_takes_the_oracles_least_move():
 # ---------------------------------------------------------------------------
 
 def test_isolated_rho_all_blank():
-    gc = master_rho(all_blank(2, 2))
+    gc = master_rho(PartialColouring(2, 2))
     assert len(legal_moves(gc, gc.grid.I, gc.grid.J)) == 4
 
 
 def test_isolated_gamma_all_blank_none():
-    gc = master_symmetric(Family.GAMMA, all_blank(2, 2))
+    gc = master_symmetric(Family.GAMMA, PartialColouring(2, 2))
     assert legal_moves(gc, gc.grid.I, gc.grid.J) == []
 
 
 def test_isolated_sigma_all_blank_diagonal():
-    gc = master_symmetric(Family.SIGMA, all_blank(2, 2))
+    gc = master_symmetric(Family.SIGMA, PartialColouring(2, 2))
     assert legal_moves(gc, gc.grid.I, gc.grid.J) == [(1, 1), (2, 2)]
 
 
 def test_greedy_rho_all_blank_clears():
-    gc = master_rho(all_blank(3, 4))
+    gc = master_rho(PartialColouring(3, 4))
     final, log = greedy_reduce(gc)
     assert final == ()
     assert len(log) == 4
 
 
 def test_greedy_gamma_square_stuck():
-    gc = master_symmetric(Family.GAMMA, all_blank(3, 3))
+    gc = master_symmetric(Family.GAMMA, PartialColouring(3, 3))
     final, log = greedy_reduce(gc)
     assert final == (1, 2, 3) and log == []
 
@@ -190,7 +189,7 @@ def test_rho_game_matches_rect_on_samples():
 
 
 def test_gamma_all_blank_level_one():
-    gc = master_symmetric(Family.GAMMA, all_blank(4, 4))
+    gc = master_symmetric(Family.GAMMA, PartialColouring(4, 4))
     assert not is_admissible_game(gc, 0).admissible
     assert is_admissible_game(gc, 1).admissible
 
@@ -228,7 +227,7 @@ def test_certificates_replay():
 
 
 def test_certificate_tampering_detected():
-    master = master_rho(all_blank(2, 2))
+    master = master_rho(PartialColouring(2, 2))
     verdict = is_admissible_game(master, 0)
     cert = verdict.certificates[0]
     bad = type(cert)(cert.H, cert.D, cert.moves[:-1])
@@ -236,7 +235,7 @@ def test_certificate_tampering_detected():
 
 
 def test_level_too_large():
-    gc = master_symmetric(Family.GAMMA, all_blank(3, 3))
+    gc = master_symmetric(Family.GAMMA, PartialColouring(3, 3))
     with pytest.raises(LevelTooLarge):
         is_admissible_game(gc, 2, subset_budget=1)
 
@@ -301,7 +300,7 @@ def test_move_persistence():
 # ---------------------------------------------------------------------------
 
 def test_hat_all_blank():
-    gc = hat_colouring(all_blank(2, 3), (1, 2), (3, 4, 5), Family.SIGMA)
+    gc = hat_colouring(PartialColouring(2, 3), (1, 2), (3, 4, 5), Family.SIGMA)
     assert gc.colour_of == {}
     assert gc.grid.I == (1, 2, 3, 4, 5)
 
@@ -316,7 +315,7 @@ def test_hat_copies_pair_colours():
 
 def test_hat_requires_disjoint_sets():
     with pytest.raises(OverlappingIndexSets):
-        hat_colouring(all_blank(2, 2), (1, 2), (2, 3), Family.SIGMA)
+        hat_colouring(PartialColouring(2, 2), (1, 2), (2, 3), Family.SIGMA)
 
 
 @pytest.mark.parametrize("name,adm", [("sample_a", True), ("sample_b", True),

@@ -515,6 +515,16 @@ INPUT_ERRORS = [
     ["orbital-check", "--big", "classic:alt:3", "--sub", "classic:alt:2", "--prime", "3"],
     ["ask", "--rep", "classic:alt:3,7", "--prime", "3"],  # alt takes one dimension
     ["ask", "--rep", "classic:mat:2,2,9", "--prime", "3"],  # mat takes at most two
+    # a dimension or generator count below 1 names no module (each was answered)
+    ["ask", "--rep", "classic:mat:2,-1", "--prime", "3"],
+    ["ask", "--rep", "classic:mat:-2", "--prime", "3"],
+    ["ask", "--rep", "classic:mat:0", "--prime", "3"],
+    ["ask", "--rep", "classic:alt:-1", "--prime", "3"],
+    ["ask", "--rep", "classic:sl:-3", "--prime", "3"],
+    ["ask", "--rep", "alpha:-1", "--prime", "3"],
+    ["ask", "--rep", "alphahat:0", "--prime", "3"],
+    ["ask", "--rep", "triangular-pair:-1", "--prime", "3"],
+    ["cc", "--free-nilpotent", "3,-2", "--prime", "5"],
     # a negative cokernel rank or level names no claim to check
     ["constant-rank", "--family", "rho", "--I", "1-2", "--J", "1-3", "--rank", "-1",
      "--prime", "3"],

@@ -7,20 +7,18 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from gridask.boardgame import Family
-from gridask.colouring import (UnitAssignment, all_blank, parse_grid,
+from gridask.colouring import (PartialColouring, UnitAssignment, parse_grid,
                                sl_colouring)
-from gridask.linalg import Mat, rank
-from gridask.modrep import (IndexNotSubset, ModuleRep, ShapeMismatch,
-                            adjacency_rep, alpha_rep, alphahat_rep,
-                            altboard_rep, board_rep, classic_rep,
-                            complete_graph, discrete_graph, element_dual, family_rep,
-                            graph_join, inflate_rep, knuth_bullet,
-                            rep_from_json, rep_to_json, restrict_rep,
-                            symboard_rep, threshold_graph, triangular_pair_rep)
+from gridask.linalg import rank
+from gridask.modrep import (ModuleRep, ShapeMismatch, alpha_rep, alphahat_rep,
+                            altboard_rep, board_rep, classic_rep, element_dual,
+                            family_rep, knuth_bullet, rep_from_json, rep_to_json,
+                            symboard_rep, triangular_pair_rep)
 from gridask.rings import ExtField, PadicQuotient
 
-from oracles import (class_values, family_classes, naive_ask, naive_element,
-                     naive_orbit_matrix, naive_rank_modp, random_rep)
+from oracles import (act_left, class_values, family_classes, mat_add, mat_from_int_rows,
+                     naive_ask, naive_element, naive_orbit_matrix, naive_rank_modp,
+                     random_rep)
 
 GRIDS = Path(__file__).resolve().parent.parent / "grids"
 F3 = PadicQuotient(3)
@@ -32,7 +30,7 @@ def load(name: str):
 
 def stacked_rank(rep: ModuleRep, ring) -> int:
     rows = [sum((list(r) for r in g), []) for g in rep.gens]
-    return rank(Mat.from_int_rows(ring, rows))
+    return rank(mat_from_int_rows(ring, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +77,7 @@ def test_matrices_match_entrywise_formation(case):
 # ---------------------------------------------------------------------------
 
 def test_board_all_blank_elementary_basis():
-    rep = board_rep(all_blank(2, 3))
+    rep = board_rep(PartialColouring(2, 3))
     assert rep.rank == 6
     assert sorted(rep.labels) == [(i, j) for i in (1, 2) for j in (1, 2, 3)]
     totals = [sum(sum(r) for r in g) for g in rep.gens]
@@ -141,10 +139,10 @@ def test_symboard_generators_symmetric():
 
 
 def test_one_by_one_blocks():
-    alt = altboard_rep(all_blank(1, 1))
+    alt = altboard_rep(PartialColouring(1, 1))
     assert alt.rank == 1
     assert alt.gens[0] == ((0, 1), (-1, 0))
-    sym = symboard_rep(all_blank(1, 1))
+    sym = symboard_rep(PartialColouring(1, 1))
     assert sym.rank == 3
 
 
@@ -281,8 +279,8 @@ def test_orbit_rows_follow_generators():
     for x in itertools.product(range(3), repeat=3):
         C = rep.orbit_matrix_at(F3, x)
         for b, g in enumerate(rep.gens):
-            m = Mat.from_int_rows(F3, g)
-            assert C.row(b) == m.act_left(x)
+            m = mat_from_int_rows(F3, g)
+            assert C.row(b) == act_left(m, x)
 
 
 def test_orbit_matrix_linearity():
@@ -291,7 +289,7 @@ def test_orbit_matrix_linearity():
         for y in itertools.product(range(3), repeat=2):
             s = tuple(F3.add(a, b) for a, b in zip(x, y))
             lhs = rep.orbit_matrix_at(F3, s)
-            rhs = rep.orbit_matrix_at(F3, x).add(rep.orbit_matrix_at(F3, y))
+            rhs = mat_add(rep.orbit_matrix_at(F3, x), rep.orbit_matrix_at(F3, y))
             assert lhs.entries == rhs.entries
 
 
@@ -335,55 +333,6 @@ def test_element_dual_involution():
         assert element_dual(element_dual(rep)) == rep
 
 
-def test_restrict_inflate_roundtrip():
-    rep = family_rep(Family.GAMMA, (1, 2, 3), (1, 2, 3))
-    big = inflate_rep(rep, (1, 2, 3, 4), (1, 2, 3, 4, 5))
-    assert len(big.I) == 4 and len(big.J) == 5
-    back = restrict_rep(big, (1, 2, 3), (1, 2, 3))
-    assert back.gens == rep.gens
-    with pytest.raises(IndexNotSubset):
-        restrict_rep(rep, (1, 9), (1,))
-    with pytest.raises(IndexNotSubset):
-        inflate_rep(rep, (1, 2), (1, 2, 3))
-
-
-def test_restrict_gamma_row():
-    sub = restrict_rep(family_rep(Family.GAMMA, (1, 2, 3), (1, 2, 3)),
-                       (1,), (1, 2, 3))
-    for g in sub.gens:
-        assert len(g) == 1
-
-
-# ---------------------------------------------------------------------------
-# Graphs and adjacency representations.
-# ---------------------------------------------------------------------------
-
-def test_threshold_graph_edge_count():
-    g = threshold_graph(1, 2)
-    assert len(g.vertices) == 3
-    assert len(g.edges) == 3  # m*n cross edges + C(n,2)
-    assert len(threshold_graph(3, 3).edges) == 3 * 3 + 3
-
-
-def test_join_of_discrete_is_complete_bipartite():
-    g = graph_join(discrete_graph(("a", "b")), discrete_graph((1, 2, 3)))
-    assert len(g.edges) == 6
-
-
-def test_adjacency_of_complete_graph_is_gamma():
-    rep = adjacency_rep(complete_graph((1, 2, 3)), "negative")
-    gam = family_rep(Family.GAMMA, (1, 2, 3), (1, 2, 3))
-    assert sorted(rep.gens) == sorted(gam.gens)
-
-
-def test_adjacency_positive_sign_symmetric():
-    rep = adjacency_rep(complete_graph((1, 2, 3)), "positive")
-    for g in rep.gens:
-        for i in range(3):
-            for j in range(3):
-                assert g[i][j] == g[j][i]
-
-
 # ---------------------------------------------------------------------------
 # The degree-3 relation representations.
 # ---------------------------------------------------------------------------
@@ -423,6 +372,12 @@ def test_triangular_pair_shape():
     # sl_2 plus two copies of tr_2 glued on a 4x4 frame
     assert len(rep.I) == 4 and len(rep.J) == 4
     assert rep.rank == 2 * 3 + 3
+    # every generator lies in [[tr_2, sl_2], [0, tr_2]], and they span its
+    # 9 dimensions
+    for g in rep.gens:
+        assert all(g[i][j] == 0 for i in range(4) for j in range(i))
+        assert g[0][2] + g[1][3] == 0
+    assert stacked_rank(rep, F3) == rep.rank
 
 
 # ---------------------------------------------------------------------------

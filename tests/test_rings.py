@@ -3,9 +3,10 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from gridask.rings import (CompositeModulus, ExtField, NotAField, PadicQuotient,
-                           ReducibleModulus, Ring, count_roots, is_prime,
-                           smallest_irreducible)
+from gridask.rings import (CompositeModulus, ExtField, PadicQuotient, ReducibleModulus,
+                           Ring, _is_irreducible, is_prime, smallest_irreducible)
+
+from oracles import count_roots, trial_division_irreducible
 
 
 def test_prime_field_basics():
@@ -69,6 +70,21 @@ def test_ext_field_axioms_exhaustive(p, f):
         assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
 
 
+def test_irreducibility_matches_trial_division():
+    # Ben-Or's gcd test against trial division on every monic polynomial of
+    # degree <= 5 over F_2 and F_3 and of degree <= 4 over F_5
+    checked = 0
+    for p, top in ((2, 5), (3, 5), (5, 4)):
+        for deg in range(top + 1):
+            for low in itertools.product(range(p), repeat=deg):
+                m = list(low) + [1]
+                assert _is_irreducible(m, p) == trial_division_irreducible(m, p), (p, m)
+                checked += 1
+    assert checked == 1208
+
+
+# The root-counting oracle that criteria 7 and 8 read N from.
+
 def test_count_roots_quartic():
     # x^4 = -1 solvable iff the multiplicative group has an element of order 8
     assert count_roots((1, 0, 0, 0, 1), PadicQuotient(17)) == 4
@@ -78,11 +94,6 @@ def test_count_roots_quartic():
 def test_count_roots_cube_roots_of_unity():
     assert count_roots((1, 1, 1), PadicQuotient(7)) == 2
     assert count_roots((1, 1, 1), PadicQuotient(5)) == 0
-
-
-def test_count_roots_requires_field():
-    with pytest.raises(NotAField):
-        count_roots((1, 1), PadicQuotient(5, 2))
 
 
 def test_count_roots_extension_field():
