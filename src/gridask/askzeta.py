@@ -86,10 +86,9 @@ import heapq
 import itertools
 import random
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import torus
 from .linalg import Mat, divisor_profile, partial_smith, profile_image_size, rank
@@ -105,8 +104,7 @@ class BudgetExceeded(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class AskResult:
+class AskResult(NamedTuple):
     value: Fraction
     method: str
 
@@ -279,16 +277,14 @@ def zeta_coefficients(rep: ModuleRep, p: int, n_max: int, method: str = "orbit",
                   for k in range(1, n_max + 1)]
 
 
-@dataclass(frozen=True)
-class CoefficientCheck:
+class CoefficientCheck(NamedTuple):
     n: int
     brute: Fraction
     predicted: Fraction
     match: bool
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     prediction: str
     q: int
     coefficients: tuple[CoefficientCheck, ...]
@@ -306,8 +302,7 @@ def verify_prediction(rep: ModuleRep, prediction: Prediction, p: int, n_max: int
     return VerifyReport(prediction.name, p, checks, all(c.match for c in checks))
 
 
-@dataclass(frozen=True)
-class RankDistribution:
+class RankDistribution(NamedTuple):
     counts: dict[int, int]
     q: int
 
@@ -390,8 +385,7 @@ def _subspaces(field: Ring, d: int):
 # Constant-rank and orbital-equivalence certifiers.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PointReport:
+class PointReport(NamedTuple):
     checked: int
     violations: tuple = ()
     mode: str = "exhaustive"

@@ -16,7 +16,6 @@ master colouring.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from math import comb
@@ -45,8 +44,7 @@ class OverlappingIndexSets(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class GameGrid:
+class GameGrid(NamedTuple):
     family: Family
     I: tuple[int, ...]
     J: tuple[int, ...]
@@ -59,11 +57,14 @@ def build_grid(family: Family, I: Sequence[int], J: Sequence[int]) -> GameGrid:
 
     rho: all of I x J, singleton classes.  gamma: off-diagonal cells of
     I x J, (i,j) paired with (j,i) when both are cells.  sigma: all of
-    I x J, same pairing, diagonal cells singletons.
+    I x J, same pairing, diagonal cells singletons.  An index set that
+    repeats an index is refused (ValueError).
     """
     family = Family(family)
-    I = tuple(sorted(set(I)))
-    J = tuple(sorted(set(J)))
+    I, J = tuple(sorted(I)), tuple(sorted(J))
+    for name, index in (("I", I), ("J", J)):
+        if len(set(index)) != len(index):
+            raise ValueError(f"index set {name} repeats an index: {index}")
     if family is Family.RHO:
         cells = frozenset((i, j) for i in I for j in J)
     elif family is Family.GAMMA:
@@ -89,25 +90,20 @@ class Masks(NamedTuple):
     pairs: tuple[int, ...]  # the two-cell classes
 
 
-@dataclass(frozen=True)
 class GameColouring:
-    grid: GameGrid
-    colour_of: Mapping[Cell, str] = field(default_factory=dict)
-    # colour -> the cell classes of that colour, filled in at construction
-    classes_of: Mapping[str, set[frozenset[Cell]]] = field(init=False, repr=False)
+    """A colouring of a grid's cells, copied at construction and constant on
+    cell classes; classes_of maps each colour to its cell classes."""
 
-    def __post_init__(self) -> None:
-        colour_of = dict(self.colour_of)
-        object.__setattr__(self, "colour_of", colour_of)
-        classes_of: dict[str, set[frozenset[Cell]]] = {}
-        for cell, colour in colour_of.items():
-            if cell not in self.grid.cells:
+    def __init__(self, grid: GameGrid, colour_of: Mapping[Cell, str] = {}) -> None:
+        self.grid, self.colour_of = grid, dict(colour_of)
+        self.classes_of: dict[str, set[frozenset[Cell]]] = {}
+        for cell, colour in self.colour_of.items():
+            if cell not in grid.cells:
                 raise ValueError(f"coloured cell {cell} not in grid")
-            for mate in self.grid.class_of[cell]:
-                if colour_of.get(mate) != colour:
+            for mate in grid.class_of[cell]:
+                if self.colour_of.get(mate) != colour:
                     raise ValueError(f"colour not constant on class of {cell}")
-            classes_of.setdefault(colour, set()).add(self.grid.class_of[cell])
-        object.__setattr__(self, "classes_of", classes_of)
+            self.classes_of.setdefault(colour, set()).add(grid.class_of[cell])
 
     def colour(self, cell: Cell) -> str | None:
         return self.colour_of.get(cell)
@@ -213,15 +209,13 @@ def greedy_reduce(master: GameColouring,
     return tuple(cols), log
 
 
-@dataclass(frozen=True)
-class MoveCertificate:
+class MoveCertificate(NamedTuple):
     H: tuple[int, ...]
     D: tuple[int, ...]
     moves: tuple[tuple[Cell, int], ...]
 
 
-@dataclass(frozen=True)
-class GameVerdict:
+class GameVerdict(NamedTuple):
     admissible: bool
     level: int
     certificates: tuple[MoveCertificate, ...] = ()

@@ -9,8 +9,7 @@ subgrid contains a blank cell.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 
 Cell = tuple[int, int]
@@ -30,17 +29,21 @@ class EmptySeed(Exception):
     pass
 
 
-@dataclass(frozen=True)
 class PartialColouring:
-    d: int
-    e: int
-    colour_of: Mapping[Cell, str] = field(default_factory=dict)
+    """Colours of some cells of [d] x [e], copied at construction; equal
+    when the shapes and colours are."""
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "colour_of", dict(self.colour_of))
+    __slots__ = ("d", "e", "colour_of")
+
+    def __init__(self, d: int, e: int, colour_of: Mapping[Cell, str] = {}) -> None:
+        self.d, self.e, self.colour_of = d, e, dict(colour_of)
         for (i, j) in self.colour_of:
-            if not (1 <= i <= self.d and 1 <= j <= self.e):
-                raise ValueError(f"cell {(i, j)} outside {self.d}x{self.e}")
+            if not (1 <= i <= d and 1 <= j <= e):
+                raise ValueError(f"cell {(i, j)} outside {d}x{e}")
+
+    def __eq__(self, other) -> bool:
+        return (type(other) is type(self)
+                and (self.d, self.e, self.colour_of) == (other.d, other.e, other.colour_of))
 
     def colour(self, cell: Cell) -> str | None:
         return self.colour_of.get(cell)
@@ -58,16 +61,19 @@ class PartialColouring:
         return sorted(c for c, col in self.colour_of.items() if col == colour)
 
 
-@dataclass(frozen=True)
 class UnitAssignment:
-    d: int
-    e: int
-    u: Mapping[Cell, int] = field(default_factory=dict)
+    """A unit at every cell of [d] x [e]: the given ones, 1 elsewhere; equal
+    when the shapes and units are."""
 
-    def __post_init__(self) -> None:
-        filled = {(i, j): 1 for i in range(1, self.d + 1) for j in range(1, self.e + 1)}
-        filled.update(self.u)
-        object.__setattr__(self, "u", filled)
+    __slots__ = ("d", "e", "u")
+
+    def __init__(self, d: int, e: int, u: Mapping[Cell, int] = {}) -> None:
+        self.d, self.e = d, e
+        self.u = {(i, j): 1 for i in range(1, d + 1) for j in range(1, e + 1)}
+        self.u.update(u)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and (self.d, self.e, self.u) == (other.d, other.e, other.u)
 
     def __getitem__(self, cell: Cell) -> int:
         return self.u[cell]
@@ -80,8 +86,7 @@ class UnitAssignment:
 Subgrid = tuple[tuple[int, ...], tuple[int, ...]]
 
 
-@dataclass(frozen=True)
-class ParsedGrid:
+class ParsedGrid(NamedTuple):
     family: str | None
     colouring: PartialColouring
     units: UnitAssignment
@@ -183,8 +188,7 @@ def has_blank(beta: PartialColouring, sub: Subgrid) -> bool:
     return any(beta.is_blank((i, j)) for i in sub[0] for j in sub[1])
 
 
-@dataclass(frozen=True)
-class RectVerdict:
+class RectVerdict(NamedTuple):
     admissible: bool
     witness: Subgrid | None = None  # a blank-free colour-closed subgrid
 

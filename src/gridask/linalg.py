@@ -10,24 +10,26 @@ kernel of an r x c matrix lives in R^r.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .rings import Ring
 
 
-@dataclass(frozen=True)
 class Mat:
-    """Immutable matrix over a finite ring (row-major entry tuple)."""
+    """Matrix over a finite ring (row-major entry tuple); nothing changes it
+    once built, and two matrices with equal rings, shapes and entries are
+    equal."""
 
-    ring: Ring
-    rows: int
-    cols: int
-    entries: tuple
+    __slots__ = ("ring", "rows", "cols", "entries")
 
-    def __post_init__(self) -> None:
-        if len(self.entries) != self.rows * self.cols:
+    def __init__(self, ring: Ring, rows: int, cols: int, entries: tuple) -> None:
+        if len(entries) != rows * cols:
             raise ValueError("entry count does not match shape")
+        self.ring, self.rows, self.cols, self.entries = ring, rows, cols, entries
+
+    def __eq__(self, other) -> bool:
+        return (type(other) is type(self) and (self.rows, self.cols, self.entries, self.ring)
+                == (other.rows, other.cols, other.entries, other.ring))
 
     def row(self, i: int) -> tuple:
         return self.entries[i * self.cols:(i + 1) * self.cols]

@@ -16,7 +16,6 @@ ask (askzeta.profile_census).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -40,24 +39,25 @@ def _freeze(m: Sequence[Sequence[int]]) -> IntMatrix:
     return tuple(tuple(row) for row in m)
 
 
-@dataclass(frozen=True)
 class ModuleRep:
-    """Integer generator matrices a_b of shape I x J, indexed by labels B."""
+    """Integer generator matrices a_b of shape I x J, indexed by labels B.
+    Two reps with equal labels, index sets and generators are equal."""
 
-    labels: tuple
-    I: tuple
-    J: tuple
-    gens: tuple[IntMatrix, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.labels) != len(self.gens):
+    def __init__(self, labels: tuple, I: tuple, J: tuple,
+                 gens: tuple[IntMatrix, ...]) -> None:
+        if len(labels) != len(gens):
             raise ShapeMismatch("label/generator count mismatch")
-        for name, index in (("labels", self.labels), ("I", self.I), ("J", self.J)):
+        for name, index in (("labels", labels), ("I", I), ("J", J)):
             if len(set(index)) != len(index):  # element_dual makes I the labels
                 raise ShapeMismatch(f"duplicate {name}")
-        for g in self.gens:
-            if len(g) != len(self.I) or any(len(r) != len(self.J) for r in g):
+        for g in gens:
+            if len(g) != len(I) or any(len(r) != len(J) for r in g):
                 raise ShapeMismatch("generator shape mismatch")
+        self.labels, self.I, self.J, self.gens = labels, I, J, gens
+
+    def __eq__(self, other) -> bool:
+        return (type(other) is type(self) and (self.labels, self.I, self.J, self.gens)
+                == (other.labels, other.I, other.J, other.gens))
 
     @property
     def rank(self) -> int:

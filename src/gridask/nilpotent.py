@@ -20,7 +20,6 @@ Both asks are taken with askzeta.ask_orbit.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
@@ -44,18 +43,17 @@ class NotAlternating(Exception):
 SparseVec = tuple[tuple[int, int], ...]  # ((basis index, coefficient), ...)
 
 
-@dataclass(frozen=True)
 class GradedAlgebra:
     """Anticommutative graded algebra of class <= 3 with integer structure
-    constants; structure[(a, b)] is the sparse product e_a e_b."""
+    constants; structure[(a, b)] is the sparse product e_a e_b (a copy of
+    the mapping given)."""
 
-    labels: tuple
-    degrees: tuple[int, ...]
-    structure: Mapping[tuple[int, int], SparseVec]
+    __slots__ = ("labels", "degrees", "structure")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "structure", dict(self.structure))
-        n = len(self.labels)
+    def __init__(self, labels: tuple, degrees: tuple[int, ...],
+                 structure: Mapping[tuple[int, int], SparseVec]) -> None:
+        self.labels, self.degrees, self.structure = labels, degrees, dict(structure)
+        n = len(labels)
         for a in range(n):
             for b in range(n):
                 prod = self.structure.get((a, b), ())
@@ -63,9 +61,9 @@ class GradedAlgebra:
                 if {i: c for i, c in prod} != anti:
                     raise ValueError(f"structure not anticommutative at {(a, b)}")
                 for i, c in prod:
-                    if self.degrees[i] != self.degrees[a] + self.degrees[b]:
+                    if degrees[i] != degrees[a] + degrees[b]:
                         raise ValueError(f"product {(a, b)} breaks the grading")
-                if self.degrees[a] + self.degrees[b] > 3 and prod:
+                if degrees[a] + degrees[b] > 3 and prod:
                     raise ValueError("nonzero product above degree 3")
 
     @property

@@ -7,7 +7,6 @@ produces exact Fraction series coefficients by power-series long division.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
@@ -83,14 +82,16 @@ def qt_at_q(a: QT, q: int) -> dict[int, Fraction]:
     return out
 
 
-@dataclass(frozen=True)
 class Prediction:
-    """A named rational function num/den in (q, T)."""
+    """A named rational function num/den in (q, T); num and den default to 1."""
 
-    name: str
-    params: tuple = ()
-    num: QT = field(default_factory=qt_one)
-    den: QT = field(default_factory=qt_one)
+    __slots__ = ("name", "params", "num", "den")
+
+    def __init__(self, name: str, params: tuple = (), num: QT | None = None,
+                 den: QT | None = None) -> None:
+        self.name, self.params = name, params
+        self.num = qt_one() if num is None else num
+        self.den = qt_one() if den is None else den
 
     def shift_T(self, k: int) -> "Prediction":
         """The prediction with T replaced by q^k T."""

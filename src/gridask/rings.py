@@ -9,7 +9,6 @@ here ever touches floating point.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import mul
 from typing import Iterator, Sequence
 
@@ -137,11 +136,30 @@ def smallest_irreducible(p: int, f: int) -> tuple[int, ...]:
 # Ring classes.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Ring:
-    """Common interface; see subclasses for element representations."""
+    """Common interface; see subclasses for element representations.
 
-    p: int
+    A ring is its class and the values of its constructor arguments,
+    _fields: they decide equality and the hash, and the repr shows them."""
+
+    __slots__ = ("p",)
+    _fields = ("p",)
+
+    def __init__(self, p: int) -> None:
+        self.p = p
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and other._values() == self._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__name__}({args})"
 
     # cap = largest observable valuation (1 for fields, n for Z/p^n)
     @property
@@ -206,18 +224,18 @@ class Ring:
                      if all(self.pow(g, order // r) != self.one for r in primes)),)
 
 
-@dataclass(frozen=True)
 class PadicQuotient(Ring):
     """Z/p^n, and the prime field F_p as n = 1; elements are ints in [0, p^n)."""
 
-    n: int = 1
+    __slots__ = ("n", "_m")
+    _fields = ("p", "n")
 
-    def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise CompositeModulus(f"{self.p} is not prime")
-        if self.n < 1:
+    def __init__(self, p: int, n: int = 1) -> None:
+        if not is_prime(p):
+            raise CompositeModulus(f"{p} is not prime")
+        if n < 1:
             raise RingError("exponent must be >= 1")
-        object.__setattr__(self, "_m", self.p**self.n)
+        self.p, self.n, self._m = p, n, p**n
 
     @property
     def cap(self) -> int:
@@ -297,27 +315,25 @@ class PadicQuotient(Ring):
         return (a for a in range(self._m) if a % self.p)
 
 
-@dataclass(frozen=True)
 class ExtField(Ring):
-    """F_{p^f}; elements are coefficient tuples of length f (low degree first)."""
+    """F_{p^f}; elements are coefficient tuples of length f (low degree first).
+    The modulus defaults to smallest_irreducible(p, f)."""
 
-    f: int = 1
-    modulus: tuple[int, ...] = field(default=())
+    __slots__ = ("f", "modulus")
+    _fields = ("p", "f", "modulus")
 
-    def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise CompositeModulus(f"{self.p} is not prime")
-        if self.f < 1:
+    def __init__(self, p: int, f: int = 1, modulus: tuple[int, ...] = ()) -> None:
+        if not is_prime(p):
+            raise CompositeModulus(f"{p} is not prime")
+        if f < 1:
             raise RingError("extension degree must be >= 1")
-        mod = self.modulus
-        if not mod:
-            mod = smallest_irreducible(self.p, self.f)
-            object.__setattr__(self, "modulus", mod)
-        mod_list = [c % self.p for c in mod]
-        if len(mod_list) != self.f + 1 or mod_list[-1] != 1:
+        mod = modulus or smallest_irreducible(p, f)
+        mod_list = [c % p for c in mod]
+        if len(mod_list) != f + 1 or mod_list[-1] != 1:
             raise ReducibleModulus("modulus must be monic of the stated degree")
-        if not _is_irreducible(mod_list, self.p):
-            raise ReducibleModulus(f"{mod} is reducible over F_{self.p}")
+        if not _is_irreducible(mod_list, p):
+            raise ReducibleModulus(f"{mod} is reducible over F_{p}")
+        self.p, self.f, self.modulus = p, f, mod
 
     def cardinality(self) -> int:
         return self.p**self.f

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from gridask.boardgame import (Family, LevelTooLarge, OverlappingIndexSets,
+from gridask.boardgame import (Family, GameColouring, LevelTooLarge, OverlappingIndexSets,
                                build_grid, greedy_reduce, hat_colouring,
                                is_admissible_game, legal_moves, master_rho,
                                master_symmetric, replay_certificate)
@@ -56,6 +56,18 @@ def test_master_symmetric_refusals():
         master_symmetric(Family.SIGMA, PartialColouring(2, 2, {(1, 2): "x"}))
     sigma = master_symmetric(Family.SIGMA, PartialColouring(2, 2, {(1, 1): "x"}))
     assert sigma.classes_of == {"x": {frozenset({(1, 1)})}}
+
+
+def test_grid_and_game_colouring_refusals():
+    with pytest.raises(ValueError, match="repeats an index"):
+        build_grid(Family.RHO, (1, 1), (1, 2))
+    with pytest.raises(ValueError, match="repeats an index"):
+        build_grid(Family.SIGMA, (1, 2), (2, 2))
+    grid = build_grid(Family.GAMMA, (1, 2), (1, 2))
+    with pytest.raises(ValueError, match="not in grid"):
+        GameColouring(grid, {(1, 1): "x"})  # gamma grids have no diagonal cells
+    with pytest.raises(ValueError, match="not constant"):
+        GameColouring(grid, {(1, 2): "x"})
 
 
 # ---------------------------------------------------------------------------

@@ -436,6 +436,18 @@ def test_reused_parser_leaks_no_state(capsys):
     assert [c["prime"] for c in json.loads(captured.out)["checks"]] == [7]
 
 
+def test_cli_import_loads_no_code_generation_modules():
+    # every command pays for its imports: the records are NamedTuples and
+    # plain classes, so no dataclass machinery (inspect and the modules it
+    # pulls in) is loaded; -S keeps site hooks from importing any of them
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import gridask.cli; "
+             "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'}"
+             " & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", probe, str(ROOT / "src")],
+                         capture_output=True, text=True, timeout=60, check=True).stdout
+    assert out == "[]\n"
+
+
 def test_batch_empty_manifest(tmp_path, capsys):
     manifest = tmp_path / "empty.txt"
     manifest.write_text("# nothing to do\n\n")
@@ -534,6 +546,10 @@ INPUT_ERRORS = [
      "--rep", "alpha:3", "--against", "classical_mat", "--prime", "3"],
     # a negative budget is a bad input, not a census too large for it
     ["ask", "--rep", "classic:mat:2", "--prime", "3", "--budget", "-1"],
+    # a repeated index was dropped, so the smaller module was answered
+    ["ask", "--rep", "family:rho:1,1:1-2", "--prime", "3"],
+    ["constant-rank", "--family", "rho", "--I", "1,1", "--J", "1-2", "--rank", "0",
+     "--prime", "3"],
 ]
 
 

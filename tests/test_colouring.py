@@ -202,6 +202,21 @@ def test_matches_exhaustive_definition_small():
             exhaustive_rect_admissible(beta)
 
 
+def test_partial_colouring_refuses_a_cell_off_the_grid():
+    with pytest.raises(ValueError):
+        PartialColouring(2, 3, {(3, 1): "x"})
+    with pytest.raises(ValueError):
+        PartialColouring(2, 3, {(1, 0): "x"})
+
+
+def test_parsed_grids_compare_by_value():
+    # zeta-verify compares the --grid file with the grid of a board --rep
+    text = "grid:\na .\n. a\nunits:\n1 0\n0 2\n"
+    assert parse_grid(text) == parse_grid(text)
+    assert parse_grid(text) != parse_grid(text.replace("0 2", "0 3"))
+    assert parse_grid(text) != parse_grid(text.replace(". a", ". b"))
+
+
 def test_unit_assignment_basics():
     u = UnitAssignment.ones(2, 3)
     assert u[(2, 3)] == 1

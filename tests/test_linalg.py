@@ -20,6 +20,17 @@ def kernel_size(m: Mat) -> int:
     return m.ring.cardinality() ** m.rows // image_size(m)
 
 
+def test_mat_equality_and_shape():
+    # rings built apart compare equal, so the matrices over them do
+    m = Mat(PadicQuotient(3, 2), 2, 2, (1, 0, 0, 3))
+    assert m == Mat(PadicQuotient(3, 2), 2, 2, (1, 0, 0, 3))
+    assert m != Mat(PadicQuotient(3, 1), 2, 2, (1, 0, 0, 3))
+    assert m != Mat(PadicQuotient(3, 2), 1, 4, (1, 0, 0, 3))
+    assert m != Mat(PadicQuotient(3, 2), 2, 2, (1, 0, 0, 6))
+    with pytest.raises(ValueError):
+        Mat(PadicQuotient(3), 2, 2, (1, 0, 0))
+
+
 def test_profile_diag_example():
     R = PadicQuotient(5, 2)
     m = mat_from_int_rows(R, [[1, 0], [0, 5]])

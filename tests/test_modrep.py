@@ -405,6 +405,8 @@ def test_shape_mismatch_rejected():
     with pytest.raises(ShapeMismatch):
         ModuleRep(("a",), (1,), (2, 2), (((0, 0),),))
     with pytest.raises(ShapeMismatch):
+        ModuleRep(("a",), (1, 1), (2,), (((0,), (0,)),))
+    with pytest.raises(ShapeMismatch):
         rep_from_json({"B": ["a"], "I": ["1"], "J": ["1"]})  # no "gens"
     with pytest.raises(ShapeMismatch):
         rep_from_json({"B": ["a"], "I": ["1"], "J": ["1"], "gens": {"a": 5}})

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gridask.rings import (CompositeModulus, ExtField, PadicQuotient, ReducibleModulus,
-                           Ring, _is_irreducible, is_prime, smallest_irreducible)
+                           Ring, RingError, _is_irreducible, is_prime, smallest_irreducible)
 
 from oracles import count_roots, trial_division_irreducible
 
@@ -23,6 +23,29 @@ def test_composite_modulus_rejected():
         PadicQuotient(4)
     with pytest.raises(CompositeModulus):
         PadicQuotient(6, 2)
+    with pytest.raises(CompositeModulus):
+        ExtField(4, 2)
+
+
+def test_exponent_and_degree_below_one_rejected():
+    for make in (lambda: PadicQuotient(3, 0), lambda: ExtField(3, 0)):
+        with pytest.raises(RingError) as info:
+            make()
+        assert type(info.value) is RingError
+
+
+def test_rings_are_equal_by_class_and_fields():
+    assert PadicQuotient(3, 2) == PadicQuotient(3, 2)
+    assert hash(PadicQuotient(3, 2)) == hash(PadicQuotient(3, 2))
+    assert PadicQuotient(3, 2) != PadicQuotient(3, 1)
+    assert ExtField(3, 2) == ExtField(3, 2, smallest_irreducible(3, 2))
+    assert hash(ExtField(3, 2)) == hash(ExtField(3, 2, smallest_irreducible(3, 2)))
+    assert ExtField(3, 2) != ExtField(3, 2, (2, 2, 1))  # X^2 + 2X + 2, also irreducible
+    assert ExtField(3, 1) != PadicQuotient(3)  # one field, two classes
+    assert len({PadicQuotient(5), PadicQuotient(5, 1), ExtField(5)}) == 2
+    # test ids (ids=str in test_linalg) are these reprs
+    assert repr(PadicQuotient(3, 2)) == "PadicQuotient(p=3, n=2)"
+    assert str(ExtField(2, 2)) == "ExtField(p=2, f=2, modulus=(1, 1, 1))"
 
 
 def test_padic_quotient_valuation():
@@ -52,6 +75,8 @@ def test_reducible_modulus_rejected():
         ExtField(2, 2, (0, 0, 1))  # X^2 = X*X
     with pytest.raises(ReducibleModulus):
         ExtField(3, 2, (2, 0, 1))  # X^2 - 1
+    with pytest.raises(ReducibleModulus):
+        ExtField(3, 2, (1, 1))  # degree 1, not 2
 
 
 @pytest.mark.parametrize("p,f", [(2, 2), (2, 3), (3, 2), (2, 4)])
