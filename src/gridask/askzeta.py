@@ -58,7 +58,10 @@ the affine matrix K(y) = Z / p^(k-1) + sum_i y_i K_i, then k: every
 cross term is a multiple of p^(2(k-1) - v), which is 0 mod p^k.  The
 values of K over all y are K(0) plus the span of the K_i, each taken
 equally often, so level k costs one elimination over Z/p^k per class and
-one rank over F_p per value of K.  The elimination reduced mod p^(k-1)
+one rank over F_p per value of K, each value one vector addition from the
+last (an odometer over the span's coefficients).  The basis matrices are
+carried only when Z is non-empty: when t = min(B, J), K is empty and every
+lift has the profile v_1 .. v_t.  The elimination reduced mod p^(k-1)
 leaves diag(p^v_1 .. p^v_t) and 0, so over Z/p^(k-1) the class x' itself
 has the profile v_1 .. v_t, then k - 1: level k - 1 costs nothing more.
 
@@ -124,7 +127,7 @@ def profile_census(rep: ModuleRep, ring: Ring, budget: int = DEFAULT_BUDGET) -> 
     size = ring.cardinality() ** dI
     if size > budget:
         raise BudgetExceeded(f"{size} census points exceed budget {budget}")
-    weights = torus.weights(rep)
+    weights = rep.weights
     levels = []  # (e, census of level e)
     for k in range(n, 1, -2):
         levels += zip((k, k - 1), _lifted_level_census(rep, weights, PadicQuotient(ring.p, k)))
@@ -154,7 +157,10 @@ def _lifted_level_census(rep: ModuleRep, weights, level: PadicQuotient) -> tuple
     Z/p^k, and each lift only takes the rank of a small matrix K(y) over
     F_p.  K(y) = K(0) + sum_i y_i K_i is affine in y, so its values are
     K(0) plus the span of the K_i over F_p, each taken by p^(I - dim span)
-    lifts: each value is ranked once.  The elimination reduced mod p^(k-1)
+    lifts: each value is ranked once, and the values are walked by prefix
+    sums of the span (_span_values).  When Z is empty (t = min(B, J)),
+    partial_smith leaves the basis uncarried and every lift has the class's
+    profile, so nothing is ranked.  The elimination reduced mod p^(k-1)
     leaves diag(p^v_1 .. p^v_t) and 0, so the class itself has the profile
     v_1 .. v_t, then k - 1, over Z/p^(k-1).
     """
@@ -170,18 +176,45 @@ def _lifted_level_census(rep: ModuleRep, weights, level: PadicQuotient) -> tuple
         valuations, constant, linear = _class_lift(level, rep.orbit_matrix_at(level, x), basis)
         head, t = tuple(sorted(valuations)), len(valuations)
         below[head + (k - 1,) * (steps - t)] += n
+        if t == steps:  # Z is empty: every lift has the class's profile
+            counts[head] += n * p ** dI
+            continue
         shape = (rep.rank - t, dJ - t)
         # the span of the K_i over F_p is the lattice of the K_i and the p e_j
         # mod p: the basis rows with a diagonal 1 (the others are p e_j)
         span = [h for j, h in enumerate(torus.echelon(linear, [p] * len(constant)))
                 if h[j] == 1]
         share = n * p ** (dI - len(span))
-        for coeffs in itertools.product(range(p), repeat=len(span)):
-            entries = tuple((z + sum(c * b[e] for c, b in zip(coeffs, span))) % p
-                            for e, z in enumerate(constant))
+        for entries in _span_values(constant, span, p):
             s = rank(Mat(residue, *shape, entries))
             counts[head + (k - 1,) * s + (k,) * (steps - t - s)] += share
     return counts, below
+
+
+def _span_values(constant: Sequence[int], span: Sequence[Sequence[int]], p: int):
+    """constant + sum_j c_j span[j] mod p, as a tuple, once for each c in
+    F_p^len(span).
+
+    The c are walked as an odometer, lowest digit first.  A step that wraps
+    digits 0 .. j - 1 (each from p - 1 to 0) and raises digit j adds
+    -(p - 1) b_i = b_i mod p for each wrapped digit and b_j for the raised
+    one: the prefix sum s_j = b_0 + .. + b_j, one vector addition per value.
+    """
+    prefix, total = [], [0] * len(constant)
+    for b in span:
+        total = [(x + y) % p for x, y in zip(total, b)]
+        prefix.append(total)
+    value = tuple(z % p for z in constant)
+    yield value
+    digits = [0] * len(span)
+    for _ in range(p ** len(span) - 1):
+        j = 0
+        while digits[j] == p - 1:
+            digits[j] = 0
+            j += 1
+        digits[j] += 1
+        value = tuple([(x + y) % p for x, y in zip(value, prefix[j])])
+        yield value
 
 
 def _class_lift(level: PadicQuotient, cx: Mat, basis: Sequence[Mat]):

@@ -54,16 +54,18 @@ def partial_smith(m: Mat, stop: int,
 
     The row and column operations bring m to P m Q = diag(p^v for v in
     valuations) + Z (a block sum) for invertible P and Q: every v is below
-    stop and every entry of Z has valuation >= stop.  Each carried matrix c,
-    of m's shape, goes through the same operations.  Returns (valuations,
+    stop and every entry of Z has valuation >= stop.  Returns (valuations,
     blocks): blocks[0] is Z, and blocks[1:] are the blocks of P c Q at Z's
-    rows and columns, one per carried c, each a list of rows.  With stop =
-    the ring cap and nothing carried this is divisor_profile.
+    rows and columns, one per carried c of m's shape, each a list of rows.
+    The loop eliminates m alone and records each pivot's operations; the
+    carried matrices go through them afterwards, and only when Z is
+    non-empty (an empty Z leaves nothing of them to read).  With stop = the
+    ring cap and nothing carried this is divisor_profile.
     """
     R = m.ring
     rows, cols = m.rows, m.cols
     a = [list(m.row(i)) for i in range(rows)]
-    carried = [[list(c.row(i)) for i in range(rows)] for c in carried]
+    pivots = []  # for the carried matrices: (bi, bj, column below, tail, unit^-1, v)
     valuations: list[int] = []
     top = 0  # active block starts at (top, top) after swaps
     while top < rows and top < cols:
@@ -97,27 +99,34 @@ def partial_smith(m: Mat, stop: int,
             factor = R.mul(unit_inv, R.exact_div(x, best_v))
             row[top + 1:] = R.sub_multiple(row[top + 1:], factor, pivot_tail)
         if carried:
-            # the same swaps and operations on every carried matrix: the row
-            # factors are read again from m's pivot column, which the row
-            # update leaves in place, and the column factors clear the pivot
-            # row's tail (m skips them: after its row operations they would
-            # change only its pivot row)
-            row_factors = [R.mul(unit_inv, R.exact_div(row[top], best_v)) for row in a[top + 1:]]
-            col_factors = [R.mul(unit_inv, R.exact_div(z, best_v)) for z in pivot_tail]
-            for c in carried:
-                c[top], c[bi] = c[bi], c[top]
-                for row in c[top:]:
-                    row[top], row[bj] = row[bj], row[top]
-                pivot = c[top][top:]
-                for row, f in zip(c[top + 1:], row_factors):
-                    if not R.is_zero(f):
-                        row[top:] = R.sub_multiple(row[top:], f, pivot)
-                    x = row[top]
-                    if not R.is_zero(x):
-                        row[top + 1:] = R.sub_multiple(row[top + 1:], x, col_factors)
+            # m's pivot column below the pivot, which the row update leaves in place
+            pivots.append((bi, bj, [row[top] for row in a[top + 1:]], pivot_tail,
+                           unit_inv, best_v))
         valuations.append(best_v)
         top += 1
-    return valuations, [[row[top:] for row in c[top:]] for c in [a] + carried]
+    block = [row[top:] for row in a[top:]]
+    if not block or not block[0]:  # Z is empty, and so is every carried block
+        return valuations, [block] + [[[] for _ in block] for _ in carried]
+    carried = [[list(c.row(i)) for i in range(rows)] for c in carried]
+    for step, (bi, bj, column, pivot_tail, unit_inv, v) in enumerate(pivots):
+        # the same swaps and operations on every carried matrix: the row
+        # factors clear m's pivot column, and the column factors its pivot
+        # row's tail (m skips them: after its row operations they would
+        # change only its pivot row)
+        row_factors = [R.mul(unit_inv, R.exact_div(x, v)) for x in column]
+        col_factors = [R.mul(unit_inv, R.exact_div(z, v)) for z in pivot_tail]
+        for c in carried:
+            c[step], c[bi] = c[bi], c[step]
+            for row in c[step:]:
+                row[step], row[bj] = row[bj], row[step]
+            pivot = c[step][step:]
+            for row, f in zip(c[step + 1:], row_factors):
+                if not R.is_zero(f):
+                    row[step:] = R.sub_multiple(row[step:], f, pivot)
+                x = row[step]
+                if not R.is_zero(x):
+                    row[step + 1:] = R.sub_multiple(row[step + 1:], x, col_factors)
+    return valuations, [block] + [[row[top:] for row in c[top:]] for c in carried]
 
 
 def rank(m: Mat) -> int:

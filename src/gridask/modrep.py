@@ -19,6 +19,7 @@ import itertools
 from functools import cached_property
 from typing import Sequence
 
+from . import torus
 from .boardgame import Family, GameColouring, build_grid, hat_colouring, master_rho
 from .colouring import PartialColouring, UnitAssignment, sl_colouring
 from .linalg import Mat
@@ -72,6 +73,11 @@ class ModuleRep:
         """C(x): the B x J matrix with entries sum_i x_i a_{bij}."""
         return Mat(ring, self.rank, len(self.J),
                    ring.linear_forms(x, self._orbit_columns))
+
+    @cached_property
+    def weights(self) -> tuple[tuple[int, ...], ...]:
+        """torus.weights(self), found once: each census over a ring reads it."""
+        return torus.weights(self)
 
     @cached_property
     def _element_columns(self) -> tuple[tuple[int, ...], ...]:

@@ -369,6 +369,11 @@ def test_criterion_12():
     assert ask_orbit(alphahat_rep(3), F5).value == \
         ask_orbit(alpha_rep(3), F5).value
     assert class_number_F3d(3, 5) == predict("F3d_cc", d=3).coefficient(5, 1)
+    # c_2 of d = 3 through the level lift (5^12 and 7^12 census points), where
+    # every class keeps a non-empty block Z
+    for p, expected in [(5, 5747119140625), (7, 2186399386171105)]:
+        assert conjugacy_count_bch(free_nilpotent_lie(3, 3), p, 2, budget=10**11) == \
+            expected == predict("F3d_cc", d=3).coefficient(p, 2)
 
 
 @criterion(13)

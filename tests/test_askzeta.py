@@ -173,6 +173,29 @@ def test_lifting_identity_matches_profile_oracle(case):
     assert tuple(assembled) == naive_divisor_profile([C.row(b) for b in range(C.rows)], p, k)
 
 
+@st.composite
+def span_cases(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    width = draw(st.integers(0, 6))
+    vector = st.lists(st.integers(0, 4 * p), min_size=width, max_size=width)
+    return p, draw(vector), draw(st.lists(vector, max_size=3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=span_cases())
+@example(case=(3, [1, 2], []))  # the empty span: K(0) alone
+@example(case=(2, [], [[], [], []]))  # no entries
+@example(case=(5, [4, 0, 7], [[1, 2, 3], [2, 4, 6], [0, 0, 5]]))  # dependent rows
+def test_span_values_walk_matches_product(case):
+    # the odometer's prefix-sum steps give every value of K(0) + span, with
+    # the multiplicities of the coefficient tuples
+    p, constant, span = case
+    expected = Counter(tuple((z + sum(c * b[e] for c, b in zip(coeffs, span))) % p
+                             for e, z in enumerate(constant))
+                       for coeffs in itertools.product(range(p), repeat=len(span)))
+    assert Counter(askzeta._span_values(constant, span, p)) == expected
+
+
 @settings(max_examples=50, deadline=None)
 @given(rep=tiny_reps(), ring_name=st.sampled_from(sorted(ORACLE_RINGS)))
 @example(rep=ModuleRep(("a", "b"), (), (1, 2), ((), ())), ring_name="F3")  # I empty

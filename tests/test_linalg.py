@@ -184,6 +184,10 @@ def smith_cases(draw):
 @example(case=(3, 3, 2, 3, 3, [[0, 12, 27], [12, 9, 3], [27, 3, 0]]))
 @example(case=(2, 4, 3, 2, 0, [[], []]))
 @example(case=(3, 3, 2, 2, 2, [[1, 1], [0, 9]]))  # the pivot row has a nonzero tail
+# Z empty: full rank square, t = rows < cols, and t = cols < rows
+@example(case=(5, 2, 2, 2, 2, [[5, 1], [2, 0]]))
+@example(case=(3, 3, 2, 2, 3, [[3, 9, 1], [0, 3, 6]]))
+@example(case=(2, 4, 3, 3, 1, [[4], [8], [6]]))
 def test_partial_smith_splits_off_the_block(case):
     # P m Q = diag(p^v) + Z: m carried through the operations gives back Z;
     # the carried unit matrices E_ij give blocks that span every matrix of
@@ -215,3 +219,29 @@ def test_partial_smith_splits_off_the_block(case):
         scaled = Mat(R, rows, cols, tuple(R.mul(scale, x) for x in e.entries))
         assert (tuple(sorted(valuations + list(divisor_profile(lifted))))
                 == divisor_profile(mat_add(m, scaled)))
+
+
+class Unreadable(Mat):
+    """A matrix whose rows may not be read."""
+
+    __slots__ = ()
+
+    def row(self, i: int) -> tuple:
+        raise AssertionError("a carried matrix was read")
+
+
+@pytest.mark.parametrize("ints", [[[1, 2], [3, 4]], [[0, 5, 1], [25, 1, 0]]],
+                         ids=["full-rank-square", "t-equals-rows"])
+def test_partial_smith_leaves_the_carry_unread_when_z_is_empty(ints):
+    # every pivot has valuation below stop, so Z has no rows or no columns,
+    # and each carried block is empty with Z's shape
+    R = PadicQuotient(5, 3)
+    rows, cols = len(ints), len(ints[0])
+    m = mat_from_int_rows(R, ints)
+    carried = [Unreadable(R, rows, cols, m.entries) for _ in range(3)]
+    valuations, blocks = partial_smith(m, 2, carried)
+    assert len(valuations) == min(rows, cols)
+    assert blocks == [[] for _ in range(4)]
+    tall = mat_from_int_rows(R, [list(col) for col in zip(*ints)])
+    valuations, blocks = partial_smith(tall, 2, [Unreadable(R, cols, rows, tall.entries)])
+    assert blocks == [[[]] * (cols - rows)] * 2
