@@ -9,12 +9,13 @@ orbit matrix C(x), using the identity ask = sum over x in R^I of
 1/|image of C(x)|.
 
 Both read one census.  A(c) is the orbit matrix, at c, of the module's
-dual (modrep.element_dual: basis I, shape B x J, generator i with entries
-a_{bij}).  So profile_census, the number of points x in R^I with each
-divisor profile of C(x), is the orbit census of the rep and, taken on the
-dual, the direct census of its elements; _census_ask reads either as the
-mean of |R|^I / |image| over the census points, which is
-sum_x 1/|image C(x)| for the rep and the mean of |Ker A(c)| for its dual.
+dual (ModuleRep.dual, built once by modrep.element_dual: basis I, shape
+B x J, generator i with entries a_{bij}).  So profile_census, the number
+of points x in R^I with each divisor profile of C(x), is the orbit census
+of the rep and, taken on the dual, the direct census of its elements;
+_census_ask reads either as the mean of |R|^I / |image| over the census
+points, which is sum_x 1/|image C(x)| for the rep and the mean of
+|Ker A(c)| for its dual.
 
 The census visits one point per torus orbit, level by level, by two exact
 identities over R = Z/p^n (a field F_q has n = 1):
@@ -96,7 +97,7 @@ from typing import NamedTuple, Sequence
 from . import torus
 from .linalg import Mat, divisor_profile, partial_smith, profile_image_size, rank
 from .linalg import image_size  # noqa: F401  (perfbench/tracing.py patches askzeta.image_size)
-from .modrep import ModuleRep, ShapeMismatch, element_dual, knuth_bullet
+from .modrep import ModuleRep, ShapeMismatch, knuth_bullet
 from .predictions import Prediction
 from .rings import PadicQuotient, Ring
 
@@ -245,7 +246,7 @@ def direct_profile_counts(rep: ModuleRep, ring: Ring,
     """Divisor profile of the element A(c) = sum_b c_b a_b -> the number of
     coefficient tuples c in ring^B with it: the profile census of the
     module's dual, whose orbit matrix at c is A(c)."""
-    return profile_census(element_dual(rep), ring, budget)
+    return profile_census(rep.dual, ring, budget)
 
 
 def _census_ask(counts: Counter, level: Ring, rows: int) -> Fraction:

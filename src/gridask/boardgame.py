@@ -6,12 +6,12 @@ cell classes.  A colouring constant on cell classes is played on the
 master's cells in H x cols: a colour stays while every class of that colour
 meets the board, and a cell that is blank (or whose colour left) and the
 only cell of its class on the board lets you delete its column.
-`legal_moves` is that one rule, read straight off the master.  A colouring
-is admissible of level l when for every non-empty row subset H some <= l
-columns can be discarded so that moves delete all remaining columns.
-Certificates are replayable move lists.  The same grids and cell classes
-carry the modules: modrep.relation_rep builds every relation module on a
-master colouring.
+`_moves` is that one rule, played on the master's cell bitmasks.  A
+colouring is admissible of level l when for every non-empty row subset H
+some <= l columns can be discarded so that moves delete all remaining
+columns.  Certificates are move lists, which the tests' oracle replays.
+The same grids and cell classes carry the modules: modrep.relation_rep
+builds every relation module on a master colouring.
 """
 from __future__ import annotations
 
@@ -172,20 +172,6 @@ def _moves(masks: Masks, board: int) -> int:
     return moves
 
 
-def legal_moves(master: GameColouring, H: Sequence[int],
-                cols: Sequence[int]) -> list[Cell]:
-    """Moves at position (H, cols), row-major: the isolated blank cells of
-    the colouring induced on the master's cells in H x cols.
-
-    A colour stays iff every master class of that colour meets the board.
-    A move is a board cell that is blank or whose colour did not stay, and
-    whose class has no other cell on the board.
-    """
-    masks = master.masks
-    moves = _moves(masks, _board(masks, H, cols))
-    return [cell for k, cell in enumerate(masks.cells) if moves >> k & 1]
-
-
 def greedy_reduce(master: GameColouring,
                   I: Sequence[int] | None = None,
                   J: Sequence[int] | None = None,
@@ -220,16 +206,6 @@ class GameVerdict(NamedTuple):
     level: int
     certificates: tuple[MoveCertificate, ...] = ()
     witness: dict | None = None
-
-
-def replay_certificate(master: GameColouring, cert: MoveCertificate) -> bool:
-    """Check that the recorded moves are legal and clear all columns."""
-    cols = [j for j in master.grid.J if j not in set(cert.D)]
-    for cell, col in cert.moves:
-        if cell != (cell[0], col) or cell not in legal_moves(master, cert.H, cols):
-            return False
-        cols.remove(col)
-    return not cols
 
 
 def is_admissible_game(master: GameColouring, level: int,

@@ -25,10 +25,6 @@ class NonUnitCoefficient(Exception):
     pass
 
 
-class EmptySeed(Exception):
-    pass
-
-
 class PartialColouring:
     """Colours of some cells of [d] x [e], copied at construction; equal
     when the shapes and colours are."""
@@ -77,10 +73,6 @@ class UnitAssignment:
 
     def __getitem__(self, cell: Cell) -> int:
         return self.u[cell]
-
-    @staticmethod
-    def ones(d: int, e: int) -> "UnitAssignment":
-        return UnitAssignment(d, e, {})
 
 
 Subgrid = tuple[tuple[int, ...], tuple[int, ...]]
@@ -154,7 +146,7 @@ def parse_grid(text: str) -> ParsedGrid:
                 raise NonUnitCoefficient(f"u{cell} = 0")
         units = UnitAssignment(d, e, u)
     else:
-        units = UnitAssignment.ones(d, e)
+        units = UnitAssignment(d, e)
     return ParsedGrid(family, colouring, units)
 
 
@@ -167,8 +159,6 @@ def _closure(fibres: list[list[Cell]], seed: Subgrid) -> Subgrid:
     """
     I = set(seed[0])
     J = set(seed[1])
-    if not I or not J:
-        raise EmptySeed("seed subgrid must be non-empty")
     changed = True
     while changed:
         changed = False

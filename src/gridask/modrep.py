@@ -80,6 +80,11 @@ class ModuleRep:
         return torus.weights(self)
 
     @cached_property
+    def dual(self) -> "ModuleRep":
+        """element_dual(self), built once, so its weights are found once."""
+        return element_dual(self)
+
+    @cached_property
     def _element_columns(self) -> tuple[tuple[int, ...], ...]:
         """(a_{bij} for b in B) for each entry (i, j), row by row."""
         return tuple(tuple(g[i][j] for g in self.gens)
@@ -272,35 +277,23 @@ def alphahat_rep(d: int) -> ModuleRep:
     all pair generators; (h, {i,j}) kept as is when h is in {i,j}; for a
     triple a < b < c the two combinations (a,{b,c}) - (c,{a,b}) and
     (b,{a,c}) + (c,{a,b}) replace the three off-pair generators."""
-    basis = _alpha_basis(d)
-    n = len(basis)
+    alpha = alpha_rep(d)
+    gen_of = dict(zip(alpha.labels, alpha.gens))
     labels, gens = [], []
-    for p in itertools.combinations(range(1, d + 1), 2):
-        labels.append(("pair", p))
-        gens.append(_alpha_gen(d, basis, "pair", p))
-
-    def hp(h, p):
-        return _alpha_gen(d, basis, "hp", (h, p))
-
-    def add(a: IntMatrix, b: IntMatrix, sign: int) -> IntMatrix:
-        return _freeze([[a[i][j] + sign * b[i][j] for j in range(n)] for i in range(n)])
-
-    for h in range(1, d + 1):
-        for p in itertools.combinations(range(1, d + 1), 2):
-            i, j = p
-            if h in p:
-                labels.append(("hp", (h, p)))
-                gens.append(hp(h, p))
-                continue
-            a, b, c = sorted((h, i, j))
-            if h == a:
-                labels.append(("hp-", (h, p)))
-                gens.append(add(hp(h, p), hp(c, (a, b)), -1))
-            elif h == b:
-                labels.append(("hp+", (h, p)))
-                gens.append(add(hp(h, p), hp(c, (a, b)), +1))
-            # h == c: dropped (dependent on the two kept combinations)
-    return ModuleRep(tuple(labels), basis, basis, tuple(gens))
+    for (kind, data), g in zip(alpha.labels, alpha.gens):
+        if kind == "pair" or data[0] in data[1]:
+            labels.append((kind, data))
+            gens.append(g)
+            continue
+        h, (i, j) = data
+        a, b, c = sorted((h, i, j))
+        if h == c:  # dropped: dependent on the two kept combinations
+            continue
+        sign = -1 if h == a else 1
+        labels.append(("hp-" if h == a else "hp+", data))
+        gens.append(_freeze([[x + sign * y for x, y in zip(row, drop)]
+                             for row, drop in zip(g, gen_of[("hp", (c, (a, b)))])]))
+    return ModuleRep(tuple(labels), alpha.I, alpha.J, tuple(gens))
 
 
 # ---------------------------------------------------------------------------

@@ -69,11 +69,6 @@ def one_minus(q_exp: int, t_exp: int = 1) -> QT:
     return qt_add(qt_one(), qt_term(-1, q_exp, t_exp))
 
 
-def qt_shift_T(a: QT, k: int) -> QT:
-    """Substitute T -> q^k T."""
-    return {(qe + k * te, te): c for (qe, te), c in a.items()}
-
-
 def qt_at_q(a: QT, q: int) -> dict[int, Fraction]:
     """Collapse the q variable at a concrete value; keys are T-exponents."""
     out: dict[int, Fraction] = {}
@@ -92,11 +87,6 @@ class Prediction:
         self.name, self.params = name, params
         self.num = qt_one() if num is None else num
         self.den = qt_one() if den is None else den
-
-    def shift_T(self, k: int) -> "Prediction":
-        """The prediction with T replaced by q^k T."""
-        return Prediction(f"{self.name}@q^{k}T", self.params,
-                          qt_shift_T(self.num, k), qt_shift_T(self.den, k))
 
     def series(self, q: int, n_terms: int) -> list[Fraction]:
         """Exact T-series coefficients [c_0, ..., c_{n_terms}] at this q."""
@@ -215,13 +205,6 @@ def predict(name: str, **params: int) -> Prediction:
         # (1 - q^{l-d-e+1} T)/((1 - q^l T)(1 - q^{l+1} T)).
         d, e, b = p["d"], p["e"], p["b"]
         l = comb(d + e, 2) - b
-        shifted = predict("cor_C", d=d, e=e).shift_T(l)
-        return Prediction("baer_cc", (d, e, b), shifted.num, shifted.den)
+        return Prediction("baer_cc", (d, e, b), one_minus(l - d - e + 1),
+                          qt_mul(one_minus(l), one_minus(l + 1)))
     raise UnknownPrediction(f"unknown prediction {name!r}")
-
-
-def class_number_F3d(d: int, q: int) -> int:
-    """Number of conjugacy classes of the free class-3 d-generator group
-    over a residue field with q elements (T-coefficient of F3d_cc)."""
-    shift = (d - 2) * d * (d + 2) // 3
-    return q**shift * (q**comb(d, 2) + q**(d + 1) + q**d - q - 1)

@@ -256,9 +256,6 @@ class PadicQuotient(Ring):
     def sub(self, a: int, b: int) -> int:
         return (a - b) % self._m
 
-    def neg(self, a: int) -> int:
-        return (-a) % self._m
-
     def mul(self, a: int, b: int) -> int:
         return (a * b) % self._m
 
@@ -357,9 +354,6 @@ class ExtField(Ring):
 
     def sub(self, a, b):
         return tuple((x - y) % self.p for x, y in zip(a, b))
-
-    def neg(self, a):
-        return tuple((-x) % self.p for x in a)
 
     def mul(self, a, b):
         prod = _poly_mul(a, b, self.p)

@@ -5,17 +5,21 @@ The oracles are written directly from the definitions, with no reuse of
 the library's elimination, closure, or greedy-play code, so that agreement
 between the two is meaningful evidence.  The fixtures (matrix arithmetic,
 the symbolic forms of criterion 10, the class-3 relation algebra, seeded
-units, rainbow and transposed colourings, and a view of the library's
-colour closure) build test inputs and are not checks in their own right.
+units, rainbow and transposed colourings, and views of the library's
+colour closure and move rule) build test inputs and are not checks in
+their own right.
 """
 from __future__ import annotations
 
 import itertools
 import random
 from fractions import Fraction
+from math import comb
 
+from gridask import boardgame
 from gridask.colouring import PartialColouring, UnitAssignment, _closure
 from gridask.linalg import Mat
+from gridask.modrep import ModuleRep, _alpha_basis, _alpha_gen
 from gridask.nilpotent import GradedAlgebra, _add_pair, _check_characteristic
 
 
@@ -462,7 +466,7 @@ def bch_multiply(alg, ring, x, y) -> tuple:
     if max(alg.degrees, default=1) >= 3:
         twelfth = ring.inv(ring.from_int(12))
         xxy = _bracket(alg, ring, x, br)
-        yyx = _bracket(alg, ring, y, [ring.neg(c) for c in br])
+        yyx = _bracket(alg, ring, y, [ring.sub(ring.zero, c) for c in br])
         out = [ring.add(o, ring.mul(twelfth, ring.add(a, b)))
                for o, a, b in zip(out, xxy, yyx)]
     return tuple(out)
@@ -470,7 +474,7 @@ def bch_multiply(alg, ring, x, y) -> tuple:
 
 def bch_inverse(alg, ring, x) -> tuple:
     """-x, the inverse of x in the BCH group."""
-    return tuple(ring.neg(c) for c in x)
+    return tuple(ring.sub(ring.zero, c) for c in x)
 
 
 def conjugacy_class_count(law, m: int, dim: int) -> int:
@@ -502,6 +506,14 @@ def conjugacy_class_count(law, m: int, dim: int) -> int:
                     seen.add(conj)
                     stack.append(conj)
     return classes
+
+
+def class_number_F3d(d: int, q: int) -> int:
+    """Number of conjugacy classes of the free class-3 d-generator group
+    over a residue field with q elements (T-coefficient of F3d_cc), from
+    its own closed form."""
+    shift = (d - 2) * d * (d + 2) // 3
+    return q**shift * (q**comb(d, 2) + q**(d + 1) + q**d - q - 1)
 
 
 def baer_law(forms, m: int):
@@ -608,6 +620,24 @@ def oracle_moves(master, I, J) -> list:
                   and len(mates(cell) & board) == 1)
 
 
+def legal_moves(master, H, cols) -> list:
+    """The library's moves at position (H, cols), row-major: the cells of
+    the mask that boardgame's one rule, `_moves`, leaves on the board."""
+    masks = master.masks
+    moves = boardgame._moves(masks, boardgame._board(masks, H, cols))
+    return [cell for k, cell in enumerate(masks.cells) if moves >> k & 1]
+
+
+def replay_certificate(master, cert) -> bool:
+    """Check that the recorded moves are legal and clear all columns."""
+    cols = [j for j in master.grid.J if j not in set(cert.D)]
+    for cell, col in cert.moves:
+        if cell != (cell[0], col) or cell not in legal_moves(master, cert.H, cols):
+            return False
+        cols.remove(col)
+    return not cols
+
+
 def exhaustive_game_clearable(master, I, J) -> bool:
     """Can SOME legal move sequence from (I, J) delete every column?
     Explores the whole move tree with memoisation on the column set."""
@@ -655,6 +685,38 @@ def class_values(g, I, J, family: str, classes) -> list[int] | None:
             return None
         values.append(signed.pop())
     return None if any(entry.values()) else values
+
+
+def alphahat_by_hand(d: int):
+    """alphahat_rep(d) built generator by generator: the pair generators,
+    then for each h and pair p = (i, j) in order the generator (h, p) when
+    h is in p, and for the triple a < b < c of h, i, j the combination
+    (a, {b, c}) - (c, {a, b}) at h = a and (b, {a, c}) + (c, {a, b}) at
+    h = b."""
+    basis = _alpha_basis(d)
+    pairs = list(itertools.combinations(range(1, d + 1), 2))
+    labels = [("pair", p) for p in pairs]
+    gens = [_alpha_gen(d, basis, "pair", p) for p in pairs]
+
+    def hp(h, p):
+        return _alpha_gen(d, basis, "hp", (h, p))
+
+    def add(a, b, sign: int):
+        return tuple(tuple(x + sign * y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+    for h in range(1, d + 1):
+        for p in pairs:
+            a, b, c = sorted((h, *p))
+            if h in p:
+                labels.append(("hp", (h, p)))
+                gens.append(hp(h, p))
+            elif h == a:
+                labels.append(("hp-", (h, p)))
+                gens.append(add(hp(h, p), hp(c, (a, b)), -1))
+            elif h == b:
+                labels.append(("hp+", (h, p)))
+                gens.append(add(hp(h, p), hp(c, (a, b)), +1))
+    return ModuleRep(tuple(labels), basis, basis, tuple(gens))
 
 
 def circ_forms(rep) -> list[list[dict[int, int]]]:
@@ -705,7 +767,6 @@ def random_symmetric_colouring(d: int, n_colours: int,
 
 
 def random_rep(max_shape: int, max_gens: int, rng: random.Random):
-    from gridask.modrep import ModuleRep
     dI = rng.randrange(1, max_shape + 1)
     dJ = rng.randrange(1, max_shape + 1)
     k = rng.randrange(1, max_gens + 1)

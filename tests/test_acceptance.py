@@ -17,13 +17,14 @@ from gridask.colouring import (PartialColouring, is_admissible_rect,
 from gridask.modrep import (alpha_rep, alphahat_rep, altboard_rep, board_rep,
                             classic_rep, family_rep, symboard_rep, triangular_pair_rep)
 from gridask.nilpotent import baer_group_cc, conjugacy_count_bch, free_nilpotent_lie
-from gridask.predictions import class_number_F3d, predict
+from gridask.predictions import predict
 from gridask.rings import PadicQuotient
 
-from oracles import (baer_law, bch_multiply, circ_forms, conjugacy_class_count,
-                     count_roots, exhaustive_game_clearable, exhaustive_rect_admissible,
-                     matrix_forms, rainbow_colouring, random_colouring, random_rep,
-                     random_symmetric_colouring, random_unit_assignment)
+from oracles import (baer_law, bch_multiply, circ_forms, class_number_F3d,
+                     conjugacy_class_count, count_roots, exhaustive_game_clearable,
+                     exhaustive_rect_admissible, matrix_forms, rainbow_colouring,
+                     random_colouring, random_rep, random_symmetric_colouring,
+                     random_unit_assignment)
 
 GRIDS = Path(__file__).resolve().parent.parent / "grids"
 

@@ -328,6 +328,24 @@ def test_direct_zeta_takes_one_census(monkeypatch):
     assert coeffs == predict("classical_alt", d=3).series(3, 3)
 
 
+def test_direct_census_finds_the_dual_weights_once(monkeypatch):
+    # the dual is cached on the rep, so the direct census over a second
+    # ring reads the torus weights the first one found
+    kernels = []
+    incidence_kernel = torus.incidence_kernel
+
+    def counted(*reps):
+        kernels.append(reps)
+        return incidence_kernel(*reps)
+
+    monkeypatch.setattr(torus, "incidence_kernel", counted)
+    rep = classic_rep("alt", 3)
+    for q in (3, 5):
+        assert ask_direct(rep, PadicQuotient(q)).value == \
+            predict("classical_alt", d=3).coefficient(q, 1)
+    assert len(kernels) == 1
+
+
 @pytest.mark.parametrize("p,n_max", [(2, 3), (3, 2)])
 def test_direct_zeta_matches_orbit_zeta(p, n_max):
     rep = classic_rep("mat", 2, 3)

@@ -6,12 +6,12 @@ import pytest
 
 from gridask.boardgame import (Family, GameColouring, LevelTooLarge, OverlappingIndexSets,
                                build_grid, greedy_reduce, hat_colouring,
-                               is_admissible_game, legal_moves, master_rho,
-                               master_symmetric, replay_certificate)
+                               is_admissible_game, master_rho, master_symmetric)
 from gridask.colouring import PartialColouring, parse_grid
 
-from oracles import (exhaustive_game_clearable, oracle_moves, rainbow_colouring,
-                     random_colouring, random_symmetric_colouring)
+from oracles import (exhaustive_game_clearable, legal_moves, oracle_moves,
+                     rainbow_colouring, random_colouring, random_symmetric_colouring,
+                     replay_certificate)
 
 GRIDS = Path(__file__).resolve().parent.parent / "grids"
 

@@ -4,9 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from gridask.colouring import (EmptySeed, ParseError, PartialColouring,
-                               UnitAssignment, is_admissible_rect, parse_grid,
-                               sl_colouring)
+from gridask.colouring import (ParseError, PartialColouring, UnitAssignment,
+                               is_admissible_rect, parse_grid, sl_colouring)
 
 from oracles import (colour_closure, exhaustive_rect_admissible, is_colour_closed,
                      random_colouring, transpose_colouring)
@@ -79,11 +78,6 @@ def test_closure_full_spread():
 def test_closure_single_step():
     beta = PartialColouring(3, 3, {(1, 1): "c", (2, 2): "c"})
     assert colour_closure(beta, ((1,), (1,))) == ((1, 2), (1, 2))
-
-
-def test_closure_empty_seed_rejected():
-    with pytest.raises(EmptySeed):
-        colour_closure(PartialColouring(2, 2), ((), ()))
 
 
 def test_closure_properties_random():
@@ -218,7 +212,7 @@ def test_parsed_grids_compare_by_value():
 
 
 def test_unit_assignment_basics():
-    u = UnitAssignment.ones(2, 3)
+    u = UnitAssignment(2, 3)
     assert u[(2, 3)] == 1
     # a 0 is refused by parse_grid, which knows which cells are coloured
     assert UnitAssignment(2, 2, {(1, 1): 0})[(1, 1)] == 0

@@ -16,9 +16,9 @@ from gridask.modrep import (ModuleRep, ShapeMismatch, alpha_rep, alphahat_rep,
                             symboard_rep, triangular_pair_rep)
 from gridask.rings import ExtField, PadicQuotient
 
-from oracles import (act_left, class_values, family_classes, mat_add, mat_from_int_rows,
-                     naive_ask, naive_element, naive_orbit_matrix, naive_rank_modp,
-                     random_rep)
+from oracles import (act_left, alphahat_by_hand, class_values, family_classes, mat_add,
+                     mat_from_int_rows, naive_ask, naive_element, naive_orbit_matrix,
+                     naive_rank_modp, random_rep)
 
 GRIDS = Path(__file__).resolve().parent.parent / "grids"
 F3 = PadicQuotient(3)
@@ -355,6 +355,11 @@ def test_alphahat_generator_count():
     assert alpha_rep(3).rank == 12
     assert alphahat_rep(3).rank == 11
     assert alphahat_rep(4).rank == alpha_rep(4).rank - comb(4, 3)
+
+
+def test_alphahat_matches_hand_construction():
+    for d in range(1, 7):
+        assert alphahat_rep(d) == alphahat_by_hand(d)
 
 
 def test_alpha_pair_generators_antisymmetric():

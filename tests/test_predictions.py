@@ -1,9 +1,11 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 
-from gridask.predictions import (Prediction, UnknownPrediction,
-                                 class_number_F3d, one_minus, predict, qt_mul)
+from gridask.predictions import Prediction, UnknownPrediction, one_minus, predict, qt_mul
+
+from oracles import class_number_F3d
 
 F = Fraction
 
@@ -118,15 +120,6 @@ def test_cor_C_and_D_first_coefficients():
                 2 - F(1, q**(d + e))
 
 
-def test_shift_T_scales_coefficients():
-    pred = predict("classical_mat", d=2, e=2)
-    shifted = pred.shift_T(3)
-    for q in (3, 5):
-        base = pred.series(q, 3)
-        scaled = shifted.series(q, 3)
-        assert scaled == [c * F(q) ** (3 * n) for n, c in enumerate(base)]
-
-
 def test_baer_cc_is_shifted_cor_C():
     # T -> q^l T applied to the alternating-board ask series, l = C(d+e,2)-b
     pred = predict("baer_cc", d=2, e=2, b=1)
@@ -135,6 +128,14 @@ def test_baer_cc_is_shifted_cor_C():
         assert pred.coefficient(q, 1) == cor.coefficient(q, 1) * q**5
     assert pred.coefficient(3, 1) == 963
     assert pred.coefficient(5, 1) == 18725
+    # the shift at every coefficient: c_k(baer_cc) = q^(l k) c_k(cor_C)
+    for d, e, b in [(2, 2, 1), (2, 3, 0), (1, 2, 2)]:
+        l = comb(d + e, 2) - b
+        pred = predict("baer_cc", d=d, e=e, b=b)
+        cor = predict("cor_C", d=d, e=e)
+        for q in (3, 5, 7):
+            assert pred.series(q, 3) == [c * F(q) ** (l * k)
+                                         for k, c in enumerate(cor.series(q, 3))]
 
 
 def test_ex14_first_coefficient():
