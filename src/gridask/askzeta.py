@@ -60,9 +60,11 @@ cross term is a multiple of p^(2(k-1) - v), which is 0 mod p^k.  The
 values of K over all y are K(0) plus the span of the K_i, each taken
 equally often, so level k costs one elimination over Z/p^k per class and
 one rank over F_p per value of K, each value one vector addition from the
-last (an odometer over the span's coefficients).  The basis matrices are
-carried only when Z is non-empty: when t = min(B, J), K is empty and every
-lift has the profile v_1 .. v_t.  The elimination reduced mod p^(k-1)
+last (an odometer over the span's coefficients).  When the span is all of
+M_(r x c)(F_p), K runs over every r x c matrix once and nothing is ranked:
+[c choose s]_p prod_(i < s) (p^r - p^i) of them have rank s.  The basis
+matrices are carried only when Z is non-empty: when t = min(B, J), K is
+empty and every lift has the profile v_1 .. v_t.  The elimination reduced mod p^(k-1)
 leaves diag(p^v_1 .. p^v_t) and 0, so over Z/p^(k-1) the class x' itself
 has the profile v_1 .. v_t, then k - 1: level k - 1 costs nothing more.
 
@@ -74,9 +76,11 @@ contain U, and the sum over U is the moment S_j = sum_c [k(c) choose j]_q,
 k(c) = dim Ker A(c).  Gaussian-binomial inversion gives the number of c
 with k(c) = k, and rank I - k, as
 N_k = sum_(j >= k) (-1)^(j - k) q^((j - k)(j - k - 1)/2) [j choose k]_q S_j.
-Each subspace costs one elimination: 64 for F_5^3, where the census of
-classic:sl:3 eliminates one element per torus orbit, 6,234 of them.  The
-budget bounds the number of subspaces.
+The free entry (r, c) of a reduced row-echelon basis carries the torus
+weight a_c - a_(p_r), p_r the pivot of row r, and the torus keeps
+rank C(U), so each orbit of subspaces costs one elimination: 16 of the 64
+subspaces of F_5^3 for classic:sl:3, and 3,610 of the 56,632 of F_3^6 for
+alpha:3.  The budget bounds the number of subspaces.
 
 The certifiers eliminate each orbit of the torus of both reps' joint
 incidence system once: over a field they visit one point per orbit, and
@@ -159,11 +163,13 @@ def _lifted_level_census(rep: ModuleRep, weights, level: PadicQuotient) -> tuple
     F_p.  K(y) = K(0) + sum_i y_i K_i is affine in y, so its values are
     K(0) plus the span of the K_i over F_p, each taken by p^(I - dim span)
     lifts: each value is ranked once, and the values are walked by prefix
-    sums of the span (_span_values).  When Z is empty (t = min(B, J)),
-    partial_smith leaves the basis uncarried and every lift has the class's
-    profile, so nothing is ranked.  The elimination reduced mod p^(k-1)
-    leaves diag(p^v_1 .. p^v_t) and 0, so the class itself has the profile
-    v_1 .. v_t, then k - 1, over Z/p^(k-1).
+    sums of the span (_span_values).  A span of every (B - t) x (J - t)
+    matrix is counted, not walked: _rank_count of its values have rank s.
+    When Z is empty (t = min(B, J)), partial_smith leaves the basis
+    uncarried and every lift has the class's profile, so nothing is ranked.
+    The elimination reduced mod p^(k-1) leaves diag(p^v_1 .. p^v_t) and 0,
+    so the class itself has the profile v_1 .. v_t, then k - 1, over
+    Z/p^(k-1).
     """
     p, k, dI, dJ = level.p, level.cap, len(rep.I), len(rep.J)
     residue = PadicQuotient(p)
@@ -186,6 +192,11 @@ def _lifted_level_census(rep: ModuleRep, weights, level: PadicQuotient) -> tuple
         span = [h for j, h in enumerate(torus.echelon(linear, [p] * len(constant)))
                 if h[j] == 1]
         share = n * p ** (dI - len(span))
+        if len(span) == len(constant):  # K(y) runs over every matrix of the shape once
+            for s in range(min(shape) + 1):
+                counts[head + (k - 1,) * s + (k,) * (steps - t - s)] += (
+                    share * _rank_count(*shape, s, p))
+            continue
         for entries in _span_values(constant, span, p):
             s = rank(Mat(residue, *shape, entries))
             counts[head + (k - 1,) * s + (k,) * (steps - t - s)] += share
@@ -349,40 +360,53 @@ class RankDistribution(NamedTuple):
 
 def rank_distribution(rep: ModuleRep, field: Ring,
                       budget: int = DEFAULT_BUDGET) -> RankDistribution:
-    """Rank r -> the number of c in F_q^B with rank A(c) = r.
+    """Rank r -> the number of c in F_q^B with rank A(c) = r, from the
+    subspace moments (see the module docstring) of the kernel side, the one
+    with fewer coordinates, d = min(I, J): when J < I the walk takes the
+    transposed module, as A(c)^T has the rank of A(c).
 
-    Each subspace U of the kernel side, walked once as a reduced
-    row-echelon basis, lies in the kernel of A(c) for q^(B - rank C(U)) of
-    the c, C(U) the conditions of its basis vectors side by side.  The sums
-    over the j-dimensional U are the moments S_j = sum_c [k(c) choose j]_q,
-    k(c) the kernel dimension, and N_k = sum_(j >= k) (-1)^(j - k)
-    q^((j - k)(j - k - 1)/2) [j choose k]_q S_j of the c have k(c) = k.
-    The kernel side is the one with fewer coordinates, d = min(I, J): left
-    kernels in F_q^I, or right kernels in F_q^J when J < I, and the rank is
-    d - k.  The budget bounds the subspaces walked, sum_j [d choose j]_q.
+    A subspace U is a reduced row-echelon basis: a pivot set, and a fill of
+    the free entries (r, c).  A torus element t takes U to the subspace
+    with the fill t^(a_c - a_(p_r)) x_(r, c), p_r the pivot of row r, and
+    keeps rank C(U), as C(t.u) = diag(t^b) C(u) diag(t^c).  So the fills of
+    each pivot set are walked one per orbit of those weights, weighted by
+    its size, and the zero fill once.  The budget bounds the subspaces,
+    sum_j [d choose j]_q.
     """
     if field.cap != 1:
         raise ValueError("rank distributions require a field")
-    q, B, dI, dJ = field.cardinality(), rep.rank, len(rep.I), len(rep.J)
-    # the linear conditions on c for v to lie in a kernel of A(c), from the
-    # companion b(j)_{ib} = a_{bij}: its orbit matrix C(v)^T (J x B) for the
-    # left kernel, v in F_q^I, and its element sum_j v_j b(j) (I x B) for
-    # the right kernel, v in F_q^J
-    bullet = knuth_bullet(rep)
-    d, side = (dJ, bullet.element) if dJ < dI else (dI, bullet.orbit_matrix_at)
+    if len(rep.J) < len(rep.I):
+        rep = ModuleRep(rep.labels, rep.J, rep.I, tuple(tuple(zip(*g)) for g in rep.gens))
+    q, B, d = field.cardinality(), rep.rank, len(rep.I)
     subspaces = sum(_gaussian(d, j, q) for j in range(d + 1))
     if subspaces > budget:
         raise BudgetExceeded(f"{subspaces} subspaces exceed budget {budget}")
+    # the linear conditions on c for v in F_q^I to lie in the left kernel of
+    # A(c): the nonzero rows of the orbit matrix C(v)^T (J x B) of the
+    # companion b(j)_{ib} = a_{bij}
+    bullet = knuth_bullet(rep)
 
     @functools.cache
     def conditions(v):
-        return side(field, v).entries
+        m = bullet.orbit_matrix_at(field, v)
+        return [row for row in map(m.row, range(m.rows)) if any(map(field.is_unit, row))]
 
     moments = [0] * (d + 1)
-    for basis in _subspaces(field, d):
-        stacked = Mat(field, len(basis) * (dI + dJ - d), B,
-                      tuple(itertools.chain.from_iterable(map(conditions, basis))))
-        moments[len(basis)] += q ** (B - rank(stacked))
+    for j in range(d + 1):
+        for pivots in itertools.combinations(range(d), j):
+            free = [(r, c) for r, p in enumerate(pivots)
+                    for c in range(p + 1, d) if c not in pivots]
+            group = torus.Torus([[w[c] - w[pivots[r]] for r, c in free] for w in rep.weights],
+                                field)
+            zero = ((field.zero,) * len(free), 1)
+            for fill, m in itertools.chain([zero], group.orbits(len(free), False)):
+                rows = [[field.one if c == p else field.zero for c in range(d)]
+                        for p in pivots]
+                for (r, c), x in zip(free, fill):
+                    rows[r][c] = x
+                stacked = [cond for row in rows for cond in conditions(tuple(row))]
+                stacked = Mat(field, len(stacked), B, tuple(itertools.chain(*stacked)))
+                moments[j] += m * q ** (B - rank(stacked))
     counts = {}
     for k in range(d + 1):
         n = sum((-1) ** (j - k) * q ** ((j - k) * (j - k - 1) // 2) * _gaussian(j, k, q)
@@ -398,21 +422,10 @@ def _gaussian(n: int, k: int, q: int) -> int:
             // prod(q ** (i + 1) - 1 for i in range(k)))
 
 
-def _subspaces(field: Ring, d: int):
-    """Each subspace of field^d once, as the rows of its reduced row-echelon
-    basis: a pivot set, each row 1 at its pivot and 0 left of it and at the
-    other pivots, and every other entry free."""
-    values = tuple(field.elements())
-    for j in range(d + 1):
-        for pivots in itertools.combinations(range(d), j):
-            free = [(r, c) for r, p in enumerate(pivots)
-                    for c in range(p + 1, d) if c not in pivots]
-            for fill in itertools.product(values, repeat=len(free)):
-                rows = [[field.one if c == p else field.zero for c in range(d)]
-                        for p in pivots]
-                for (r, c), x in zip(free, fill):
-                    rows[r][c] = x
-                yield tuple(map(tuple, rows))
+def _rank_count(r: int, c: int, s: int, q: int) -> int:
+    """The number of r x c matrices of rank s over F_q: [c choose s]_q row
+    spaces, each the row space of prod_(i < s) (q^r - q^i) of them."""
+    return _gaussian(c, s, q) * prod(q ** r - q ** i for i in range(s))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property
 from math import comb
 from typing import Mapping, NamedTuple, Sequence
 
@@ -65,20 +65,26 @@ def build_grid(family: Family, I: Sequence[int], J: Sequence[int]) -> GameGrid:
     for name, index in (("I", I), ("J", J)):
         if len(set(index)) != len(index):
             raise ValueError(f"index set {name} repeats an index: {index}")
-    if family is Family.RHO:
-        cells = frozenset((i, j) for i in I for j in J)
-    elif family is Family.GAMMA:
-        cells = frozenset((i, j) for i in I for j in J if i != j)
-    else:
-        cells = frozenset((i, j) for i in I for j in J)
-    class_of: dict[Cell, frozenset[Cell]] = {}
-    for (i, j) in cells:
-        if family is Family.RHO:
-            cls = frozenset([(i, j)])
-        else:
-            cls = frozenset(c for c in ((i, j), (j, i)) if c in cells)
-        class_of[(i, j)] = cls
-    return GameGrid(family, I, J, cells, class_of)
+    return _shape(family, I, J)[0]
+
+
+@cache
+def _shape(family: Family, I: tuple[int, ...], J: tuple[int, ...]):
+    """(grid, cells, bit, row, col, pairs), built once per shape: the family
+    grid on sorted, repeat-free (I, J), its cells row-major, bit k =
+    cells[k], and as masks the cells of each row and column and each
+    two-cell class."""
+    cells = frozenset((i, j) for i in I for j in J if family is not Family.GAMMA or i != j)
+    class_of = {(i, j): frozenset({(i, j)} if family is Family.RHO
+                                  else {(i, j), (j, i)} & cells) for (i, j) in cells}
+    order = tuple(sorted(cells))
+    bit = {cell: 1 << k for k, cell in enumerate(order)}
+    row, col = dict.fromkeys(I, 0), dict.fromkeys(J, 0)
+    for (i, j), b in bit.items():
+        row[i] |= b
+        col[j] |= b
+    pairs = {sum(map(bit.__getitem__, cls)) for cls in class_of.values() if len(cls) == 2}
+    return GameGrid(family, I, J, cells, class_of), order, bit, row, col, tuple(pairs)
 
 
 class Masks(NamedTuple):
@@ -110,21 +116,17 @@ class GameColouring:
 
     @cached_property
     def masks(self) -> Masks:
-        """The bit table the game is played on, built on first play."""
-        cells = tuple(sorted(self.grid.cells))
-        bit = {cell: 1 << k for k, cell in enumerate(cells)}
-        row, col = dict.fromkeys(self.grid.I, 0), dict.fromkeys(self.grid.J, 0)
-        for (i, j), b in bit.items():
-            row[i] |= b
-            col[j] |= b
+        """The bit table the game is played on, built on first play: the
+        colours' masks, and the grid's, which every colouring of its shape
+        shares."""
+        _, cells, bit, row, col, pairs = _shape(self.grid.family, self.grid.I, self.grid.J)
 
         def union(cs) -> int:
             return sum(map(bit.__getitem__, cs))
 
         colours = tuple((union(itertools.chain(*classes)), tuple(map(union, classes)))
                         for classes in self.classes_of.values())
-        pairs = {union(cls) for cls in self.grid.class_of.values() if len(cls) == 2}
-        return Masks(cells, row, col, colours, tuple(pairs))
+        return Masks(cells, row, col, colours, pairs)
 
 
 def master_rho(beta: PartialColouring) -> GameColouring:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 from gridask import boardgame
 from gridask.colouring import PartialColouring, UnitAssignment, _closure
@@ -99,6 +99,24 @@ def naive_rank_modp(int_rows: list[list[int]], p: int) -> int:
                 c = rows[r][col]
                 rows[r] = [(a - c * b) % p for a, b in zip(rows[r], rows[pivot_row])]
         pivot_row += 1
+        rank += 1
+    return rank
+
+
+def naive_field_rank(rows, field) -> int:
+    """Textbook row reduction over a field, in its ring operations."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows))
+                      if not field.is_zero(rows[r][col])), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = field.inv(rows[rank][col])
+        for r in range(rank + 1, len(rows)):
+            c = field.mul(rows[r][col], inv)
+            rows[r] = [field.sub(a, field.mul(c, b)) for a, b in zip(rows[r], rows[rank])]
         rank += 1
     return rank
 
@@ -211,6 +229,53 @@ def naive_orbit_ask(rep, ring) -> Fraction:
     for x in itertools.product(list(ring.elements()), repeat=len(rep.I)):
         total += Fraction(1, brute_image_size(naive_orbit_matrix(rep, ring, x)))
     return total
+
+
+def subspaces(field, d: int):
+    """Each subspace of field^d once, as the rows of its reduced row-echelon
+    basis: a pivot set, each row 1 at its pivot and 0 left of it and at the
+    other pivots, and every other entry free."""
+    values = tuple(field.elements())
+    for j in range(d + 1):
+        for pivots in itertools.combinations(range(d), j):
+            free = [(r, c) for r, p in enumerate(pivots)
+                    for c in range(p + 1, d) if c not in pivots]
+            for fill in itertools.product(values, repeat=len(free)):
+                rows = [[field.one if c == p else field.zero for c in range(d)]
+                        for p in pivots]
+                for (r, c), x in zip(free, fill):
+                    rows[r][c] = x
+                yield tuple(map(tuple, rows))
+
+
+def subspace_rank_counts(rep, field) -> dict[int, int]:
+    """Rank r -> the number of c in F_q^B with rank A(c) = r, by the plain
+    subspace walk: U lies in the left kernel of A(c) exactly when
+    c C(u) = 0 for each vector u of its basis, which holds for q^(B - s) of
+    the c, s the rank of the columns of those C(u).  So every subspace U of
+    F_q^I gives the moments S_j = sum_c [k(c) choose j]_q, k(c) = dim Ker A(c), and
+    N_k = sum_(j >= k) (-1)^(j - k) q^((j - k)(j - k - 1)/2) [j choose k]_q S_j
+    of the c have k(c) = k, and rank I - k."""
+    q, d = field.cardinality(), len(rep.I)
+    moments = [0] * (d + 1)
+    for basis in subspaces(field, d):
+        conditions = []  # the columns of each C(u), as rows
+        for u in basis:
+            m = naive_orbit_matrix(rep, field, u)
+            conditions += zip(*map(m.row, range(m.rows)))
+        moments[len(basis)] += q ** (rep.rank - naive_field_rank(conditions, field))
+
+    def gaussian(n, k):
+        return (prod(q ** (n - i) - 1 for i in range(k))
+                // prod(q ** (i + 1) - 1 for i in range(k)))
+
+    counts = {}
+    for k in range(d + 1):
+        n = sum((-1) ** (j - k) * q ** ((j - k) * (j - k - 1) // 2) * gaussian(j, k)
+                * moments[j] for j in range(k, d + 1))
+        if n:
+            counts[d - k] = n
+    return counts
 
 
 # ---------------------------------------------------------------------------

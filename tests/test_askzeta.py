@@ -24,9 +24,9 @@ from gridask.predictions import predict
 from gridask.rings import ExtField, PadicQuotient
 
 from oracles import (naive_ask, naive_constant_rank, naive_divisor_profile,
-                     naive_orbit_ask, naive_orbit_matrix, naive_orbital,
+                     naive_field_rank, naive_orbit_ask, naive_orbit_matrix, naive_orbital,
                      naive_sampled_constant_rank, naive_sampled_orbital, random_rep,
-                     seeded_draws, torus_orbit)
+                     seeded_draws, subspace_rank_counts, torus_orbit)
 
 GRIDS = Path(__file__).resolve().parent.parent / "grids"
 F3 = PadicQuotient(3)
@@ -194,6 +194,19 @@ def test_span_values_walk_matches_product(case):
                              for e, z in enumerate(constant))
                        for coeffs in itertools.product(range(p), repeat=len(span)))
     assert Counter(askzeta._span_values(constant, span, p)) == expected
+
+
+@pytest.mark.parametrize("field", [PadicQuotient(2), F3, ExtField(2, 2)],
+                         ids=["F2", "F3", "F4"])
+def test_rank_count_counts_every_matrix_of_its_rank(field):
+    # a full span of K is counted by rank, not walked: N(r, c, s) against the
+    # rank of every r x c matrix, r c <= 6
+    q, values = field.cardinality(), list(field.elements())
+    for r in range(1, 7):
+        for c in range(1, 6 // r + 1):
+            ranks = Counter(naive_field_rank(zip(*[iter(entries)] * c), field)
+                            for entries in itertools.product(values, repeat=r * c))
+            assert {s: askzeta._rank_count(r, c, s, q) for s in range(min(r, c) + 1)} == ranks
 
 
 @settings(max_examples=50, deadline=None)
@@ -458,17 +471,20 @@ def rank_cases(draw):
 @example(rep=ModuleRep((), (1, 2, 3), (1, 2), ()), field_name="F5")  # B = 0, J < I
 @example(rep=ModuleRep(("a", "b"), (1, 2, 3), (1, 2),
                        (((1, 0), (0, 1), (1, 1)), ((0, 1), (-1, 0), (0, 0)))),
-         field_name="F4")  # J < I: right kernels, knuth_bullet's side
+         field_name="F4")  # J < I: the walk takes the transposed module
+@example(rep=classic_rep("mat", 3, 2), field_name="F5")  # J < I, under a large torus
 @example(rep=ModuleRep(("a", "b", "c"), (1, 2), (1, 2, 3),
                        (((1, 0, -1), (0, 1, 0)), ((0, 0, 1), (1, 1, 0)), ((1, 1, 0), (0, 0, 1)))),
          field_name="F3")  # I < J: left kernels
+@example(rep=classic_rep("sl", 3), field_name="F2")  # F_2: every torus orbit is one point
 def test_rank_distribution_matches_the_census(rep, field_name):
-    # the subspace moments, inverted, count what the kept census counts
+    # the subspace moments over one subspace per torus orbit, inverted, count
+    # what the plain walk over every subspace and the kept census count
     field = RANK_FIELDS[field_name]
     by_rank = Counter()
     for prof, n in direct_profile_counts(rep, field).items():
         by_rank[prof.count(0)] += n
-    assert rank_distribution(rep, field).counts == dict(by_rank)
+    assert rank_distribution(rep, field).counts == subspace_rank_counts(rep, field) == by_rank
 
 
 def test_rank_distribution_budget_bounds_subspaces(capsys):

@@ -2,13 +2,16 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from gridask.askzeta import direct_profile_counts
 from gridask.cli import run
-from gridask.modrep import rep_from_json
+from gridask.modrep import alpha_rep, rep_from_json
+from gridask.rings import PadicQuotient
 
 ROOT = Path(__file__).resolve().parent.parent
 GRIDS = ROOT / "grids"
@@ -110,6 +113,22 @@ def test_rank_dist_counts(capsys):
     counts = json.loads(out)["counts"]
     assert counts["0"] == 1
     assert sum(counts.values()) == 27
+
+
+def test_manifest_rank_dist_line_matches_the_census(capsys):
+    # the manifest's rank-dist line walks 3,610 torus orbits of the 56,632
+    # subspaces of F_3^6; the census of the 3^12 elements of alpha:3 pins
+    # its counts
+    line = "rank-dist --rep alpha:3 --prime 3"
+    assert line in (ROOT / "manifests" / "acceptance.txt").read_text().splitlines()
+    expected = {0: 1, 2: 3068, 4: 225108, 6: 303264}
+    by_rank = Counter()
+    for prof, n in direct_profile_counts(alpha_rep(3), PadicQuotient(3)).items():
+        by_rank[prof.count(0)] += n
+    assert by_rank == expected
+    code, out = run_out(line.split() + ["--json"], capsys)
+    assert code == 0
+    assert json.loads(out)["counts"] == {str(r): n for r, n in expected.items()}
 
 
 def test_dump_rep_roundtrip(tmp_path, capsys):
