@@ -176,19 +176,15 @@ def _cmd_ask(args) -> int:
 
 
 def _prediction_for(args, parsed) -> predictions.Prediction:
+    if args.against == "baer_cc":  # its coefficients are |R|^l times those of ask
+        raise UsageError("baer_cc counts conjugacy classes, not ask; check it with cc --baer")
     params = {}
     if args.params:
         for tok in args.params.split(","):
             key, _, val = tok.partition("=")
             params[key] = int(val)
-    if not params and parsed is not None:
-        beta = parsed.colouring
-        b = len(beta.colours())
-        auto = {"classical_mat": {"d": beta.d, "e": beta.e},
-                "cor_C": {"d": beta.d, "e": beta.e},
-                "cor_D": {"d": beta.d, "e": beta.e},
-                "baer_cc": {"d": beta.d, "e": beta.e, "b": b}}
-        params = auto.get(args.against, {})
+    if not params and parsed is not None and args.against in ("classical_mat", "cor_C", "cor_D"):
+        params = {"d": parsed.colouring.d, "e": parsed.colouring.e}
     return predictions.predict(args.against, **params)
 
 
@@ -201,7 +197,7 @@ def _cmd_zeta_verify(args) -> int:
     else:
         head, _, path = args.rep.partition(":")
         board = _load_grid(path) if head in BOARD_BUILDERS else None
-        if parsed is not None and parsed != board:  # --grid would set d, e and b
+        if parsed is not None and parsed != board:  # --grid would set d and e
             raise UsageError(f"--rep {args.rep} is not built from --grid {args.grid}")
     if board is None:
         rep = build_rep(args.rep)

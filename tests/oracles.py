@@ -180,6 +180,37 @@ def trial_division_irreducible(m: list[int], p: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Closed-form series without division.
+# ---------------------------------------------------------------------------
+
+def _truncated_product(a: list, b: dict[int, Fraction]) -> list:
+    n = len(a) - 1
+    out = [Fraction(0)] * (n + 1)
+    for i, x in enumerate(a):
+        for k, y in b.items():
+            if i + k <= n:
+                out[i + k] += x * y
+    return out
+
+
+def geometric_series(pred, q: int, n: int) -> list[Fraction]:
+    """T-coefficients c_0..c_n of a catalog prediction at q, never dividing:
+    the numerator is multiplied by sum_j x^j T^(jk) for each denominator
+    factor 1 - x T^k."""
+    out = [Fraction(1)] + [Fraction(0)] * n
+    for factor in pred.num:
+        poly: dict[int, Fraction] = {}
+        for c, a, k in factor:
+            poly[k] = poly.get(k, Fraction(0)) + c * Fraction(q) ** a
+        out = _truncated_product(out, poly)
+    for (one, a0, k0), (minus, a, k) in pred.den:
+        assert (one, a0, k0, minus) == (1, 0, 0, -1) and k >= 1
+        x = Fraction(q) ** a
+        out = _truncated_product(out, {j * k: x**j for j in range(n // k + 1)})
+    return out
+
+
+# ---------------------------------------------------------------------------
 # ask oracle.
 # ---------------------------------------------------------------------------
 

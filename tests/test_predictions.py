@@ -1,13 +1,41 @@
+import re
 from fractions import Fraction
 from math import comb
 
 import pytest
 
-from gridask.predictions import Prediction, UnknownPrediction, one_minus, predict, qt_mul
+from gridask.predictions import Prediction, UnknownPrediction, _expand, one_minus, predict
 
-from oracles import class_number_F3d
+from oracles import class_number_F3d, geometric_series
 
 F = Fraction
+
+# every name in predict's docstring, with the parameters it lists; a name
+# with several sets is checked at each
+CATALOG = [("classical_mat", {"d": 2, "e": 3}), ("classical_mat", {"d": 3, "e": 3}),
+           ("classical_alt", {"d": 3}), ("classical_sym", {"d": 2}),
+           ("classical_sl", {"d": 3}), ("zero_module", {"d": 2}),
+           ("constant_rank", {"d": 2, "e": 3, "l": 1}), ("cor_C", {"d": 2, "e": 3}),
+           ("cor_D", {"d": 2, "e": 2}), ("F3d_cc", {"d": 2}), ("F3d_cc", {"d": 3}),
+           ("F3d_cc", {"d": 4}), ("F2d_cc", {"d": 2}), ("F2d_cc", {"d": 3}),
+           ("F42_cc", {}), ("ex14_L", {"d": 2}), ("nfamily", {"N": 0}),
+           ("nfamily", {"N": 2}), ("ex19", {}), ("kite", {"m": 3, "n": 2}),
+           ("kite", {"m": 1, "n": 1}), ("baer_cc", {"d": 2, "e": 2, "b": 1})]
+
+
+def test_catalog_covers_the_docstring():
+    listed = predict.__doc__.split("Names:")[1]
+    names = dict(re.findall(r"(\w+)(?:\(([\w,]*)\))?[,.]", listed))
+    assert names == {name: ",".join(params) for name, params in CATALOG}
+
+
+def test_series_against_geometric_expansion():
+    # the library long-divides; the oracle expands each denominator factor
+    # as a geometric series and never divides
+    for name, params in CATALOG:
+        pred = predict(name, **params)
+        for q in (2, 3, 4, 5, 7, 9):
+            assert pred.series(q, 6) == geometric_series(pred, q, 6), (name, params, q)
 
 
 def test_classical_mat_first_coefficient():
@@ -75,8 +103,7 @@ def test_zero_module_series_is_geometric():
 def test_f3d_cc_d2_shape():
     # the d=2 closed form cancels to (1-T)/((1-q^2 T)(1-q^3 T))
     pred = predict("F3d_cc", d=2)
-    target = Prediction("target", (), one_minus(0),
-                        qt_mul(one_minus(2), one_minus(3)))
+    target = Prediction("target", (one_minus(0),), (one_minus(2), one_minus(3)))
     for q in (3, 5, 7):
         assert pred.series(q, 4) == target.series(q, 4)
 
@@ -156,15 +183,20 @@ def test_kite_first_coefficient():
 
 
 def test_series_is_exact_rational_division():
-    # spot check by clearing the denominator: den * series == num
-    pred = predict("cor_C", d=2, e=3)
-    q = 7
-    s = pred.series(q, 6)
-    den = {1: {}, }
-    # evaluate num and den at q as polynomials in T
-    from gridask.predictions import qt_at_q
-    numq = qt_at_q(pred.num, q)
-    denq = qt_at_q(pred.den, q)
-    for n in range(4):
-        conv = sum(denq.get(k, F(0)) * s[n - k] for k in range(n + 1))
-        assert conv == numq.get(n, F(0))
+    # clearing the denominator: den * series == num, term by term
+    for name, params in CATALOG:
+        pred = predict(name, **params)
+        for q in (2, 7):
+            s = pred.series(q, 6)
+            assert all(type(c) is Fraction for c in s)
+            numq, denq = _expand(pred.num, q, 6), _expand(pred.den, q, 6)
+            for n in range(7):
+                conv = sum(denq[k] * s[n - k] for k in range(n + 1))
+                assert conv == numq[n], (name, params, q, n)
+
+
+def test_f42_cc_class_numbers():
+    # c_1 at p = 5, 7, 11: the class numbers of the free class-4 group on 2
+    # generators from an independent class-4 computation
+    pred = predict("F42_cc")
+    assert [pred.coefficient(p, 1) for p in (5, 7, 11)] == [1345, 5089, 30481]
