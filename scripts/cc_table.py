@@ -23,7 +23,9 @@ def main() -> None:
               ("free class 3, 2 gens", free_nilpotent_lie(2, 3),
                predict("F3d_cc", d=2)),
               ("free class 3, 3 gens", free_nilpotent_lie(3, 3),
-               predict("F3d_cc", d=3))]
+               predict("F3d_cc", d=3)),
+              ("free class 4, 2 gens", free_nilpotent_lie(2, 4),
+               predict("F42_cc"))]
     mismatches = 0
     for name, alg, pred in groups:
         for p in primes:

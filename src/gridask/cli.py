@@ -37,7 +37,7 @@ DEFAULT_SEED = 20240601
 
 # Predictions whose closed forms exclude finitely many small primes; a
 # mismatch there at p in {2, 3} is reported as a soft failure.
-SOFT_PREDICTIONS = {"nfamily", "ex19", "F42_cc"}
+SOFT_PREDICTIONS = {"nfamily", "ex19"}
 SOFT_PRIMES = {2, 3}
 
 
@@ -89,10 +89,11 @@ def _parse_index_set(text: str) -> tuple[int, ...]:
 
 
 def _dimension(text: str) -> int:
-    """A dimension or generator count of a spec: at least 1."""
+    """A dimension, generator count or nilpotency class of a spec: at least 1."""
     value = int(text)
     if value < 1:
-        raise UsageError(f"dimension {value} names no module; it must be at least 1")
+        raise UsageError(f"{value} names no module or group; a dimension, count "
+                         "or class must be at least 1")
     return value
 
 
@@ -176,8 +177,8 @@ def _cmd_ask(args) -> int:
 
 
 def _prediction_for(args, parsed) -> predictions.Prediction:
-    if args.against == "baer_cc":  # its coefficients are |R|^l times those of ask
-        raise UsageError("baer_cc counts conjugacy classes, not ask; check it with cc --baer")
+    if args.against.endswith("_cc"):  # class numbers, |R|^z times ask
+        raise UsageError(f"{args.against} counts conjugacy classes, not ask; check it with cc")
     params = {}
     if args.params:
         for tok in args.params.split(","):
@@ -269,16 +270,17 @@ def _cmd_orbital_check(args) -> int:
 def _cmd_cc(args) -> int:
     if args.free_nilpotent is not None:
         c_text, _, d_text = args.free_nilpotent.partition(",")
-        alg = nilpotent.free_nilpotent_lie(_dimension(d_text), int(c_text))
+        d, c = _dimension(d_text), _dimension(c_text)
+        nilpotent.check_free_group(d, c, PadicQuotient(args.prime, args.n), args.budget)
+        alg = nilpotent.free_nilpotent_lie(d, c)
         count = nilpotent.conjugacy_count_bch(alg, args.prime, args.n, args.budget)
-        report = {"header": _header(args), "group": f"free class-{c_text} on {d_text}",
-                  "prime": args.prime, "n": args.n, "classes": count}
+        group = f"free class-{c_text} on {d_text}"
     else:
         rep = build_rep(args.baer)
         count = nilpotent.baer_group_cc(rep, args.prime, args.n, args.budget)
-        report = {"header": _header(args), "group": f"baer:{args.baer}",
-                  "prime": args.prime, "n": args.n, "classes": count}
-    _emit(report, args.json)
+        group = f"baer:{args.baer}"
+    _emit({"header": _header(args), "group": group, "prime": args.prime, "n": args.n,
+           "classes": count}, args.json)
     return 0
 
 
@@ -418,8 +420,7 @@ def run(argv: list[str]) -> int:
         return args.func(args)
     except (UsageError, ParseError, NonUnitCoefficient, OSError, ValueError, RingError,
             modrep.ShapeMismatch, predictions.UnknownPrediction,
-            nilpotent.BadCharacteristic, nilpotent.NotAlternating,
-            nilpotent.UnsupportedClass) as exc:
+            nilpotent.BadCharacteristic, nilpotent.NotAlternating) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (askzeta.BudgetExceeded, boardgame.LevelTooLarge) as exc:

@@ -1,10 +1,7 @@
-"""Graded anticommutative algebras of class <= 3, their adjoint
-representations, and conjugacy-class counting through average kernel
-sizes (the truncated Baker-Campbell-Hausdorff group law is a test oracle).
-
-Algebras are stored as integer structure constants on a graded basis.
-Products raise degree; everything in degree > 3 vanishes.  The free
-class-3 Lie algebra on d generators is built on a Hall basis.
+"""Graded anticommutative algebras, the free nilpotent Lie algebras of any
+class on their Lyndon bases, and conjugacy-class counting through average
+kernel sizes (the truncated Baker-Campbell-Hausdorff group law is a test
+oracle).  Algebras are stored as integer structure constants.
 
 Class numbers over R = Z/p^n come from two identities (the orbit method
 and the Lazard correspondence; O'Brien-Voll, Rossmann):
@@ -20,16 +17,13 @@ Both asks are taken with askzeta.ask_orbit.
 """
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import Mapping
 
 from . import askzeta
 from .modrep import ModuleRep, _freeze, _zero
 from .rings import PadicQuotient, Ring
-
-
-class UnsupportedClass(Exception):
-    pass
 
 
 class BadCharacteristic(Exception):
@@ -44,9 +38,9 @@ SparseVec = tuple[tuple[int, int], ...]  # ((basis index, coefficient), ...)
 
 
 class GradedAlgebra:
-    """Anticommutative graded algebra of class <= 3 with integer structure
-    constants; structure[(a, b)] is the sparse product e_a e_b (a copy of
-    the mapping given)."""
+    """Anticommutative graded algebra with integer structure constants;
+    structure[(a, b)] is the sparse product e_a e_b (a copy of the mapping
+    given), of degree degrees[a] + degrees[b]."""
 
     __slots__ = ("labels", "degrees", "structure")
 
@@ -63,8 +57,6 @@ class GradedAlgebra:
                 for i, c in prod:
                     if degrees[i] != degrees[a] + degrees[b]:
                         raise ValueError(f"product {(a, b)} breaks the grading")
-                if degrees[a] + degrees[b] > 3 and prod:
-                    raise ValueError("nonzero product above degree 3")
 
     @property
     def dim(self) -> int:
@@ -74,82 +66,82 @@ class GradedAlgebra:
         return self.structure.get((a, b), ())
 
 
-def _add_pair(structure: dict, a: int, b: int, vec: SparseVec) -> None:
-    if vec:
-        structure[(a, b)] = vec
-        structure[(b, a)] = tuple((i, -c) for i, c in vec)
+def lyndon_words(d: int, max_len: int):
+    """The Lyndon words of length <= max_len over the letters 1 < .. < d,
+    in lexicographic order (Duval's algorithm)."""
+    w = [0] if d > 0 and max_len > 0 else []
+    while w:
+        w[-1] += 1
+        yield tuple(w)
+        w = (w * max_len)[:max_len]  # w repeated up to length max_len
+        while w and w[-1] == d:
+            w.pop()
+
+
+def _bracket(f: dict, g: dict) -> dict:
+    """fg - gf of polynomials {word: coefficient} of the free associative algebra."""
+    out: dict = {}
+    for u, a in f.items():
+        for v, b in g.items():
+            out[u + v] = out.get(u + v, 0) + a * b
+            out[v + u] = out.get(v + u, 0) - a * b
+    return {w: c for w, c in out.items() if c}
 
 
 def free_nilpotent_lie(d: int, nil_class: int = 3) -> GradedAlgebra:
-    """Free nilpotent Lie algebra on d generators, class 2 or 3, on the
-    Hall basis x_i; [x_j, x_i] (j > i); [[x_j, x_i], x_k] (j > i, k >= i).
-
-    Degree dimensions: d, C(d,2), (d^3 - d)/3.
-    """
-    if nil_class not in (2, 3):
-        raise UnsupportedClass(f"nilpotency class {nil_class} is not 2 or 3")
-    labels: list = [("x", i) for i in range(1, d + 1)]
-    degrees = [1] * d
-    for j in range(2, d + 1):
-        for i in range(1, j):
-            labels.append(("c2", (j, i)))
-            degrees.append(2)
-    if nil_class == 3:
-        for j in range(2, d + 1):
-            for i in range(1, j):
-                for k in range(i, d + 1):
-                    labels.append(("c3", (j, i, k)))
-                    degrees.append(3)
-    pos = {lab: t for t, lab in enumerate(labels)}
+    """Free nilpotent Lie algebra of class nil_class on d generators, on the
+    Lyndon basis (Reutenauer, Free Lie Algebras, §5) ordered by length, then
+    lexicographically.  The word w stands for P_w: w itself on one letter,
+    else [P_u, P_v] for w = uv with v the longest proper Lyndon suffix of w.
+    P_w is w plus greater words, so a Lie polynomial f is k P_m + (f - k P_m),
+    k f's coefficient at its least word m: every structure constant is an integer."""
+    # one letter has one Lyndon word: the algebra is abelian whatever the class
+    words = sorted(lyndon_words(d, nil_class if d > 1 else 1), key=len)
+    pos = {w: t for t, w in enumerate(words)}
+    poly: dict = {}
+    for w in words:
+        v = next((w[i:] for i in range(1, len(w)) if w[i:] in pos), None)
+        poly[w] = {w: 1} if v is None else _bracket(poly[w[:-len(v)]], poly[v])
     structure: dict[tuple[int, int], SparseVec] = {}
-
-    def c3(j: int, i: int, k: int) -> SparseVec:
-        """[[x_j, x_i], x_k] in the Hall basis (j > i)."""
-        if nil_class == 2:
-            return ()
-        if k >= i:
-            return (((pos[("c3", (j, i, k))]), 1),)
-        # k < i: Jacobi rewrite [[j,i],k] = [[j,k],i] - [[i,k],j]
-        return ((pos[("c3", (j, k, i))], 1), (pos[("c3", (i, k, j))], -1))
-
-    for j in range(1, d + 1):
-        for i in range(1, d + 1):
-            if j > i:
-                _add_pair(structure, pos[("x", j)], pos[("x", i)],
-                          ((pos[("c2", (j, i))], 1),))
-    for j in range(2, d + 1):
-        for i in range(1, j):
-            for k in range(1, d + 1):
-                vec = c3(j, i, k)
-                _add_pair(structure, pos[("c2", (j, i))], pos[("x", k)], vec)
-    return GradedAlgebra(tuple(labels), tuple(degrees), structure)
-
-
-def adjoint_rep(alg: GradedAlgebra) -> ModuleRep:
-    """Right-multiplication representation: generator b is the matrix of
-    x |-> x e_b on the basis."""
-    n = alg.dim
-    gens = []
-    for b in range(n):
-        g = _zero(n, n)
-        for i in range(n):
-            for j, c in alg.product_basis(i, b):
-                g[i][j] = c
-        gens.append(_freeze(g))
-    idx = tuple(range(n))
-    return ModuleRep(tuple(alg.labels), idx, idx, tuple(gens))
+    for a, u in enumerate(words):
+        for b in range(a + 1, len(words)):
+            if len(u) + len(words[b]) > nil_class:
+                break
+            f, vec = _bracket(poly[u], poly[words[b]]), []
+            while f:
+                m = min(f)
+                k = f[m]
+                vec.append((pos[m], k))
+                for x, c in poly[m].items():
+                    f[x] = f.get(x, 0) - k * c
+                    if not f[x]:
+                        del f[x]
+            structure[(a, b)] = tuple(vec)  # nonzero: distinct basis elements
+            structure[(b, a)] = tuple((i, -c) for i, c in vec)
+    return GradedAlgebra(tuple(words), tuple(map(len, words)), structure)
 
 
 # ---------------------------------------------------------------------------
 # BCH groups.
 # ---------------------------------------------------------------------------
 
-def _check_characteristic(alg: GradedAlgebra, ring: Ring) -> None:
-    max_deg = max(alg.degrees) if alg.labels else 1
-    if max_deg >= 3 and ring.p in (2, 3):
-        raise BadCharacteristic("class-3 truncation needs p >= 5")
-    if max_deg == 2 and ring.p == 2:
-        raise BadCharacteristic("class-2 truncation needs odd p")
+def _check_characteristic(nil_class: int, ring: Ring) -> None:
+    """The Lazard correspondence needs p > the nilpotency class."""
+    if ring.p <= nil_class:
+        raise BadCharacteristic(f"class {nil_class} needs p > {nil_class}")
+
+
+def check_free_group(d: int, nil_class: int, ring: Ring, budget: int) -> None:
+    """Refuse the free class-c group on d generators over ring before
+    building its algebra: for d >= 2 it has class c, and one non-central
+    basis element, so one census coordinate, per Lyndon word shorter than c."""
+    if d > 1:  # one generator spans an abelian algebra whatever the class
+        _check_characteristic(nil_class, ring)
+        cap = budget.bit_length() + 1  # |R| >= 2: this many coordinates exceed it
+        words = lyndon_words(d, min(nil_class - 1, cap))
+        least = ring.cardinality() ** sum(1 for _ in itertools.islice(words, cap))
+        if least > budget:
+            raise askzeta.BudgetExceeded(f"at least {least} census points exceed budget {budget}")
 
 
 def _class_count(scale: int, ask: Fraction) -> int:
@@ -167,18 +159,23 @@ def conjugacy_count_bch(alg: GradedAlgebra, p: int, n: int = 1,
 
     k(G) = ask(adjoint module) = |R|^z * ask(restricted), where z basis
     elements e_b are central and the restricted module drops, for each of
-    them, generator b (x e_b = 0) and row b (e_b x = 0).  The budget bounds
-    the |R|^I census points of the restricted module.
+    them, generator b (x e_b = 0) and row b (e_b x = 0); generator b of the
+    restricted module is the matrix of x |-> x e_b.  The budget bounds the
+    |R|^I census points of the restricted module.
     """
     ring = PadicQuotient(p, n)
-    _check_characteristic(alg, ring)
-    ad = adjoint_rep(alg)
-    keep = [b for b, g in enumerate(ad.gens) if any(any(row) for row in g)]
-    restricted = ModuleRep(tuple(ad.labels[b] for b in keep),
-                           tuple(ad.I[b] for b in keep), ad.J,
-                           tuple(tuple(ad.gens[b][i] for i in keep) for b in keep))
-    central = alg.dim - len(keep)
-    return _class_count(ring.cardinality() ** central,
+    _check_characteristic(max(alg.degrees, default=1), ring)
+    keep = sorted({b for (_, b), vec in alg.structure.items() if vec})  # non-central
+    gens = []
+    for b in keep:
+        g = _zero(len(keep), alg.dim)
+        for row, a in enumerate(keep):
+            for j, c in alg.product_basis(a, b):
+                g[row][j] = c
+        gens.append(_freeze(g))
+    restricted = ModuleRep(tuple(alg.labels[b] for b in keep), tuple(keep),
+                           tuple(range(alg.dim)), tuple(gens))
+    return _class_count(ring.cardinality() ** (alg.dim - len(keep)),
                         askzeta.ask_orbit(restricted, ring, budget).value)
 
 

@@ -19,8 +19,8 @@ from math import comb, prod
 from gridask import boardgame
 from gridask.colouring import PartialColouring, UnitAssignment, _closure
 from gridask.linalg import Mat
-from gridask.modrep import ModuleRep, _alpha_basis, _alpha_gen
-from gridask.nilpotent import GradedAlgebra, _add_pair, _check_characteristic
+from gridask.modrep import ModuleRep, _alpha_basis, _alpha_gen, _freeze, _zero
+from gridask.nilpotent import GradedAlgebra, _check_characteristic
 
 
 # ---------------------------------------------------------------------------
@@ -472,6 +472,11 @@ def grading(alg) -> tuple[int, int, int]:
     return tuple(alg.degrees.count(k) for k in (1, 2, 3))
 
 
+def _add_pair(structure: dict, a: int, b: int, vec) -> None:
+    structure[(a, b)] = vec
+    structure[(b, a)] = tuple((i, -c) for i, c in vec)
+
+
 def a_d_algebra(d: int) -> GradedAlgebra:
     """The anticommutative (generally non-Lie) algebra with basis
     x_i; p_{i<j}; t_{(h, i<j)} and products x_i x_j = p_{i<j},
@@ -551,15 +556,33 @@ def _bracket(alg, ring, x, y) -> list:
     return out
 
 
+def adjoint_rep(alg) -> ModuleRep:
+    """The whole adjoint module, central basis elements included: generator
+    b is the matrix of x |-> x e_b on the basis."""
+    n = alg.dim
+    gens = []
+    for b in range(n):
+        g = _zero(n, n)
+        for i in range(n):
+            for j, c in alg.product_basis(i, b):
+                g[i][j] = c
+        gens.append(_freeze(g))
+    idx = tuple(range(n))
+    return ModuleRep(tuple(alg.labels), idx, idx, tuple(gens))
+
+
 def bch_multiply(alg, ring, x, y) -> tuple:
     """Truncated BCH product x + y + (1/2)[x,y] + (1/12)[x,[x,y]] + (1/12)[y,[y,x]],
-    under the library's characteristic rule (BadCharacteristic where 2, or
-    from class 3 on 12, is not invertible)."""
-    _check_characteristic(alg, ring)
+    exact up to class 3, under the library's characteristic rule
+    (BadCharacteristic unless p exceeds the class)."""
+    nil_class = max(alg.degrees, default=1)
+    if nil_class > 3:
+        raise ValueError(f"the BCH truncation is exact up to class 3, not {nil_class}")
+    _check_characteristic(nil_class, ring)
     br = _bracket(alg, ring, x, y)
     half = ring.inv(ring.from_int(2))
     out = [ring.add(ring.add(a, b), ring.mul(half, c)) for a, b, c in zip(x, y, br)]
-    if max(alg.degrees, default=1) >= 3:
+    if nil_class == 3:
         twelfth = ring.inv(ring.from_int(12))
         xxy = _bracket(alg, ring, x, br)
         yyx = _bracket(alg, ring, y, [ring.sub(ring.zero, c) for c in br])

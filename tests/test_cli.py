@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from gridask import nilpotent
 from gridask.askzeta import direct_profile_counts
 from gridask.cli import run
 from gridask.modrep import alpha_rep, rep_from_json
@@ -341,6 +342,39 @@ def test_cc_budget_bounds_census_points(capsys):
     assert json.loads(out)["classes"] == 2715625
 
 
+def test_cc_free_nilpotent_any_class(capsys):
+    # class 4 is the catalog's F42_cc, and one generator gives the abelian
+    # group Z/p whatever the class
+    for spec, classes in [("4,2", 1345), ("5,1", 5), ("1000000000,1", 5)]:
+        code, out = run_out(["cc", "--free-nilpotent", spec, "--prime", "5", "--json"], capsys)
+        assert code == 0
+        assert json.loads(out)["classes"] == classes
+
+
+@pytest.mark.parametrize("argv, code", [
+    # the census of 4,2 over F_5 has 5^5 points, one coordinate per Lyndon
+    # word shorter than 4
+    (["--free-nilpotent", "4,2", "--prime", "5", "--budget", "3124"], 4),
+    (["--free-nilpotent", "13,2", "--prime", "17"], 4),
+    (["--free-nilpotent", "1000000000,2", "--prime", "1000000007"], 4),
+    (["--free-nilpotent", "4,3", "--prime", "5"], 4),
+    (["--free-nilpotent", "13,2", "--prime", "3", "--budget", "10000000000000"], 3),
+])
+def test_cc_refuses_before_building(argv, code, monkeypatch, capsys):
+    def build(d, c):
+        raise AssertionError(f"built the class-{c} algebra on {d} generators")
+    monkeypatch.setattr(nilpotent, "free_nilpotent_lie", build)
+    assert run(["cc"] + argv) == code
+    assert capsys.readouterr().err.startswith("budget exceeded: " if code == 4 else "error: ")
+
+
+def test_cc_budget_admits_the_smallest_census(capsys):
+    code, out = run_out(["cc", "--free-nilpotent", "4,2", "--prime", "5",
+                         "--budget", "3125", "--json"], capsys)
+    assert code == 0
+    assert json.loads(out)["classes"] == 1345
+
+
 UNSUPPORTED_CC = [["cc", "--free-nilpotent", "3,2", "--prime", "3"],
                   ["cc", "--baer", "triangular-pair:2", "--prime", "3"]]
 
@@ -556,6 +590,8 @@ INPUT_ERRORS = [
     ["ask", "--rep", "alphahat:0", "--prime", "3"],
     ["ask", "--rep", "triangular-pair:-1", "--prime", "3"],
     ["cc", "--free-nilpotent", "3,-2", "--prime", "5"],
+    ["cc", "--free-nilpotent", "0,2", "--prime", "5"],  # a class below 1 names no group
+    ["cc", "--free-nilpotent", "-1,2", "--prime", "5"],
     # a negative cokernel rank or level names no claim to check
     ["constant-rank", "--family", "rho", "--I", "1-2", "--J", "1-3", "--rank", "-1",
      "--prime", "3"],
@@ -572,6 +608,11 @@ INPUT_ERRORS = [
     # baer_cc counts classes, |R|^l * ask, so against ask it reported a mismatch
     ["zeta-verify", "--module", "altboard", "--grid", str(ROOT / "grids" / "adm_2x2.grid"),
      "--against", "baer_cc", "--prime", "3"],
+    # so do the other class-number series: F2d_cc exited 1 (brute 29/5 against
+    # 29), and F42_cc exited 2, a soft fail for a category error
+    ["zeta-verify", "--rep", "classic:alt:2", "--against", "F2d_cc", "--params", "d=2",
+     "--prime", "5"],
+    ["zeta-verify", "--rep", "classic:alt:2", "--against", "F42_cc", "--prime", "3"],
 ]
 
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 from math import comb
 
@@ -8,13 +9,14 @@ from gridask.colouring import parse_grid
 from gridask.fastcount import baer_orbit_count
 from gridask.modrep import altboard_rep, classic_rep, knuth_bullet
 from gridask.nilpotent import (BadCharacteristic, GradedAlgebra, NotAlternating,
-                               UnsupportedClass, adjoint_rep, baer_group_cc,
-                               conjugacy_count_bch, free_nilpotent_lie)
+                               baer_group_cc, conjugacy_count_bch, free_nilpotent_lie,
+                               lyndon_words)
+from gridask.predictions import predict
 from gridask.rings import PadicQuotient
 
 from pathlib import Path
 
-from oracles import (a_d_algebra, baer_law, bch_inverse, bch_multiply,
+from oracles import (a_d_algebra, adjoint_rep, baer_law, bch_inverse, bch_multiply,
                      conjugacy_class_count, is_lie, jacobi_quotient)
 
 GRIDS = Path(__file__).resolve().parent.parent / "grids"
@@ -41,9 +43,55 @@ def test_free_class_three_dimensions():
         assert is_lie(alg)
 
 
-def test_unsupported_class():
-    with pytest.raises(UnsupportedClass):
-        free_nilpotent_lie(2, 4)
+def mobius(m: int) -> int:
+    sign, q = 1, 2
+    while m > 1:
+        if m % q == 0:
+            m //= q
+            if m % q == 0:
+                return 0
+            sign = -sign
+        q += 1
+    return sign
+
+
+def necklace_dimension(d: int, k: int) -> int:
+    """Witt's formula: (1/k) sum over m | k of mu(m) d^(k/m)."""
+    return sum(mobius(m) * d ** (k // m) for m in range(1, k + 1) if k % m == 0) // k
+
+
+def test_degree_dimensions_follow_witt():
+    cases = [(d, c) for d in (1, 2, 3) for c in (1, 2, 3, 4, 5)] + [(4, 4)]
+    for d, c in cases:
+        degrees = free_nilpotent_lie(d, c).degrees
+        assert [degrees.count(k) for k in range(1, c + 1)] == \
+            [necklace_dimension(d, k) for k in range(1, c + 1)], (d, c)
+
+
+def test_lyndon_words_are_the_least_rotations():
+    # a Lyndon word is strictly smaller than each of its proper rotations
+    for d, n in [(1, 4), (2, 6), (3, 4)]:
+        words = list(lyndon_words(d, n))
+        assert words == sorted(words)
+        assert set(words) == {w for k in range(1, n + 1)
+                              for w in itertools.product(range(1, d + 1), repeat=k)
+                              if all(w < w[i:] + w[:i] for i in range(1, k))}
+    assert list(lyndon_words(2, 0)) == list(lyndon_words(0, 3)) == []
+
+
+def test_higher_classes_are_lie():
+    for d, c in [(2, 4), (2, 5), (3, 4)]:
+        assert is_lie(free_nilpotent_lie(d, c)), (d, c)
+
+
+def test_class_three_matches_jacobi_quotient():
+    # two independent constructions, equal up to isomorphism: the same
+    # degree dimensions and the same class numbers
+    for d, expected in [(2, [149, 391]), (3, [2715625, 51748753])]:
+        free, quo = free_nilpotent_lie(d, 3), jacobi_quotient(a_d_algebra(d))
+        assert sorted(free.degrees) == sorted(quo.degrees)
+        assert [conjugacy_count_bch(free, p) for p in (5, 7)] == expected
+        assert [conjugacy_count_bch(quo, p) for p in (5, 7)] == expected
 
 
 def test_anticommutativity_enforced():
@@ -111,6 +159,25 @@ def test_heisenberg_class_number():
 def test_free_class_three_class_number():
     alg = free_nilpotent_lie(2, 3)
     assert conjugacy_count_bch(alg, 5) == 149
+
+
+def test_free_class_four_matches_F42_cc():
+    # c_1, c_2 at p = 5, 7, 11 and c_3 at p = 5 of the free class-4 group on
+    # 2 generators, counted, against the closed form
+    alg = free_nilpotent_lie(2, 4)
+    pred = predict("F42_cc")
+    for p, n, expected in [(5, 1, 1345), (7, 1, 5089), (11, 1, 30481),
+                           (5, 2, 1350625), (7, 2, 19364065), (11, 2, 695754961),
+                           (5, 3, 1170390625)]:
+        assert conjugacy_count_bch(alg, p, n, budget=10**11) == expected == \
+            pred.coefficient(p, n), (p, n)
+
+
+def test_class_four_needs_p_above_four():
+    alg = free_nilpotent_lie(2, 4)
+    for p in (2, 3):
+        with pytest.raises(BadCharacteristic):
+            conjugacy_count_bch(alg, p)
 
 
 def bch_oracle(alg, p, n=1):
