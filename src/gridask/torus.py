@@ -24,9 +24,12 @@ basis H of L_S (echelon) with diagonal h gives the key (the characters
 l -> l X mod N, X = N H^-1 and N = prod h_i, vanish exactly on L_S and add
 over coordinates), one representative per orbit (the box 0 <= l_i < h_i)
 and the orbit size prod ord_i / prod h_i.  The box is a product over
-coordinates, so the representatives of one valuation pattern are the
-product of per-coordinate value lists: 0 off the support, and p^(v_i)
-times the unit of every log in the coordinate's ranges on it.
+coordinates and h_i depends only on v_0 .. v_i, so orbits walks the
+patterns depth-first: v_i = 0 .. n extends the parent's echelon by one
+column per generator, on rows reduced mod the top order (which every
+level's order divides, so top e_i lies in L_S whatever v_i is), and a
+leaf is the product of per-coordinate value lists: 0 off the support,
+and p^(v_i) times the unit of every log below h on it.
 """
 from __future__ import annotations
 
@@ -87,24 +90,30 @@ def echelon(rows: Sequence[Sequence[int]], ords: Sequence[int]) -> list[list[int
     ord_j e_j: h_j is 0 before column j, 0 < h_j[j] divides ord_j, and its
     later entries are reduced mod their ord.  Where h_j[j] = ord_j, no row
     reached column j, and h_j = ord_j e_j."""
-    d = len(ords)
     basis = []
     rows = [[x % o for x, o in zip(r, ords)] for r in rows]
     for j, o in enumerate(ords):
-        pivot = [0] * d
-        pivot[j] = o
-        rest = []
-        for r in rows:
-            a, b = pivot[j], r[j]
-            if b:  # a unimodular pair of combinations leaves gcd(a, b) and 0
-                g, s, t = _xgcd(a, b)
-                pivot, r = ([s * x + t * y for x, y in zip(pivot, r)],
-                            [(a // g * y - b // g * x) % m for x, y, m in zip(pivot, r, ords)])
-            if any(r):
-                rest.append(r)
-        basis.append(pivot[:j + 1] + [x % ords[k] for k, x in enumerate(pivot[j + 1:], j + 1)])
-        rows = rest
+        _, pivot, rows = _column(rows, j, o, ords)
+        basis.append(pivot)
     return basis
+
+
+def _column(rows, j: int, o: int, mods: Sequence[int]):
+    """One column of echelon: (h, pivot, rest).  Each row with r[j] != 0 mod o
+    is folded into the pivot, which starts as o e_j, by a unimodular pair of
+    combinations that leaves gcd(h, r[j]) and 0; h is the pivot's diagonal,
+    rest the rows nonzero past column j, every entry reduced mod mods."""
+    pivot, h, rest = [o * (k == j) for k in range(len(mods))], o, []
+    for r in rows:
+        b = r[j] % o
+        if b:
+            g, s, t = _xgcd(h, b)
+            pivot, r = ([(s * x + t * y) % m for x, y, m in zip(pivot, r, mods)],
+                        [(h // g * y - b // g * x) % m for x, y, m in zip(pivot, r, mods)])
+            h = g
+        if any(r[j + 1:]):
+            rest.append(r)
+    return h, pivot, rest
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -176,22 +185,20 @@ class _Units:
 
 
 def _lattice(weights, ring: Ring, v: tuple[int, ...]):
-    """(support, [(ords, basis) per generator], orbit size) for the points
-    with valuations v: L_S for each generator of the units."""
+    """(support, [(ords, basis) per generator]) for the points with
+    valuations v: L_S for each generator of the units."""
     n = ring.cap
     support = [i for i, vi in enumerate(v) if vi < n]
     rows = [[w[i] for i in support] for w in weights]
     ords = list(zip(*(ring.unit_orders(n - v[i]) for i in support)))
-    bases = [(o, echelon(rows, o)) for o in ords]
-    size = prod(prod(o) // prod(h[j] for j, h in enumerate(b)) for o, b in bases)
-    return support, bases, size
+    return support, [(o, echelon(rows, o)) for o in ords]
 
 
 def _character_terms(lattices, splits, zero, v):
     """(per coordinate a table from its value to its term, the characters)
     for valuations v: character (g, column, N, shift, mask) of L_S for
     generator g is a field of the terms, wide enough for a sum of len(v)."""
-    support, bases, _ = lattices[v]
+    support, bases = lattices[v]
     chars, shift = [], 0
     for g, (_, basis) in enumerate(bases):
         modulus, columns = characters(basis)
@@ -235,19 +242,30 @@ class Torus:
 
     def orbits(self, dim: int, all_units: bool):
         """(x, |orbit of x|) for one point x of each orbit on the points of
-        ring^dim with every coordinate (all_units) or some coordinate a unit:
-        the points whose logs lie in the box 0 <= l_j < h_j, built as the
-        product of per-coordinate value lists."""
-        zero = [self.ring.zero]
-        for v in itertools.product(range(1 if all_units else self.ring.cap + 1), repeat=dim):
-            if not all_units and 0 not in v:
-                continue
-            support, bases, size = self._lattices[v]
-            values = [zero] * dim
-            for pos, i in enumerate(support):
-                values[i] = [self.units.join(v[i], logs) for logs in
-                             itertools.product(*(range(b[pos][pos]) for _, b in bases))]
-            for x in itertools.product(*values):
+        ring^dim with every coordinate (all_units) or some coordinate a unit,
+        by the depth-first walk of Orbits above, in lexicographic order of v."""
+        ring, n = self.ring, self.ring.cap
+        tops, levels = ring.unit_orders(n), [ring.unit_orders(n - v) for v in range(n)]
+        values = _Table(lambda key: [self.units.join(key[0], logs)
+                                     for logs in itertools.product(*map(range, key[1]))])
+
+        def walk(i, lists, states, size, unit):
+            if i == dim:
+                if unit:
+                    yield lists, size
+                return
+            for v in range(1 if all_units or (i == dim - 1 and not unit) else n + 1):
+                if v == n:
+                    yield from walk(i + 1, lists + ([ring.zero],), states, size, unit)
+                    continue
+                hs, _, rests = zip(*[_column(rows, i, o, [top] * dim)
+                                     for rows, o, top in zip(states, levels[v], tops)])
+                yield from walk(i + 1, lists + (values[v, hs],), rests,
+                                size * prod(levels[v]) // prod(hs), unit or v == 0)
+
+        states = [[[w % top for w in row] for row in self.weights] for top in tops]
+        for lists, size in walk(0, (), states, 1, all_units):
+            for x in itertools.product(*lists):
                 yield x, size
 
     def key(self, x) -> tuple:
@@ -261,7 +279,7 @@ class Torus:
     def orbit(self, x) -> list:
         """Every point of the orbit of x: its logs plus each element of the
         lattice modulo the ords."""
-        v, logs, (support, bases, _) = self._split(x)
+        v, logs, (support, bases) = self._split(x)
         cosets = []
         for start, (ords, basis) in zip(logs, bases):
             steps = itertools.product(*(range(o // h[j])

@@ -16,7 +16,7 @@ import random
 from fractions import Fraction
 from math import comb, prod
 
-from gridask import boardgame
+from gridask import boardgame, torus
 from gridask.colouring import PartialColouring, UnitAssignment, _closure
 from gridask.linalg import Mat
 from gridask.modrep import ModuleRep, _alpha_basis, _alpha_gen, _freeze, _zero
@@ -444,6 +444,25 @@ def torus_orbit(ring, weights, x) -> frozenset:
                 seen.add(z)
                 frontier.append(z)
     return frozenset(seen)
+
+
+def pattern_orbits(weights, ring, dim: int, all_units: bool):
+    """Torus.orbits as one lattice per valuation pattern: every v in
+    lexicographic order with every (all_units) or some coordinate a unit,
+    L_S built whole by torus._lattice, and the points of its box 0 <= l < h
+    yielded with the orbit size prod ord / prod h."""
+    units, zero = torus._Units(ring), [ring.zero]
+    for v in itertools.product(range(1 if all_units else ring.cap + 1), repeat=dim):
+        if not all_units and 0 not in v:
+            continue
+        support, bases = torus._lattice(weights, ring, v)
+        size = prod(prod(o) // prod(h[j] for j, h in enumerate(b)) for o, b in bases)
+        values = [zero] * dim
+        for pos, i in enumerate(support):
+            values[i] = [units.join(v[i], logs) for logs in
+                         itertools.product(*(range(b[pos][pos]) for _, b in bases))]
+        for x in itertools.product(*values):
+            yield x, size
 
 
 # ---------------------------------------------------------------------------

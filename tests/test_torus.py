@@ -9,7 +9,7 @@ from gridask import torus
 from gridask.modrep import ModuleRep, alpha_rep, alphahat_rep
 from gridask.rings import ExtField, PadicQuotient
 
-from oracles import naive_orbit_matrix, torus_orbit
+from oracles import naive_orbit_matrix, pattern_orbits, torus_orbit
 from test_askzeta import tiny_reps
 
 IDENTITY_RINGS = {"Z/8": PadicQuotient(2, 3), "Z/16": PadicQuotient(2, 4),
@@ -93,6 +93,36 @@ def test_orbits_and_keys_match_orbit_oracle(rep, ring_name):
     q, units = ring.cardinality(), len(list(ring.units()))
     assert sum(size for _, size in found) == q**dim - (q - units) ** dim
     assert sum(size for _, size in group.orbits(dim, True)) == units**dim
+
+
+@settings(max_examples=80, deadline=None)
+@given(rep=tiny_reps(size=4), ring_name=st.sampled_from(sorted(ORBIT_RINGS)),
+       all_units=st.booleans())
+@example(rep=ModuleRep((), (1, 2, 3), (1,), ()), ring_name="Z/8", all_units=False)
+@example(rep=ModuleRep(("a",), (1, 2, 3), (1, 2), (((1, 0), (0, 2), (1, 1)),)),
+         ring_name="Z/16", all_units=False)
+def test_orbit_walk_matches_pattern_oracle(rep, ring_name, all_units):
+    # the depth-first walk yields exactly the per-pattern lattices' points
+    # and sizes, in the same order
+    ring, dim, weights = ORBIT_RINGS[ring_name], len(rep.I), torus.weights(rep)
+    assert (list(torus.Torus(weights, ring).orbits(dim, all_units))
+            == list(pattern_orbits(weights, ring, dim, all_units)))
+
+
+@pytest.mark.parametrize("ring", [PadicQuotient(2, 3), PadicQuotient(3, 2), PadicQuotient(5)],
+                         ids=["Z/8", "Z/9", "F5"])
+@pytest.mark.parametrize("all_units", [False, True])
+def test_orbit_walk_of_the_joint_torus_matches_pattern_oracle(ring, all_units):
+    weights = torus.weights(alpha_rep(3), alphahat_rep(3))
+    assert (list(torus.Torus(weights, ring).orbits(6, all_units))
+            == list(pattern_orbits(weights, ring, 6, all_units)))
+
+
+def test_orbit_walk_in_dimension_zero():
+    # the one point () is all units and has no unit coordinate
+    group = torus.Torus((), PadicQuotient(3))
+    assert list(group.orbits(0, True)) == list(pattern_orbits((), group.ring, 0, True)) == [((), 1)]
+    assert list(group.orbits(0, False)) == list(pattern_orbits((), group.ring, 0, False)) == []
 
 
 def test_joint_torus_orbits_of_alpha_pair():
