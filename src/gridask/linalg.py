@@ -10,6 +10,7 @@ kernel of an r x c matrix lives in R^r.
 """
 from __future__ import annotations
 
+from itertools import chain
 from typing import Sequence
 
 from .rings import Ring
@@ -41,11 +42,16 @@ def divisor_profile(m: Mat) -> tuple[int, ...]:
     Length min(rows, cols).  Over a field the cap is 1 and the profile
     encodes the rank as the number of zero entries.  This is partial_smith
     run to stop = cap with nothing carried: its valuations, padded with the
-    cap for the all-zero block that is left.
+    cap for the all-zero block that is left.  The profile of m is that of
+    its transpose, so the elimination runs on the shorter side: on the
+    transpose when m has more rows than columns.
     """
     cap = m.ring.cap
+    if m.rows > m.cols:
+        m = Mat(m.ring, m.cols, m.rows, tuple(chain.from_iterable(
+            m.entries[j::m.cols] for j in range(m.cols))))
     valuations = partial_smith(m, cap)[0]
-    return tuple(sorted(valuations + [cap] * (min(m.rows, m.cols) - len(valuations))))
+    return tuple(sorted(valuations + [cap] * (m.rows - len(valuations))))
 
 
 def partial_smith(m: Mat, stop: int,

@@ -11,7 +11,9 @@ degree-3 commutator representations alpha / alphahat.
 Of the companions, element_dual (basis I, shape B x J) turns module
 elements into orbit matrices: its orbit matrix at c is the element
 sum_b c_b a_b, so one orbit-matrix census serves both ways of computing
-ask (askzeta.profile_census).
+ask (askzeta.profile_census), and ModuleRep.element is that orbit matrix.
+An orbit matrix sums only its live entries, those (b, j) with some
+a_{bij} != 0: most entries of C(x) are 0 at every x on these modules.
 """
 from __future__ import annotations
 
@@ -65,14 +67,18 @@ class ModuleRep:
         return len(self.labels)
 
     def element(self, ring: Ring, coeffs: Sequence) -> Mat:
-        """sum_b coeffs_b * a_b over the ring (coeffs are ring elements)."""
-        return Mat(ring, len(self.I), len(self.J),
-                   ring.linear_forms(coeffs, self._element_columns))
+        """sum_b coeffs_b * a_b over the ring (coeffs are ring elements):
+        the orbit matrix of the element dual at coeffs."""
+        return self.dual.orbit_matrix_at(ring, coeffs)
 
     def orbit_matrix_at(self, ring: Ring, x: Sequence) -> Mat:
-        """C(x): the B x J matrix with entries sum_i x_i a_{bij}."""
-        return Mat(ring, self.rank, len(self.J),
-                   ring.linear_forms(x, self._orbit_columns))
+        """C(x): the B x J matrix with entries sum_i x_i a_{bij}.  Only the
+        live entries are summed (ring.linear_forms over _orbit_terms); every
+        other entry is read from the ring's zero, appended last."""
+        layers, place = self._orbit_terms
+        values = ring.linear_forms(x, layers)
+        values.append(ring.zero)
+        return Mat(ring, self.rank, len(self.J), tuple(map(values.__getitem__, place)))
 
     @cached_property
     def weights(self) -> tuple[tuple[int, ...], ...]:
@@ -85,15 +91,18 @@ class ModuleRep:
         return element_dual(self)
 
     @cached_property
-    def _element_columns(self) -> tuple[tuple[int, ...], ...]:
-        """(a_{bij} for b in B) for each entry (i, j), row by row."""
-        return tuple(tuple(g[i][j] for g in self.gens)
-                     for i in range(len(self.I)) for j in range(len(self.J)))
-
-    @cached_property
-    def _orbit_columns(self) -> tuple[tuple[int, ...], ...]:
-        """(a_{bij} for i in I) for each entry (b, j) of C(x), row by row."""
-        return tuple(tuple(row[j] for row in g) for g in self.gens for j in range(len(self.J)))
+    def _orbit_terms(self) -> tuple[tuple, tuple[int, ...]]:
+        """(layers, place) for C(x).  The live entries are the entries (b, j)
+        with some a_{bij} != 0, row by row.  Layer k is (indices, coeffs):
+        the k-th nonzero term (i, a_{bij}) of each live entry, or (0, 0)
+        when it has fewer.  place[e] is entry e's index among the live
+        entries, or their count for an entry that is always 0."""
+        terms = [[(i, row[j]) for i, row in enumerate(g) if row[j]]
+                 for g in self.gens for j in range(len(self.J))]
+        live = [t for t in terms if t]
+        layers = tuple(tuple(zip(*k)) for k in itertools.zip_longest(*live, fillvalue=(0, 0)))
+        index = iter(range(len(live)))
+        return layers, tuple(next(index) if t else len(live) for t in terms)
 
 
 # ---------------------------------------------------------------------------

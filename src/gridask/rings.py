@@ -9,7 +9,9 @@ here ever touches floating point.
 """
 from __future__ import annotations
 
-from operator import mul
+from functools import partial, reduce
+from itertools import repeat
+from operator import add, mod, mul
 from typing import Iterator, Sequence
 
 
@@ -177,17 +179,12 @@ class Ring:
         """a / p^v for an element a of valuation >= v (over a field v is 0)."""
         return a
 
-    def linear_forms(self, x: Sequence, columns: Sequence[Sequence[int]]) -> tuple:
-        """(sum_i x_i c_i for each column c): ring elements x_i, integer
-        coefficients c_i."""
-        out = []
-        for coeffs in columns:
-            acc = self.zero
-            for xi, c in zip(x, coeffs):
-                if c:
-                    acc = self.add(acc, self.mul(xi, self.from_int(c)))
-            out.append(acc)
-        return tuple(out)
+    def linear_forms(self, x: Sequence, layers: Sequence[tuple[Sequence[int], ...]]) -> list:
+        """The values of the live entries of an orbit matrix at x (see
+        modrep.ModuleRep._orbit_terms): entry e is the sum over the layers
+        (indices, coeffs) of mul(x[indices[e]], from_int(coeffs[e]))."""
+        terms = [map(self.mul, map(x.__getitem__, i), map(self.from_int, c)) for i, c in layers]
+        return list(reduce(partial(map, self.add), terms)) if terms else []
 
     def sub_multiple(self, ys: Sequence, f, zs: Sequence) -> list:
         """[y - f z for y, z in zip(ys, zs)]: one row operation."""
@@ -283,9 +280,9 @@ class PadicQuotient(Ring):
     def exact_div(self, a: int, v: int) -> int:
         return a // self.p**v
 
-    def linear_forms(self, x: Sequence[int], columns: Sequence[Sequence[int]]) -> tuple:
-        m = self._m
-        return tuple(sum(map(mul, x, coeffs)) % m for coeffs in columns)
+    def linear_forms(self, x: Sequence[int], layers) -> list[int]:
+        terms = [map(mul, map(x.__getitem__, i), c) for i, c in layers]
+        return list(map(mod, reduce(partial(map, add), terms), repeat(self._m))) if terms else []
 
     def sub_multiple(self, ys: Sequence[int], f: int, zs: Sequence[int]) -> list[int]:
         m = self._m

@@ -8,7 +8,7 @@ from gridask.rings import ExtField, PadicQuotient
 
 from oracles import (act_left, brute_image_size, brute_kernel_size, mat_add,
                      mat_from_int_rows, mat_identity, mat_mul, mat_transpose, mat_zero,
-                     naive_divisor_profile, naive_rank_modp)
+                     naive_divisor_profile, naive_field_rank, naive_rank_modp)
 
 RINGS = [PadicQuotient(3), PadicQuotient(5),
          PadicQuotient(2, 2), PadicQuotient(3, 2),
@@ -151,22 +151,56 @@ def test_transpose_preserves_profile():
 
 @st.composite
 def int_matrices(draw):
-    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 4))
     return [[draw(st.integers(-60, 60)) for _ in range(cols)] for _ in range(rows)]
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(pk=st.sampled_from([(2, 3), (3, 3)]), ints=int_matrices())
 @example(pk=(3, 3), ints=[[0, 9, 3], [0, 3, 18], [0, 6, 6]])  # zero column, p-adic pivots
 @example(pk=(2, 3), ints=[[4, 2, 0, 6], [2, 0, 0, 4]])
+@example(pk=(3, 3), ints=[[3, 0], [9, 0], [0, 6], [1, 27], [0, 0]])  # tall: runs on the transpose
+@example(pk=(2, 3), ints=[[4, 6, 2], [2, 2, 0], [6, 0, 4], [0, 4, 4]])
 def test_profile_matches_enumeration_over_z8_and_z27(pk, ints):
     # the elimination touches only the active block (rows and columns from
-    # the pivot on); its profile is the Smith profile, and the image size
-    # it gives is the enumerated one
+    # the pivot on) and runs on the shorter side; its profile is the Smith
+    # profile, and the image size it gives is the enumerated one (where
+    # R^rows is small enough to enumerate)
     p, n = pk
     m = mat_from_int_rows(PadicQuotient(p, n), ints)
     assert divisor_profile(m) == naive_divisor_profile(ints, p, n)
-    assert image_size(m) == brute_image_size(m)
+    if p ** (n * m.rows) <= 27**3:
+        assert image_size(m) == brute_image_size(m)
+
+
+@st.composite
+def tall_field_matrices(draw):
+    """A matrix over F_4 or F_9 with more rows (3 to 5) than columns, as
+    rows of a random combination of rank-many random rows, so that every
+    rank up to the column count is common."""
+    field = draw(st.sampled_from([ExtField(2, 2), ExtField(3, 2)]))
+    elements = st.sampled_from(list(field.elements()))
+    rows = draw(st.integers(3, 5))
+    cols, r = draw(st.integers(1, rows - 1)), draw(st.integers(0, rows))
+    base = [[draw(elements) for _ in range(cols)] for _ in range(r)]
+    out = []
+    for _ in range(rows):
+        row = [field.zero] * cols
+        for b in base:
+            c = draw(elements)
+            row = [field.add(x, field.mul(c, y)) for x, y in zip(row, b)]
+        out.append(row)
+    return field, out
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=tall_field_matrices())
+def test_tall_field_rank_matches_row_reduction(case):
+    field, rows = case
+    m = Mat(field, len(rows), len(rows[0]), tuple(x for row in rows for x in row))
+    r = naive_field_rank(rows, field)
+    assert rank(m) == r
+    assert divisor_profile(m) == (0,) * r + (1,) * (m.cols - r)
 
 
 @st.composite

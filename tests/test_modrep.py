@@ -65,6 +65,13 @@ def reps_and_points(draw):
                                  (((-1, 5), (-26, 0)), ((0, 0), (0, 0)))), (3, 25), (26, 9)))
 @example(case=("F9", ModuleRep(("a",), (1, 2), (1,), (((-4,), (7,)),)), ((2, 1), (0, 2)),
                ((1, 2),)))
+# two nonzero a_bij at (a, 1) and at (1, 1) of the element: a second layer
+@example(case=("Z/27", ModuleRep(("a", "b"), (1, 2), (1, 2), (((3, 0), (-5, 0)), ((2, 0), (0, 7)))),
+               (4, 11), (13, 26)))
+@example(case=("F9", ModuleRep(("a",), (1, 2, 3), (1,), (((2,), (0,), (-1,)),)),
+               ((1, 1), (2, 0), (0, 1)), ((2, 2),)))  # C(x) is 1 x 1
+@example(case=("F5", ModuleRep(("a", "b"), (1, 2), (1, 2, 3), (((0, 0, 0),) * 2,) * 2), (3, 4),
+               (1, 2)))  # every generator is 0
 def test_matrices_match_entrywise_formation(case):
     name, rep, x, coeffs = case
     ring = MATRIX_RINGS[name]

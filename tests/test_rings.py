@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from gridask.rings import (CompositeModulus, ExtField, PadicQuotient, ReducibleModulus,
                            Ring, RingError, _is_irreducible, is_prime, smallest_irreducible)
@@ -154,20 +154,29 @@ def test_ring_ops_match_integer_arithmetic(spec, a, b):
 
 @st.composite
 def row_cases(draw):
+    """A ring, a point x, up to two layers of terms (indices into x,
+    integer coefficients) over up to four live entries, and two rows."""
     p, n = draw(st.sampled_from([(2, 1), (3, 1), (5, 1), (2, 3), (3, 2), (2, 4)]))
     width = draw(st.integers(0, 5))
     elements = st.lists(st.integers(0, p**n - 1), min_size=width, max_size=width)
-    columns = draw(st.lists(st.lists(st.integers(-9, 9), min_size=width, max_size=width),
-                            max_size=4))
-    return PadicQuotient(p, n), draw(elements), columns, draw(elements), draw(elements)
+    live, depth = draw(st.integers(0, 4)), draw(st.integers(0, 2)) if width else 0
+    layers = [(tuple(draw(st.integers(0, width - 1)) for _ in range(live)),
+               tuple(draw(st.integers(-9, 9)) for _ in range(live))) for _ in range(depth)]
+    return PadicQuotient(p, n), draw(elements), layers, draw(elements), draw(elements)
 
 
 @given(case=row_cases())
+@example(case=(PadicQuotient(3, 2), [4, 5], [], [1, 2], [7, 8]))  # no layers
+@example(case=(PadicQuotient(2, 3), [3, 7, 5], [((0, 2), (5, -3)), ((1, 0), (4, 0))],
+               [1, 2, 3], [4, 5, 6]))  # depth 2, the second entry filled by (0, 0)
 def test_padic_row_primitives_match_generic_ring(case):
     # the one-call overrides of PadicQuotient against the Ring defaults,
     # which are built from add, sub, mul and from_int
-    R, x, columns, ys, zs = case
-    assert R.linear_forms(x, columns) == Ring.linear_forms(R, x, columns)
+    R, x, layers, ys, zs = case
+    values = R.linear_forms(x, layers)
+    assert values == Ring.linear_forms(R, x, layers)
+    assert values == [sum(x[i] * c for i, c in terms) % R.cardinality()
+                      for terms in zip(*(zip(*layer) for layer in layers))]
     f = x[0] if x else R.one
     assert R.sub_multiple(ys, f, zs) == Ring.sub_multiple(R, ys, f, zs)
 
