@@ -15,7 +15,11 @@ of points x in R^I with each divisor profile of C(x), is the orbit census
 of the rep and, taken on the dual, the direct census of its elements;
 _census_ask reads either as the mean of |R|^I / |image| over the census
 points, which is sum_x 1/|image C(x)| for the rep and the mean of
-|Ker A(c)| for its dual.
+|Ker A(c)| for its dual.  zeta_coefficients is the one reader, and the
+one place that picks the method: one census over R gives c_k, ask over
+each level R.level(k), for every k <= R.cap, and ask over R is the last
+of them.  Every level is the ring's own (Ring.level), so nothing here
+builds a ring.
 
 The census visits one point per torus orbit, level by level, by two exact
 identities over R = Z/p^n (a field F_q has n = 1):
@@ -101,9 +105,9 @@ from typing import NamedTuple, Sequence
 from . import torus
 from .linalg import Mat, divisor_profile, partial_smith, profile_image_size, rank
 from .linalg import image_size  # noqa: F401  (perfbench/tracing.py patches askzeta.image_size)
-from .modrep import ModuleRep, ShapeMismatch, knuth_bullet
+from .modrep import ModuleRep, ShapeMismatch
 from .predictions import Prediction
-from .rings import PadicQuotient, Ring
+from .rings import Ring
 
 DEFAULT_BUDGET = 10**7
 
@@ -132,14 +136,13 @@ def profile_census(rep: ModuleRep, ring: Ring, budget: int = DEFAULT_BUDGET) -> 
     size = ring.cardinality() ** dI
     if size > budget:
         raise BudgetExceeded(f"{size} census points exceed budget {budget}")
-    weights = rep.weights
     levels = []  # (e, census of level e)
     for k in range(n, 1, -2):
-        levels += zip((k, k - 1), _lifted_level_census(rep, weights, PadicQuotient(ring.p, k)))
+        levels += zip((k, k - 1), _lifted_level_census(rep, ring, k))
     if n % 2:
-        first = ring if n == 1 else PadicQuotient(ring.p, 1)
+        first = ring.level(1)
         walk = Counter()
-        for x, m in torus.Torus(weights, first).orbits(dI, False):
+        for x, m in torus.Torus(rep.weights, first).orbits(dI, False):
             walk[divisor_profile(rep.orbit_matrix_at(first, x))] += m
         levels.append((1, walk))
     counts = Counter({(n,) * min(rep.rank, len(rep.J)): 1})
@@ -149,10 +152,11 @@ def profile_census(rep: ModuleRep, ring: Ring, budget: int = DEFAULT_BUDGET) -> 
     return counts
 
 
-def _lifted_level_census(rep: ModuleRep, weights, level: PadicQuotient) -> tuple[Counter, Counter]:
-    """The divisor profiles over Z/p^k, k >= 2, of C(x) at the points of
-    P_k, lifted from the torus classes of P_(k-1), and those over
-    Z/p^(k-1) at the points of P_(k-1), read from the same classes.
+def _lifted_level_census(rep: ModuleRep, ring: Ring, k: int) -> tuple[Counter, Counter]:
+    """The divisor profiles over the level Z/p^k of ring, k >= 2, of C(x)
+    at the points of P_k, lifted from the torus classes of P_(k-1), and
+    those over Z/p^(k-1) at the points of P_(k-1), read from the same
+    classes.
 
     The points of P_k are x = x' + p^(k-1) y, for x' in P_(k-1) (entries in
     [0, p^(k-1))) and y in F_p^I.  A torus element maps the lifts of x'
@@ -171,15 +175,15 @@ def _lifted_level_census(rep: ModuleRep, weights, level: PadicQuotient) -> tuple
     so the class itself has the profile v_1 .. v_t, then k - 1, over
     Z/p^(k-1).
     """
-    p, k, dI, dJ = level.p, level.cap, len(rep.I), len(rep.J)
-    residue = PadicQuotient(p)
+    level, residue = ring.level(k), ring.level(1)
+    p, dI, dJ = ring.p, len(rep.I), len(rep.J)
     steps = min(rep.rank, dJ)
     # C(e_i), the orbit matrix at each basis vector, carried by every class
     basis = [Mat(level, rep.rank, dJ, tuple(level.from_int(g[i][j])
                                             for g in rep.gens for j in range(dJ)))
              for i in range(dI)]
     counts, below = Counter(), Counter()
-    for x, n in torus.Torus(weights, PadicQuotient(p, k - 1)).orbits(dI, False):
+    for x, n in torus.Torus(rep.weights, ring.level(k - 1)).orbits(dI, False):
         valuations, constant, linear = _class_lift(level, rep.orbit_matrix_at(level, x), basis)
         head, t = tuple(sorted(valuations)), len(valuations)
         below[head + (k - 1,) * (steps - t)] += n
@@ -229,7 +233,7 @@ def _span_values(constant: Sequence[int], span: Sequence[Sequence[int]], p: int)
         yield value
 
 
-def _class_lift(level: PadicQuotient, cx: Mat, basis: Sequence[Mat]):
+def _class_lift(level: Ring, cx: Mat, basis: Sequence[Mat]):
     """(valuations, constant, linear): the lifting identity for the class
     of x over Z/p^k, k >= 2, from cx = C(x), x in [0, p^(k-1))^I, and the
     basis matrices C(e_i).
@@ -262,8 +266,7 @@ def direct_profile_counts(rep: ModuleRep, ring: Ring,
 
 def _census_ask(counts: Counter, level: Ring, rows: int) -> Fraction:
     """The mean of |level|^rows / |image| over the census points, from a
-    divisor-profile census over level itself or, for level = Z/p^k, over
-    any Z/p^n with n >= k.
+    divisor-profile census over a ring whose level this is.
 
     Reducing mod p^k caps every Smith valuation at k, and each point over
     Z/p^k has the same number of lifts, which the mean cancels.  The image
@@ -275,51 +278,35 @@ def _census_ask(counts: Counter, level: Ring, rows: int) -> Fraction:
     return total / sum(counts.values())
 
 
-def ask_direct(rep: ModuleRep, ring: Ring, budget: int = DEFAULT_BUDGET) -> AskResult:
-    """ask as the mean kernel size over every module element."""
-    counts = direct_profile_counts(rep, ring, budget)
-    return AskResult(_census_ask(counts, ring, len(rep.I)), "direct")
-
-
-def ask_orbit(rep: ModuleRep, ring: Ring, budget: int = DEFAULT_BUDGET) -> AskResult:
-    """ask via the orbit matrix: sum over x in R^I of 1/|image C(x)|, read
-    from the profile census of C(x) (levels n, n - 2, .. lifted from the
-    torus classes of the level below, which they give as well, and level 1
-    walked at one point per torus orbit when n is odd; see the module
-    docstring).  R = Z/p^n, or F_q with n = 1.  The budget bounds
-    |R|^I.
+def zeta_coefficients(rep: ModuleRep, ring: Ring, method: str = "orbit",
+                      budget: int = DEFAULT_BUDGET) -> list[Fraction]:
+    """[c_0, ..., c_n], n = ring.cap, with c_k = ask over ring.level(k)
+    (c_0 = 1), every c_k read from one census over ring with the profiles
+    capped at k: the census of C(x) for the orbit method (levels n, n - 2,
+    .. lifted from the torus classes of the level below, which they give as
+    well, and level 1 walked at one point per torus orbit when n is odd;
+    see the module docstring), of the elements for the direct method.  The
+    budget bounds |ring|^I, or |ring|^B for the direct method.
     """
-    return AskResult(_census_ask(profile_census(rep, ring, budget), ring, len(rep.I)), "orbit")
+    if method == "orbit":
+        counts = profile_census(rep, ring, budget)
+    elif method == "direct":
+        counts = direct_profile_counts(rep, ring, budget)
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    return [Fraction(1)] + [_census_ask(counts, ring.level(k), len(rep.I))
+                            for k in range(1, ring.cap + 1)]
 
 
 def ask(rep: ModuleRep, ring: Ring, method: str = "orbit",
         budget: int = DEFAULT_BUDGET) -> AskResult:
-    if method == "direct":
-        return ask_direct(rep, ring, budget)
-    if method == "orbit":
-        return ask_orbit(rep, ring, budget)
-    raise ValueError(f"unknown method {method!r}")
+    """ask over ring, the last of its zeta coefficients."""
+    return AskResult(zeta_coefficients(rep, ring, method, budget)[-1], method)
 
 
-def zeta_coefficients(rep: ModuleRep, p: int, n_max: int, method: str = "orbit",
-                      budget: int = DEFAULT_BUDGET) -> list[Fraction]:
-    """[c_0, ..., c_{n_max}] with c_k = ask over Z/p^k (c_0 = 1), every c_k
-    read from one census over Z/p^n_max with the profiles capped at k: the
-    census of C(x) for the orbit method, of the elements for the direct
-    method.
-    """
-    out = [Fraction(1)]
-    if not n_max:
-        return out
-    top = PadicQuotient(p, n_max)
-    if method == "orbit":
-        counts = profile_census(rep, top, budget)
-    elif method == "direct":
-        counts = direct_profile_counts(rep, top, budget)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return out + [_census_ask(counts, PadicQuotient(p, k), len(rep.I))
-                  for k in range(1, n_max + 1)]
+def ask_orbit(rep: ModuleRep, ring: Ring, budget: int = DEFAULT_BUDGET) -> AskResult:
+    """ask by the orbit method: sum over x in ring^I of 1/|image C(x)|."""
+    return ask(rep, ring, "orbit", budget)
 
 
 class CoefficientCheck(NamedTuple):
@@ -336,15 +323,19 @@ class VerifyReport(NamedTuple):
     passed: bool
 
 
-def verify_prediction(rep: ModuleRep, prediction: Prediction, p: int, n_max: int,
+def verify_prediction(rep: ModuleRep, prediction: Prediction, ring: Ring,
                       method: str = "orbit",
                       budget: int = DEFAULT_BUDGET) -> VerifyReport:
-    """Compare brute-force zeta coefficients over Z/p^k against the closed form at q = p."""
-    predicted = prediction.series(p, n_max)
-    brute = zeta_coefficients(rep, p, n_max, method, budget)
+    """Compare the zeta coefficients over the levels of ring, from one
+    census, against the closed form at q = ring.residue_cardinality().  The
+    census runs first, so one over the budget is refused before the closed
+    form is expanded."""
+    brute = zeta_coefficients(rep, ring, method, budget)
+    q = ring.residue_cardinality()
+    predicted = prediction.series(q, ring.cap)
     checks = tuple(CoefficientCheck(n, brute[n], predicted[n], brute[n] == predicted[n])
-                   for n in range(n_max + 1))
-    return VerifyReport(prediction.name, p, checks, all(c.match for c in checks))
+                   for n in range(ring.cap + 1))
+    return VerifyReport(prediction.name, q, checks, all(c.match for c in checks))
 
 
 class RankDistribution(NamedTuple):
@@ -382,14 +373,12 @@ def rank_distribution(rep: ModuleRep, field: Ring,
     if subspaces > budget:
         raise BudgetExceeded(f"{subspaces} subspaces exceed budget {budget}")
     # the linear conditions on c for v in F_q^I to lie in the left kernel of
-    # A(c): the nonzero rows of the orbit matrix C(v)^T (J x B) of the
-    # companion b(j)_{ib} = a_{bij}
-    bullet = knuth_bullet(rep)
-
+    # A(c): the nonzero columns of the orbit matrix C(v) (B x J)
     @functools.cache
     def conditions(v):
-        m = bullet.orbit_matrix_at(field, v)
-        return [row for row in map(m.row, range(m.rows)) if any(map(field.is_unit, row))]
+        m = rep.orbit_matrix_at(field, v)
+        columns = (m.entries[j::m.cols] for j in range(m.cols))
+        return [col for col in columns if any(map(field.is_unit, col))]
 
     moments = [0] * (d + 1)
     for j in range(d + 1):

@@ -190,6 +190,7 @@ def _prediction_for(args, parsed) -> predictions.Prediction:
 
 
 def _cmd_zeta_verify(args) -> int:
+    rings = [PadicQuotient(p, args.terms) for p in args.primes]  # refuses a p that is not prime
     if args.module and not args.grid:
         raise UsageError("--module requires --grid")
     parsed = _load_grid(args.grid) if args.grid else None
@@ -203,17 +204,17 @@ def _cmd_zeta_verify(args) -> int:
     if board is None:
         rep = build_rep(args.rep)
     else:  # the closed forms need units mod p on the coloured cells
-        for p, cell in itertools.product(args.primes, sorted(board.colouring.colour_of)):
-            if board.units[cell] % p == 0:
+        for ring, cell in itertools.product(rings, sorted(board.colouring.colour_of)):
+            if board.units[cell] % ring.p == 0:
                 raise UsageError(f"u{cell} = {board.units[cell]} is divisible by "
-                                 f"the prime {p}")
+                                 f"the prime {ring.p}")
         rep = BOARD_BUILDERS[head](board.colouring, board.units)
     prediction = _prediction_for(args, board)
     exit_code = 0
     reports = []
-    for p in args.primes:
-        rep_report = askzeta.verify_prediction(rep, prediction, p, args.terms,
-                                               args.method, args.budget)
+    for ring in rings:
+        p = ring.p
+        rep_report = askzeta.verify_prediction(rep, prediction, ring, args.method, args.budget)
         reports.append({
             "prime": p,
             "prediction": prediction.name,

@@ -5,13 +5,13 @@ common shape I x J; specialising the entries to a finite ring realises the
 module they span inside Hom(R^I, R^J).  relation_rep builds every module
 on a boardgame family grid cut out by one relation per colour: the generic
 families, boards and their hats, sl, the upper triangular matrices and the
-triangular pair.  Also: the two companion ("Knuth dual") views and the
+triangular pair.  Also: the companion ("Knuth dual") element_dual and the
 degree-3 commutator representations alpha / alphahat.
 
-Of the companions, element_dual (basis I, shape B x J) turns module
-elements into orbit matrices: its orbit matrix at c is the element
-sum_b c_b a_b, so one orbit-matrix census serves both ways of computing
-ask (askzeta.profile_census), and ModuleRep.element is that orbit matrix.
+element_dual (basis I, shape B x J) turns module elements into orbit
+matrices: its orbit matrix at c is the element sum_b c_b a_b, so one
+orbit-matrix census serves both ways of computing ask
+(askzeta.profile_census), and ModuleRep.element is that orbit matrix.
 An orbit matrix sums only its live entries, those (b, j) with some
 a_{bij} != 0: most entries of C(x) are 0 at every x on these modules.
 """
@@ -217,19 +217,8 @@ def triangular_pair_rep(d: int) -> ModuleRep:
 
 
 # ---------------------------------------------------------------------------
-# Companion views.
+# The companion view.
 # ---------------------------------------------------------------------------
-
-def knuth_bullet(rep: ModuleRep) -> ModuleRep:
-    """The companion representation with basis J and shape I x B:
-    generator j has entries b(j)_{ib} = a_{bij}."""
-    gens = []
-    for j in range(len(rep.J)):
-        g = [[rep.gens[b][i][j] for b in range(rep.rank)]
-             for i in range(len(rep.I))]
-        gens.append(_freeze(g))
-    return ModuleRep(tuple(rep.J), tuple(rep.I), tuple(rep.labels), tuple(gens))
-
 
 def element_dual(rep: ModuleRep) -> ModuleRep:
     """The companion representation with basis I and shape B x J: generator

@@ -2,15 +2,16 @@
 
 The prime field F_p is Z/p^1, so PadicQuotient(p, 1) serves for it.
 Elements are plain Python values: ints in [0, p^n) for Z/p^n, coefficient
-tuples of length f for extension fields.  Each ring owns its unit group:
-generators whose powers give the units of every level, and their orders,
-which the torus (gridask.torus) walks.  All arithmetic is exact; nothing
-here ever touches floating point.
+tuples of length f for extension fields.  Each ring owns its levels
+R / p^k R, k <= cap (Ring.level), and its unit group: generators whose
+powers give the units of every level, and their orders, which the torus
+(gridask.torus) walks.  All arithmetic is exact; nothing here ever
+touches floating point.
 """
 from __future__ import annotations
 
 from functools import partial, reduce
-from itertools import repeat
+from itertools import product, repeat
 from operator import add, mod, mul
 from typing import Iterator, Sequence
 
@@ -115,6 +116,12 @@ def _is_irreducible(m: list[int], p: int) -> bool:
     return True
 
 
+def _coefficients(p: int, f: int) -> Iterator[tuple[int, ...]]:
+    """Every (c_0, ..., c_{f-1}) over F_p, in the order of the counter
+    c_0 + c_1 p + ... + c_{f-1} p^{f-1}."""
+    return (c[::-1] for c in product(range(p), repeat=f))
+
+
 def smallest_irreducible(p: int, f: int) -> tuple[int, ...]:
     """Lexicographically smallest monic irreducible of degree f over F_p.
 
@@ -122,13 +129,8 @@ def smallest_irreducible(p: int, f: int) -> tuple[int, ...]:
     c_0 + c_1 p + ... + c_{f-1} p^{f-1}.  Returns the full coefficient
     tuple (c_0, ..., c_{f-1}, 1), low degree first.
     """
-    for counter in range(p**f):
-        coeffs = []
-        k = counter
-        for _ in range(f):
-            coeffs.append(k % p)
-            k //= p
-        m = coeffs + [1]
+    for coeffs in _coefficients(p, f):
+        m = [*coeffs, 1]
         if _is_irreducible(m, p):
             return tuple(m)
     raise RingError(f"no irreducible of degree {f} over F_{p}")  # unreachable
@@ -170,6 +172,10 @@ class Ring:
 
     def cardinality(self) -> int:
         raise NotImplementedError
+
+    def level(self, k: int) -> "Ring":
+        """R / p^k R for 1 <= k <= cap: a field is its own only level."""
+        return self
 
     def residue_cardinality(self) -> int:
         """q, the cardinality of the residue field (p^f for F_{p^f})."""
@@ -240,6 +246,9 @@ class PadicQuotient(Ring):
 
     def cardinality(self) -> int:
         return self._m
+
+    def level(self, k: int) -> "PadicQuotient":
+        return self if k == self.n else PadicQuotient(self.p, k)
 
     zero = 0
     one = 1
@@ -373,16 +382,7 @@ class ExtField(Ring):
         return 0 if not self.is_zero(a) else 1
 
     def elements(self) -> Iterator[tuple[int, ...]]:
-        def gen():
-            for counter in range(self.p**self.f):
-                k = counter
-                coeffs = []
-                for _ in range(self.f):
-                    coeffs.append(k % self.p)
-                    k //= self.p
-                yield tuple(coeffs)
-
-        return gen()
+        return _coefficients(self.p, self.f)
 
     def units(self) -> Iterator[tuple[int, ...]]:
         return (a for a in self.elements() if not self.is_zero(a))

@@ -4,10 +4,10 @@ and the fixtures only tests need.
 The oracles are written directly from the definitions, with no reuse of
 the library's elimination, closure, or greedy-play code, so that agreement
 between the two is meaningful evidence.  The fixtures (matrix arithmetic,
-the symbolic forms of criterion 10, the class-3 relation algebra, seeded
-units, rainbow and transposed colourings, and views of the library's
-colour closure and move rule) build test inputs and are not checks in
-their own right.
+the Knuth companion, the symbolic forms of criterion 10, the class-3
+relation algebra, seeded units, rainbow and transposed colourings, and
+views of the library's colour closure and move rule) build test inputs and
+are not checks in their own right.
 """
 from __future__ import annotations
 
@@ -250,6 +250,18 @@ def naive_element(rep, ring, coeffs) -> Mat:
                 acc = ring.add(acc, ring.mul(c, ring.from_int(g[i][j])))
             entries.append(acc)
     return Mat(ring, len(rep.I), len(rep.J), tuple(entries))
+
+
+def knuth_bullet(rep: ModuleRep) -> ModuleRep:
+    """The companion representation with basis J and shape I x B:
+    generator j has entries b(j)_{ib} = a_{bij}, so its orbit matrix at v
+    is C(v)^T (a fixture)."""
+    gens = []
+    for j in range(len(rep.J)):
+        g = [[rep.gens[b][i][j] for b in range(rep.rank)]
+             for i in range(len(rep.I))]
+        gens.append(_freeze(g))
+    return ModuleRep(tuple(rep.J), tuple(rep.I), tuple(rep.labels), tuple(gens))
 
 
 def naive_orbit_ask(rep, ring) -> Fraction:

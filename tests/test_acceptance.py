@@ -8,7 +8,7 @@ import random
 from math import comb
 from pathlib import Path
 
-from gridask.askzeta import (ask_direct, ask_orbit, constant_rank_check,
+from gridask.askzeta import (ask, ask_orbit, constant_rank_check,
                              orbital_equivalence_check, rank_distribution)
 from gridask.boardgame import (Family, greedy_reduce, is_admissible_game,
                                master_rho, master_symmetric)
@@ -79,7 +79,7 @@ def test_criterion_01():
         rep = classic_rep(name, d, e)
         pred = predict(f"classical_{name}", d=d, **({"e": e} if e else {}))
         for q in (2, 3, 5):
-            got = ask_direct(rep, PadicQuotient(q)).value
+            got = ask(rep, PadicQuotient(q), "direct").value
             assert got == pred.coefficient(q, 1), (name, d, e, q)
     small = [("mat", d, e) for d in (1, 2) for e in (1, 2)]
     small += [("alt", 2, None), ("sym", 1, None), ("sym", 2, None),
@@ -88,7 +88,7 @@ def test_criterion_01():
         rep = classic_rep(name, d, e)
         pred = predict(f"classical_{name}", d=d, **({"e": e} if e else {}))
         for p in (3, 5):
-            got = ask_direct(rep, PadicQuotient(p, 2)).value
+            got = ask(rep, PadicQuotient(p, 2), "direct").value
             assert got == pred.series(p, 2)[2], (name, d, e, p)
 
 
@@ -384,8 +384,8 @@ def test_criterion_13():
     for rep in modules:
         for p in (3, 5):
             cc = baer_group_cc(rep, p)
-            ask = ask_direct(rep, PadicQuotient(p)).value
-            assert cc == p**rep.rank * ask, (rep.rank, p)
+            direct = ask(rep, PadicQuotient(p), "direct").value
+            assert cc == p**rep.rank * direct, (rep.rank, p)
     # the group-law sweep on the groups of order at most 5^6; adm_2x2 at
     # p = 3 is swept in test_nilpotent, and at p = 5 it is the catalog value
     alt3 = modules[0]
@@ -404,7 +404,7 @@ def test_criterion_14():
     for k in range(200):
         rep = random_rep(3, 4, rng)
         ring = rings[k % 4]
-        assert ask_direct(rep, ring).value == ask_orbit(rep, ring).value, k
+        assert ask(rep, ring, "direct").value == ask_orbit(rep, ring).value, k
 
 
 @criterion(15)

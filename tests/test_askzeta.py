@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from gridask import askzeta, fastcount, torus
-from gridask.askzeta import (BudgetExceeded, ask, ask_direct, ask_orbit,
+from gridask.askzeta import (BudgetExceeded, ask, ask_orbit,
                              constant_rank_check, direct_profile_counts,
                              orbital_equivalence_check, rank_distribution,
                              verify_prediction, zeta_coefficients)
@@ -44,17 +44,17 @@ def load_board(name: str):
 # ---------------------------------------------------------------------------
 
 def test_square_matrices():
-    assert ask_direct(classic_rep("mat", 2, 2), F3).value == F(17, 9)
+    assert ask(classic_rep("mat", 2, 2), F3, "direct").value == F(17, 9)
     assert ask_orbit(classic_rep("mat", 2, 2), F3).value == F(17, 9)
 
 
 def test_alternating_three():
-    assert ask_direct(classic_rep("alt", 3), F3).value == F(35, 9)
+    assert ask(classic_rep("alt", 3), F3, "direct").value == F(35, 9)
 
 
 def test_zero_module_kernel_is_everything():
     rep = ModuleRep((), (1,), (1,), ())
-    assert ask_direct(rep, F5).value == 5
+    assert ask(rep, F5, "direct").value == 5
     assert ask_orbit(rep, F5).value == 5
 
 
@@ -70,14 +70,14 @@ def test_direct_equals_orbit_random():
     for k in range(40):
         rep = random_rep(3, 3, rng)
         ring = rings[k % len(rings)]
-        assert ask_direct(rep, ring).value == ask_orbit(rep, ring).value
+        assert ask(rep, ring, "direct").value == ask_orbit(rep, ring).value
 
 
 def test_direct_matches_definition_oracle():
     rng = random.Random(103)
     for _ in range(10):
         rep = random_rep(2, 2, rng)
-        assert ask_direct(rep, F3).value == naive_ask(rep, F3)
+        assert ask(rep, F3, "direct").value == naive_ask(rep, F3)
 
 
 def element_census(rep, ring) -> Counter:
@@ -324,7 +324,7 @@ def test_zeta_coefficients_sum_each_level_once(monkeypatch):
     # level 1 on its own would make 7 more, and recomputing c_1 inside c_2
     # 7 more again
     calls = counted_orbit_matrices(monkeypatch)
-    coeffs = zeta_coefficients(classic_rep("alt", 3), 3, 2)
+    coeffs = zeta_coefficients(classic_rep("alt", 3), PadicQuotient(3, 2))
     assert len(calls) == 7
     assert coeffs == predict("classical_alt", d=3).series(3, 2)
 
@@ -336,7 +336,7 @@ def test_direct_zeta_takes_one_census(monkeypatch):
     # and level 1 is walked at 7 orbit matrices, 26 where unit orbits took
     # 1,183 matrices (and lifting level 2 on its own 7 more)
     calls = counted_orbit_matrices(monkeypatch)
-    coeffs = zeta_coefficients(classic_rep("alt", 3), 3, 3, method="direct")
+    coeffs = zeta_coefficients(classic_rep("alt", 3), PadicQuotient(3, 3), method="direct")
     assert len(calls) == 7 + 19
     assert coeffs == predict("classical_alt", d=3).series(3, 3)
 
@@ -354,7 +354,7 @@ def test_direct_census_finds_the_dual_weights_once(monkeypatch):
     monkeypatch.setattr(torus, "incidence_kernel", counted)
     rep = classic_rep("alt", 3)
     for q in (3, 5):
-        assert ask_direct(rep, PadicQuotient(q)).value == \
+        assert ask(rep, PadicQuotient(q), "direct").value == \
             predict("classical_alt", d=3).coefficient(q, 1)
     assert len(kernels) == 1
 
@@ -362,8 +362,8 @@ def test_direct_census_finds_the_dual_weights_once(monkeypatch):
 @pytest.mark.parametrize("p,n_max", [(2, 3), (3, 2)])
 def test_direct_zeta_matches_orbit_zeta(p, n_max):
     rep = classic_rep("mat", 2, 3)
-    assert (zeta_coefficients(rep, p, n_max, method="direct")
-            == zeta_coefficients(rep, p, n_max))
+    assert (zeta_coefficients(rep, PadicQuotient(p, n_max), method="direct")
+            == zeta_coefficients(rep, PadicQuotient(p, n_max)))
 
 
 # levels come in pairs: Z/8 and Z/27 lift levels 3 (giving 3 and 2) and walk
@@ -379,7 +379,7 @@ def test_direct_zeta_matches_orbit_zeta(p, n_max):
 def test_zeta_coefficients_match_orbit_oracle_at_every_level(pn, rep):
     p, n = pn
     assume(p ** (n * (len(rep.I) + rep.rank)) <= 16 ** 4)
-    coeffs = zeta_coefficients(rep, p, n)
+    coeffs = zeta_coefficients(rep, PadicQuotient(p, n))
     assert coeffs[1:] == [naive_orbit_ask(rep, PadicQuotient(p, k))
                           for k in range(1, n + 1)]
 
@@ -387,13 +387,13 @@ def test_zeta_coefficients_match_orbit_oracle_at_every_level(pn, rep):
 def test_budget_enforced():
     rep = classic_rep("mat", 3, 3)
     with pytest.raises(BudgetExceeded):
-        ask_direct(rep, F5, budget=100)
+        ask(rep, F5, "direct", budget=100)
     with pytest.raises(BudgetExceeded):
         ask_orbit(rep, F5, budget=10)
     with pytest.raises(ValueError):
         ask(rep, F3, method="nonsense")
     with pytest.raises(ValueError):
-        zeta_coefficients(rep, 3, 1, method="nonsense")
+        zeta_coefficients(rep, F3, method="nonsense")
 
 
 # ---------------------------------------------------------------------------
@@ -401,29 +401,29 @@ def test_budget_enforced():
 # ---------------------------------------------------------------------------
 
 def test_zeta_coefficients_one_by_one():
-    coeffs = zeta_coefficients(classic_rep("mat", 1, 1), 3, 2)
+    coeffs = zeta_coefficients(classic_rep("mat", 1, 1), PadicQuotient(3, 2))
     pred = predict("classical_mat", d=1, e=1)
     assert coeffs == pred.series(3, 2)
     assert coeffs[0] == 1
 
 
 def test_zeta_alt2_matches_catalog():
-    coeffs = zeta_coefficients(classic_rep("alt", 2), 3, 2)
+    coeffs = zeta_coefficients(classic_rep("alt", 2), PadicQuotient(3, 2))
     assert coeffs == predict("classical_alt", d=2).series(3, 2)
 
 
 def test_zero_module_zeta_geometric():
     rep = ModuleRep((), (1, 2), (1, 2), ())
-    coeffs = zeta_coefficients(rep, 3, 2)
+    coeffs = zeta_coefficients(rep, PadicQuotient(3, 2))
     assert coeffs == [1, 9, 81]
 
 
 def test_verify_prediction_pass_and_fail():
     ok = verify_prediction(load_board("sample_a"),
-                           predict("classical_mat", d=3, e=3), 5, 1)
+                           predict("classical_mat", d=3, e=3), PadicQuotient(5))
     assert ok.passed
     bad = verify_prediction(load_board("sample_c"),
-                            predict("classical_mat", d=3, e=3), 5, 1)
+                            predict("classical_mat", d=3, e=3), PadicQuotient(5))
     assert not bad.passed
     assert bad.coefficients[0].match  # T^0 is always 1
     assert not bad.coefficients[1].match
@@ -440,7 +440,7 @@ def test_rank_distribution_recovers_ask():
         dist = rank_distribution(rep, Fq)
         assert dist.counts[0] == 1
         assert sum(dist.counts.values()) == q**rep.rank
-        assert dist.ask_value(len(rep.I)) == ask_direct(rep, Fq).value
+        assert dist.ask_value(len(rep.I)) == ask(rep, Fq, "direct").value
 
 
 def test_rank_distribution_counts_matrices_of_each_rank():

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from gridask import nilpotent
+from gridask import nilpotent, predictions
 from gridask.askzeta import direct_profile_counts
 from gridask.cli import run
 from gridask.modrep import alpha_rep, rep_from_json
@@ -407,6 +407,18 @@ def test_budget_exit_four(capsys):
     capsys.readouterr()
 
 
+def test_zeta_verify_checks_the_budget_before_expanding_the_closed_form(monkeypatch, capsys):
+    # the census over Z/3^2000 is refused at once; expanding the closed form
+    # to T^2000 first took seconds before the same exit 4
+    def expanded(*args):
+        raise AssertionError("the closed form was expanded before the budget check")
+
+    monkeypatch.setattr(predictions.Prediction, "series", expanded)
+    assert run(["zeta-verify", "--rep", "classic:sl:2", "--against", "classical_sl",
+                "--params", "d=2", "--prime", "3", "--terms", "2000"]) == 4
+    assert capsys.readouterr().err.startswith("budget exceeded: ")
+
+
 def test_sampled_certifiers_budget_bounds_log_table(capsys):
     # over Z/p^n the draws are keyed through a log table of |R| entries, so
     # a budget below |R| = 9 is refused before anything is drawn
@@ -566,6 +578,15 @@ def test_batch_continues_past_ring_error(tmp_path, capsys):
 
 # Unknown predictions and malformed representations; the file: specs are
 # relative to a directory that write_malformed_reps has filled.
+NOT_PRIME = [
+    ["zeta-verify", "--rep", "classic:sl:2", "--against", "classical_sl", "--params", "d=2",
+     "--prime", "0"],
+    ["zeta-verify", "--module", "board", "--grid", grid("sample_a"),
+     "--against", "classical_mat", "--prime", "0"],
+    ["zeta-verify", "--module", "board", "--grid", grid("sample_a"),
+     "--against", "classical_mat", "--prime", "1"],
+]
+
 INPUT_ERRORS = [
     ["zeta-verify", "--rep", "classic:alt:3", "--against", "nosuch", "--prime", "3"],
     ["zeta-verify", "--rep", "classic:alt:3", "--against", "classical_alt",
@@ -613,7 +634,16 @@ INPUT_ERRORS = [
     ["zeta-verify", "--rep", "classic:alt:2", "--against", "F2d_cc", "--params", "d=2",
      "--prime", "5"],
     ["zeta-verify", "--rep", "classic:alt:2", "--against", "F42_cc", "--prime", "3"],
+    # a prime that is not prime: 0 ended in a traceback (exit 1, read as a
+    # mismatch), and 1 was reported as dividing a unit
+    *NOT_PRIME,
 ]
+
+
+@pytest.mark.parametrize("argv", NOT_PRIME, ids=["rep-0", "board-0", "board-1"])
+def test_zeta_verify_refuses_a_prime_that_is_not_prime(argv, capsys):
+    assert run(argv) == 3
+    assert capsys.readouterr().err == f"error: {argv[-1]} is not prime\n"
 
 
 def write_malformed_reps(directory: Path) -> None:

@@ -12,13 +12,13 @@ from gridask.colouring import (PartialColouring, UnitAssignment, parse_grid,
 from gridask.linalg import rank
 from gridask.modrep import (ModuleRep, ShapeMismatch, alpha_rep, alphahat_rep,
                             altboard_rep, board_rep, classic_rep, element_dual,
-                            family_rep, knuth_bullet, rep_from_json, rep_to_json,
+                            family_rep, rep_from_json, rep_to_json,
                             symboard_rep, triangular_pair_rep)
 from gridask.rings import ExtField, PadicQuotient
 
 from oracles import (act_left, alphahat_by_hand, class_values, family_classes, mat_add,
                      mat_from_int_rows, naive_ask, naive_element, naive_orbit_matrix,
-                     naive_rank_modp, random_rep)
+                     knuth_bullet, naive_rank_modp, random_rep)
 
 GRIDS = Path(__file__).resolve().parent.parent / "grids"
 F3 = PadicQuotient(3)

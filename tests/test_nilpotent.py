@@ -4,10 +4,10 @@ from math import comb
 
 import pytest
 
-from gridask.askzeta import ask_direct, ask_orbit
+from gridask.askzeta import ask, ask_orbit
 from gridask.colouring import parse_grid
 from gridask.fastcount import baer_orbit_count
-from gridask.modrep import altboard_rep, classic_rep, knuth_bullet
+from gridask.modrep import altboard_rep, classic_rep
 from gridask.nilpotent import (BadCharacteristic, GradedAlgebra, NotAlternating,
                                baer_group_cc, conjugacy_count_bch, free_nilpotent_lie,
                                lyndon_words)
@@ -17,7 +17,7 @@ from gridask.rings import PadicQuotient
 from pathlib import Path
 
 from oracles import (a_d_algebra, adjoint_rep, baer_law, bch_inverse, bch_multiply,
-                     conjugacy_class_count, is_lie, jacobi_quotient)
+                     conjugacy_class_count, is_lie, jacobi_quotient, knuth_bullet)
 
 GRIDS = Path(__file__).resolve().parent.parent / "grids"
 F5 = PadicQuotient(5)
@@ -193,7 +193,7 @@ def test_cc_equals_adjoint_ask():
         ad = adjoint_rep(alg)
         Fp = PadicQuotient(p)
         count = conjugacy_count_bch(alg, p)
-        assert count == ask_direct(ad, Fp).value
+        assert count == ask(ad, Fp, "direct").value
         assert count == bch_oracle(alg, p)
 
 
@@ -246,7 +246,7 @@ def test_baer_alt3_consistency():
     F3 = PadicQuotient(3)
     cc = baer_group_cc(rep, 3)
     assert cc == 105
-    assert cc == 3**rep.rank * ask_direct(rep, F3).value
+    assert cc == 3**rep.rank * ask(rep, F3, "direct").value
     assert cc == conjugacy_class_count(baer_law(rep.gens, 3), 3, 6)
 
 

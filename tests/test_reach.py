@@ -75,3 +75,10 @@ def test_every_src_name_is_reached_outside_the_tests():
                  if not (name.startswith("__") and name.endswith("__"))
                  and name not in reached and qualified not in EXEMPT]
     assert not unreached, f"only tests reach {unreached}; move them to tests/oracles.py"
+
+
+def test_askzeta_names_no_concrete_ring():
+    # the census takes every level from Ring.level, so the tower of
+    # quotients stays behind gridask.rings
+    names = _references(ast.parse((SRC / "askzeta.py").read_text()), strings=True)
+    assert not names & {"PadicQuotient", "ExtField"}

@@ -181,6 +181,43 @@ def test_padic_row_primitives_match_generic_ring(case):
     assert R.sub_multiple(ys, f, zs) == Ring.sub_multiple(R, ys, f, zs)
 
 
+# (p, f) -> (smallest_irreducible(p, f), ExtField(p, f).unit_generators())
+EXT_FIELDS = {
+    (2, 1): ((0, 1), ((1,),)), (2, 2): ((1, 1, 1), ((0, 1),)),
+    (2, 3): ((1, 1, 0, 1), ((0, 1, 0),)), (2, 4): ((1, 1, 0, 0, 1), ((0, 1, 0, 0),)),
+    (3, 1): ((0, 1), ((2,),)), (3, 2): ((1, 0, 1), ((1, 1),)),
+    (3, 3): ((1, 2, 0, 1), ((0, 1, 0),)), (3, 4): ((2, 1, 0, 0, 1), ((0, 1, 0, 0),)),
+    (5, 1): ((0, 1), ((2,),)), (5, 2): ((2, 0, 1), ((1, 1),)),
+    (5, 3): ((1, 1, 0, 1), ((4, 1, 0),)), (5, 4): ((2, 0, 0, 0, 1), ((1, 1, 0, 0),)),
+    (7, 1): ((0, 1), ((3,),)), (7, 2): ((1, 0, 1), ((2, 1),)),
+    (7, 3): ((2, 0, 0, 1), ((1, 3, 0),)), (7, 4): ((1, 1, 0, 0, 1), ((5, 1, 0, 0),)),
+}
+
+
+@pytest.mark.parametrize("pf", EXT_FIELDS, ids=[f"F{p}^{f}" for p, f in EXT_FIELDS])
+def test_ext_field_orders_match_the_coefficient_counter(pf):
+    # elements() and the modulus search both run over the counter
+    # c_0 + c_1 p + .. + c_{f-1} p^{f-1}; the modulus is the first monic
+    # irreducible in that order, and the unit generator the first unit of
+    # order q - 1 in elements() order
+    p, f = pf
+    modulus, generators = EXT_FIELDS[pf]
+    counter = [tuple(k // p**i % p for i in range(f)) for k in range(p**f)]
+    F = ExtField(p, f)
+    assert list(F.elements()) == counter
+    assert smallest_irreducible(p, f) == F.modulus == modulus
+    assert next(c for c in counter if trial_division_irreducible([*c, 1], p)) == modulus[:-1]
+    assert F.unit_generators() == generators
+
+    def order(a):
+        k, power = 1, a
+        while power != F.one:
+            k, power = k + 1, F.mul(power, a)
+        return k
+
+    assert next(a for a in counter[1:] if order(a) == p**f - 1) == generators[0]
+
+
 def test_ext_field_frobenius_fixed_field():
     # a |-> a^p fixes exactly the prime subfield
     F = ExtField(3, 2, smallest_irreducible(3, 2))
