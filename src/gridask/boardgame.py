@@ -11,7 +11,8 @@ colouring is admissible of level l when for every non-empty row subset H
 some <= l columns can be discarded so that moves delete all remaining
 columns.  Certificates are move lists, which the tests' oracle replays.
 The same grids and cell classes carry the modules: modrep.relation_rep
-builds every relation module on a master colouring.
+builds every relation module on a master colouring.  A board's hat
+(hat_colouring) puts its rows on 1..d and its columns on d+1..d+e.
 """
 from __future__ import annotations
 
@@ -21,9 +22,7 @@ from functools import cache, cached_property
 from math import comb
 from typing import Mapping, NamedTuple, Sequence
 
-from .colouring import PartialColouring
-
-Cell = tuple[int, int]
+from .colouring import Cell, PartialColouring
 
 # is_admissible_game visits every non-empty row subset, so it refuses
 # grids with more rows than this.
@@ -37,10 +36,6 @@ class Family(str, Enum):
 
 
 class LevelTooLarge(Exception):
-    pass
-
-
-class OverlappingIndexSets(Exception):
     pass
 
 
@@ -245,28 +240,18 @@ def is_admissible_game(master: GameColouring, level: int,
     return GameVerdict(True, level, tuple(certificates))
 
 
-def hat_colouring(beta: PartialColouring, I: Sequence[int], J: Sequence[int],
-                  family: Family) -> GameColouring:
-    """Symmetrised colouring on (I u J, I u J) from a rectangular one on I x J.
+def hat_colouring(beta: PartialColouring, family: Family) -> GameColouring:
+    """Symmetrised colouring on ([d + e], [d + e]) from a rectangular one on
+    [d] x [e]: rows on 1..d, columns on d+1..d+e.
 
-    Requires I and J disjoint, |I| = d rows and |J| = e columns of beta.
-    The class {(i,j),(j,i)} for i in I, j in J gets beta's colour at the
-    corresponding position; every other cell (diagonal included) is blank.
+    The class {(i, d + j), (d + j, i)} gets beta's colour at (i, j); every
+    other cell (diagonal included) is blank.
     """
     family = Family(family)
     if family is Family.RHO:
         raise ValueError("the symmetrised colouring lives in gamma or sigma")
-    I = tuple(sorted(set(I)))
-    J = tuple(sorted(set(J)))
-    if set(I) & set(J):
-        raise OverlappingIndexSets(f"{set(I) & set(J)}")
-    if len(I) != beta.d or len(J) != beta.e:
-        raise ValueError("index sets do not match the colouring shape")
-    V = tuple(sorted(I + J))
-    grid = build_grid(family, V, V)
+    V = range(1, beta.d + beta.e + 1)
     colour_of: dict[Cell, str] = {}
-    for (a, b), colour in beta.colour_of.items():
-        i, j = I[a - 1], J[b - 1]
-        colour_of[(i, j)] = colour
-        colour_of[(j, i)] = colour
-    return GameColouring(grid, colour_of)
+    for (i, j), colour in beta.colour_of.items():
+        colour_of[(i, beta.d + j)] = colour_of[(beta.d + j, i)] = colour
+    return GameColouring(build_grid(family, V, V), colour_of)

@@ -28,10 +28,11 @@ import shlex
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import Sequence
 
 from . import askzeta, boardgame, modrep, nilpotent, predictions
-from .colouring import NonUnitCoefficient, ParseError, parse_grid
-from .rings import PadicQuotient, RingError
+from .colouring import NonUnitCoefficient, ParsedGrid, ParseError, parse_grid
+from .rings import PadicQuotient, Ring, RingError
 
 DEFAULT_SEED = 20240601
 
@@ -105,7 +106,18 @@ BOARD_BUILDERS = {"board": modrep.board_rep, "altboard": modrep.altboard_rep,
                   "symboard": modrep.symboard_rep}
 
 
-def build_rep(spec: str) -> modrep.ModuleRep:
+def _board(head: str, parsed: ParsedGrid, rings: Sequence[Ring]) -> modrep.ModuleRep:
+    """The board module of a parsed grid, for use over the given rings: the
+    closed forms and the relations need units mod p on the coloured cells."""
+    for ring, (cell, unit) in itertools.product(rings, sorted(parsed.units.items())):
+        if unit % ring.p == 0:
+            raise UsageError(f"u{cell} = {unit} is divisible by the prime {ring.p}")
+    return BOARD_BUILDERS[head](parsed.colouring, parsed.units)
+
+
+def build_rep(spec: str, rings: Sequence[Ring] = ()) -> modrep.ModuleRep:
+    """The module a spec names; a board is refused when p of one of the
+    rings divides a unit of its coloured cells."""
     head, _, rest = spec.partition(":")
     if head == "classic":
         name, _, dims = rest.partition(":")
@@ -125,8 +137,7 @@ def build_rep(spec: str) -> modrep.ModuleRep:
         return modrep.family_rep(boardgame.Family(fam),
                                  _parse_index_set(i_text), _parse_index_set(j_text))
     if head in BOARD_BUILDERS:
-        parsed = _load_grid(rest)
-        return BOARD_BUILDERS[head](parsed.colouring, parsed.units)
+        return _board(head, _load_grid(rest), rings)
     if head == "triangular-pair":
         return modrep.triangular_pair_rep(_dimension(rest))
     if head == "file":
@@ -163,8 +174,8 @@ def _cmd_check_admissible(args) -> int:
 
 
 def _cmd_ask(args) -> int:
-    rep = build_rep(args.rep)
     ring = PadicQuotient(args.prime, args.n)
+    rep = build_rep(args.rep, [ring])
     result = askzeta.ask(rep, ring, args.method, args.budget)
     report = {"header": _header(args), "method": result.method,
               "ring": f"Z/{args.prime}^{args.n}" if args.n > 1 else f"F_{args.prime}",
@@ -201,14 +212,7 @@ def _cmd_zeta_verify(args) -> int:
         board = _load_grid(path) if head in BOARD_BUILDERS else None
         if parsed is not None and parsed != board:  # --grid would set d and e
             raise UsageError(f"--rep {args.rep} is not built from --grid {args.grid}")
-    if board is None:
-        rep = build_rep(args.rep)
-    else:  # the closed forms need units mod p on the coloured cells
-        for ring, cell in itertools.product(rings, sorted(board.colouring.colour_of)):
-            if board.units[cell] % ring.p == 0:
-                raise UsageError(f"u{cell} = {board.units[cell]} is divisible by "
-                                 f"the prime {ring.p}")
-        rep = BOARD_BUILDERS[head](board.colouring, board.units)
+    rep = build_rep(args.rep) if board is None else _board(head, board, rings)
     prediction = _prediction_for(args, board)
     exit_code = 0
     reports = []
@@ -236,8 +240,8 @@ def _cmd_zeta_verify(args) -> int:
 
 
 def _cmd_rank_dist(args) -> int:
-    rep = build_rep(args.rep)
     field = PadicQuotient(args.prime)
+    rep = build_rep(args.rep, [field])
     dist = askzeta.rank_distribution(rep, field, args.budget)
     report = {"header": _header(args), "q": dist.q,
               "counts": {str(r): dist.counts[r] for r in sorted(dist.counts)}}
@@ -253,17 +257,16 @@ def _emit_point_report(args, report: askzeta.PointReport) -> int:
 
 
 def _cmd_constant_rank(args) -> int:
-    rep = modrep.family_rep(boardgame.Family(args.family),
-                            _parse_index_set(args.I), _parse_index_set(args.J))
+    rep = build_rep(f"family:{args.family}:{args.I}:{args.J}")
     ring = PadicQuotient(args.prime, args.n)
     return _emit_point_report(args, askzeta.constant_rank_check(
         rep, ring, args.rank, args.samples, args.seed, args.budget))
 
 
 def _cmd_orbital_check(args) -> int:
-    big = build_rep(args.big)
-    sub = build_rep(args.sub)
     ring = PadicQuotient(args.prime, args.n)
+    big = build_rep(args.big, [ring])
+    sub = build_rep(args.sub, [ring])
     return _emit_point_report(args, askzeta.orbital_equivalence_check(
         big, sub, ring, args.samples, args.seed, args.budget))
 
@@ -277,7 +280,7 @@ def _cmd_cc(args) -> int:
         count = nilpotent.conjugacy_count_bch(alg, args.prime, args.n, args.budget)
         group = f"free class-{c_text} on {d_text}"
     else:
-        rep = build_rep(args.baer)
+        rep = build_rep(args.baer, [PadicQuotient(args.prime, args.n)])
         count = nilpotent.baer_group_cc(rep, args.prime, args.n, args.budget)
         group = f"baer:{args.baer}"
     _emit({"header": _header(args), "group": group, "prime": args.prime, "n": args.n,

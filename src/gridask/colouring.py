@@ -3,7 +3,8 @@ admissibility test.
 
 A partial colouring assigns colours to some cells of [d] x [e] (1-based);
 uncoloured cells are blank.  Each colour's fibre encodes one linear
-relation among matrix entries, with unit coefficients supplied separately.
+relation among matrix entries; its coefficients are the units of the
+coloured cells, a plain mapping from cell to integer (ParsedGrid.units).
 A colouring is admissible when every non-empty colour-closed product
 subgrid contains a blank cell.
 """
@@ -57,31 +58,13 @@ class PartialColouring:
         return sorted(c for c, col in self.colour_of.items() if col == colour)
 
 
-class UnitAssignment:
-    """A unit at every cell of [d] x [e]: the given ones, 1 elsewhere; equal
-    when the shapes and units are."""
-
-    __slots__ = ("d", "e", "u")
-
-    def __init__(self, d: int, e: int, u: Mapping[Cell, int] = {}) -> None:
-        self.d, self.e = d, e
-        self.u = {(i, j): 1 for i in range(1, d + 1) for j in range(1, e + 1)}
-        self.u.update(u)
-
-    def __eq__(self, other) -> bool:
-        return type(other) is type(self) and (self.d, self.e, self.u) == (other.d, other.e, other.u)
-
-    def __getitem__(self, cell: Cell) -> int:
-        return self.u[cell]
-
-
 Subgrid = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 class ParsedGrid(NamedTuple):
     family: str | None
     colouring: PartialColouring
-    units: UnitAssignment
+    units: dict[Cell, int]  # the unit of each coloured cell
 
 
 def parse_grid(text: str) -> ParsedGrid:
@@ -90,7 +73,9 @@ def parse_grid(text: str) -> ParsedGrid:
     Optional "family: rho|gamma|sigma" header, then "grid:" followed by d
     rows of whitespace-separated tokens ("." = blank), then an optional
     "units:" block of d rows of integers, non-zero on the coloured cells.
-    "#" starts a comment.
+    "#" starts a comment.  units maps each coloured cell to its unit (1
+    without a units block); the entries on blank cells are read and
+    shape-checked, then dropped.
     """
     family: str | None = None
     grid_rows: list[list[str]] = []
@@ -129,25 +114,17 @@ def parse_grid(text: str) -> ParsedGrid:
     for idx, row in enumerate(grid_rows):
         if len(row) != e:
             raise ParseError(f"grid row {idx + 1} has {len(row)} tokens, expected {e}")
-    colour_of = {}
+    if unit_rows and (len(unit_rows) != d or any(len(r) != e for r in unit_rows)):
+        raise ParseError("units block shape does not match grid")
+    colour_of, units = {}, {}  # the modules read the units of the coloured cells only
     for i, row in enumerate(grid_rows, start=1):
         for j, tok in enumerate(row, start=1):
             if tok != ".":
                 colour_of[(i, j)] = tok
-    colouring = PartialColouring(d, e, colour_of)
-    if unit_rows:
-        if len(unit_rows) != d or any(len(r) != e for r in unit_rows):
-            raise ParseError("units block shape does not match grid")
-        u = {(i, j): unit_rows[i - 1][j - 1]
-             for i in range(1, d + 1) for j in range(1, e + 1)}
-        # the modules read the units of the coloured cells only
-        for cell in sorted(colour_of):
-            if u[cell] == 0:
-                raise NonUnitCoefficient(f"u{cell} = 0")
-        units = UnitAssignment(d, e, u)
-    else:
-        units = UnitAssignment(d, e)
-    return ParsedGrid(family, colouring, units)
+                units[(i, j)] = unit_rows[i - 1][j - 1] if unit_rows else 1
+                if units[(i, j)] == 0:
+                    raise NonUnitCoefficient(f"u{(i, j)} = 0")
+    return ParsedGrid(family, PartialColouring(d, e, colour_of), units)
 
 
 def _closure(fibres: list[list[Cell]], seed: Subgrid) -> Subgrid:

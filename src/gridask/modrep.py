@@ -5,8 +5,10 @@ common shape I x J; specialising the entries to a finite ring realises the
 module they span inside Hom(R^I, R^J).  relation_rep builds every module
 on a boardgame family grid cut out by one relation per colour: the generic
 families, boards and their hats, sl, the upper triangular matrices and the
-triangular pair.  Also: the companion ("Knuth dual") element_dual and the
-degree-3 commutator representations alpha / alphahat.
+triangular pair.  A board's relations take their coefficients from a plain
+mapping of its coloured cells to units; a cell it leaves out has unit 1.
+Also: the companion ("Knuth dual") element_dual and the degree-3
+commutator representations alpha / alphahat.
 
 element_dual (basis I, shape B x J) turns module elements into orbit
 matrices: its orbit matrix at c is the element sum_b c_b a_b, so one
@@ -19,11 +21,11 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from . import torus
 from .boardgame import Family, GameColouring, build_grid, hat_colouring, master_rho
-from .colouring import PartialColouring, UnitAssignment, sl_colouring
+from .colouring import Cell, PartialColouring, sl_colouring
 from .linalg import Mat
 from .rings import Ring
 
@@ -109,15 +111,15 @@ class ModuleRep:
 # Relation modules on family grids.
 # ---------------------------------------------------------------------------
 
-def relation_rep(master: GameColouring, u: UnitAssignment | None = None) -> ModuleRep:
+def relation_rep(master: GameColouring, u: Mapping[Cell, int] = {}) -> ModuleRep:
     """The module of matrices on the master's grid cut out by its colours.
 
     Cell class c gives the matrix E(c): 1 at its cells (i, j) with i <= j,
     the family sign (-1 for gamma, +1 otherwise) at those with i > j.  A
     blank class c gives the generator E(c), labelled by its least cell.  A
     colour with least class s gives u_s E(c) - u_c E(s), labelled (colour,
-    least cell of c), for each of its other classes c, where u_c is the
-    unit at c's least cell (1 without units).  Over a ring where the units
+    least cell of c), for each of its other classes c, where u_c is u at
+    c's least cell (1 where u has no entry).  Over a ring where the units
     are units, this spans the solution set of sum_c u_c x_c = 0, one
     relation per colour.
     """
@@ -127,7 +129,7 @@ def relation_rep(master: GameColouring, u: UnitAssignment | None = None) -> Modu
     sign = -1 if grid.family is Family.GAMMA else 1
 
     def unit(cls) -> int:
-        return 1 if u is None else u[min(cls)]
+        return u.get(min(cls), 1)
 
     blank = sorted({cls for cell, cls in grid.class_of.items()
                     if master.colour(cell) is None}, key=min)
@@ -152,30 +154,26 @@ def family_rep(family: Family, I: Sequence[int], J: Sequence[int]) -> ModuleRep:
     return relation_rep(GameColouring(build_grid(family, I, J)))
 
 
-def board_rep(beta: PartialColouring, u: UnitAssignment | None = None) -> ModuleRep:
+def board_rep(beta: PartialColouring, u: Mapping[Cell, int] = {}) -> ModuleRep:
     """The relation module of a colouring of [d] x [e]: d*e - #colours
     generators."""
     return relation_rep(master_rho(beta), u)
 
 
-def _hat_rep(beta: PartialColouring, u: UnitAssignment | None,
-             family: Family) -> ModuleRep:
+def _hat_rep(beta: PartialColouring, u: Mapping[Cell, int], family: Family) -> ModuleRep:
     """(d+e) x (d+e) module [[a, x], [sign * x^T, b]] with x in the relation
     module of beta and a, b free alternating (gamma) or symmetric (sigma):
-    the relation module of beta's hat colouring on [d + e]."""
-    d, e = beta.d, beta.e
-    master = hat_colouring(beta, range(1, d + 1), range(d + 1, d + e + 1), family)
-    if u is not None:
-        u = UnitAssignment(d + e, d + e, {(i, d + j): u[(i, j)]
-                                          for (i, j) in beta.colour_of})
-    return relation_rep(master, u)
+    the relation module of beta's hat colouring on [d + e], where beta's
+    cell (i, j) is the class of (i, d + j)."""
+    return relation_rep(hat_colouring(beta, family),
+                        {(i, beta.d + j): unit for (i, j), unit in u.items()})
 
 
-def altboard_rep(beta: PartialColouring, u: UnitAssignment | None = None) -> ModuleRep:
+def altboard_rep(beta: PartialColouring, u: Mapping[Cell, int] = {}) -> ModuleRep:
     return _hat_rep(beta, u, Family.GAMMA)
 
 
-def symboard_rep(beta: PartialColouring, u: UnitAssignment | None = None) -> ModuleRep:
+def symboard_rep(beta: PartialColouring, u: Mapping[Cell, int] = {}) -> ModuleRep:
     return _hat_rep(beta, u, Family.SIGMA)
 
 

@@ -24,10 +24,6 @@ class CompositeModulus(RingError):
     """Raised when the requested characteristic is not prime."""
 
 
-class ReducibleModulus(RingError):
-    """Raised when a supplied extension-field modulus factors over F_p."""
-
-
 def _prime_factors(n: int) -> set[int]:
     """The primes dividing n >= 1, by trial division."""
     primes, d = set(), 2
@@ -319,24 +315,18 @@ class PadicQuotient(Ring):
 
 
 class ExtField(Ring):
-    """F_{p^f}; elements are coefficient tuples of length f (low degree first).
-    The modulus defaults to smallest_irreducible(p, f)."""
+    """F_{p^f}; elements are coefficient tuples of length f (low degree first),
+    multiplied modulo smallest_irreducible(p, f)."""
 
     __slots__ = ("f", "modulus")
-    _fields = ("p", "f", "modulus")
+    _fields = ("p", "f")
 
-    def __init__(self, p: int, f: int = 1, modulus: tuple[int, ...] = ()) -> None:
+    def __init__(self, p: int, f: int = 1) -> None:
         if not is_prime(p):
             raise CompositeModulus(f"{p} is not prime")
         if f < 1:
             raise RingError("extension degree must be >= 1")
-        mod = modulus or smallest_irreducible(p, f)
-        mod_list = [c % p for c in mod]
-        if len(mod_list) != f + 1 or mod_list[-1] != 1:
-            raise ReducibleModulus("modulus must be monic of the stated degree")
-        if not _is_irreducible(mod_list, p):
-            raise ReducibleModulus(f"{mod} is reducible over F_{p}")
-        self.p, self.f, self.modulus = p, f, mod
+        self.p, self.f, self.modulus = p, f, smallest_irreducible(p, f)
 
     def cardinality(self) -> int:
         return self.p**self.f

@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import comb, prod
 
 from gridask import boardgame, torus
-from gridask.colouring import PartialColouring, UnitAssignment, _closure
+from gridask.colouring import PartialColouring, _closure
 from gridask.linalg import Mat
 from gridask.modrep import ModuleRep, _alpha_basis, _alpha_gen, _freeze, _zero
 from gridask.nilpotent import GradedAlgebra, _check_characteristic
@@ -885,10 +885,9 @@ def matrix_forms(rep) -> list[list[dict[int, int]]]:
 # Random instance generators (seeded by the caller).
 # ---------------------------------------------------------------------------
 
-def random_unit_assignment(d: int, e: int, q: int, rng: random.Random) -> UnitAssignment:
+def random_unit_assignment(d: int, e: int, q: int, rng: random.Random) -> dict:
     """Random unit matrix for F_q checks: entries uniform in 1..q-1."""
-    return UnitAssignment(d, e, {(i, j): rng.randrange(1, q)
-                                 for i in range(1, d + 1) for j in range(1, e + 1)})
+    return {(i, j): rng.randrange(1, q) for i in range(1, d + 1) for j in range(1, e + 1)}
 
 
 def random_colouring(d: int, e: int, n_colours: int,

@@ -170,15 +170,15 @@ def test_criterion_05():
         beta = load(name).colouring
         pred = predict("classical_mat", d=beta.d, e=beta.e)
         for q in (3, 5, 7):
-            units = [None] + [random_unit_assignment(beta.d, beta.e, q, rng)
-                              for _ in range(5)]
+            units = [{}] + [random_unit_assignment(beta.d, beta.e, q, rng)
+                            for _ in range(5)]
             for u in units:
                 rep = board_rep(beta, u)
                 got = ask_orbit(rep, PadicQuotient(q)).value
                 assert got == pred.coefficient(q, 1), (name, q)
         if beta.d == beta.e == 3:
             R = PadicQuotient(5, 2)
-            for u in [None, random_unit_assignment(3, 3, 5, rng)]:
+            for u in [{}, random_unit_assignment(3, 3, 5, rng)]:
                 got = ask_orbit(board_rep(beta, u), R).value
                 assert got == pred.series(5, 2)[2], name
 

@@ -4,9 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from gridask.boardgame import (Family, GameColouring, LevelTooLarge, OverlappingIndexSets,
-                               build_grid, greedy_reduce, hat_colouring,
-                               is_admissible_game, master_rho, master_symmetric)
+from gridask.boardgame import (Family, GameColouring, LevelTooLarge, build_grid,
+                               greedy_reduce, hat_colouring, is_admissible_game, master_rho,
+                               master_symmetric)
 from gridask.colouring import PartialColouring, parse_grid
 
 from oracles import (exhaustive_game_clearable, legal_moves, oracle_moves,
@@ -98,6 +98,15 @@ def test_induce_full_grid_is_identity():
     assert legal_moves(master, master.grid.I, master.grid.J) == blank
 
 
+def interleaved_hat(rect: PartialColouring, I: tuple, J: tuple) -> PartialColouring:
+    """The symmetric colouring of [4] x [4] that gives (I[a], J[b]) and
+    (J[b], I[a]) the colour of rect at (a, b)."""
+    colour_of = {}
+    for (a, b), colour in rect.colour_of.items():
+        colour_of[(I[a - 1], J[b - 1])] = colour_of[(J[b - 1], I[a - 1])] = colour
+    return PartialColouring(4, 4, colour_of)
+
+
 def random_masters():
     """Seeded rho, sigma, gamma and hat-colouring masters, small enough to
     visit every position."""
@@ -109,9 +118,11 @@ def random_masters():
         masters.append(master_symmetric(Family.SIGMA, beta))
         masters.append(master_symmetric(Family.GAMMA, PartialColouring(4, 4, {
             c: v for c, v in beta.colour_of.items() if c[0] != c[1]})))
+        # hats with interleaved index sets: rows (1, 3), columns (2, 4) for
+        # sigma and rows (1, 4), columns (2, 3) for gamma
         rect = random_colouring(2, 2, 2, rng)
-        masters.append(hat_colouring(rect, (1, 3), (2, 4), Family.SIGMA))
-        masters.append(hat_colouring(rect, (1, 4), (2, 3), Family.GAMMA))
+        masters.append(master_symmetric(Family.SIGMA, interleaved_hat(rect, (1, 3), (2, 4))))
+        masters.append(master_symmetric(Family.GAMMA, interleaved_hat(rect, (1, 4), (2, 3))))
     return masters
 
 
@@ -312,22 +323,17 @@ def test_move_persistence():
 # ---------------------------------------------------------------------------
 
 def test_hat_all_blank():
-    gc = hat_colouring(PartialColouring(2, 3), (1, 2), (3, 4, 5), Family.SIGMA)
+    gc = hat_colouring(PartialColouring(2, 3), Family.SIGMA)
     assert gc.colour_of == {}
     assert gc.grid.I == (1, 2, 3, 4, 5)
 
 
 def test_hat_copies_pair_colours():
     beta = PartialColouring(2, 2, {(1, 2): "x", (2, 1): "y"})
-    gc = hat_colouring(beta, (1, 2), (3, 4), Family.GAMMA)
+    gc = hat_colouring(beta, Family.GAMMA)
     assert gc.colour((1, 4)) == "x" and gc.colour((4, 1)) == "x"
     assert gc.colour((2, 3)) == "y" and gc.colour((3, 2)) == "y"
     assert gc.colour((1, 2)) is None
-
-
-def test_hat_requires_disjoint_sets():
-    with pytest.raises(OverlappingIndexSets):
-        hat_colouring(PartialColouring(2, 2), (1, 2), (2, 3), Family.SIGMA)
 
 
 @pytest.mark.parametrize("name,adm", [("sample_a", True), ("sample_b", True),
@@ -336,9 +342,8 @@ def test_hat_transfer(name, adm):
     # admissible rectangular colouring <=> sigma level 0; and it gives
     # gamma level 1
     beta = load(name).colouring
-    I, J = (1, 2, 3), (4, 5, 6)
-    sig = hat_colouring(beta, I, J, Family.SIGMA)
+    sig = hat_colouring(beta, Family.SIGMA)
     assert is_admissible_game(sig, 0).admissible == adm
     if adm:
-        gam = hat_colouring(beta, I, J, Family.GAMMA)
+        gam = hat_colouring(beta, Family.GAMMA)
         assert is_admissible_game(gam, 1).admissible

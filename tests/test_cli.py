@@ -249,6 +249,35 @@ def test_zeta_verify_refuses_units_divisible_by_the_prime(spec, against, tmp_pat
     assert run(argv + ["--prime", "3"]) == 0
 
 
+# Every verb that builds a board over a ring refuses a unit that p divides.
+# At p = 3 each answered for the module spanned by E_11 alone, where the
+# relation 3 x_11 + x_12 + x_13 = 0 cuts out a module of rank 2.
+UNITS_311 = "grid:\na a a\nunits:\n3 1 1\n"
+UNIT_VERBS = [["ask", "--rep", "board:{grid}"],
+              ["rank-dist", "--rep", "board:{grid}"],
+              ["orbital-check", "--big", "board:{grid}", "--sub", "classic:mat:1,3"],
+              ["orbital-check", "--big", "classic:mat:1,3", "--sub", "board:{grid}"],
+              ["cc", "--baer", "altboard:{grid}"]]
+
+
+@pytest.mark.parametrize("argv", UNIT_VERBS, ids=["ask", "rank-dist", "orbital-big",
+                                                  "orbital-sub", "cc-baer"])
+def test_every_verb_refuses_units_divisible_by_the_prime(argv, tmp_path, capsys):
+    units = tmp_path / "units.grid"
+    units.write_text(UNITS_311)
+    assert run([a.format(grid=units) for a in argv] + ["--prime", "3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: u(1, 1) = 3 is divisible by the prime 3\n"
+
+
+def test_ask_reads_units_that_are_units_mod_p(tmp_path, capsys):
+    units = tmp_path / "units.grid"
+    units.write_text(UNITS_311)
+    code, out = run_out(["ask", "--rep", f"board:{units}", "--prime", "5"], capsys)
+    assert (code, out) == (0, "29/25\n")
+
+
 def test_zeta_verify_reads_parameters_from_the_rep_grid(capsys):
     # d and e come from the grid the module is built from: without --grid
     # this exited 3 with "classical_mat needs parameter d"

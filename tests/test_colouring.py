@@ -4,8 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from gridask.colouring import (ParseError, PartialColouring, UnitAssignment,
-                               is_admissible_rect, parse_grid, sl_colouring)
+from gridask.colouring import (ParseError, PartialColouring, is_admissible_rect,
+                               parse_grid, sl_colouring)
 
 from oracles import (colour_closure, exhaustive_rect_admissible, is_colour_closed,
                      random_colouring, transpose_colouring)
@@ -27,7 +27,7 @@ def test_parse_three_by_three():
     assert (beta.d, beta.e) == (3, 3)
     assert beta.colour((1, 1)) == "a"
     assert beta.is_blank((1, 3))
-    assert units[(2, 2)] == 1  # defaults to all-ones
+    assert units[(2, 2)] == 1  # 1 on every coloured cell without a units block
 
 
 def test_parse_single_blank():
@@ -46,13 +46,13 @@ def test_parse_zero_unit_rejected():
     from gridask.colouring import NonUnitCoefficient
     with pytest.raises(NonUnitCoefficient, match=r"u\(2, 2\) = 0"):
         parse_grid("grid:\na .\n. a\nunits:\n1 1\n1 0\n")
-    assert parse_grid("grid:\na .\n. a\nunits:\n1 0\n1 1\n").units[(1, 2)] == 0
+    assert parse_grid("grid:\na .\n. a\nunits:\n1 0\n1 1\n").units == {(1, 1): 1, (2, 2): 1}
 
 
 def test_parse_units_and_family_sections():
-    g = parse_grid("family: sigma\ngrid:\na .\n. a\nunits:\n1 -2\n3 1\n# end\n")
+    g = parse_grid("family: sigma\ngrid:\na .\n. a\nunits:\n-2 5\n3 1\n# end\n")
     assert g.family == "sigma"
-    assert g.units[(1, 2)] == -2
+    assert g.units[(1, 1)] == -2
 
 
 def test_parse_comments_and_blank_lines():
@@ -211,8 +211,12 @@ def test_parsed_grids_compare_by_value():
     assert parse_grid(text) != parse_grid(text.replace(". a", ". b"))
 
 
-def test_unit_assignment_basics():
-    u = UnitAssignment(2, 3)
-    assert u[(2, 3)] == 1
-    # a 0 is refused by parse_grid, which knows which cells are coloured
-    assert UnitAssignment(2, 2, {(1, 1): 0})[(1, 1)] == 0
+def test_units_hold_exactly_the_coloured_cells():
+    # 1 on each coloured cell without a units block; the entries on blank
+    # cells are parsed as integers and shape-checked, then dropped
+    assert parse_grid("a . b\n. a .\n").units == {(1, 1): 1, (1, 3): 1, (2, 2): 1}
+    text = "grid:\na . b\n. a .\nunits:\n2 0 -3\n9 4 7\n"
+    assert parse_grid(text).units == {(1, 1): 2, (1, 3): -3, (2, 2): 4}
+    for bad in ("9 4", "x 4 7"):  # a short row; a non-integer on the blank (2, 1)
+        with pytest.raises(ParseError):
+            parse_grid(text.replace("9 4 7", bad))

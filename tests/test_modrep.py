@@ -7,8 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from gridask.boardgame import Family
-from gridask.colouring import (PartialColouring, UnitAssignment, parse_grid,
-                               sl_colouring)
+from gridask.colouring import PartialColouring, parse_grid, sl_colouring
 from gridask.linalg import rank
 from gridask.modrep import (ModuleRep, ShapeMismatch, alpha_rep, alphahat_rep,
                             altboard_rep, board_rep, classic_rep, element_dual,
@@ -110,7 +109,7 @@ def test_board_traceless_is_sl():
 def test_board_scaled_units_same_module():
     # scaling by the pivot unit leaves the spanned module unchanged
     beta = load("sample_a").colouring
-    u = UnitAssignment(3, 3, {(1, 1): 2, (2, 2): -1, (3, 3): 4})
+    u = {(1, 1): 2, (2, 2): -1, (3, 3): 4}
     rep1 = board_rep(beta)
     rep2 = board_rep(beta, u)
     F7 = PadicQuotient(7)
@@ -175,8 +174,8 @@ def test_relation_modules_read_the_units_of_coloured_cells_only(kind):
         coloured = {cell: 2 + k for k, cell in enumerate(sorted(beta.colour_of))}
         zeros = {(i, j): 0 for i in range(1, d + 1) for j in range(1, e + 1)
                  if beta.is_blank((i, j))}
-        assert (BOARDS[kind](beta, UnitAssignment(d, e, {**coloured, **zeros}))
-                == BOARDS[kind](beta, UnitAssignment(d, e, coloured))), path.stem
+        assert (BOARDS[kind](beta, {**coloured, **zeros})
+                == BOARDS[kind](beta, coloured)), path.stem
 
 
 def relation_case(kind: str, source):
@@ -188,7 +187,7 @@ def relation_case(kind: str, source):
     name, _, units = source.partition("+")
     g = load(name)
     beta = g.colouring
-    u = UnitAssignment(beta.d, beta.e, SAMPLE_A_UNITS) if units else g.units
+    u = SAMPLE_A_UNITS if units else g.units
     d, e = beta.d, beta.e
     if kind == "board":
         family, I, J = "rho", tuple(range(1, d + 1)), tuple(range(1, e + 1))

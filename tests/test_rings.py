@@ -3,8 +3,8 @@ import itertools
 import pytest
 from hypothesis import example, given, strategies as st
 
-from gridask.rings import (CompositeModulus, ExtField, PadicQuotient, ReducibleModulus,
-                           Ring, RingError, _is_irreducible, is_prime, smallest_irreducible)
+from gridask.rings import (CompositeModulus, ExtField, PadicQuotient, Ring, RingError,
+                           _is_irreducible, is_prime, smallest_irreducible)
 
 from oracles import count_roots, trial_division_irreducible
 
@@ -38,14 +38,14 @@ def test_rings_are_equal_by_class_and_fields():
     assert PadicQuotient(3, 2) == PadicQuotient(3, 2)
     assert hash(PadicQuotient(3, 2)) == hash(PadicQuotient(3, 2))
     assert PadicQuotient(3, 2) != PadicQuotient(3, 1)
-    assert ExtField(3, 2) == ExtField(3, 2, smallest_irreducible(3, 2))
-    assert hash(ExtField(3, 2)) == hash(ExtField(3, 2, smallest_irreducible(3, 2)))
-    assert ExtField(3, 2) != ExtField(3, 2, (2, 2, 1))  # X^2 + 2X + 2, also irreducible
+    assert ExtField(3, 2) == ExtField(3, 2)
+    assert hash(ExtField(3, 2)) == hash(ExtField(3, 2))
+    assert ExtField(3, 2) != ExtField(3, 1)
     assert ExtField(3, 1) != PadicQuotient(3)  # one field, two classes
     assert len({PadicQuotient(5), PadicQuotient(5, 1), ExtField(5)}) == 2
     # test ids (ids=str in test_linalg) are these reprs
     assert repr(PadicQuotient(3, 2)) == "PadicQuotient(p=3, n=2)"
-    assert str(ExtField(2, 2)) == "ExtField(p=2, f=2, modulus=(1, 1, 1))"
+    assert str(ExtField(2, 2)) == "ExtField(p=2, f=2)"
 
 
 def test_padic_quotient_valuation():
@@ -68,15 +68,6 @@ def test_f4_modulus_is_unique_irreducible_quadratic():
     assert smallest_irreducible(2, 2) == (1, 1, 1)
     F4 = ExtField(2, 2)
     assert F4.cardinality() == 4
-
-
-def test_reducible_modulus_rejected():
-    with pytest.raises(ReducibleModulus):
-        ExtField(2, 2, (0, 0, 1))  # X^2 = X*X
-    with pytest.raises(ReducibleModulus):
-        ExtField(3, 2, (2, 0, 1))  # X^2 - 1
-    with pytest.raises(ReducibleModulus):
-        ExtField(3, 2, (1, 1))  # degree 1, not 2
 
 
 @pytest.mark.parametrize("p,f", [(2, 2), (2, 3), (3, 2), (2, 4)])
@@ -220,7 +211,7 @@ def test_ext_field_orders_match_the_coefficient_counter(pf):
 
 def test_ext_field_frobenius_fixed_field():
     # a |-> a^p fixes exactly the prime subfield
-    F = ExtField(3, 2, smallest_irreducible(3, 2))
+    F = ExtField(3, 2)
     fixed = [a for a in F.elements()
              if F.mul(F.mul(a, a), a) == a]
     assert len(fixed) == 3

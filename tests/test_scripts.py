@@ -10,17 +10,31 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def run_script(argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                       env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
+                          cwd=ROOT, env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
 @pytest.mark.parametrize("argv", [
     ["rank_census.py", "grids/sample_a.grid", "3", "17"],
     ["cc_table.py", "5"],
     ["sweep_colourings.py", "2", "2", "2"],
 ], ids=lambda argv: argv[0])
 def test_script_runs(argv):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
-                                                       env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
-                          cwd=ROOT, env=env, capture_output=True, text=True,
-                          timeout=120)
+    done = run_script(argv)
     assert done.returncode == 0, done.stderr
     assert done.stdout and "MISMATCH" not in done.stdout
+
+
+def test_rank_census_refuses_units_divisible_by_a_prime(tmp_path):
+    # the board of these units at p = 3 was tabulated as the module spanned
+    # by E_11 alone
+    units = tmp_path / "units.grid"
+    units.write_text("grid:\na a a\nunits:\n3 1 1\n")
+    done = run_script(["rank_census.py", str(units), "5", "3"])
+    assert (done.returncode, done.stdout) == (3, "")
+    assert done.stderr == "error: u(1, 1) = 3 is divisible by the prime 3\n"
