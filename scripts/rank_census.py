@@ -1,24 +1,25 @@
 #!/usr/bin/env python3
 """Tabulate the rank distribution of a grid's relation module over several
-prime fields, next to the resulting average kernel size.  A unit of a
-coloured cell that one of the primes divides is refused (exit 3).
+prime fields, next to the resulting average kernel size.  An input error,
+such as a missing grid file, a modulus that is not prime, or a unit of a
+coloured cell that one of the primes divides, is refused (exit 3).
 
 Usage: python3 scripts/rank_census.py GRID_FILE [PRIME ...]
 """
 import sys
 
 from gridask.askzeta import rank_distribution
-from gridask.cli import UsageError, build_rep
+from gridask.cli import INPUT_ERRORS, build_rep
 from gridask.rings import PadicQuotient
 
 
 def main() -> None:
     if len(sys.argv) < 2:
         raise SystemExit(__doc__.strip())
-    fields = [PadicQuotient(int(a)) for a in sys.argv[2:] or (3, 5, 7)]
-    try:  # a unit that some p divides is refused, as by the gridask verbs
+    try:  # refused as by the gridask verbs, before anything is printed
+        fields = [PadicQuotient(int(a)) for a in sys.argv[2:] or (3, 5, 7)]
         rep = build_rep(f"board:{sys.argv[1]}", fields)
-    except UsageError as exc:  # exit 3, the gridask code of an input error
+    except INPUT_ERRORS as exc:  # exit 3, the gridask code of an input error
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(3) from None
     d, e = len(rep.I), len(rep.J)

@@ -67,8 +67,11 @@ one rank over F_p per value of K, each value one vector addition from the
 last (an odometer over the span's coefficients).  When the span is all of
 M_(r x c)(F_p), K runs over every r x c matrix once and nothing is ranked:
 [c choose s]_p prod_(i < s) (p^r - p^i) of them have rank s.  The basis
-matrices are carried only when Z is non-empty: when t = min(B, J), K is
-empty and every lift has the profile v_1 .. v_t.  The elimination reduced mod p^(k-1)
+matrices are carried only while the class can gain a valuation: each x
+in P_k is primitive, so C(x) has at most r = ModuleRep.rank_bound
+valuations below k, and a class with t = r pivots, where its elimination
+stops, gives every lift the profile v_1 .. v_t, then k (level 1 also
+stops at r pivots).  The elimination reduced mod p^(k-1)
 leaves diag(p^v_1 .. p^v_t) and 0, so over Z/p^(k-1) the class x' itself
 has the profile v_1 .. v_t, then k - 1: level k - 1 costs nothing more.
 
@@ -143,7 +146,7 @@ def profile_census(rep: ModuleRep, ring: Ring, budget: int = DEFAULT_BUDGET) -> 
         first = ring.level(1)
         walk = Counter()
         for x, m in torus.Torus(rep.weights, first).orbits(dI, False):
-            walk[divisor_profile(rep.orbit_matrix_at(first, x))] += m
+            walk[divisor_profile(rep.orbit_matrix_at(first, x), rep.rank_bound)] += m
         levels.append((1, walk))
     counts = Counter({(n,) * min(rep.rank, len(rep.J)): 1})
     for e, level in levels:
@@ -169,26 +172,28 @@ def _lifted_level_census(rep: ModuleRep, ring: Ring, k: int) -> tuple[Counter, C
     lifts: each value is ranked once, and the values are walked by prefix
     sums of the span (_span_values).  A span of every (B - t) x (J - t)
     matrix is counted, not walked: _rank_count of its values have rank s.
-    When Z is empty (t = min(B, J)), partial_smith leaves the basis
-    uncarried and every lift has the class's profile, so nothing is ranked.
+    No point of P_k has more than r = rep.rank_bound valuations below k,
+    so a class with t = r pivots gives every lift its valuations, then k:
+    its elimination stops there, and nothing is carried or ranked.
     The elimination reduced mod p^(k-1) leaves diag(p^v_1 .. p^v_t) and 0,
     so the class itself has the profile v_1 .. v_t, then k - 1, over
     Z/p^(k-1).
     """
     level, residue = ring.level(k), ring.level(1)
     p, dI, dJ = ring.p, len(rep.I), len(rep.J)
-    steps = min(rep.rank, dJ)
+    steps, bound = min(rep.rank, dJ), rep.rank_bound
     # C(e_i), the orbit matrix at each basis vector, carried by every class
     basis = [Mat(level, rep.rank, dJ, tuple(level.from_int(g[i][j])
                                             for g in rep.gens for j in range(dJ)))
              for i in range(dI)]
     counts, below = Counter(), Counter()
     for x, n in torus.Torus(rep.weights, ring.level(k - 1)).orbits(dI, False):
-        valuations, constant, linear = _class_lift(level, rep.orbit_matrix_at(level, x), basis)
+        valuations, constant, linear = _class_lift(level, rep.orbit_matrix_at(level, x),
+                                                   basis, bound)
         head, t = tuple(sorted(valuations)), len(valuations)
         below[head + (k - 1,) * (steps - t)] += n
-        if t == steps:  # Z is empty: every lift has the class's profile
-            counts[head] += n * p ** dI
+        if t == bound:  # no lift has another valuation below k
+            counts[head + (k,) * (steps - t)] += n * p ** dI
             continue
         shape = (rep.rank - t, dJ - t)
         # the span of the K_i over F_p is the lattice of the K_i and the p e_j
@@ -233,7 +238,7 @@ def _span_values(constant: Sequence[int], span: Sequence[Sequence[int]], p: int)
         yield value
 
 
-def _class_lift(level: Ring, cx: Mat, basis: Sequence[Mat]):
+def _class_lift(level: Ring, cx: Mat, basis: Sequence[Mat], bound: int):
     """(valuations, constant, linear): the lifting identity for the class
     of x over Z/p^k, k >= 2, from cx = C(x), x in [0, p^(k-1))^I, and the
     basis matrices C(e_i).
@@ -247,10 +252,12 @@ def _class_lift(level: Ring, cx: Mat, basis: Sequence[Mat]):
     K(y) = Z / p^(k-1) + sum_i y_i K_i: clearing the rest of the carried
     terms against the pivots adds multiples of p^(2(k-1) - v), which are 0
     mod p^k.  constant holds the entries of K(0) and linear[i] those of
-    K_i, mod p and row by row.
+    K_i, mod p and row by row.  bound is the module's rank bound r: a lift
+    x is primitive, so t + s <= r, and at t = r the elimination stops and
+    carries nothing (linear is empty).
     """
     p, k = level.p, level.cap
-    valuations, (block, *blocks) = partial_smith(cx, k - 1, basis)
+    valuations, (block, *blocks) = partial_smith(cx, k - 1, basis, bound)
     constant = tuple(level.exact_div(z, k - 1) for row in block for z in row)
     linear = [tuple(z % p for row in b for z in row) for b in blocks]
     return valuations, constant, linear

@@ -417,14 +417,18 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# The library's errors of input, which end a run, or a script, in exit 3.
+INPUT_ERRORS = (UsageError, ParseError, NonUnitCoefficient, OSError, ValueError, RingError,
+                modrep.ShapeMismatch, predictions.UnknownPrediction,
+                nilpotent.BadCharacteristic, nilpotent.NotAlternating)
+
+
 def run(argv: list[str]) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (UsageError, ParseError, NonUnitCoefficient, OSError, ValueError, RingError,
-            modrep.ShapeMismatch, predictions.UnknownPrediction,
-            nilpotent.BadCharacteristic, nilpotent.NotAlternating) as exc:
+    except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (askzeta.BudgetExceeded, boardgame.LevelTooLarge) as exc:

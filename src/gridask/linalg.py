@@ -36,26 +36,26 @@ class Mat:
         return self.entries[i * self.cols:(i + 1) * self.cols]
 
 
-def divisor_profile(m: Mat) -> tuple[int, ...]:
+def divisor_profile(m: Mat, bound: int | None = None) -> tuple[int, ...]:
     """Sorted multiset of elementary-divisor valuations, capped at the ring cap.
 
     Length min(rows, cols).  Over a field the cap is 1 and the profile
     encodes the rank as the number of zero entries.  This is partial_smith
     run to stop = cap with nothing carried: its valuations, padded with the
-    cap for the all-zero block that is left.  The profile of m is that of
-    its transpose, so the elimination runs on the shorter side: on the
-    transpose when m has more rows than columns.
+    cap for the all-zero block that is left, with bound as in partial_smith.
+    The profile of m is that of its transpose, so the elimination runs on
+    the shorter side: on the transpose when m has more rows than columns.
     """
     cap = m.ring.cap
     if m.rows > m.cols:
         m = Mat(m.ring, m.cols, m.rows, tuple(chain.from_iterable(
             m.entries[j::m.cols] for j in range(m.cols))))
-    valuations = partial_smith(m, cap)[0]
+    valuations = partial_smith(m, cap, bound=bound)[0]
     return tuple(sorted(valuations + [cap] * (m.rows - len(valuations))))
 
 
-def partial_smith(m: Mat, stop: int,
-                  carried: Sequence[Mat] = ()) -> tuple[list[int], list[list[list]]]:
+def partial_smith(m: Mat, stop: int, carried: Sequence[Mat] = (),
+                  bound: int | None = None) -> tuple[list[int], list[list[list]]]:
     """Diagonalise m until every entry of the active block has valuation >= stop.
 
     The row and column operations bring m to P m Q = diag(p^v for v in
@@ -64,23 +64,33 @@ def partial_smith(m: Mat, stop: int,
     blocks): blocks[0] is Z, and blocks[1:] are the blocks of P c Q at Z's
     rows and columns, one per carried c of m's shape, each a list of rows.
     The loop eliminates m alone and records each pivot's operations; the
-    carried matrices go through them afterwards, and only when Z is
-    non-empty (an empty Z leaves nothing of them to read).  With stop = the
-    ring cap and nothing carried this is divisor_profile.
+    carried matrices go through them afterwards.  bound, min(rows, cols)
+    unless given, promises that at most that many valuations are below
+    stop: at bound pivots the search stops, the rest of Z is 0 mod p^stop
+    (Z is empty at min(rows, cols)), and no carried block is formed, so
+    blocks is [Z] alone.  With stop = the ring cap and nothing carried
+    this is divisor_profile.
     """
     R = m.ring
     rows, cols = m.rows, m.cols
+    zero = R.zero
     a = [list(m.row(i)) for i in range(rows)]
     pivots = []  # for the carried matrices: (bi, bj, column below, tail, unit^-1, v)
     valuations: list[int] = []
     top = 0  # active block starts at (top, top) after swaps
-    while top < rows and top < cols:
-        # pivot of minimal valuation in the active block
+    bound = min(rows, cols) if bound is None else bound
+    while top < bound:
+        # pivot of minimal valuation in the active block; entries are
+        # canonical, so the common zeros are passed over without a valuation
         best = None
         best_v = stop
         for i in range(top, rows):
+            row = a[i]
             for j in range(top, cols):
-                v = R.valuation(a[i][j])
+                x = row[j]
+                if x == zero:
+                    continue
+                v = R.valuation(x)
                 if v < best_v:
                     best, best_v = (i, j), v
                     if v == 0:
@@ -111,8 +121,8 @@ def partial_smith(m: Mat, stop: int,
         valuations.append(best_v)
         top += 1
     block = [row[top:] for row in a[top:]]
-    if not block or not block[0]:  # Z is empty, and so is every carried block
-        return valuations, [block] + [[[] for _ in block] for _ in carried]
+    if top == bound:  # Z is 0 mod p^stop, so the carried blocks are not formed
+        return valuations, [block]
     carried = [[list(c.row(i)) for i in range(rows)] for c in carried]
     for step, (bi, bj, column, pivot_tail, unit_inv, v) in enumerate(pivots):
         # the same swaps and operations on every carried matrix: the row

@@ -68,6 +68,27 @@ class ModuleRep:
     def rank(self) -> int:
         return len(self.labels)
 
+    @cached_property
+    def rank_bound(self) -> int:
+        """r >= the number of divisor valuations of C(x) below the cap at
+        every primitive x (some coordinate a unit), over every ring: min(B,
+        J), less one where an integer identity makes x a unimodular kernel
+        vector of C(x), and so a column of an invertible Q (or a row of P)
+        with a zero column of C(x) Q (or row of P C(x)).  Every a_b
+        alternating gives C(x) x = 0, so r <= J - 1; B = I with a_{bij} =
+        -a_{ibj}, as on a restricted adjoint module ([x, x] = 0), gives
+        x C(x) = 0, so r <= B - 1."""
+        B, dI, dJ = self.rank, len(self.I), len(self.J)
+        bound = min(B, dJ)
+        gens = self.gens
+        if dI == dJ > 0 and all(g[i][j] == -g[j][i] for g in gens
+                                for i in range(dI) for j in range(dI)):
+            bound = min(bound, dJ - 1)
+        if B == dI > 0 and all(gens[b][i][j] == -gens[i][b][j] for b in range(B)
+                               for i in range(B) for j in range(dJ)):
+            bound = min(bound, B - 1)
+        return bound
+
     def element(self, ring: Ring, coeffs: Sequence) -> Mat:
         """sum_b coeffs_b * a_b over the ring (coeffs are ring elements):
         the orbit matrix of the element dual at coeffs."""

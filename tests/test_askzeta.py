@@ -12,8 +12,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 from gridask import askzeta, fastcount, torus
 from gridask.askzeta import (BudgetExceeded, ask, ask_orbit,
                              constant_rank_check, direct_profile_counts,
-                             orbital_equivalence_check, rank_distribution,
-                             verify_prediction, zeta_coefficients)
+                             orbital_equivalence_check, profile_census,
+                             rank_distribution, verify_prediction,
+                             zeta_coefficients)
 from gridask.boardgame import Family
 from gridask.cli import run
 from gridask.colouring import parse_grid
@@ -148,6 +149,12 @@ def lift_cases(draw):
                                  (((0, 0, 0), (0, 0, 0)), ((3, -9, 1), (0, 6, -2)),
                                   ((-4, 2, 0), (8, 0, -12)))),
                (10, 13)))  # a zero generator
+# alternating, r = 2: the class stops at r pivots, and every lift has one valuation k
+@example(case=("Z/27", classic_rep("alt", 3), (5, 10, 22)))
+# alternating, r = 2: the class has t = 1 < r pivots, and K is ranked
+@example(case=("Z/9", ModuleRep(("a", "b"), (1, 2, 3), (1, 2, 3),
+                                (((0, 1, 3), (-1, 0, 0), (-3, 0, 0)),
+                                 ((0, 0, 2), (0, 0, 1), (-2, -1, 0)))), (4, 7, 3)))
 # C(x') = 3 has valuation k - 1, and C(x) = 3 + 6 = 0: no pivot may stop at k - 1
 @example(case=("Z/9", ModuleRep(("a",), (1, 2), (1,), (((3,), (1,)),)), (1, 6)))
 def test_lifting_identity_matches_profile_oracle(case):
@@ -161,7 +168,7 @@ def test_lifting_identity_matches_profile_oracle(case):
     basis = [naive_orbit_matrix(rep, level, [int(i == l) for i in range(len(rep.I))])
              for l in range(len(rep.I))]
     valuations, constant, linear = askzeta._class_lift(
-        level, naive_orbit_matrix(rep, level, [c % top for c in x]), basis)
+        level, naive_orbit_matrix(rep, level, [c % top for c in x]), basis, rep.rank_bound)
     y = [c // top for c in x]
     t = len(valuations)
     K = Mat(PadicQuotient(p), rep.rank - t, len(rep.J) - t,
@@ -394,6 +401,143 @@ def test_budget_enforced():
         ask(rep, F3, method="nonsense")
     with pytest.raises(ValueError):
         zeta_coefficients(rep, F3, method="nonsense")
+
+
+# ---------------------------------------------------------------------------
+# The rank bound: at most r valuations below the cap at a primitive point.
+# ---------------------------------------------------------------------------
+
+ROOT = GRIDS.parent
+BIG_PRIME = PadicQuotient(1000003)
+
+
+def census_reps(argvs, monkeypatch) -> list:
+    """The modules whose census the CLI takes on these command lines, in
+    order, one entry per census."""
+    reps = []
+    zeta = askzeta.zeta_coefficients
+
+    def recorded(rep, *args, **kwargs):
+        reps.append(rep)
+        return zeta(rep, *args, **kwargs)
+
+    monkeypatch.setattr(askzeta, "zeta_coefficients", recorded)
+    monkeypatch.chdir(ROOT)
+    for argv in argvs:
+        assert run(argv) == 0, argv
+    return reps
+
+
+def with_rank_bound(rep: ModuleRep, bound: int) -> ModuleRep:
+    """A copy of rep whose census takes bound as its rank bound."""
+    forced = ModuleRep(rep.labels, rep.I, rep.J, rep.gens)
+    forced.rank_bound = bound  # shadows the cached property
+    return forced
+
+
+def test_rank_bound_is_the_rank_at_a_random_point(monkeypatch):
+    # the bound is certified by identities; at a random point over F_P, P a
+    # large prime, C(x) has the generic rank but for a chance of about
+    # deg / P, so a bound above that rank would show as loose.  Every module
+    # whose census a manifest line takes has a tight bound, the restricted
+    # adjoint modules of the cc lines (x C(x) = 0) among them; the element
+    # duals of the direct method keep min(B, J), which may be loose
+    lines = (ROOT / "manifests" / "acceptance.txt").read_text().splitlines()
+    argvs = [line.split() for line in (raw.split("#", 1)[0].strip() for raw in lines)
+             if line.split()[:1] in (["zeta-verify"], ["ask"], ["cc"])]
+    reps = census_reps(argvs, monkeypatch)
+    assert len(reps) >= 30
+    draw = random.Random(31).randrange
+    tightened = 0
+    for rep in reps:
+        points = [[draw(BIG_PRIME.p) for _ in rep.I] for _ in range(2)]
+        generic = max(rank(naive_orbit_matrix(rep, BIG_PRIME, x)) for x in points)
+        assert rep.rank_bound == generic, rep.labels
+        tightened += generic < min(rep.rank, len(rep.J))
+        dual = rep.dual
+        assert dual.rank_bound >= rank(naive_orbit_matrix(dual, BIG_PRIME,
+                                                          [draw(BIG_PRIME.p) for _ in dual.I]))
+    assert tightened >= 10
+
+
+def test_rank_bound_needs_the_identity_on_every_generator(monkeypatch):
+    # alt:3 (C(x) x = 0) and the restricted adjoint module of the free
+    # class-2 group on 3 generators (x C(x) = 0) lose one from min(B, J);
+    # one entry off the identity in one generator keeps min(B, J)
+    alt = classic_rep("alt", 3)
+    [adjoint] = census_reps([["cc", "--free-nilpotent", "3,2", "--prime", "5"]], monkeypatch)
+    assert (alt.rank_bound, adjoint.rank_bound) == (2, 2)
+    assert (min(alt.rank, len(alt.J)), min(adjoint.rank, len(adjoint.J))) == (3, 3)
+    for rep in (alt, adjoint):
+        first, *rest = rep.gens
+        broken = ((first[0][:1] + (first[0][1] + 1,) + first[0][2:],) + first[1:],)
+        off = ModuleRep(rep.labels, rep.I, rep.J, broken + tuple(rest))
+        assert off.rank_bound == min(rep.rank, len(rep.J))
+
+
+@st.composite
+def alternating_reps(draw):
+    d, k = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    gens = []
+    for _ in range(k):
+        upper = {(i, j): draw(st.integers(-4, 4)) for i in range(d) for j in range(i + 1, d)}
+        gens.append(tuple(tuple(upper[i, j] if i < j else -upper[j, i] if i > j else 0
+                                for j in range(d)) for i in range(d)))
+    index = tuple(range(1, d + 1))
+    return ModuleRep(tuple(range(k)), index, index, tuple(gens))
+
+
+ALTERNATING_RINGS = {"Z/8": (2, 3), "Z/9": (3, 2), "Z/27": (3, 3)}
+
+
+# naive_orbit_ask enumerates R^I points and R^B images for each, so it
+# checks the levels Z/p^k with |Z/p^k|^(I + B) <= 16^4; the census with r
+# forced to min(B, J), the elimination of every class to its full profile,
+# checks every level
+@settings(max_examples=40, deadline=None)
+@given(rep=alternating_reps(), ring_name=st.sampled_from(sorted(ALTERNATING_RINGS)))
+@example(rep=ModuleRep(("a",), (1, 2), (1, 2), (((0, 3), (-3, 0)),)), ring_name="Z/27")
+@example(rep=ModuleRep(("a", "b"), (1, 2, 3), (1, 2, 3),
+                       (((0, 1, 3), (-1, 0, 0), (-3, 0, 0)),
+                        ((0, 0, 2), (0, 0, 1), (-2, -1, 0)))), ring_name="Z/8")
+@example(rep=ModuleRep((), (1,), (1,), ()), ring_name="Z/9")  # rank 0
+def test_census_with_rank_bound_matches_full_elimination_and_oracle(rep, ring_name):
+    p, n = ALTERNATING_RINGS[ring_name]
+    ring = PadicQuotient(p, n)
+    full = min(rep.rank, len(rep.J))
+    assert rep.rank_bound == (min(full, len(rep.J) - 1) if rep.I else full)
+    assert profile_census(rep, ring) == profile_census(with_rank_bound(rep, full), ring)
+    coeffs = zeta_coefficients(rep, ring)
+    for k in range(1, n + 1):
+        if (p ** k) ** (len(rep.I) + rep.rank) <= 16 ** 4:
+            assert coeffs[k] == naive_orbit_ask(rep, PadicQuotient(p, k))
+
+
+@pytest.mark.parametrize("spec,prediction,params,p,n", [
+    ("alt:3", "classical_alt", {"d": 3}, 3, 4),
+    ("alt:3", "classical_alt", {"d": 3}, 5, 3),
+    ("alpha:3", "kite", {"m": 3, "n": 3}, 3, 3),
+], ids=["alt3-Z/81", "alt3-Z/125", "alpha3-Z/27"])
+def test_census_with_rank_bound_matches_full_elimination_and_catalog(spec, prediction,
+                                                                    params, p, n):
+    name, d = spec.split(":")
+    rep = classic_rep(name, int(d)) if name == "alt" else alpha_rep(int(d))
+    ring = PadicQuotient(p, n)
+    assert rep.rank_bound == min(rep.rank, len(rep.J)) - 1
+    budget = ring.cardinality() ** len(rep.I)
+    counts = profile_census(rep, ring, budget)
+    assert counts == profile_census(with_rank_bound(rep, min(rep.rank, len(rep.J))), ring,
+                                    budget)
+    assert zeta_coefficients(rep, ring, budget=budget) == predict(prediction,
+                                                                  **params).series(p, n)
+
+
+def test_census_below_the_rank_bound_is_wrong():
+    # r - 1 would stop classes that can still gain a valuation: the census
+    # of alt:3 over Z/9 changes, so a bound one too low cannot pass unseen
+    rep, ring = classic_rep("alt", 3), PadicQuotient(3, 2)
+    assert profile_census(with_rank_bound(rep, rep.rank_bound - 1), ring) != \
+        profile_census(rep, ring)
 
 
 # ---------------------------------------------------------------------------

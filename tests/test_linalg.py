@@ -233,8 +233,12 @@ def test_partial_smith_splits_off_the_block(case):
     m = Mat(R, rows, cols, tuple(R.from_int(x) for row in ints for x in row))
     units = [Mat(R, rows, cols, tuple(R.from_int(int(e == f)) for f in range(rows * cols)))
              for e in range(rows * cols)]
-    valuations, (block, carried_m, *unit_blocks) = partial_smith(m, stop, [m] + units)
+    valuations, (block, *carried) = partial_smith(m, stop, [m] + units)
     t = len(valuations)
+    if t == min(rows, cols):  # Z is empty, and no carried block is formed
+        assert carried == []
+        carried = [block] * (1 + len(units))  # each would be empty, of Z's shape
+    carried_m, *unit_blocks = carried
     assert carried_m == block
     flat_blocks = [[x for row in b for x in row] for b in unit_blocks]
     assert naive_rank_modp(flat_blocks, p) == (rows - t) * (cols - t)
@@ -268,14 +272,37 @@ class Unreadable(Mat):
                          ids=["full-rank-square", "t-equals-rows"])
 def test_partial_smith_leaves_the_carry_unread_when_z_is_empty(ints):
     # every pivot has valuation below stop, so Z has no rows or no columns,
-    # and each carried block is empty with Z's shape
+    # and no carried block is formed
     R = PadicQuotient(5, 3)
     rows, cols = len(ints), len(ints[0])
     m = mat_from_int_rows(R, ints)
     carried = [Unreadable(R, rows, cols, m.entries) for _ in range(3)]
     valuations, blocks = partial_smith(m, 2, carried)
     assert len(valuations) == min(rows, cols)
-    assert blocks == [[] for _ in range(4)]
+    assert blocks == [[]]
     tall = mat_from_int_rows(R, [list(col) for col in zip(*ints)])
     valuations, blocks = partial_smith(tall, 2, [Unreadable(R, cols, rows, tall.entries)])
-    assert blocks == [[[]] * (cols - rows)] * 2
+    assert blocks == [[[]] * (cols - rows)]
+
+
+@pytest.mark.parametrize("ints,bound,valuations", [
+    ([[1, 2], [2, 4]], 1, [0]),  # rank 1: Z = 0
+    ([[0, 5, -5], [-5, 0, 1], [5, -1, 0]], 2, [0, 0]),  # alternating: (1, 5, 5) is a kernel vector
+    ([[25, 0], [0, 0]], 1, []),  # no pivot below stop: the carry is replayed on Z
+], ids=["rank-one", "alternating", "below-bound"])
+def test_partial_smith_stops_at_the_bound(ints, bound, valuations):
+    # at bound pivots the search stops: Z is left as the row operations
+    # made it, 0 mod p^stop, and no carried matrix is read; below the bound
+    # the carry is replayed as without one
+    R = PadicQuotient(5, 3)
+    m = mat_from_int_rows(R, ints)
+    rows, cols = m.rows, m.cols
+    if len(valuations) == bound:
+        found, blocks = partial_smith(m, 2, [Unreadable(R, rows, cols, m.entries)], bound)
+        assert blocks[1:] == []
+    else:
+        found, blocks = partial_smith(m, 2, [m], bound)
+        assert blocks == partial_smith(m, 2, [m])[1]
+    assert found == valuations
+    assert all(R.valuation(z) >= 2 for row in blocks[0] for z in row)
+    assert len(blocks[0]) == rows - len(valuations)

@@ -38,3 +38,16 @@ def test_rank_census_refuses_units_divisible_by_a_prime(tmp_path):
     done = run_script(["rank_census.py", str(units), "5", "3"])
     assert (done.returncode, done.stdout) == (3, "")
     assert done.stderr == "error: u(1, 1) = 3 is divisible by the prime 3\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["rank_census.py", "nosuch.grid", "3"],
+    ["rank_census.py", "grids/sample_a.grid", "4"],
+    ["cc_table.py", "4"],
+], ids=["missing-grid", "composite-field", "composite-prime"])
+def test_scripts_refuse_input_errors(argv):
+    # an input error ends a script as it ends a gridask run: exit 3 with one
+    # error line and no table, not a traceback (exit 1, a mismatch's code)
+    done = run_script(argv)
+    assert (done.returncode, done.stdout) == (3, "")
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
