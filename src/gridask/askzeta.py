@@ -90,9 +90,13 @@ subspaces of F_5^3 for classic:sl:3, and 3,610 of the 56,632 of F_3^6 for
 alpha:3.  The budget bounds the number of subspaces.
 
 The certifiers eliminate each orbit of the torus of both reps' joint
-incidence system once: over a field they visit one point per orbit, and
-over Z/p^n a seeded draw whose orbit was drawn before reuses that orbit's
-profiles.
+incidence system once, and each elimination stops at the rep's rank bound,
+since every point they check is primitive.  Over a field they visit one
+point per orbit.  Over Z/p^n they draw seeded points in batches of
+SAMPLE_BATCH and key a batch at once (torus.Torus.keys): the batch is
+grouped by valuation pattern, the cached per-coordinate terms are summed a
+column at a time, and the characters are read once per distinct sum.  A
+draw whose orbit was drawn before reuses that orbit's profiles.
 """
 from __future__ import annotations
 
@@ -113,6 +117,7 @@ from .predictions import Prediction
 from .rings import Ring
 
 DEFAULT_BUDGET = 10**7
+SAMPLE_BATCH = 256  # draws keyed at once: bounds the memory of a sampled check
 
 
 class BudgetExceeded(Exception):
@@ -254,10 +259,12 @@ def _class_lift(level: Ring, cx: Mat, basis: Sequence[Mat], bound: int):
     mod p^k.  constant holds the entries of K(0) and linear[i] those of
     K_i, mod p and row by row.  bound is the module's rank bound r: a lift
     x is primitive, so t + s <= r, and at t = r the elimination stops and
-    carries nothing (linear is empty).
+    carries nothing, and no K is read: constant and linear are empty.
     """
     p, k = level.p, level.cap
     valuations, (block, *blocks) = partial_smith(cx, k - 1, basis, bound)
+    if len(valuations) == bound:
+        return valuations, (), []
     constant = tuple(level.exact_div(z, k - 1) for row in block for z in row)
     linear = [tuple(z % p for row in b for z in row) for b in blocks]
     return valuations, constant, linear
@@ -445,29 +452,39 @@ def _coker_is_free_of_rank(profile: Sequence[int], cap: int, cols: int, l: int) 
 
 def _sampled_points(ring: Ring, dim: int, samples: int, seed: int, all_units: bool):
     """`samples` seeded draws from ring^dim with every coordinate a unit
-    (all_units) or, redrawn until so, some coordinate a unit."""
+    (all_units) or, redrawn until so, some coordinate a unit, in lists of
+    at most SAMPLE_BATCH.  random.Random(seed).choice picks one coordinate
+    after another, and a redraw takes the next dim picks, so a list is the
+    next picks cut into points, less those without a unit coordinate."""
     choice = random.Random(seed).choice
     pool = list(ring.units() if all_units else ring.elements())
-    for _ in range(samples if dim or all_units else 0):  # ring^0 has no unit coordinate
-        x = tuple([choice(pool) for _ in range(dim)])
-        while not all_units and not any(map(ring.is_unit, x)):
-            x = tuple([choice(pool) for _ in range(dim)])
-        yield x
+    left = samples if dim or all_units else 0  # ring^0 has no unit coordinate
+    while left:
+        size, batch = min(left, SAMPLE_BATCH), []
+        while len(batch) < size:
+            need = size - len(batch)
+            picks = map(choice, itertools.repeat(pool, need * dim))
+            points = zip(*[picks] * dim) if dim else [()] * need
+            batch += points if all_units else [x for x in points if any(map(ring.is_unit, x))]
+        left -= size
+        yield batch
 
 
 def _certify(reps: Sequence[ModuleRep], ring: Ring, holds, all_units: bool,
              samples: int, seed: int, budget: int) -> PointReport:
     """The certifiers' one loop: a violation wherever holds(*profiles), the
     divisor profiles of C(x) for each rep, fails at a point x with every
-    (all_units) or some coordinate a unit.  A torus element t of the reps'
-    joint incidence system keeps every profile, so each torus orbit is
+    (all_units) or some coordinate a unit.  Such an x is primitive, so each
+    elimination stops at the rep's rank bound.  A torus element t of the
+    reps' joint incidence system keeps every profile, so each torus orbit is
     eliminated once.  Over F_q, within the budget on q^I, x runs over one
-    point per orbit and certifies, or reports, the whole orbit.  Over Z/p^n,
-    within the budget on |R| (the size of the log table behind the keys),
-    x runs over seeded draws, each keyed by the characters of its orbit
-    (torus.Torus.key), and a draw whose orbit was drawn before reuses that
-    orbit's profiles.  The report keeps the first 10 violating points, in
-    lexicographic order over a field and in draw order over Z/p^n.
+    point per orbit and certifies, or reports, the whole orbit.  Over
+    Z/p^n, within the budget on |R| (the size of the log table behind the
+    keys), x runs over seeded draws, keyed a batch at a time by the
+    characters of their orbits (torus.Torus.keys), and a draw whose orbit
+    was drawn before reuses that orbit's profiles.  The report keeps the
+    first 10 violating points, in lexicographic order over a field and in
+    draw order over Z/p^n.
     """
     dim = len(reps[0].I)
     group = torus.Torus(torus.weights(*reps), ring)
@@ -475,28 +492,32 @@ def _certify(reps: Sequence[ModuleRep], ring: Ring, holds, all_units: bool,
         size = ring.cardinality() ** dim
         if size > budget:
             raise BudgetExceeded(f"{size} points exceed budget {budget}")
-        mode, points = "exhaustive", group.orbits(dim, all_units)
+        # the walk meets each orbit once, so nothing is kept
+        mode, points = "exhaustive", ((x, m, None) for x, m in group.orbits(dim, all_units))
     else:
         if ring.cardinality() > budget:
             raise BudgetExceeded(f"{ring.cardinality()} log-table entries exceed budget {budget}")
         mode = "sample"
-        points = ((x, 1) for x in _sampled_points(ring, dim, samples, seed, all_units))
-    profiles_of = {}  # Z/p^n: orbit key -> profiles
+        points = ((x, 1, key) for batch in _sampled_points(ring, dim, samples, seed, all_units)
+                  for x, key in zip(batch, group.keys(batch)))
+    verdicts = {}  # Z/p^n: orbit key -> (holds, profiles)
     violations = []
     checked = 0
-    for x, size in points:
+    for x, size, key in points:
         checked += size
-        # over F_q the walk meets each orbit once, so nothing is kept
-        key = group.key(x) if mode == "sample" else None
-        profiles = profiles_of.get(key)
-        if profiles is None:
-            profiles = tuple(divisor_profile(rep.orbit_matrix_at(ring, x)) for rep in reps)
+        known = verdicts.get(key)
+        if known is None:
+            profiles = tuple(divisor_profile(rep.orbit_matrix_at(ring, x), rep.rank_bound)
+                             for rep in reps)
+            known = holds(*profiles), profiles
             if key is not None:
-                profiles_of[key] = profiles
-        if holds(*profiles):
+                verdicts[key] = known
+        passed, profiles = known
+        if passed:
             continue
         if mode == "sample":
-            violations = (violations + [(x,) + profiles])[:10]
+            if len(violations) < 10:
+                violations.append((x,) + profiles)
         else:
             violations = heapq.nsmallest(10, violations + [(y,) + profiles
                                                            for y in group.orbit(x)])

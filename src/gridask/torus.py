@@ -22,7 +22,9 @@ L_S is spanned by the weights restricted to the support S and by
 ord_i e_i, ord_i the order of the generator mod p^(n - v_i).  A triangular
 basis H of L_S (echelon) with diagonal h gives the key (the characters
 l -> l X mod N, X = N H^-1 and N = prod h_i, vanish exactly on L_S and add
-over coordinates), one representative per orbit (the box 0 <= l_i < h_i)
+over coordinates, so Torus.keys sums one cached term per coordinate value, a
+column of a batch at a time, and reads the characters once per distinct
+sum), one representative per orbit (the box 0 <= l_i < h_i)
 and the orbit size prod ord_i / prod h_i.  The box is a product over
 coordinates and h_i depends only on v_0 .. v_i, so orbits walks the
 patterns depth-first: v_i = 0 .. n extends the parent's echelon by one
@@ -36,7 +38,7 @@ from __future__ import annotations
 import itertools
 from functools import cached_property, partial
 from math import prod
-from operator import getitem
+from operator import add
 from typing import Sequence
 
 from .rings import Ring
@@ -214,8 +216,8 @@ def _character_terms(lattices, splits, zero, v):
 
 class Torus:
     """The torus of the weights acting on the points of ring^dim: one point
-    and the size of each orbit, the key of a point's orbit, and the points
-    of an orbit."""
+    and the size of each orbit, the orbit keys of a batch of points, and
+    the points of an orbit."""
 
     def __init__(self, weights: Sequence[Sequence[int]], ring: Ring) -> None:
         self.weights, self.ring, self.units = weights, ring, _Units(ring)
@@ -268,13 +270,32 @@ class Torus:
             for x in itertools.product(*lists):
                 yield x, size
 
-    def key(self, x) -> tuple:
-        """The valuations of x and the characters of its logs (one cached
-        term per coordinate, summed): equal exactly on each orbit."""
-        v = tuple([self._splits[c][0] for c in x])
-        terms, chars = self._characters[v]
-        total = sum(map(getitem, terms, x))
-        return v, tuple([(total >> shift & mask) % m for _, _, m, shift, mask in chars])
+    def keys(self, points: Sequence) -> list:
+        """The key of each point's orbit, equal exactly on each orbit: its
+        valuations and the characters of its logs.  The points are grouped
+        by their valuations; within a group the cached terms are summed one
+        coordinate at a time over the whole group, and the characters are
+        read once per distinct sum."""
+        splits = self._splits
+        valuation = {c: splits[c][0] for c in set().union(*points)}
+        groups = {}
+        if any(valuation.values()):
+            for i, x in enumerate(points):
+                groups.setdefault(tuple(map(valuation.__getitem__, x)), []).append(i)
+        elif points:  # every coordinate a unit: one pattern
+            groups[(0,) * len(points[0])] = range(len(points))
+        out = [None] * len(points)
+        for v, members in groups.items():
+            terms, chars = self._characters[v]
+            totals = [0] * len(members)
+            for table, column in zip(terms, zip(*[points[i] for i in members])):
+                totals = list(map(add, totals, map(table.__getitem__, column)))
+            keyed = {total: (v, tuple([(total >> shift & mask) % m
+                                       for _, _, m, shift, mask in chars]))
+                     for total in set(totals)}
+            for i, total in zip(members, totals):
+                out[i] = keyed[total]
+        return out
 
     def orbit(self, x) -> list:
         """Every point of the orbit of x: its logs plus each element of the

@@ -171,10 +171,14 @@ def test_lifting_identity_matches_profile_oracle(case):
         level, naive_orbit_matrix(rep, level, [c % top for c in x]), basis, rep.rank_bound)
     y = [c // top for c in x]
     t = len(valuations)
-    K = Mat(PadicQuotient(p), rep.rank - t, len(rep.J) - t,
-            tuple((z + sum(yi * b[e] for yi, b in zip(y, linear))) % p
-                  for e, z in enumerate(constant)))
-    s = rank(K)
+    if t == rep.rank_bound:  # the class stopped at r pivots: K is neither formed nor ranked
+        assert (constant, linear) == ((), [])
+        s = 0
+    else:
+        K = Mat(PadicQuotient(p), rep.rank - t, len(rep.J) - t,
+                tuple((z + sum(yi * b[e] for yi, b in zip(y, linear))) % p
+                      for e, z in enumerate(constant)))
+        s = rank(K)
     assembled = sorted(valuations + [k - 1] * s + [k] * (min(rep.rank, len(rep.J)) - t - s))
     C = naive_orbit_matrix(rep, level, x)
     assert tuple(assembled) == naive_divisor_profile([C.row(b) for b in range(C.rows)], p, k)
@@ -842,3 +846,61 @@ def test_sampled_certifiers_eliminate_each_drawn_unit_orbit_once(check, reps, di
     report = check(ring)
     assert len(count) == len(reps) * len(orbits) < len(reps) * len(set(draws))
     assert report.passed and report.checked == 2000
+
+
+BATCH = askzeta.SAMPLE_BATCH
+
+
+@pytest.mark.parametrize("samples", [1, BATCH, BATCH + 1, 3 * BATCH + 7])
+@pytest.mark.parametrize("dim", [0, 1, 2, 3])
+@pytest.mark.parametrize("all_units", [True, False], ids=["all-units", "some-unit"])
+@pytest.mark.parametrize("p,n", [(2, 3), (3, 2), (5, 2)], ids=["Z/8", "Z/9", "Z/25"])
+def test_sampled_batches_concatenate_to_the_draw_oracle(samples, dim, all_units, p, n):
+    # the batches are full but for the last, and together they are the
+    # oracle's stream, redraws included, across every batch boundary
+    batches = list(askzeta._sampled_points(PadicQuotient(p, n), dim, samples, 17, all_units))
+    draws = seeded_draws(p, n, dim, samples, 17, all_units)
+    assert [x for batch in batches for x in batch] == draws
+    assert [len(batch) for batch in batches] == (
+        [BATCH] * (len(draws) // BATCH) + [len(draws) % BATCH] * bool(len(draws) % BATCH))
+
+
+@pytest.mark.parametrize("reps,l,seed", [
+    (lambda: _board_in_mat("sample_d"), None, 3),
+    (lambda: (load_board("sample_d"),), 0, 0),
+], ids=["orbital-sample_d", "constant-rank-sample_d"])
+def test_sampled_violations_across_batches_match_draw_oracle(reps, l, seed):
+    # over Z/25 the first 10 violating draws fall in two batches, and the
+    # report still lists them in draw order; l is None for the orbital check
+    reps, ring = reps(), PadicQuotient(5, 2)
+    if l is None:
+        report = orbital_equivalence_check(*reps, ring, samples=600, seed=seed)
+        checked, bad = naive_sampled_orbital(*reps, 5, 2, 600, seed)
+    else:
+        report = constant_rank_check(*reps, ring, l, samples=600, seed=seed)
+        checked, bad = naive_sampled_constant_rank(*reps, 5, 2, l, 600, seed)
+    draws = seeded_draws(5, 2, len(reps[0].I), 600, seed, l is None)
+    assert len({draws.index(v[0]) // BATCH for v in bad[:10]}) > 1
+    assert (report.checked, report.passed) == (checked, False)
+    assert list(report.violations) == bad[:10]
+
+
+@pytest.mark.parametrize("ring", [F5, PadicQuotient(3, 2)], ids=["F5", "Z/9"])
+@pytest.mark.parametrize("check,reps", [
+    (lambda reps, R: orbital_equivalence_check(*reps, R, samples=500),
+     lambda: (alpha_rep(3), alphahat_rep(3))),
+    (lambda reps, R: constant_rank_check(*reps, R, 0, samples=500),
+     lambda: (load_board("sample_d"),)),
+], ids=["orbital-alpha3", "constant-rank-sample_d"])
+def test_certifier_eliminations_stop_at_the_rank_bound(check, reps, ring, monkeypatch):
+    # every certified point is primitive, so each elimination is passed its
+    # rep's rank bound (alpha:3 has r = 5 < min(B, J) = 6)
+    reps, bounds = reps(), []
+
+    def spy(m, bound=None):
+        bounds.append(bound)
+        return divisor_profile(m, bound)
+
+    monkeypatch.setattr(askzeta, "divisor_profile", spy)
+    check(reps, ring)
+    assert bounds and bounds == [rep.rank_bound for rep in reps] * (len(bounds) // len(reps))

@@ -80,15 +80,16 @@ def test_orbits_and_keys_match_orbit_oracle(rep, ring_name):
     dim = len(rep.I)
     weights = torus.weights(rep)
     group = torus.Torus(weights, ring)
+    points = [x for x in itertools.product(list(ring.elements()), repeat=dim)
+              if any(ring.is_unit(c) for c in x)]
     groups = {}
-    for x in itertools.product(list(ring.elements()), repeat=dim):
-        if any(ring.is_unit(c) for c in x):
-            groups.setdefault(group.key(x), set()).add(x)
+    for x, key in zip(points, group.keys(points)):
+        groups.setdefault(key, set()).add(x)
     found = list(group.orbits(dim, False))
     assert len(found) == len(groups)
-    for x, size in found:
+    for (x, size), key in zip(found, group.keys([x for x, _ in found])):
         orbit = torus_orbit(ring, weights, x)
-        assert orbit == groups[group.key(x)] == set(group.orbit(x))
+        assert orbit == groups[key] == set(group.orbit(x))
         assert size == len(orbit)
     q, units = ring.cardinality(), len(list(ring.units()))
     assert sum(size for _, size in found) == q**dim - (q - units) ** dim
@@ -166,12 +167,53 @@ def test_keys_group_the_joint_torus(ring, groups):
     # keyed as its orbit under Torus.orbits and Torus.orbit
     group = torus.Torus(torus.weights(alpha_rep(3), alphahat_rep(3)), ring)
     orbits = {}
-    for x, size in group.orbits(6, True):
+    found = list(group.orbits(6, True))
+    for (x, size), key in zip(found, group.keys([x for x, _ in found])):
         orbit = group.orbit(x)
         assert len(set(orbit)) == size
-        orbits[group.key(x)] = set(orbit)
+        orbits[key] = set(orbit)
     assert len(orbits) == groups
     keyed = {}
-    for x in itertools.product(list(ring.units()), repeat=6):
-        keyed.setdefault(group.key(x), set()).add(x)
+    points = list(itertools.product(list(ring.units()), repeat=6))
+    for x, key in zip(points, group.keys(points)):
+        keyed.setdefault(key, set()).add(x)
     assert keyed == orbits
+
+
+KEY_RINGS = {"Z/8": PadicQuotient(2, 3), "Z/9": PadicQuotient(3, 2), "Z/27": PadicQuotient(3, 3)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(rep=tiny_reps(size=3), ring_name=st.sampled_from(sorted(KEY_RINGS)), data=st.data())
+@example(rep=ModuleRep(("a",), (1, 2, 3), (1, 2), (((1, 0), (0, 2), (1, 1)),)),
+         ring_name="Z/27", data=None)
+def test_batched_keys_match_orbit_oracle(rep, ring_name, data):
+    # a batch of points of mixed valuations, zeros and non-units among units,
+    # is keyed alike exactly where the breadth-first orbits agree, and each
+    # point's key in the batch is its key alone
+    ring = KEY_RINGS[ring_name]
+    elems, dim = list(ring.elements()), len(rep.I)
+    point = st.tuples(*[st.sampled_from(elems)] * dim)
+    if data is None:
+        points = [(1, 3, 9), (0, 6, 18), (2, 3, 0), (1, 3, 9), (4, 12, 9), (8, 24, 0)]
+    else:
+        points = data.draw(st.lists(point, max_size=12))
+    weights = torus.weights(rep)
+    group = torus.Torus(weights, ring)
+    keys = group.keys(points)
+    assert keys == [group.keys([x])[0] for x in points]
+    orbits = {}
+    for x in points:
+        orbits.setdefault(x, torus_orbit(ring, weights, x))
+    for x, kx in zip(points, keys):
+        for y, ky in zip(points, keys):
+            assert (kx == ky) == (y in orbits[x])
+
+
+def test_keys_of_no_points_and_in_dimension_zero():
+    # an empty batch has no keys; the one point () of ring^0 has one orbit
+    group = torus.Torus(torus.weights(alpha_rep(3)), PadicQuotient(3, 2))
+    assert group.keys([]) == []
+    empty = torus.Torus((), PadicQuotient(3, 2))
+    assert empty.keys([]) == []
+    assert empty.keys([(), (), ()]) == [empty.keys([()])[0]] * 3
