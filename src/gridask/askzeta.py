@@ -21,7 +21,7 @@ each level R.level(k), for every k <= R.cap, and ask over R is the last
 of them.  Every level is the ring's own (Ring.level), so nothing here
 builds a ring.
 
-The census visits one point per torus orbit, level by level, by two exact
+The census visits one point per torus orbit of one level, by three exact
 identities over R = Z/p^n (a field F_q has n = 1):
 
 - the torus (gridask.torus): for integer weights a on I, b on the
@@ -33,47 +33,48 @@ identities over R = Z/p^n (a field F_q has n = 1):
   generators the ring supplies, Ring.unit_generators: one of full order
   for odd p and for F_q, -1 and 5 for p = 2) move by the lattice L_S
   spanned by the weights on the support S and by ord_i e_i, ord_i the
-  order of the generator mod p^(n - v_i) (Ring.unit_orders).  A triangular basis of L_S with diagonal h gives
-  one point per orbit and the orbit size prod ord_i / prod h_i;
-- level recursion: every x != 0 in R^I is p^(n-e) x' for one x' in P_e,
-  the primitive points over Z/p^e (some coordinate a unit), and the
-  divisor profile of p^(n-e) B over Z/p^n is that of B over Z/p^e with
-  every entry raised by n - e.
+  order of the generator mod p^(n - v_i) (Ring.unit_orders).  A
+  triangular basis of L_S with diagonal h gives one point per orbit and
+  the orbit size prod ord_i / prod h_i;
+- level recursion: every x != 0 in R^I is p^j x' for one j < n and one
+  x' in P_(n-j), the primitive points over Z/p^(n-j) (some coordinate a
+  unit), and the divisor profile of p^j B over Z/p^n is that of B over
+  Z/p^(n-j) with every entry raised by j;
+- reduction: x -> x mod p^e maps P_n onto P_e, each point with
+  p^((n-e) I) preimages, and caps every Smith valuation at e.  So the
+  census of P_e is that of P_n capped at e, divided by p^((n-e) I).
 
-So the census counts x = 0 once, with C(0) = 0, and then the profiles of
-each level P_e, e = 1..n, raised by n - e, each level taken over one point
-per torus orbit weighted by the orbit size.  One census over Z/p^n gives
-ask over every Z/p^k, k <= n, with each valuation capped at k: the points
-of Z/p^k each have the same number of lifts.
+So the census computes one level, P_n.  It counts x = 0 once, with
+C(0) = 0, and the points p^j P_(n-j), j = 0 .. n - 1, with the profiles v
+of P_n raised by j and capped at n, min(v + j, n): the count of each such
+profile, summed over P_n, is divided by p^(j I) (exactly, but only once
+summed).  The same reduction gives ask over every Z/p^k, k <= n, from one
+census over Z/p^n, with each valuation capped at k.
 
-The levels come in pairs: level k >= 2 is lifted from level k - 1, and
-the same pass gives the census of level k - 1.  So levels n, n - 2, ..
-are lifted, and level 1 is walked, one point per torus orbit, only when
-n is odd.  Each x in P_k is x' + p^(k-1) y, with x' in P_(k-1) and y
-over F_p, and a torus element maps the lifts of x' onto those of its
-image, so x' runs over one class per torus orbit over Z/p^(k-1) (with
-mixed valuations from k = 3 on), weighted by its orbit size.  C(x') is
-eliminated once over Z/p^k, to diag(p^v_1 .. p^v_t) + Z with every
-v_i <= k - 2 and Z = 0 mod p^(k-1) (linalg.partial_smith), and the basis
-matrices C(e_i) are carried through the same row and column operations
-to blocks K_i at Z's rows and columns.  As
-C(x) = C(x') + p^(k-1) sum_i y_i C(e_i), the divisor profile of C(x)
-over Z/p^k is v_1 .. v_t, then k - 1 as often as the rank over F_p of
-the affine matrix K(y) = Z / p^(k-1) + sum_i y_i K_i, then k: every
-cross term is a multiple of p^(2(k-1) - v), which is 0 mod p^k.  The
+Level 1, over F_p or F_q, is walked at one point per torus orbit.  Level
+n >= 2 is lifted from level n - 1.  Each x in P_n is x' + p^(n-1) y, with
+x' in P_(n-1) and y over F_p, and a torus element maps the lifts of x'
+onto those of its image, so x' runs over one class per torus orbit over
+Z/p^(n-1) (with mixed valuations from n = 3 on), weighted by its orbit
+size.  C(x') is eliminated once over Z/p^n, to diag(p^v_1 .. p^v_t) + Z
+with every v_i <= n - 2 and Z = 0 mod p^(n-1) (linalg.partial_smith), and
+the basis matrices C(e_i) are carried through the same row and column
+operations to blocks K_i at Z's rows and columns.  As
+C(x) = C(x') + p^(n-1) sum_i y_i C(e_i), the divisor profile of C(x)
+over Z/p^n is v_1 .. v_t, then n - 1 as often as the rank over F_p of
+the affine matrix K(y) = Z / p^(n-1) + sum_i y_i K_i, then n: every
+cross term is a multiple of p^(2(n-1) - v), which is 0 mod p^n.  The
 values of K over all y are K(0) plus the span of the K_i, each taken
-equally often, so level k costs one elimination over Z/p^k per class and
+equally often, so the level costs one elimination over Z/p^n per class and
 one rank over F_p per value of K, each value one vector addition from the
 last (an odometer over the span's coefficients).  When the span is all of
 M_(r x c)(F_p), K runs over every r x c matrix once and nothing is ranked:
 [c choose s]_p prod_(i < s) (p^r - p^i) of them have rank s.  The basis
 matrices are carried only while the class can gain a valuation: each x
-in P_k is primitive, so C(x) has at most r = ModuleRep.rank_bound
-valuations below k, and a class with t = r pivots, where its elimination
-stops, gives every lift the profile v_1 .. v_t, then k (level 1 also
-stops at r pivots).  The elimination reduced mod p^(k-1)
-leaves diag(p^v_1 .. p^v_t) and 0, so over Z/p^(k-1) the class x' itself
-has the profile v_1 .. v_t, then k - 1: level k - 1 costs nothing more.
+in P_n is primitive, so C(x) has at most r = ModuleRep.rank_bound
+valuations below n, and a class with t = r pivots, where its elimination
+stops, gives every lift the profile v_1 .. v_t, then n (level 1 also
+stops at r pivots).
 
 Rank distributions over F_q read no census: they count subspaces of the
 kernels.  A j-dimensional subspace U of F_q^I with basis u_1 .. u_j lies
@@ -133,38 +134,35 @@ def profile_census(rep: ModuleRep, ring: Ring, budget: int = DEFAULT_BUDGET) -> 
     """Divisor profile of C(x) over ring -> the number of x in ring^I with
     it, once |ring|^I is within the budget.
 
-    x = 0 is counted once.  The levels come in pairs: the lift of level
-    k >= 2 from the torus classes of P_(k-1) also gives the census of level
-    k - 1 (_lifted_level_census), so levels n, n - 2, .. are lifted, and
-    level 1 is walked, one point per torus orbit weighted by the orbit
-    size, only when n is odd.  Each distinct profile of level e is raised
-    by n - e once (see the module docstring).
+    Only the primitive points P_n are visited: over a field one point per
+    torus orbit weighted by the orbit size, over Z/p^n, n >= 2, lifted from
+    the torus classes of P_(n-1) (_lifted_level_census).  x = 0 is counted
+    once, and the points p^j P_(n-j) from the census of P_n reduced mod
+    p^(n-j) and raised by j (see the module docstring).
     """
     dI, n = len(rep.I), ring.cap
     size = ring.cardinality() ** dI
     if size > budget:
         raise BudgetExceeded(f"{size} census points exceed budget {budget}")
-    levels = []  # (e, census of level e)
-    for k in range(n, 1, -2):
-        levels += zip((k, k - 1), _lifted_level_census(rep, ring, k))
-    if n % 2:
-        first = ring.level(1)
-        walk = Counter()
-        for x, m in torus.Torus(rep.weights, first).orbits(dI, False):
-            walk[divisor_profile(rep.orbit_matrix_at(first, x), rep.rank_bound)] += m
-        levels.append((1, walk))
+    if n == 1:
+        top = Counter()
+        for x, m in torus.Torus(rep.weights, ring).orbits(dI, False):
+            top[divisor_profile(rep.orbit_matrix_at(ring, x), rep.rank_bound)] += m
+    else:
+        top = _lifted_level_census(rep, ring)
     counts = Counter({(n,) * min(rep.rank, len(rep.J)): 1})
-    for e, level in levels:
-        for prof, m in level.items():
-            counts[tuple(v + n - e for v in prof)] += m
+    for j in range(n):
+        raised = Counter()
+        for prof, m in top.items():
+            raised[tuple(min(v + j, n) for v in prof)] += m
+        for prof, m in raised.items():  # p^(j I) points of P_n reduce to each of P_(n-j)
+            counts[prof] += m // ring.p ** (j * dI)
     return counts
 
 
-def _lifted_level_census(rep: ModuleRep, ring: Ring, k: int) -> tuple[Counter, Counter]:
-    """The divisor profiles over the level Z/p^k of ring, k >= 2, of C(x)
-    at the points of P_k, lifted from the torus classes of P_(k-1), and
-    those over Z/p^(k-1) at the points of P_(k-1), read from the same
-    classes.
+def _lifted_level_census(rep: ModuleRep, ring: Ring) -> Counter:
+    """The divisor profiles over ring = Z/p^k, k >= 2, of C(x) at the
+    points of P_k, lifted from the torus classes of P_(k-1).
 
     The points of P_k are x = x' + p^(k-1) y, for x' in P_(k-1) (entries in
     [0, p^(k-1))) and y in F_p^I.  A torus element maps the lifts of x'
@@ -180,23 +178,19 @@ def _lifted_level_census(rep: ModuleRep, ring: Ring, k: int) -> tuple[Counter, C
     No point of P_k has more than r = rep.rank_bound valuations below k,
     so a class with t = r pivots gives every lift its valuations, then k:
     its elimination stops there, and nothing is carried or ranked.
-    The elimination reduced mod p^(k-1) leaves diag(p^v_1 .. p^v_t) and 0,
-    so the class itself has the profile v_1 .. v_t, then k - 1, over
-    Z/p^(k-1).
     """
-    level, residue = ring.level(k), ring.level(1)
-    p, dI, dJ = ring.p, len(rep.I), len(rep.J)
+    p, k = ring.p, ring.cap
+    residue, dI, dJ = ring.level(1), len(rep.I), len(rep.J)
     steps, bound = min(rep.rank, dJ), rep.rank_bound
     # C(e_i), the orbit matrix at each basis vector, carried by every class
-    basis = [Mat(level, rep.rank, dJ, tuple(level.from_int(g[i][j])
-                                            for g in rep.gens for j in range(dJ)))
+    basis = [Mat(ring, rep.rank, dJ, tuple(ring.from_int(g[i][j])
+                                           for g in rep.gens for j in range(dJ)))
              for i in range(dI)]
-    counts, below = Counter(), Counter()
+    counts = Counter()
     for x, n in torus.Torus(rep.weights, ring.level(k - 1)).orbits(dI, False):
-        valuations, constant, linear = _class_lift(level, rep.orbit_matrix_at(level, x),
+        valuations, constant, linear = _class_lift(ring, rep.orbit_matrix_at(ring, x),
                                                    basis, bound)
         head, t = tuple(sorted(valuations)), len(valuations)
-        below[head + (k - 1,) * (steps - t)] += n
         if t == bound:  # no lift has another valuation below k
             counts[head + (k,) * (steps - t)] += n * p ** dI
             continue
@@ -214,7 +208,7 @@ def _lifted_level_census(rep: ModuleRep, ring: Ring, k: int) -> tuple[Counter, C
         for entries in _span_values(constant, span, p):
             s = rank(Mat(residue, *shape, entries))
             counts[head + (k - 1,) * s + (k,) * (steps - t - s)] += share
-    return counts, below
+    return counts
 
 
 def _span_values(constant: Sequence[int], span: Sequence[Sequence[int]], p: int):
@@ -296,11 +290,10 @@ def zeta_coefficients(rep: ModuleRep, ring: Ring, method: str = "orbit",
                       budget: int = DEFAULT_BUDGET) -> list[Fraction]:
     """[c_0, ..., c_n], n = ring.cap, with c_k = ask over ring.level(k)
     (c_0 = 1), every c_k read from one census over ring with the profiles
-    capped at k: the census of C(x) for the orbit method (levels n, n - 2,
-    .. lifted from the torus classes of the level below, which they give as
-    well, and level 1 walked at one point per torus orbit when n is odd;
-    see the module docstring), of the elements for the direct method.  The
-    budget bounds |ring|^I, or |ring|^B for the direct method.
+    capped at k: the census of C(x) for the orbit method (the level ring
+    itself, lifted from the torus classes of the level below; see the
+    module docstring), of the elements for the direct method.  The budget
+    bounds |ring|^I, or |ring|^B for the direct method.
     """
     if method == "orbit":
         counts = profile_census(rep, ring, budget)

@@ -406,12 +406,11 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("dump-rep")
     p.add_argument("--rep", required=True)
     p.add_argument("-o", "--output")
-    common(p)
     p.set_defaults(func=_cmd_dump_rep)
 
-    p = sub.add_parser("batch")
+    p = sub.add_parser("batch")  # each line keeps its own seed and budget
     p.add_argument("manifest")
-    common(p)
+    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_batch)
 
     return parser

@@ -69,6 +69,14 @@ class ModuleRep:
         return len(self.labels)
 
     @cached_property
+    def alternating(self) -> bool:
+        """Every generator square and alternating, a_{bij} = -a_{bji} (over
+        Z this puts 0 on the diagonal)."""
+        d = len(self.I)
+        return len(self.J) == d and all(g[i][j] == -g[j][i] for g in self.gens
+                                        for i in range(d) for j in range(d))
+
+    @cached_property
     def rank_bound(self) -> int:
         """r >= the number of divisor valuations of C(x) below the cap at
         every primitive x (some coordinate a unit), over every ring: min(B,
@@ -81,8 +89,7 @@ class ModuleRep:
         B, dI, dJ = self.rank, len(self.I), len(self.J)
         bound = min(B, dJ)
         gens = self.gens
-        if dI == dJ > 0 and all(g[i][j] == -g[j][i] for g in gens
-                                for i in range(dI) for j in range(dI)):
+        if self.alternating and dJ > 0:
             bound = min(bound, dJ - 1)
         if B == dI > 0 and all(gens[b][i][j] == -gens[i][b][j] for b in range(B)
                                for i in range(B) for j in range(dJ)):

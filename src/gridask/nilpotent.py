@@ -183,19 +183,6 @@ def conjugacy_count_bch(alg: GradedAlgebra, p: int, n: int = 1,
 # Groups from alternating forms.
 # ---------------------------------------------------------------------------
 
-def _check_alternating(rep: ModuleRep) -> None:
-    d = len(rep.I)
-    if len(rep.J) != d:
-        raise NotAlternating("forms must be square")
-    for g in rep.gens:
-        for i in range(d):
-            if g[i][i] != 0:
-                raise NotAlternating("nonzero diagonal entry")
-            for j in range(d):
-                if g[i][j] != -g[j][i]:
-                    raise NotAlternating("matrix is not alternating")
-
-
 def baer_group_cc(rep: ModuleRep, p: int, n: int = 1,
                   budget: int = askzeta.DEFAULT_BUDGET) -> int:
     """Conjugacy classes of the class-2 group on R^d x R^l, R = Z/p^n (for
@@ -207,7 +194,8 @@ def baer_group_cc(rep: ModuleRep, p: int, n: int = 1,
     """
     if p == 2:
         raise BadCharacteristic("needs odd p")
-    _check_alternating(rep)
+    if not rep.alternating:
+        raise NotAlternating("forms must be square and alternating")
     ring = PadicQuotient(p, n)
     return _class_count(ring.cardinality() ** rep.rank,
                         askzeta.ask_orbit(rep, ring, budget).value)

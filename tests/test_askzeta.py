@@ -16,7 +16,7 @@ from gridask.askzeta import (BudgetExceeded, ask, ask_orbit,
                              rank_distribution, verify_prediction,
                              zeta_coefficients)
 from gridask.boardgame import Family
-from gridask.cli import run
+from gridask.cli import build_rep, run
 from gridask.colouring import parse_grid
 from gridask.linalg import Mat, divisor_profile, rank
 from gridask.modrep import (ModuleRep, alpha_rep, alphahat_rep, board_rep,
@@ -316,12 +316,11 @@ def test_extension_field_census_eliminates_unit_orbit_representatives(monkeypatc
                          ids=["F5", "Z/9"])
 def test_orbit_enumerates_unit_orbit_representatives(ring, points, monkeypatch):
     # one orbit matrix per torus orbit of primitive points over a field, and
-    # over Z/p^k per torus class of level k - 1, which gives levels k and
-    # k - 1 at once.  The weights of alt:3 span Z^3, so each of the 7
+    # over Z/p^k per torus class of level k - 1, whose reduction gives the
+    # levels below.  The weights of alt:3 span Z^3, so each of the 7
     # supports in F_q^3 is one orbit: over F_5, 7 points where unit orbits
-    # took the 31 points of P^2; over Z/9, the 7 classes over F_3 give
-    # level 1 from their elimination over Z/9 and level 2 from the ranks
-    # over F_3 of their 7 * 27 lifts
+    # took the 31 points of P^2; over Z/9, the 7 classes over F_3, each
+    # eliminated once over Z/9, and the ranks over F_3 of their 7 * 27 lifts
     calls = counted_orbit_matrices(monkeypatch)
     rep = classic_rep("alt", 3)
     value = ask_orbit(rep, ring).value
@@ -331,9 +330,9 @@ def test_orbit_enumerates_unit_orbit_representatives(ring, points, monkeypatch):
 
 def test_zeta_coefficients_sum_each_level_once(monkeypatch):
     # c_1 and c_2 over Z/3, Z/9 from one pass over the 7 torus classes of
-    # level 1 (one matrix over Z/9 each), which gives both levels: walking
-    # level 1 on its own would make 7 more, and recomputing c_1 inside c_2
-    # 7 more again
+    # level 1 (one matrix over Z/9 each), whose census of level 2 reduces
+    # to level 1: walking level 1 on its own would make 7 more, and
+    # recomputing c_1 inside c_2 7 more again
     calls = counted_orbit_matrices(monkeypatch)
     coeffs = zeta_coefficients(classic_rep("alt", 3), PadicQuotient(3, 2))
     assert len(calls) == 7
@@ -343,13 +342,48 @@ def test_zeta_coefficients_sum_each_level_once(monkeypatch):
 def test_direct_zeta_takes_one_census(monkeypatch):
     # c_1..c_3 from the Z/27 census with profiles capped at k.  The dual's
     # torus weights span Z^3, so each valuation pattern of a primitive point
-    # is one orbit: 3^3 - 2^3 = 19 classes over Z/9 give levels 3 and 2,
-    # and level 1 is walked at 7 orbit matrices, 26 where unit orbits took
-    # 1,183 matrices (and lifting level 2 on its own 7 more)
+    # is one orbit: 3^3 - 2^3 = 19 classes over Z/9 give level 3, whose
+    # reduction gives levels 2 and 1, where unit orbits took 1,183 matrices
+    # (and walking level 1 on its own 7 more)
     calls = counted_orbit_matrices(monkeypatch)
     coeffs = zeta_coefficients(classic_rep("alt", 3), PadicQuotient(3, 3), method="direct")
-    assert len(calls) == 7 + 19
+    assert len(calls) == 19
     assert coeffs == predict("classical_alt", d=3).series(3, 3)
+
+
+def test_census_forms_orbit_matrices_only_at_the_top_level(monkeypatch):
+    # over Z/81 the census lifts the 4^3 - 3^3 = 37 torus classes of level 3
+    # (one per valuation pattern, as alt:3's weights span Z^3), each one
+    # matrix over Z/81; the levels below are reductions of level 4, so no
+    # matrix is formed over Z/27, Z/9 or F_3
+    rep, ring = classic_rep("alt", 3), PadicQuotient(3, 4)
+    classes = [x for x, _ in torus.Torus(rep.weights, ring.level(3)).orbits(3, False)]
+    formed = []
+    orbit_matrix_at = ModuleRep.orbit_matrix_at
+
+    def counted(self, level, x):
+        formed.append((level.cap, x))
+        return orbit_matrix_at(self, level, x)
+
+    monkeypatch.setattr(ModuleRep, "orbit_matrix_at", counted)
+    coeffs = zeta_coefficients(rep, ring)
+    assert len(classes) == 37
+    assert formed == [(4, x) for x in classes]
+    assert coeffs == predict("classical_alt", d=3).series(3, 4)
+
+
+@pytest.mark.parametrize("pn", [(2, 4), (3, 3)], ids=["Z/16", "Z/27"])
+@pytest.mark.parametrize("spec", [f"board:{GRIDS / 'sample_b.grid'}",
+                                  f"altboard:{GRIDS / 'adm_2x2.grid'}", "alpha:2"],
+                         ids=["board", "altboard", "alpha2"])
+def test_zeta_coefficients_match_a_census_at_each_level(spec, pn):
+    # c_k read from the census over Z/p^n, reduced mod p^k, against the last
+    # coefficient of a census over Z/p^k itself: level 1 walked, or level k
+    # lifted from the classes of level k - 1
+    rep = build_rep(spec)
+    p, n = pn
+    assert zeta_coefficients(rep, PadicQuotient(p, n)) == [F(1)] + [
+        zeta_coefficients(rep, PadicQuotient(p, k))[-1] for k in range(1, n + 1)]
 
 
 def test_direct_census_finds_the_dual_weights_once(monkeypatch):
@@ -377,8 +411,8 @@ def test_direct_zeta_matches_orbit_zeta(p, n_max):
             == zeta_coefficients(rep, PadicQuotient(p, n_max)))
 
 
-# levels come in pairs: Z/8 and Z/27 lift levels 3 (giving 3 and 2) and walk
-# level 1, Z/16 lifts levels 4 and 2 (giving all four).  naive_orbit_ask
+# Z/8 and Z/27 lift level 3 and Z/16 level 4, and reduce it to every level
+# below.  naive_orbit_ask
 # enumerates R^I points and R^B images for each, so |R|^(I + B) is kept at
 # most 16^4
 @settings(max_examples=30, deadline=None)

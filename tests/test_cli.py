@@ -559,6 +559,22 @@ def test_batch_shipped_manifest_passes(capsys, monkeypatch):
     assert report["counts"]["pass"] > 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["batch", "manifests/acceptance.txt", "--seed", "5"],
+    ["batch", "manifests/acceptance.txt", "--budget", "1"],
+    ["dump-rep", "--rep", "alpha:2", "--json"],
+    ["dump-rep", "--rep", "alpha:2", "--seed", "5"],
+    ["dump-rep", "--rep", "alpha:2", "--budget", "1"],
+])
+def test_verbs_refuse_options_they_never_read(argv, capsys, monkeypatch):
+    # batch ran every line at the default seed and budget whatever it was
+    # given, and reported the seed it was given; dump-rep always prints JSON
+    monkeypatch.chdir(ROOT)
+    assert run(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: unrecognized arguments")
+
+
 def test_batch_keeps_going_after_failure(tmp_path, capsys):
     manifest = tmp_path / "mixed.txt"
     manifest.write_text(

@@ -136,6 +136,17 @@ def test_altboard_generators_alternating():
                 assert g[i][j] == -g[j][i]
 
 
+def test_alternating_needs_square_antisymmetric_generators():
+    # one test for the rank bound and the Baer groups: a_{bij} = -a_{bji}
+    # on every generator, which over Z leaves 0 on the diagonal
+    assert classic_rep("alt", 3).alternating
+    assert altboard_rep(load("adm_2x3").colouring).alternating
+    assert ModuleRep((), (1, 2), (1, 2), ()).alternating  # no generator to break it
+    assert not classic_rep("sym", 2).alternating
+    assert not classic_rep("mat", 2, 3).alternating  # not square
+    assert not ModuleRep(("a",), (1, 2), (1, 2), (((1, 1), (-1, 0)),)).alternating
+
+
 def test_symboard_generators_symmetric():
     rep = symboard_rep(load("adm_2x2").colouring)
     for g in rep.gens:

@@ -40,14 +40,24 @@ def test_rank_census_refuses_units_divisible_by_a_prime(tmp_path):
     assert done.stderr == "error: u(1, 1) = 3 is divisible by the prime 3\n"
 
 
-@pytest.mark.parametrize("argv", [
-    ["rank_census.py", "nosuch.grid", "3"],
-    ["rank_census.py", "grids/sample_a.grid", "4"],
-    ["cc_table.py", "4"],
-], ids=["missing-grid", "composite-field", "composite-prime"])
-def test_scripts_refuse_input_errors(argv):
+@pytest.mark.parametrize("argv,code", [
+    (["rank_census.py", "nosuch.grid", "3"], 3),
+    (["rank_census.py", "grids/sample_a.grid", "4"], 3),
+    (["cc_table.py", "4"], 3),
+    (["sweep_colourings.py", "x"], 3),
+    (["sweep_colourings.py", "3", "3", "two"], 3),
+    (["sweep_colourings.py", "0", "3"], 3),  # used to sweep a grid with no cells
+    (["sweep_colourings.py", "3", "-1"], 3),
+    (["sweep_colourings.py", "2", "2", "-1"], 3),  # used to sweep the blank grid alone
+    (["sweep_colourings.py", "13", "1", "1"], 4),  # more rows than the game admits
+], ids=["missing-grid", "composite-field", "composite-prime", "sweep-rows-not-integer",
+        "sweep-colours-not-integer", "sweep-no-rows", "sweep-no-columns",
+        "sweep-negative-colours", "sweep-too-many-rows"])
+def test_scripts_refuse_input_errors(argv, code):
     # an input error ends a script as it ends a gridask run: exit 3 with one
-    # error line and no table, not a traceback (exit 1, a mismatch's code)
+    # error line and no table, not a traceback (exit 1, a mismatch's code);
+    # a budget exceeded ends it in exit 4
     done = run_script(argv)
-    assert (done.returncode, done.stdout) == (3, "")
-    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+    assert (done.returncode, done.stdout) == (code, "")
+    assert done.stderr.startswith({3: "error: ", 4: "budget exceeded: "}[code])
+    assert done.stderr.count("\n") == 1
