@@ -93,11 +93,18 @@ alpha:3.  The budget bounds the number of subspaces.
 The certifiers eliminate each orbit of the torus of both reps' joint
 incidence system once, and each elimination stops at the rep's rank bound,
 since every point they check is primitive.  Over a field they visit one
-point per orbit.  Over Z/p^n they draw seeded points in batches of
-SAMPLE_BATCH and key a batch at once (torus.Torus.keys): the batch is
-grouped by valuation pattern, the cached per-coordinate terms are summed a
-column at a time, and the characters are read once per distinct sum.  A
-draw whose orbit was drawn before reuses that orbit's profiles.
+point per orbit.  Over Z/p^n the report is that of seeded draws, but every
+draw lies in a torus orbit, so when the torus has no more orbits than
+draws (torus.Torus.orbit_count, which builds no point) the orbits are
+walked first, one elimination each: if every orbit holds, so does every
+draw, and nothing is drawn.  Only when an orbit fails, or the orbits
+outnumber the draws, are seeded points drawn, in batches of SAMPLE_BATCH,
+and keyed a batch at once (torus.Torus.keys): the batch is grouped by
+valuation pattern, the cached per-coordinate terms are summed a column at
+a time, and the characters are read once per distinct sum.  A draw whose
+orbit was walked or drawn before reuses that orbit's profiles.  The
+report still says mode "sample" with `checked` the number of draws, a
+weaker claim than the walk has checked.
 """
 from __future__ import annotations
 
@@ -473,14 +480,25 @@ def _certify(reps: Sequence[ModuleRep], ring: Ring, holds, all_units: bool,
     eliminated once.  Over F_q, within the budget on q^I, x runs over one
     point per orbit and certifies, or reports, the whole orbit.  Over
     Z/p^n, within the budget on |R| (the size of the log table behind the
-    keys), x runs over seeded draws, keyed a batch at a time by the
-    characters of their orbits (torus.Torus.keys), and a draw whose orbit
-    was drawn before reuses that orbit's profiles.  The report keeps the
-    first 10 violating points, in lexicographic order over a field and in
-    draw order over Z/p^n.
+    keys), the report is that of the seeded draws.  When the torus has at
+    most `samples` orbits, x first runs over one point per orbit, up to the
+    first that fails: if none fails, every draw holds, and the report is
+    the draws' with nothing drawn.  Otherwise x runs over the draws, keyed
+    a batch at a time by the characters of their orbits
+    (torus.Torus.keys), and a draw whose orbit was walked or drawn before
+    reuses that orbit's profiles.  The report keeps the first 10 violating
+    points, in lexicographic order over a field and in draw order over
+    Z/p^n.
     """
     dim = len(reps[0].I)
     group = torus.Torus(torus.weights(*reps), ring)
+
+    def verdict(x):
+        profiles = tuple(divisor_profile(rep.orbit_matrix_at(ring, x), rep.rank_bound)
+                         for rep in reps)
+        return holds(*profiles), profiles
+
+    verdicts = {}  # Z/p^n: orbit key -> (holds, profiles)
     if ring.cap == 1:
         size = ring.cardinality() ** dim
         if size > budget:
@@ -490,19 +508,25 @@ def _certify(reps: Sequence[ModuleRep], ring: Ring, holds, all_units: bool,
     else:
         if ring.cardinality() > budget:
             raise BudgetExceeded(f"{ring.cardinality()} log-table entries exceed budget {budget}")
+        if group.orbit_count(dim, all_units, samples) <= samples:
+            walked = {}  # representative -> verdict, up to the first failing orbit
+            for x, _ in group.orbits(dim, all_units):
+                known = walked[x] = verdict(x)
+                if not known[0]:
+                    break
+            else:  # every orbit holds, so every draw does
+                return PointReport(samples if dim or all_units else 0, (), "sample", True)
+            verdicts = dict(zip(group.keys(list(walked)), walked.values()))
         mode = "sample"
         points = ((x, 1, key) for batch in _sampled_points(ring, dim, samples, seed, all_units)
                   for x, key in zip(batch, group.keys(batch)))
-    verdicts = {}  # Z/p^n: orbit key -> (holds, profiles)
     violations = []
     checked = 0
     for x, size, key in points:
         checked += size
         known = verdicts.get(key)
         if known is None:
-            profiles = tuple(divisor_profile(rep.orbit_matrix_at(ring, x), rep.rank_bound)
-                             for rep in reps)
-            known = holds(*profiles), profiles
+            known = verdict(x)
             if key is not None:
                 verdicts[key] = known
         passed, profiles = known
@@ -520,7 +544,9 @@ def _certify(reps: Sequence[ModuleRep], ring: Ring, holds, all_units: bool,
 def constant_rank_check(rep: ModuleRep, ring: Ring, l: int, samples: int = 10**4,
                         seed: int = 0, budget: int = DEFAULT_BUDGET) -> PointReport:
     """Check coker C(x) = ring^l at every point with a unit coordinate (one
-    point per torus orbit over a field, seeded samples over Z/p^n)."""
+    point per torus orbit over a field; over Z/p^n, `samples` seeded draws,
+    decided on every torus orbit when there are no more orbits than draws,
+    and drawn only after an orbit fails)."""
     return _certify([rep], ring,
                     lambda prof: _coker_is_free_of_rank(prof, ring.cap, len(rep.J), l),
                     False, samples, seed, budget)
@@ -531,7 +557,9 @@ def orbital_equivalence_check(rep_big: ModuleRep, rep_sub: ModuleRep, ring: Ring
                               budget: int = DEFAULT_BUDGET) -> PointReport:
     """Equal divisor profiles of the two orbit matrices at every point with
     all coordinates units (over a field one point per orbit of the torus of
-    both reps, standing for its whole orbit; seeded samples over Z/p^n)."""
+    both reps, standing for its whole orbit; over Z/p^n, `samples` seeded
+    draws, decided on every torus orbit when there are no more orbits than
+    draws, and drawn only after an orbit fails)."""
     if rep_big.I != rep_sub.I or rep_big.J != rep_sub.J:
         raise ShapeMismatch("representations must share index sets")
     return _certify([rep_big, rep_sub], ring, lambda pb, ps: pb == ps, True,

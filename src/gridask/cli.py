@@ -35,6 +35,9 @@ from .colouring import NonUnitCoefficient, ParsedGrid, ParseError, parse_grid
 from .rings import PadicQuotient, Ring, RingError
 
 DEFAULT_SEED = 20240601
+SAMPLES_HELP = ("seeded draws over Z/p^n (the report's `checked`); when the torus has "
+                "no more orbits than draws, every orbit is checked once and points "
+                "are drawn only after an orbit fails")
 
 # Predictions whose closed forms exclude finitely many small primes; a
 # mismatch there at p in {2, 3} is reported as a soft failure.
@@ -146,7 +149,7 @@ def build_rep(spec: str, rings: Sequence[Ring] = ()) -> modrep.ModuleRep:
 
 
 def _header(args) -> dict:
-    return {"seed": getattr(args, "seed", DEFAULT_SEED)}
+    return {"seed": args.seed}
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +320,7 @@ def _cmd_batch(args) -> int:
             code = run(argv)
         results.append({"command": line, "exit": code})
         counts[{0: "pass", 2: "soft"}.get(code, "fail")] += 1
-    _emit({"header": _header(args), "results": results, "counts": counts}, args.json)
+    _emit({"results": results, "counts": counts}, args.json)
     if counts["fail"]:
         return 1
     if counts["soft"]:
@@ -381,7 +384,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--rank", type=non_negative_int, required=True)
     p.add_argument("--prime", type=int, required=True)
     p.add_argument("--n", type=int, default=1)
-    p.add_argument("--samples", type=positive_int, default=10**4)
+    p.add_argument("--samples", type=positive_int, default=10**4, help=SAMPLES_HELP)
     common(p)
     p.set_defaults(func=_cmd_constant_rank)
 
@@ -390,7 +393,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--sub", required=True)
     p.add_argument("--prime", type=int, required=True)
     p.add_argument("--n", type=int, default=1)
-    p.add_argument("--samples", type=positive_int, default=10**4)
+    p.add_argument("--samples", type=positive_int, default=10**4, help=SAMPLES_HELP)
     common(p)
     p.set_defaults(func=_cmd_orbital_check)
 
@@ -408,7 +411,7 @@ def _build_parser() -> _Parser:
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_dump_rep)
 
-    p = sub.add_parser("batch")  # each line keeps its own seed and budget
+    p = sub.add_parser("batch")  # each line keeps its own seed and budget, so no header
     p.add_argument("manifest")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_batch)

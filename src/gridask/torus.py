@@ -31,7 +31,8 @@ patterns depth-first: v_i = 0 .. n extends the parent's echelon by one
 column per generator, on rows reduced mod the top order (which every
 level's order divides, so top e_i lies in L_S whatever v_i is), and a
 leaf is the product of per-coordinate value lists: 0 off the support,
-and p^(v_i) times the unit of every log below h on it.
+and p^(v_i) times the unit of every log below h on it.  So a leaf holds
+prod h orbits, and orbit_count counts them without building a point.
 """
 from __future__ import annotations
 
@@ -216,8 +217,8 @@ def _character_terms(lattices, splits, zero, v):
 
 class Torus:
     """The torus of the weights acting on the points of ring^dim: one point
-    and the size of each orbit, the orbit keys of a batch of points, and
-    the points of an orbit."""
+    and the size of each orbit, the number of orbits, the orbit keys of a
+    batch of points, and the points of an orbit."""
 
     def __init__(self, weights: Sequence[Sequence[int]], ring: Ring) -> None:
         self.weights, self.ring, self.units = weights, ring, _Units(ring)
@@ -242,33 +243,53 @@ class Torus:
         logs = [[parts[i][1][g] for i in lattice[0]] for g in range(len(lattice[1]))]
         return v, logs, lattice
 
-    def orbits(self, dim: int, all_units: bool):
-        """(x, |orbit of x|) for one point x of each orbit on the points of
-        ring^dim with every coordinate (all_units) or some coordinate a unit,
-        by the depth-first walk of Orbits above, in lexicographic order of v."""
+    def _walk(self, dim: int, all_units: bool, coordinate):
+        """(leaf, orbit size) at each leaf of the depth-first walk of Orbits
+        above, in lexicographic order of v: leaf holds coordinate(v_i, h)
+        for each coordinate i, h its diagonals (one per generator, () off
+        the support, where v_i = n), and the leaf's orbits are the product
+        over coordinates of p^(v_i) times the units of the logs below h."""
         ring, n = self.ring, self.ring.cap
         tops, levels = ring.unit_orders(n), [ring.unit_orders(n - v) for v in range(n)]
-        values = _Table(lambda key: [self.units.join(key[0], logs)
-                                     for logs in itertools.product(*map(range, key[1]))])
 
-        def walk(i, lists, states, size, unit):
+        def walk(i, leaf, states, size, unit):
             if i == dim:
                 if unit:
-                    yield lists, size
+                    yield leaf, size
                 return
             for v in range(1 if all_units or (i == dim - 1 and not unit) else n + 1):
                 if v == n:
-                    yield from walk(i + 1, lists + ([ring.zero],), states, size, unit)
+                    yield from walk(i + 1, leaf + (coordinate(n, ()),), states, size, unit)
                     continue
                 hs, _, rests = zip(*[_column(rows, i, o, [top] * dim)
                                      for rows, o, top in zip(states, levels[v], tops)])
-                yield from walk(i + 1, lists + (values[v, hs],), rests,
+                yield from walk(i + 1, leaf + (coordinate(v, hs),), rests,
                                 size * prod(levels[v]) // prod(hs), unit or v == 0)
 
         states = [[[w % top for w in row] for row in self.weights] for top in tops]
-        for lists, size in walk(0, (), states, 1, all_units):
+        return walk(0, (), states, 1, all_units)
+
+    def orbits(self, dim: int, all_units: bool):
+        """(x, |orbit of x|) for one point x of each orbit on the points of
+        ring^dim with every coordinate (all_units) or some coordinate a unit,
+        in lexicographic order of v."""
+        values = _Table(lambda key: [self.units.join(key[0], logs)
+                                     for logs in itertools.product(*map(range, key[1]))])
+        for lists, size in self._walk(dim, all_units, lambda v, hs: values[v, hs]):
             for x in itertools.product(*lists):
                 yield x, size
+
+    def orbit_count(self, dim: int, all_units: bool, stop: int | None = None) -> int:
+        """The number of orbits that orbits(dim, all_units) yields, read off
+        the leaves' diagonals without building a point.  Every leaf holds an
+        orbit, so with stop the count ends at the first leaf that takes it
+        past stop, after at most stop + 1 leaves."""
+        count = 0
+        for leaf, _ in self._walk(dim, all_units, lambda v, hs: prod(hs)):
+            count += prod(leaf)
+            if stop is not None and count > stop:
+                break
+        return count
 
     def keys(self, points: Sequence) -> list:
         """The key of each point's orbit, equal exactly on each orbit: its

@@ -794,6 +794,18 @@ def test_certifiers_on_empty_index_set(ring):
     assert report.passed and report.checked == (1 if ring.cap == 1 else 50)
 
 
+def test_sampled_certifiers_on_empty_index_set_count_the_draws(monkeypatch):
+    # over Z/9 the one orbit of R^0 is walked, and `checked` is what the
+    # draws would count: `samples` all-unit draws and no some-unit draw
+    rep, ring = ModuleRep(("a",), (), (1,), ((),)), PadicQuotient(3, 2)
+    draws = _spy_draws(monkeypatch)
+    assert constant_rank_check(rep, ring, 1, samples=50).checked == len(
+        seeded_draws(3, 2, 0, 50, 0, False)) == 0
+    assert orbital_equivalence_check(rep, rep, ring, samples=50).checked == len(
+        seeded_draws(3, 2, 0, 50, 0, True)) == 50
+    assert not draws
+
+
 @pytest.mark.parametrize("check,calls,checked", [
     (lambda: constant_rank_check(family_rep(Family.GAMMA, (1, 2, 3), (1, 2, 3)), F5, 1),
      7, 5**3 - 1),
@@ -834,17 +846,12 @@ def _board_in_mat(name):
 @pytest.mark.parametrize("p,n", [(3, 2), (3, 3), (5, 2), (2, 3), (2, 4)],
                          ids=["Z/9", "Z/27", "Z/25", "Z/8", "Z/16"])
 def test_sampled_certifiers_match_draw_oracle(reps, l, samples, seed, p, n):
-    # eliminating each drawn torus orbit once reports what forming and
-    # eliminating C(x) at every draw does: the same count, verdict and first
+    # eliminating each torus orbit once, walked or drawn, reports what forming
+    # and eliminating C(x) at every draw does: the same count, verdict and first
     # 10 violations (the drawn points, in draw order, with their profiles);
     # l is None for the orbital check
     reps, ring = reps(), PadicQuotient(p, n)
-    if l is None:
-        report = orbital_equivalence_check(*reps, ring, samples=samples, seed=seed)
-        checked, bad = naive_sampled_orbital(*reps, p, n, samples, seed)
-    else:
-        report = constant_rank_check(*reps, ring, l, samples=samples, seed=seed)
-        checked, bad = naive_sampled_constant_rank(*reps, p, n, l, samples, seed)
+    report, (checked, bad) = _sampled_check(reps, ring, l, samples, seed)
     assert (report.checked, report.passed, report.mode) == (checked, not bad, "sample")
     assert list(report.violations) == bad[:10]
 
@@ -857,11 +864,11 @@ def test_sampled_certifiers_match_draw_oracle(reps, l, samples, seed, p, n):
                                    samples=2000, seed=51),
      (family_rep(Family.GAMMA, (1, 2, 3), (1, 2, 3)),), 3, False),
 ], ids=["orbital-alpha3", "constant-rank-gamma"])
-def test_sampled_certifiers_eliminate_each_drawn_unit_orbit_once(check, reps, dim, all_units,
-                                                                monkeypatch):
-    # over Z/9 a draw x stands for its torus orbit: one orbit matrix per rep
-    # for each distinct orbit, however often it is drawn, counted here by
-    # breadth-first closure of the draws under the weights
+def test_sampled_certifiers_eliminate_each_unit_orbit_once(check, reps, dim, all_units,
+                                                           monkeypatch):
+    # over Z/9 a point stands for its torus orbit: one orbit matrix per rep
+    # for each orbit, however many points it holds; the 2000 draws meet
+    # every orbit, counted here by breadth-first closure of the draws
     ring = PadicQuotient(3, 2)
     draws = seeded_draws(3, 2, dim, 2000, 51, all_units)
     weights = torus.weights(*reps)
@@ -880,6 +887,101 @@ def test_sampled_certifiers_eliminate_each_drawn_unit_orbit_once(check, reps, di
     report = check(ring)
     assert len(count) == len(reps) * len(orbits) < len(reps) * len(set(draws))
     assert report.passed and report.checked == 2000
+
+
+def _spy_draws(monkeypatch) -> list:
+    """Record each call of askzeta._sampled_points, which then draws as before."""
+    calls, sampled_points = [], askzeta._sampled_points
+
+    def spy(*args):
+        calls.append(args)
+        return sampled_points(*args)
+
+    monkeypatch.setattr(askzeta, "_sampled_points", spy)
+    return calls
+
+
+def _sampled_check(reps, ring, l, samples, seed):
+    """(report, oracle's (checked, violations)); l is None for the orbital check."""
+    p, n = ring.p, ring.cap
+    if l is None:
+        return (orbital_equivalence_check(*reps, ring, samples=samples, seed=seed),
+                naive_sampled_orbital(*reps, p, n, samples, seed))
+    return (constant_rank_check(*reps, ring, l, samples=samples, seed=seed),
+            naive_sampled_constant_rank(*reps, p, n, l, samples, seed))
+
+
+@pytest.mark.parametrize("reps,l", [
+    (lambda: (alpha_rep(3), alphahat_rep(3)), None),
+    (lambda: (family_rep(Family.RHO, (1, 2), (1, 2, 3)),), 0),
+    (lambda: (family_rep(Family.GAMMA, (1, 2, 3), (1, 2, 3)),), 1),
+], ids=["orbital-alpha3", "constant-rank-rho", "constant-rank-gamma"])
+@pytest.mark.parametrize("p,n", [(2, 3), (3, 2), (5, 2), (3, 3)],
+                         ids=["Z/8", "Z/9", "Z/25", "Z/27"])
+def test_passing_sampled_certifiers_walk_every_orbit_and_draw_nothing(reps, l, p, n,
+                                                                      monkeypatch):
+    # with no more torus orbits than draws (400 of alpha:3's over Z/25 at
+    # most), every orbit is eliminated once, and as each holds, so does
+    # every draw: the report is the draw oracle's, and nothing is drawn
+    reps, ring = reps(), PadicQuotient(p, n)
+    group = torus.Torus(torus.weights(*reps), ring)
+    orbits = group.orbit_count(len(reps[0].I), l is None)
+    draws, bounds = _spy_draws(monkeypatch), []
+
+    def spy(m, bound=None):
+        bounds.append(bound)
+        return divisor_profile(m, bound)
+
+    monkeypatch.setattr(askzeta, "divisor_profile", spy)
+    report, (checked, bad) = _sampled_check(reps, ring, l, 400, 11)
+    assert orbits <= 400 and not bad and not draws
+    assert report == (checked, (), "sample", True)
+    assert bounds == [rep.rank_bound for rep in reps] * orbits
+
+
+@pytest.mark.parametrize("reps,l,p,n", [
+    (lambda: _board_in_mat("sample_d"), None, 5, 2),
+    (lambda: _board_in_mat("sample_d"), None, 2, 3),
+    (lambda: (family_rep(Family.RHO, (1, 2), (1, 2, 3)),), 1, 3, 2),
+    (lambda: (family_rep(Family.GAMMA, (1, 2, 3), (1, 2, 3)),), 0, 3, 2),
+], ids=["orbital-sample_d-Z/25", "orbital-sample_d-Z/8", "constant-rank-rho-Z/9",
+        "constant-rank-gamma-Z/9"])
+def test_violating_sampled_certifiers_eliminate_no_orbit_twice(reps, l, p, n, monkeypatch):
+    # the walk stops at its first failing orbit, and the draws then reuse
+    # the verdicts of the orbits walked: the report is the draw oracle's,
+    # violations in draw order, and no rep eliminates an orbit twice
+    reps, ring = reps(), PadicQuotient(p, n)
+    group = torus.Torus(torus.weights(*reps), ring)
+    assert group.orbit_count(len(reps[0].I), l is None) <= 400
+    draws, seen = _spy_draws(monkeypatch), []
+    orbit_matrix_at = ModuleRep.orbit_matrix_at
+
+    def counted(self, level, x):
+        seen.append((self, x))
+        return orbit_matrix_at(self, level, x)
+
+    monkeypatch.setattr(ModuleRep, "orbit_matrix_at", counted)
+    report, (checked, bad) = _sampled_check(reps, ring, l, 400, 5)
+    assert bad and draws
+    assert report == (checked, tuple(bad[:10]), "sample", False)
+    keys = group.keys([x for _, x in seen])
+    for rep in reps:
+        mine = [key for (r, _), key in zip(seen, keys) if r is rep]
+        assert len(mine) == len(set(mine))
+
+
+@pytest.mark.parametrize("reps,l,orbits", [
+    (lambda: (alpha_rep(3), alphahat_rep(3)), None, 400),
+    (lambda: (family_rep(Family.GAMMA, (1, 2, 3), (1, 2, 3)),), 1, 19),
+], ids=["orbital-alpha3", "constant-rank-gamma"])
+def test_sampled_certifiers_with_fewer_draws_than_orbits_draw(reps, l, orbits, monkeypatch):
+    # --samples 5 over Z/25 is below the orbit count, so the check draws
+    # as before and the report is the draw oracle's
+    reps, ring = reps(), PadicQuotient(5, 2)
+    assert torus.Torus(torus.weights(*reps), ring).orbit_count(len(reps[0].I), l is None) == orbits
+    draws = _spy_draws(monkeypatch)
+    report, (checked, bad) = _sampled_check(reps, ring, l, 5, 13)
+    assert draws and report == (checked, tuple(bad[:10]), "sample", not bad)
 
 
 BATCH = askzeta.SAMPLE_BATCH
@@ -907,12 +1009,7 @@ def test_sampled_violations_across_batches_match_draw_oracle(reps, l, seed):
     # over Z/25 the first 10 violating draws fall in two batches, and the
     # report still lists them in draw order; l is None for the orbital check
     reps, ring = reps(), PadicQuotient(5, 2)
-    if l is None:
-        report = orbital_equivalence_check(*reps, ring, samples=600, seed=seed)
-        checked, bad = naive_sampled_orbital(*reps, 5, 2, 600, seed)
-    else:
-        report = constant_rank_check(*reps, ring, l, samples=600, seed=seed)
-        checked, bad = naive_sampled_constant_rank(*reps, 5, 2, l, 600, seed)
+    report, (checked, bad) = _sampled_check(reps, ring, l, 600, seed)
     draws = seeded_draws(5, 2, len(reps[0].I), 600, seed, l is None)
     assert len({draws.index(v[0]) // BATCH for v in bad[:10]}) > 1
     assert (report.checked, report.passed) == (checked, False)

@@ -124,6 +124,36 @@ def test_orbit_walk_in_dimension_zero():
     group = torus.Torus((), PadicQuotient(3))
     assert list(group.orbits(0, True)) == list(pattern_orbits((), group.ring, 0, True)) == [((), 1)]
     assert list(group.orbits(0, False)) == list(pattern_orbits((), group.ring, 0, False)) == []
+    assert (group.orbit_count(0, True), group.orbit_count(0, False)) == (1, 0)
+
+
+COUNT_RINGS = {"F5": PadicQuotient(5), "Z/8": PadicQuotient(2, 3),
+               "Z/9": PadicQuotient(3, 2), "Z/27": PadicQuotient(3, 3)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(rep=tiny_reps(size=4), ring_name=st.sampled_from(sorted(COUNT_RINGS)),
+       all_units=st.booleans(), stop=st.integers(0, 50))
+@example(rep=ModuleRep(("a",), (1, 2, 3, 4), (1, 2), (((1, 1),) * 4,)), ring_name="Z/27",
+         all_units=False, stop=50)  # unit scaling alone: 29,160 orbits
+@example(rep=ModuleRep((), (1, 2, 3, 4), (1,), ()), ring_name="Z/8", all_units=True,
+         stop=0)  # rank 0: one all-unit orbit
+def test_orbit_count_counts_the_walk(rep, ring_name, all_units, stop):
+    # orbit_count reads the number of orbits off the walk's leaves without
+    # building a point; with stop it ends past stop, or counts them all; and
+    # the orbit sizes add up to the point count
+    ring, dim = COUNT_RINGS[ring_name], len(rep.I)
+    group = torus.Torus(torus.weights(rep), ring)
+    found = list(group.orbits(dim, all_units))
+    assert group.orbit_count(dim, all_units) == len(found)
+    stopped = group.orbit_count(dim, all_units, stop)
+    if len(found) <= stop:
+        assert stopped == len(found)
+    else:
+        assert stop < stopped <= len(found)
+    q, units = ring.cardinality(), len(list(ring.units()))
+    assert sum(size for _, size in found) == (
+        units**dim if all_units else q**dim - (q - units) ** dim)
 
 
 def test_joint_torus_orbits_of_alpha_pair():
