@@ -4,10 +4,14 @@ certifier quotients by.
 Take integer weights a on I, b on the generators and c on J with
 a_i = b_g + c_j wherever gens[g][i][j] != 0.  For every unit t,
 C(t.x) = diag(t^b) C(x) diag(t^c), where (t.x)_i = t^(a_i) x_i, so t.x has
-the divisor profile of x.  The weights form the integer kernel of that
-0/+-1 incidence system (incidence_kernel); a = 1, b = 0, c = 1 always
-solves it, and is unit scaling.  Several reps on one I (the certifiers)
-share a and keep their own b and c.
+the divisor profile of x.  The solutions are potentials phi on the graph
+that joins generator g to column j by an edge labelled i for each nonzero
+gens[g][i][j]: b_g = phi(g) and c_j = -phi(j), with phi(g) - phi(j) = a_i
+on every edge.  A spanning forest fixes phi from a, each edge off it
+closes a cycle whose signed labels must sum to 0, and the weights are a
+basis of the integer kernel of these cycle relations (incidence_kernel);
+a = 1, b = 0, c = 1 always solves the system, and is unit scaling.
+Several reps on one I (the certifiers) share a and keep their own b and c.
 
 Orbits.  Over R = Z/p^n write x_i = p^(v_i) u_i, the unit u_i taken mod
 p^(n - v_i) (v_i = n means x_i = 0).  The ring supplies generators whose
@@ -39,7 +43,7 @@ from __future__ import annotations
 import itertools
 from functools import cached_property, partial
 from math import prod
-from operator import add
+from operator import add, mul
 from typing import Sequence
 
 from .rings import Ring
@@ -48,20 +52,65 @@ from .rings import Ring
 def incidence_kernel(*reps) -> list[tuple[int, ...]]:
     """An integer basis of the solutions (a, b_1, c_1, b_2, c_2, ..) of
     a_i = b_g + c_j at every nonzero gens[g][i][j] of each rep, with a on
-    the reps' shared I.  Each vector is checked against every equation."""
-    width = len(reps[0].I)
-    equations = []
+    the reps' shared I: first vectors whose a-parts are a basis of the
+    a-lattice, the integer kernel of the cycle relations of a spanning
+    forest of the incidence graph (each rep on its own nodes), then one
+    vector with a = 0 per connected component, where b = 1 and c = -1.
+    Each vector is checked against every equation."""
+    dI = width = len(reps[0].I)
+    equations, signs = [], [0] * dI
     for rep in reps:
         b0, c0 = width, width + rep.rank
         width = c0 + len(rep.J)
+        signs += [1] * rep.rank + [-1] * len(rep.J)
         equations += [(i, b0 + g, c0 + j) for g, gen in enumerate(rep.gens)
                       for i, row in enumerate(gen) for j, e in enumerate(row) if e]
-    # row-reduce the images of the unit vectors, carrying each vector along:
-    # the vectors whose image ends at 0 span the integer kernel
-    rows = [(list(unit), [unit[i] - unit[b] - unit[c] for i, b, c in equations])
-            for unit in (tuple(int(k == r) for k in range(width)) for r in range(width))]
+    edges = [[] for _ in range(width)]  # node -> (neighbour, label, sign of e_label)
+    for i, g, j in equations:
+        edges[g].append((j, i, -1))
+        edges[j].append((g, i, 1))
+    # phi(node) as a linear form in a, 0 at each root; an edge off the
+    # forest, met from its lower end, adds its cycle relation to the
+    # images of the e_i (one that reads 0 = 0 is passed over)
+    phi, components, images = [None] * width, [], [[] for _ in range(dI)]
+    for root in range(dI, width):
+        if phi[root] is not None:
+            continue
+        phi[root], stack, component = [0] * dI, [root], [root]
+        while stack:
+            node = stack.pop()
+            for other, i, sign in edges[node]:
+                step = phi[node][:]
+                step[i] += sign
+                if phi[other] is None:
+                    phi[other] = step
+                    stack.append(other)
+                    component.append(other)
+                elif node < other and step != phi[other]:
+                    for image, x, y in zip(images, step, phi[other]):
+                        image.append(x - y)
+        components.append(component)
+    kernel = [tuple(a) + tuple(s * sum(map(mul, f, a)) for s, f in zip(signs[dI:], phi[dI:]))
+              for a in _integer_kernel(images)]
+    for component in components:
+        vec = [0] * width
+        for k in component:
+            vec[k] = signs[k]
+        kernel.append(tuple(vec))
+    for vec in kernel:
+        if any(vec[i] != vec[b] + vec[c] for i, b, c in equations):
+            raise RuntimeError(f"torus weight {vec} fails the incidence system")
+    return kernel
+
+
+def _integer_kernel(images: Sequence[Sequence[int]]) -> list[list[int]]:
+    """An integer basis of the a with sum_r a_r images[r] = 0: the unit
+    vectors, each carried along with its image, are row-reduced one image
+    column at a time, and those whose image ends at 0 span the kernel."""
+    width = len(images)
+    rows = [([int(k == r) for k in range(width)], image) for r, image in enumerate(images)]
     top = 0
-    for col in range(len(equations)):
+    for col in range(len(images[0]) if images else 0):
         while any(rows[r][1][col] for r in range(top, width)):
             best = min((r for r in range(top, width) if rows[r][1][col]),
                        key=lambda r: abs(rows[r][1][col]))
@@ -74,16 +123,13 @@ def incidence_kernel(*reps) -> list[tuple[int, ...]]:
                                     for part, piv in zip(rows[r], pivot))
             if not any(rows[r][1][col] for r in range(top + 1, width)):
                 top += 1
-    kernel = [tuple(vec) for vec, _ in rows[top:]]
-    for vec in kernel:
-        if any(vec[i] != vec[b] + vec[c] for i, b, c in equations):
-            raise RuntimeError(f"torus weight {vec} fails the incidence system")
-    return kernel
+    return [vec for vec, _ in rows[top:]]
 
 
 def weights(*reps) -> tuple[tuple[int, ...], ...]:
-    """The a-parts of the incidence kernel of the reps: vectors on I whose
-    torus elements keep the divisor profile of every rep's C(x)."""
+    """A basis of the a-lattice of the reps' incidence kernel: independent
+    vectors on I whose torus elements keep the divisor profile of every
+    rep's C(x)."""
     dI = len(reps[0].I)
     return tuple(vec[:dI] for vec in incidence_kernel(*reps) if any(vec[:dI]))
 

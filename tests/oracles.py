@@ -477,6 +477,66 @@ def pattern_orbits(weights, ring, dim: int, all_units: bool):
             yield x, size
 
 
+def naive_incidence_kernel(*reps) -> list[tuple[int, ...]]:
+    """An integer basis of the solutions (a, b_1, c_1, b_2, c_2, ..) of
+    a_i = b_g + c_j at every nonzero gens[g][i][j] of each rep, by one
+    elimination over every unknown: the images of the unit vectors under
+    the 0/+-1 equations are row-reduced with each vector carried along,
+    and the vectors whose image ends at 0 span the integer kernel."""
+    width = len(reps[0].I)
+    equations = []
+    for rep in reps:
+        b0, c0 = width, width + rep.rank
+        width = c0 + len(rep.J)
+        equations += [(i, b0 + g, c0 + j) for g, gen in enumerate(rep.gens)
+                      for i, row in enumerate(gen) for j, e in enumerate(row) if e]
+    rows = [(list(unit), [unit[i] - unit[b] - unit[c] for i, b, c in equations])
+            for unit in (tuple(int(k == r) for k in range(width)) for r in range(width))]
+    top = 0
+    for col in range(len(equations)):
+        while any(rows[r][1][col] for r in range(top, width)):
+            best = min((r for r in range(top, width) if rows[r][1][col]),
+                       key=lambda r: abs(rows[r][1][col]))
+            rows[top], rows[best] = rows[best], rows[top]
+            pivot = rows[top]
+            for r in range(top + 1, width):
+                q = rows[r][1][col] // pivot[1][col]
+                if q:
+                    rows[r] = tuple([x - q * y for x, y in zip(part, piv)]
+                                    for part, piv in zip(rows[r], pivot))
+            if not any(rows[r][1][col] for r in range(top + 1, width)):
+                top += 1
+    return [tuple(vec) for vec, _ in rows[top:]]
+
+
+def integer_row_echelon(rows) -> list[list[int]]:
+    """A row-echelon basis over Z of the integer span of rows: column by
+    column, Euclid's steps on the rows live there leave one, and the rest
+    pass on to the later columns."""
+    rows, basis = [list(r) for r in rows], []
+    for col in range(len(rows[0]) if rows else 0):
+        live, rows = [r for r in rows if r[col]], [r for r in rows if not r[col]]
+        while len(live) > 1:
+            pivot, *others = sorted(live, key=lambda r: abs(r[col]))
+            others = [[x - r[col] // pivot[col] * y for x, y in zip(r, pivot)] for r in others]
+            rows += [r for r in others if not r[col]]
+            live = [pivot] + [r for r in others if r[col]]
+        basis += live
+    return basis
+
+
+def in_integer_span(rows, v) -> bool:
+    """Whether v is an integer combination of rows."""
+    v = list(v)
+    for b in integer_row_echelon(rows):
+        col = next(j for j, x in enumerate(b) if x)
+        if v[col] % b[col]:
+            return False
+        q = v[col] // b[col]
+        v = [x - q * y for x, y in zip(v, b)]
+    return not any(v)
+
+
 # ---------------------------------------------------------------------------
 # The class-3 relation algebra and its Jacobi quotient: an independent
 # construction of the free class-3 Lie algebra.

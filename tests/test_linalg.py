@@ -4,11 +4,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from gridask.linalg import Mat, divisor_profile, image_size, partial_smith, rank
+from gridask.modrep import ModuleRep, alpha_rep, classic_rep
 from gridask.rings import ExtField, PadicQuotient
 
 from oracles import (act_left, brute_image_size, brute_kernel_size, mat_add,
                      mat_from_int_rows, mat_identity, mat_mul, mat_transpose, mat_zero,
-                     naive_divisor_profile, naive_field_rank, naive_rank_modp)
+                     naive_divisor_profile, naive_field_rank, naive_orbit_matrix,
+                     naive_rank_modp)
+from test_askzeta import alternating_reps
 
 RINGS = [PadicQuotient(3), PadicQuotient(5),
          PadicQuotient(2, 2), PadicQuotient(3, 2),
@@ -196,11 +199,45 @@ def tall_field_matrices(draw):
 @settings(max_examples=60, deadline=None)
 @given(case=tall_field_matrices())
 def test_tall_field_rank_matches_row_reduction(case):
+    # the matrix and its wide transpose: the elimination runs on the
+    # columns of the one and the rows of the other
     field, rows = case
-    m = Mat(field, len(rows), len(rows[0]), tuple(x for row in rows for x in row))
     r = naive_field_rank(rows, field)
-    assert rank(m) == r
-    assert divisor_profile(m) == (0,) * r + (1,) * (m.cols - r)
+    for ints in (rows, [list(col) for col in zip(*rows)]):
+        m = Mat(field, len(ints), len(ints[0]), tuple(x for row in ints for x in row))
+        assert rank(m) == r
+        assert divisor_profile(m) == (0,) * r + (1,) * (min(m.rows, m.cols) - r)
+
+
+@st.composite
+def primitive_orbit_matrices(draw):
+    """(rep, p, n, x): an alternating rep, so C(x) x = 0, and a point x of
+    (Z/p^n)^I with a unit coordinate when I is not empty."""
+    rep = draw(alternating_reps())
+    p, n = draw(st.sampled_from([(2, 3), (3, 2), (3, 3), (5, 2)]))
+    x = [draw(st.integers(0, p**n - 1)) for _ in rep.I]
+    if x:
+        x[draw(st.integers(0, len(x) - 1))] = draw(st.sampled_from(
+            [u for u in range(p**n) if u % p]))
+    return rep, p, n, tuple(x)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=primitive_orbit_matrices())
+@example(case=(classic_rep("alt", 3), 3, 3, (3, 1, 9)))
+@example(case=(classic_rep("alt", 4), 2, 3, (1, 2, 4, 0)))
+@example(case=(alpha_rep(3), 3, 2, (1, 3, 0, 6, 2, 4)))
+@example(case=(ModuleRep(("a",), (1, 2), (1, 2), (((0, 3), (-3, 0)),)), 3, 3, (9, 1)))
+def test_profile_stopped_at_the_rank_bound_matches_the_oracle(case):
+    # at a primitive x at most rank_bound valuations of C(x) lie below the
+    # cap, so the elimination that stops at that many pivots and pads the
+    # rest with the cap gives the full Smith profile
+    rep, p, n, x = case
+    ring = PadicQuotient(p, n)
+    m = naive_orbit_matrix(rep, ring, x)
+    assert rep.rank_bound <= max(len(rep.J) - 1, 0)
+    assert divisor_profile(m, rep.rank_bound) == naive_divisor_profile(
+        [list(m.row(b)) for b in range(m.rows)], p, n)
 
 
 @st.composite
@@ -218,6 +255,12 @@ def smith_cases(draw):
 @example(case=(3, 3, 2, 3, 3, [[0, 12, 27], [12, 9, 3], [27, 3, 0]]))
 @example(case=(2, 4, 3, 2, 0, [[], []]))
 @example(case=(3, 3, 2, 2, 2, [[1, 1], [0, 9]]))  # the pivot row has a nonzero tail
+# the first pivot of least valuation is in neither the first row nor the
+# first column, so Z and the carried blocks sit at columns out of order
+@example(case=(3, 3, 2, 3, 3, [[3, 9, 0], [0, 3, 1], [9, 0, 3]]))
+@example(case=(2, 4, 3, 3, 2, [[4, 2], [8, 0], [0, 1]]))
+@example(case=(5, 2, 1, 2, 3, [[5, 0, 10], [0, 5, 2]]))  # Z is 1 x 2 and carried
+@example(case=(2, 3, 2, 3, 3, [[2, 0, 4], [0, 4, 1], [0, 4, 2]]))  # Z is 1 x 1
 # Z empty: full rank square, t = rows < cols, and t = cols < rows
 @example(case=(5, 2, 2, 2, 2, [[5, 1], [2, 0]]))
 @example(case=(3, 3, 2, 2, 3, [[3, 9, 1], [0, 3, 6]]))

@@ -9,7 +9,8 @@ from gridask import torus
 from gridask.modrep import ModuleRep, alpha_rep, alphahat_rep
 from gridask.rings import ExtField, PadicQuotient
 
-from oracles import naive_orbit_matrix, pattern_orbits, torus_orbit
+from oracles import (in_integer_span, integer_row_echelon, naive_incidence_kernel,
+                     naive_orbit_matrix, pattern_orbits, torus_orbit)
 from test_askzeta import tiny_reps
 
 IDENTITY_RINGS = {"Z/8": PadicQuotient(2, 3), "Z/16": PadicQuotient(2, 4),
@@ -58,6 +59,53 @@ def test_torus_element_scales_orbit_matrix(rep, ring_name, data):
     for g in range(dB):
         for j in range(len(rep.J)):
             assert after.row(g)[j] == ring.mul(ring.mul(b[g], before.row(g)[j]), c[j])
+
+
+@st.composite
+def joint_reps(draw):
+    """Two or three reps on one I, each with its own generators and J."""
+    dI, reps = draw(st.integers(0, 3)), []
+    for _ in range(draw(st.integers(2, 3))):
+        dJ, k = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+        gens = tuple(tuple(tuple(draw(st.integers(-2, 2)) for _ in range(dJ))
+                           for _ in range(dI)) for _ in range(k))
+        reps.append(ModuleRep(tuple(range(k)), tuple(range(1, dI + 1)),
+                              tuple(range(1, dJ + 1)), gens))
+    return reps
+
+
+@settings(max_examples=150, deadline=None)
+@given(reps=st.one_of(tiny_reps(size=4).map(lambda rep: [rep]), joint_reps()))
+@example(reps=[ModuleRep(("a", "b"), (), (1, 2), ((), ()))])  # I empty
+@example(reps=[ModuleRep(("a",), (1, 2), (), (((), ()),))])  # J empty
+@example(reps=[ModuleRep(("a", "b"), (1, 2), (1, 2),
+                         (((0, 0), (0, 0)), ((3, -1), (0, 4))))])  # a zero generator
+# two labels on the edge (a, 1): a_1 = a_2 = b_a + c_1
+@example(reps=[ModuleRep(("a",), (1, 2), (1,), (((1,), (2,)),))])
+# a disconnected graph: the edges a-1 (label 1) and b-2 (label 2) are two
+# components, and the second rep's four edges close cycles
+@example(reps=[ModuleRep(("a", "b"), (1, 2), (1, 2), (((1, 0), (0, 0)), ((0, 0), (0, 1)))),
+               ModuleRep(("c",), (1, 2), (1, 2), (((1, 1), (1, 1)),))])
+def test_incidence_kernel_matches_the_full_elimination(reps):
+    # the cycle relations of a spanning forest give the lattice that one
+    # elimination over every unknown gives: each basis lies in the other's
+    # span, every vector solves every equation, and the weights (the
+    # a-lattice) are independent and span the oracle's a-parts
+    kernel, oracle = torus.incidence_kernel(*reps), naive_incidence_kernel(*reps)
+    assert len(kernel) == len(oracle)
+    assert all(in_integer_span(oracle, vec) for vec in kernel)
+    assert all(in_integer_span(kernel, vec) for vec in oracle)
+    b0 = dI = len(reps[0].I)
+    for rep in reps:
+        c0 = b0 + rep.rank
+        for vec in kernel:
+            assert all(vec[i] == vec[b0 + g] + vec[c0 + j] for g, gen in enumerate(rep.gens)
+                       for i, row in enumerate(gen) for j, e in enumerate(row) if e)
+        b0 = c0 + len(rep.J)
+    weights = torus.weights(*reps)
+    assert len(integer_row_echelon(weights)) == len(weights)
+    assert all(in_integer_span(weights, vec[:dI]) for vec in oracle)
+    assert all(in_integer_span([vec[:dI] for vec in oracle], w) for w in weights)
 
 
 ORBIT_RINGS = {"F2": PadicQuotient(2), "F5": PadicQuotient(5),
