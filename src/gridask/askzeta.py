@@ -488,9 +488,11 @@ def _certify(reps: Sequence[ModuleRep], ring: Ring, holds, all_units: bool,
     (torus.Torus.keys), and a draw whose orbit was walked or drawn before
     reuses that orbit's profiles.  The report keeps the first 10 violating
     points, in lexicographic order over a field and in draw order over
-    Z/p^n.
+    Z/p^n, where the draws stop at the 10th and `checked` is still
+    the number of draws.
     """
     dim = len(reps[0].I)
+    draws = samples if dim or all_units else 0  # ring^0 has no unit coordinate
     group = torus.Torus(torus.weights(*reps), ring)
 
     def verdict(x):
@@ -515,7 +517,7 @@ def _certify(reps: Sequence[ModuleRep], ring: Ring, holds, all_units: bool,
                 if not known[0]:
                     break
             else:  # every orbit holds, so every draw does
-                return PointReport(samples if dim or all_units else 0, (), "sample", True)
+                return PointReport(draws, (), "sample", True)
             verdicts = dict(zip(group.keys(list(walked)), walked.values()))
         mode = "sample"
         points = ((x, 1, key) for batch in _sampled_points(ring, dim, samples, seed, all_units)
@@ -533,8 +535,10 @@ def _certify(reps: Sequence[ModuleRep], ring: Ring, holds, all_units: bool,
         if passed:
             continue
         if mode == "sample":
-            if len(violations) < 10:
-                violations.append((x,) + profiles)
+            violations.append((x,) + profiles)
+            if len(violations) == 10:  # later draws change nothing but the count
+                checked = draws
+                break
         else:
             violations = heapq.nsmallest(10, violations + [(y,) + profiles
                                                            for y in group.orbit(x)])

@@ -207,15 +207,12 @@ def _cmd_zeta_verify(args) -> int:
     rings = [PadicQuotient(p, args.terms) for p in args.primes]  # refuses a p that is not prime
     if args.module and not args.grid:
         raise UsageError("--module requires --grid")
-    parsed = _load_grid(args.grid) if args.grid else None
-    if args.module:
-        head, board = args.module, parsed
-    else:
-        head, _, path = args.rep.partition(":")
-        board = _load_grid(path) if head in BOARD_BUILDERS else None
-        if parsed is not None and parsed != board:  # --grid would set d and e
-            raise UsageError(f"--rep {args.rep} is not built from --grid {args.grid}")
-    rep = build_rep(args.rep) if board is None else _board(head, board, rings)
+    if args.grid and not args.module:  # a --rep names its own grid
+        raise UsageError(f"--grid goes with --module, not --rep {args.rep}")
+    spec = f"{args.module}:{args.grid}" if args.module else args.rep
+    head, _, path = spec.partition(":")
+    board = _load_grid(path) if head in BOARD_BUILDERS else None
+    rep = build_rep(spec) if board is None else _board(head, board, rings)
     prediction = _prediction_for(args, board)
     exit_code = 0
     reports = []

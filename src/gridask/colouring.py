@@ -1,12 +1,12 @@
-"""Partial colourings of rectangular grids and the blank-closure
-admissibility test.
+"""Partial colourings of rectangular grids and the grid file parser.
 
 A partial colouring assigns colours to some cells of [d] x [e] (1-based);
 uncoloured cells are blank.  Each colour's fibre encodes one linear
 relation among matrix entries; its coefficients are the units of the
 coloured cells, a plain mapping from cell to integer (ParsedGrid.units).
 A colouring is admissible when every non-empty colour-closed product
-subgrid contains a blank cell.
+subgrid contains a blank cell; gridask.boardgame decides it by the
+column-deletion game.
 """
 from __future__ import annotations
 
@@ -27,8 +27,7 @@ class NonUnitCoefficient(Exception):
 
 
 class PartialColouring:
-    """Colours of some cells of [d] x [e], copied at construction; equal
-    when the shapes and colours are."""
+    """Colours of some cells of [d] x [e], copied at construction."""
 
     __slots__ = ("d", "e", "colour_of")
 
@@ -38,27 +37,14 @@ class PartialColouring:
             if not (1 <= i <= d and 1 <= j <= e):
                 raise ValueError(f"cell {(i, j)} outside {d}x{e}")
 
-    def __eq__(self, other) -> bool:
-        return (type(other) is type(self)
-                and (self.d, self.e, self.colour_of) == (other.d, other.e, other.colour_of))
-
     def colour(self, cell: Cell) -> str | None:
         return self.colour_of.get(cell)
-
-    def is_blank(self, cell: Cell) -> bool:
-        return cell not in self.colour_of
 
     def colours(self) -> list[str]:
         seen: dict[str, None] = {}
         for c in self.colour_of.values():
             seen.setdefault(c)
         return list(seen)
-
-    def fibre(self, colour: str) -> list[Cell]:
-        return sorted(c for c, col in self.colour_of.items() if col == colour)
-
-
-Subgrid = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 class ParsedGrid(NamedTuple):
@@ -125,55 +111,6 @@ def parse_grid(text: str) -> ParsedGrid:
                 if units[(i, j)] == 0:
                     raise NonUnitCoefficient(f"u{(i, j)} = 0")
     return ParsedGrid(family, PartialColouring(d, e, colour_of), units)
-
-
-def _closure(fibres: list[list[Cell]], seed: Subgrid) -> Subgrid:
-    """Smallest colour-closed product subgrid containing the seed, from the
-    colouring's fibres.
-
-    Iterates to a fixpoint: whenever a colour appears inside the current
-    I' x J', all rows and columns met by that colour's fibre are added.
-    """
-    I = set(seed[0])
-    J = set(seed[1])
-    changed = True
-    while changed:
-        changed = False
-        for cells in fibres:
-            if any(i in I and j in J for (i, j) in cells):
-                for (i, j) in cells:
-                    if i not in I:
-                        I.add(i)
-                        changed = True
-                    if j not in J:
-                        J.add(j)
-                        changed = True
-    return (tuple(sorted(I)), tuple(sorted(J)))
-
-
-def has_blank(beta: PartialColouring, sub: Subgrid) -> bool:
-    return any(beta.is_blank((i, j)) for i in sub[0] for j in sub[1])
-
-
-class RectVerdict(NamedTuple):
-    admissible: bool
-    witness: Subgrid | None = None  # a blank-free colour-closed subgrid
-
-
-def is_admissible_rect(beta: PartialColouring) -> RectVerdict:
-    """Blank-closure admissibility test.
-
-    The colouring is admissible iff the closure of every coloured cell
-    contains a blank cell: any blank-free closed subgrid contains the
-    closure of each of its cells, so checking single-cell closures
-    suffices.
-    """
-    fibres = [beta.fibre(c) for c in beta.colours()]
-    for cell in sorted(beta.colour_of):
-        closure = _closure(fibres, ((cell[0],), (cell[1],)))
-        if not has_blank(beta, closure):
-            return RectVerdict(False, closure)
-    return RectVerdict(True)
 
 
 def sl_colouring(d: int) -> PartialColouring:

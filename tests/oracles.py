@@ -2,12 +2,13 @@
 and the fixtures only tests need.
 
 The oracles are written directly from the definitions, with no reuse of
-the library's elimination, closure, or greedy-play code, so that agreement
-between the two is meaningful evidence.  The fixtures (matrix arithmetic,
-the Knuth companion, the symbolic forms of criterion 10, the class-3
-relation algebra, seeded units, rainbow and transposed colourings, and
-views of the library's colour closure and move rule) build test inputs and
-are not checks in their own right.
+the library's elimination or greedy-play code, so that agreement between
+the two is meaningful evidence.  The blank-closure admissibility test
+lives here only: it checks the library's one decider, the column-deletion
+game.  The fixtures (matrix arithmetic, the Knuth companion, the symbolic
+forms of criterion 10, the class-3 relation algebra, seeded units, rainbow
+and transposed colourings, the colour closure and a view of the library's
+move rule) build test inputs and are not checks in their own right.
 """
 from __future__ import annotations
 
@@ -15,9 +16,10 @@ import itertools
 import random
 from fractions import Fraction
 from math import comb, prod
+from typing import NamedTuple
 
 from gridask import boardgame, torus
-from gridask.colouring import PartialColouring, _closure
+from gridask.colouring import Cell, PartialColouring
 from gridask.linalg import Mat
 from gridask.modrep import ModuleRep, _alpha_basis, _alpha_gen, _freeze, _zero
 from gridask.nilpotent import GradedAlgebra, _check_characteristic
@@ -745,8 +747,69 @@ def baer_law(forms, m: int):
 
 
 # ---------------------------------------------------------------------------
-# Rectangular admissibility from the quantified definition.
+# Rectangular admissibility: the quantified definition, and the
+# blank-closure test that checks single-cell closures only.
 # ---------------------------------------------------------------------------
+
+Subgrid = tuple[tuple[int, ...], tuple[int, ...]]
+
+
+def is_blank(beta: PartialColouring, cell: Cell) -> bool:
+    return cell not in beta.colour_of
+
+
+def fibre(beta: PartialColouring, colour: str) -> list[Cell]:
+    return sorted(c for c, col in beta.colour_of.items() if col == colour)
+
+
+def _closure(fibres: list[list[Cell]], seed: Subgrid) -> Subgrid:
+    """Smallest colour-closed product subgrid containing the seed, from the
+    colouring's fibres.
+
+    Iterates to a fixpoint: whenever a colour appears inside the current
+    I' x J', all rows and columns met by that colour's fibre are added.
+    """
+    I = set(seed[0])
+    J = set(seed[1])
+    changed = True
+    while changed:
+        changed = False
+        for cells in fibres:
+            if any(i in I and j in J for (i, j) in cells):
+                for (i, j) in cells:
+                    if i not in I:
+                        I.add(i)
+                        changed = True
+                    if j not in J:
+                        J.add(j)
+                        changed = True
+    return (tuple(sorted(I)), tuple(sorted(J)))
+
+
+def has_blank(beta: PartialColouring, sub: Subgrid) -> bool:
+    return any(is_blank(beta, (i, j)) for i in sub[0] for j in sub[1])
+
+
+class RectVerdict(NamedTuple):
+    admissible: bool
+    witness: Subgrid | None = None  # a blank-free colour-closed subgrid
+
+
+def is_admissible_rect(beta: PartialColouring) -> RectVerdict:
+    """Blank-closure admissibility test.
+
+    The colouring is admissible iff the closure of every coloured cell
+    contains a blank cell: any blank-free closed subgrid contains the
+    closure of each of its cells, so checking single-cell closures
+    suffices.
+    """
+    fibres = [fibre(beta, c) for c in beta.colours()]
+    for cell in sorted(beta.colour_of):
+        closure = _closure(fibres, ((cell[0],), (cell[1],)))
+        if not has_blank(beta, closure):
+            return RectVerdict(False, closure)
+    return RectVerdict(True)
+
 
 def _is_closed(fibres: list[list], I: frozenset, J: frozenset) -> bool:
     for fibre in fibres:
@@ -761,7 +824,7 @@ def exhaustive_rect_admissible(beta: PartialColouring) -> bool:
     colour-closed one contains a blank cell."""
     rows = range(1, beta.d + 1)
     cols = range(1, beta.e + 1)
-    fibres = [beta.fibre(colour) for colour in beta.colours()]
+    fibres = [fibre(beta, colour) for colour in beta.colours()]
     for ri in range(1, beta.d + 1):
         for I in itertools.combinations(rows, ri):
             for rj in range(1, beta.e + 1):
@@ -773,7 +836,7 @@ def exhaustive_rect_admissible(beta: PartialColouring) -> bool:
 
 
 def is_colour_closed(beta: PartialColouring, sub) -> bool:
-    fibres = [beta.fibre(colour) for colour in beta.colours()]
+    fibres = [fibre(beta, colour) for colour in beta.colours()]
     return _is_closed(fibres, frozenset(sub[0]), frozenset(sub[1]))
 
 
@@ -782,9 +845,9 @@ def is_colour_closed(beta: PartialColouring, sub) -> bool:
 # ---------------------------------------------------------------------------
 
 def colour_closure(beta: PartialColouring, seed):
-    """The library's smallest colour-closed product subgrid containing the
-    seed, read off the colouring's fibres."""
-    return _closure([beta.fibre(c) for c in beta.colours()], seed)
+    """The smallest colour-closed product subgrid containing the seed, read
+    off the colouring's fibres."""
+    return _closure([fibre(beta, c) for c in beta.colours()], seed)
 
 
 def transpose_colouring(beta: PartialColouring) -> PartialColouring:

@@ -12,8 +12,7 @@ from gridask.askzeta import (ask, ask_orbit, constant_rank_check,
                              orbital_equivalence_check, rank_distribution)
 from gridask.boardgame import (Family, greedy_reduce, is_admissible_game,
                                master_rho, master_symmetric)
-from gridask.colouring import (PartialColouring, is_admissible_rect,
-                               parse_grid, sl_colouring)
+from gridask.colouring import PartialColouring, parse_grid, sl_colouring
 from gridask.modrep import (alpha_rep, alphahat_rep, altboard_rep, board_rep,
                             classic_rep, family_rep, symboard_rep, triangular_pair_rep)
 from gridask.nilpotent import baer_group_cc, conjugacy_count_bch, free_nilpotent_lie
@@ -22,9 +21,9 @@ from gridask.rings import PadicQuotient
 
 from oracles import (baer_law, bch_multiply, circ_forms, class_number_F3d,
                      conjugacy_class_count, count_roots, exhaustive_game_clearable,
-                     exhaustive_rect_admissible, matrix_forms, rainbow_colouring,
-                     random_colouring, random_rep, random_symmetric_colouring,
-                     random_unit_assignment)
+                     exhaustive_rect_admissible, is_admissible_rect, matrix_forms,
+                     rainbow_colouring, random_colouring, random_rep,
+                     random_symmetric_colouring, random_unit_assignment)
 
 GRIDS = Path(__file__).resolve().parent.parent / "grids"
 

@@ -1016,6 +1016,40 @@ def test_sampled_violations_across_batches_match_draw_oracle(reps, l, seed):
     assert list(report.violations) == bad[:10]
 
 
+@pytest.mark.parametrize("reps,l", [
+    (lambda: _board_in_mat("sample_d"), None),
+    (lambda: (load_board("sample_d"),), 0),
+], ids=["orbital-sample_d", "constant-rank-sample_d"])
+def test_sampled_certifiers_stop_at_the_tenth_violation(reps, l, monkeypatch):
+    # the report is the first 10 violating draws and the number of draws,
+    # so nothing after the 10th violation can change it: no later batch is
+    # drawn and no later draw eliminated (all 2000 were, before)
+    reps, ring = reps(), PadicQuotient(5, 2)
+    batches, drawn = [], []
+    sampled_points, orbit_matrix_at = askzeta._sampled_points, ModuleRep.orbit_matrix_at
+
+    def drawing(*args):
+        for batch in sampled_points(*args):
+            batches.append(batch)
+            yield batch
+
+    def counted(self, level, x):
+        if batches:
+            drawn.append(x)
+        return orbit_matrix_at(self, level, x)
+
+    monkeypatch.setattr(askzeta, "_sampled_points", drawing)
+    monkeypatch.setattr(ModuleRep, "orbit_matrix_at", counted)
+    report, (checked, bad) = _sampled_check(reps, ring, l, 2000, 0)
+    assert checked == 2000 and len(bad) > 10
+    assert report == (checked, tuple(bad[:10]), "sample", False)
+    draws = seeded_draws(5, 2, len(reps[0].I), 2000, 0, l is None)
+    violating = {v[0] for v in bad}
+    tenth = [k for k, x in enumerate(draws) if x in violating][9]
+    assert len(batches) == tenth // BATCH + 1 < 2000 // BATCH
+    assert drawn and set(drawn) <= set(draws[:tenth + 1])
+
+
 @pytest.mark.parametrize("ring", [F5, PadicQuotient(3, 2)], ids=["F5", "Z/9"])
 @pytest.mark.parametrize("check,reps", [
     (lambda reps, R: orbital_equivalence_check(*reps, R, samples=500),

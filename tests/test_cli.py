@@ -290,20 +290,14 @@ def test_zeta_verify_reads_parameters_from_the_rep_grid(capsys):
 @pytest.mark.parametrize("spec", [f"board:{grid('sample_a')}", "classic:mat:2"],
                          ids=["board", "classic"])
 def test_zeta_verify_refuses_a_grid_the_rep_is_not_built_from(spec, capsys):
-    # the module against the closed form at adm_2x3's d and e read as a
-    # hard mismatch (exit 1)
+    # --grid belongs to --module: beside --rep, the module against the
+    # closed form at adm_2x3's d and e read as a hard mismatch (exit 1)
     argv = ["zeta-verify", "--rep", spec, "--grid", grid("adm_2x3"),
             "--against", "classical_mat", "--prime", "3"]
     assert run(argv) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: --rep {spec} is not built from --grid {grid('adm_2x3')}\n"
-
-
-def test_zeta_verify_takes_the_rep_grid_twice(capsys):
-    argv = ["zeta-verify", "--rep", f"board:{grid('sample_a')}", "--grid", grid("sample_a"),
-            "--against", "classical_mat", "--prime", "3"]
-    assert run(argv) == 0
+    assert captured.err == f"error: --grid goes with --module, not --rep {spec}\n"
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,8 @@ from gridask.modrep import (ModuleRep, ShapeMismatch, alpha_rep, alphahat_rep,
                             symboard_rep, triangular_pair_rep)
 from gridask.rings import ExtField, PadicQuotient
 
-from oracles import (act_left, alphahat_by_hand, class_values, family_classes, mat_add,
-                     mat_from_int_rows, naive_ask, naive_element, naive_orbit_matrix,
+from oracles import (act_left, alphahat_by_hand, class_values, family_classes, is_blank,
+                     mat_add, mat_from_int_rows, naive_ask, naive_element, naive_orbit_matrix,
                      knuth_bullet, naive_rank_modp, random_rep)
 
 GRIDS = Path(__file__).resolve().parent.parent / "grids"
@@ -184,7 +184,7 @@ def test_relation_modules_read_the_units_of_coloured_cells_only(kind):
         d, e = beta.d, beta.e
         coloured = {cell: 2 + k for k, cell in enumerate(sorted(beta.colour_of))}
         zeros = {(i, j): 0 for i in range(1, d + 1) for j in range(1, e + 1)
-                 if beta.is_blank((i, j))}
+                 if is_blank(beta, (i, j))}
         assert (BOARDS[kind](beta, {**coloured, **zeros})
                 == BOARDS[kind](beta, coloured)), path.stem
 

@@ -1,5 +1,6 @@
 """Smoke tests: the scripts under scripts/ run to completion and report no
 mismatch between a count and its closed form."""
+import importlib.util
 import os
 import subprocess
 import sys
@@ -7,7 +8,16 @@ from pathlib import Path
 
 import pytest
 
+from gridask.colouring import PartialColouring, parse_grid
+
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def run_script(argv):
@@ -19,15 +29,46 @@ def run_script(argv):
                           timeout=120)
 
 
-@pytest.mark.parametrize("argv", [
-    ["rank_census.py", "grids/sample_a.grid", "3", "17"],
-    ["cc_table.py", "5"],
-    ["sweep_colourings.py", "2", "2", "2"],
-], ids=lambda argv: argv[0])
-def test_script_runs(argv):
+@pytest.mark.parametrize("argv,line", [
+    (["rank_census.py", "grids/sample_a.grid", "3", "17"], None),
+    (["cc_table.py", "5"], None),
+    (["sweep_colourings.py", "2", "2", "2"],
+     "theorem: all 7 admissible colourings match classical_mat(2, 2) "
+     "over Z/9 (c_1, c_2) and F_5 (c_1)"),
+], ids=["rank_census.py", "cc_table.py", "sweep_colourings.py"])
+def test_script_runs(argv, line):
     done = run_script(argv)
     assert done.returncode == 0, done.stderr
     assert done.stdout and "MISMATCH" not in done.stdout
+    assert line is None or line in done.stdout.splitlines()
+
+
+ONE_COLOUR_2X2 = PartialColouring(2, 2, dict.fromkeys([(1, 1), (1, 2), (2, 1), (2, 2)], "a"))
+
+
+@pytest.mark.parametrize("beta,units,verdict", [
+    (parse_grid((ROOT / "grids" / "sample_a.grid").read_text()).colouring, {}, (True, True)),
+    (parse_grid((ROOT / "grids" / "sample_c.grid").read_text()).colouring, {}, (False, False)),
+    # tr(U^T X) = 0 with U invertible: X -> U^T X maps the module onto the
+    # traceless matrices and keeps every kernel size
+    (ONE_COLOUR_2X2, {(1, 1): 1, (1, 2): 1, (2, 1): 1, (2, 2): 2}, (False, True)),
+    (ONE_COLOUR_2X2, {}, (False, False)),
+], ids=["sample_a", "sample_c", "one-colour-units-1112", "one-colour-units-1"])
+def test_sweep_checks_one_colouring(beta, units, verdict):
+    # (admissible, matches classical_mat): an inadmissible colouring may
+    # match or not, as the paper claims no converse
+    assert load_script("sweep_colourings").check(beta, units) == verdict
+
+
+def test_sweep_exits_1_at_an_admissible_mismatch(monkeypatch, capsys):
+    sweep = load_script("sweep_colourings")
+    monkeypatch.setattr(sweep, "check", lambda beta, units: (True, len(beta.colour_of) < 2))
+    monkeypatch.setattr(sys, "argv", ["sweep_colourings.py", "1", "2", "1"])
+    with pytest.raises(SystemExit) as done:
+        sweep.main()
+    assert done.value.code == 1
+    assert capsys.readouterr().out.startswith(
+        "MISMATCH: admissible {(1, 1): 'c1', (1, 2): 'c1'} with units")
 
 
 def test_rank_census_refuses_units_divisible_by_a_prime(tmp_path):
@@ -50,9 +91,10 @@ def test_rank_census_refuses_units_divisible_by_a_prime(tmp_path):
     (["sweep_colourings.py", "3", "-1"], 3),
     (["sweep_colourings.py", "2", "2", "-1"], 3),  # used to sweep the blank grid alone
     (["sweep_colourings.py", "13", "1", "1"], 4),  # more rows than the game admits
+    (["sweep_colourings.py", "8", "1", "0"], 4),  # 9^8 census points over Z/9
 ], ids=["missing-grid", "composite-field", "composite-prime", "sweep-rows-not-integer",
         "sweep-colours-not-integer", "sweep-no-rows", "sweep-no-columns",
-        "sweep-negative-colours", "sweep-too-many-rows"])
+        "sweep-negative-colours", "sweep-too-many-rows", "sweep-census-over-budget"])
 def test_scripts_refuse_input_errors(argv, code):
     # an input error ends a script as it ends a gridask run: exit 3 with one
     # error line and no table, not a traceback (exit 1, a mismatch's code);
