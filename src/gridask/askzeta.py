@@ -48,8 +48,8 @@ So the census computes one level, P_n.  It counts x = 0 once, with
 C(0) = 0, and the points p^j P_(n-j), j = 0 .. n - 1, with the profiles v
 of P_n raised by j and capped at n, min(v + j, n): the count of each such
 profile, summed over P_n, is divided by p^(j I) (exactly, but only once
-summed).  The same reduction gives ask over every Z/p^k, k <= n, from one
-census over Z/p^n, with each valuation capped at k.
+summed; a remainder is refused).  The same reduction gives ask over every
+Z/p^k, k <= n, from one census over Z/p^n, with each valuation capped at k.
 
 Level 1, over F_p or F_q, is walked at one point per torus orbit.  Level
 n >= 2 is lifted from level n - 1.  Each x in P_n is x' + p^(n-1) y, with
@@ -94,17 +94,17 @@ The certifiers eliminate each orbit of the torus of both reps' joint
 incidence system once, and each elimination stops at the rep's rank bound,
 since every point they check is primitive.  Over a field they visit one
 point per orbit.  Over Z/p^n the report is that of seeded draws, but every
-draw lies in a torus orbit, so when the torus has no more orbits than
-draws (torus.Torus.orbit_count, which builds no point) the orbits are
-walked first, one elimination each: if every orbit holds, so does every
-draw, and nothing is drawn.  Only when an orbit fails, or the orbits
-outnumber the draws, are seeded points drawn, in batches of SAMPLE_BATCH,
-and keyed a batch at once (torus.Torus.keys): the batch is grouped by
-valuation pattern, the cached per-coordinate terms are summed a column at
-a time, and the characters are read once per distinct sum.  A draw whose
-orbit was walked or drawn before reuses that orbit's profiles.  The
-report still says mode "sample" with `checked` the number of draws, a
-weaker claim than the walk has checked.
+draw lies in a torus orbit, and an orbit has one representative
+(torus.Torus.representative), the very point Torus.orbits yields for it.
+So one memo maps representatives to verdicts.  When the torus has no more
+orbits than draws (torus.Torus.orbit_count, which builds no point) the
+orbits are walked first, one elimination each, into the memo: if every
+orbit holds, so does every draw, and nothing is drawn.  Only when an orbit
+fails, or the orbits outnumber the draws, are seeded points drawn, one at
+a time: a draw whose representative is in the memo reuses its verdict,
+and any other is eliminated and its verdict kept.  The report still says
+mode "sample" with `checked` the number of draws, a weaker claim than the
+walk has checked.
 """
 from __future__ import annotations
 
@@ -125,7 +125,6 @@ from .predictions import Prediction
 from .rings import Ring
 
 DEFAULT_BUDGET = 10**7
-SAMPLE_BATCH = 256  # draws keyed at once: bounds the memory of a sampled check
 
 
 class BudgetExceeded(Exception):
@@ -145,7 +144,9 @@ def profile_census(rep: ModuleRep, ring: Ring, budget: int = DEFAULT_BUDGET) -> 
     torus orbit weighted by the orbit size, over Z/p^n, n >= 2, lifted from
     the torus classes of P_(n-1) (_lifted_level_census).  x = 0 is counted
     once, and the points p^j P_(n-j) from the census of P_n reduced mod
-    p^(n-j) and raised by j (see the module docstring).
+    p^(n-j) and raised by j (see the module docstring).  A count that
+    p^(j I) does not divide breaks the reduction identity, and is refused
+    with RuntimeError rather than truncated.
     """
     dI, n = len(rep.I), ring.cap
     size = ring.cardinality() ** dI
@@ -163,7 +164,11 @@ def profile_census(rep: ModuleRep, ring: Ring, budget: int = DEFAULT_BUDGET) -> 
         for prof, m in top.items():
             raised[tuple(min(v + j, n) for v in prof)] += m
         for prof, m in raised.items():  # p^(j I) points of P_n reduce to each of P_(n-j)
-            counts[prof] += m // ring.p ** (j * dI)
+            share, rest = divmod(m, ring.p ** (j * dI))
+            if rest:
+                raise RuntimeError(f"{m} points of P_{n} with profile {prof} are not "
+                                   f"{ring.p}^{j * dI} points each of P_{n - j}")
+            counts[prof] += share
     return counts
 
 
@@ -452,47 +457,40 @@ def _coker_is_free_of_rank(profile: Sequence[int], cap: int, cols: int, l: int) 
 
 def _sampled_points(ring: Ring, dim: int, samples: int, seed: int, all_units: bool):
     """`samples` seeded draws from ring^dim with every coordinate a unit
-    (all_units) or, redrawn until so, some coordinate a unit, in lists of
-    at most SAMPLE_BATCH.  random.Random(seed).choice picks one coordinate
-    after another, and a redraw takes the next dim picks, so a list is the
-    next picks cut into points, less those without a unit coordinate."""
+    (all_units) or, redrawn until so, some coordinate a unit: each point,
+    redraws included, is the next dim picks of random.Random(seed).choice."""
     choice = random.Random(seed).choice
     pool = list(ring.units() if all_units else ring.elements())
     left = samples if dim or all_units else 0  # ring^0 has no unit coordinate
     while left:
-        size, batch = min(left, SAMPLE_BATCH), []
-        while len(batch) < size:
-            need = size - len(batch)
-            picks = map(choice, itertools.repeat(pool, need * dim))
-            points = zip(*[picks] * dim) if dim else [()] * need
-            batch += points if all_units else [x for x in points if any(map(ring.is_unit, x))]
-        left -= size
-        yield batch
+        x = tuple(map(choice, itertools.repeat(pool, dim)))
+        if all_units or any(map(ring.is_unit, x)):
+            left -= 1
+            yield x
 
 
 def _certify(reps: Sequence[ModuleRep], ring: Ring, holds, all_units: bool,
              samples: int, seed: int, budget: int) -> PointReport:
-    """The certifiers' one loop: a violation wherever holds(*profiles), the
+    """The certifiers' one decider: a violation wherever holds(*profiles), the
     divisor profiles of C(x) for each rep, fails at a point x with every
     (all_units) or some coordinate a unit.  Such an x is primitive, so each
     elimination stops at the rep's rank bound.  A torus element t of the
     reps' joint incidence system keeps every profile, so each torus orbit is
     eliminated once.  Over F_q, within the budget on q^I, x runs over one
-    point per orbit and certifies, or reports, the whole orbit.  Over
+    point per orbit and certifies, or reports, the whole orbit; the report
+    keeps the first 10 violating points in lexicographic order.  Over
     Z/p^n, within the budget on |R| (the size of the log table behind the
-    keys), the report is that of the seeded draws.  When the torus has at
-    most `samples` orbits, x first runs over one point per orbit, up to the
+    representatives), the report is that of the seeded draws, and one memo
+    maps each orbit's representative (torus.Torus.representative) to its
+    verdict.  When the torus has at most `samples` orbits, x first runs
+    over the representatives orbits() yields, into the memo, up to the
     first that fails: if none fails, every draw holds, and the report is
-    the draws' with nothing drawn.  Otherwise x runs over the draws, keyed
-    a batch at a time by the characters of their orbits
-    (torus.Torus.keys), and a draw whose orbit was walked or drawn before
-    reuses that orbit's profiles.  The report keeps the first 10 violating
-    points, in lexicographic order over a field and in draw order over
-    Z/p^n, where the draws stop at the 10th and `checked` is still
-    the number of draws.
+    the draws' with nothing drawn.  Otherwise x runs over the draws, and a
+    draw whose representative is in the memo reuses its verdict.  The
+    report keeps the first 10 violating draws in draw order, where the
+    draws stop, and `checked` is still the number of draws.
     """
     dim = len(reps[0].I)
-    draws = samples if dim or all_units else 0  # ring^0 has no unit coordinate
     group = torus.Torus(torus.weights(*reps), ring)
 
     def verdict(x):
@@ -500,49 +498,41 @@ def _certify(reps: Sequence[ModuleRep], ring: Ring, holds, all_units: bool,
                          for rep in reps)
         return holds(*profiles), profiles
 
-    verdicts = {}  # Z/p^n: orbit key -> (holds, profiles)
+    violations = []
     if ring.cap == 1:
         size = ring.cardinality() ** dim
         if size > budget:
             raise BudgetExceeded(f"{size} points exceed budget {budget}")
-        # the walk meets each orbit once, so nothing is kept
-        mode, points = "exhaustive", ((x, m, None) for x, m in group.orbits(dim, all_units))
-    else:
-        if ring.cardinality() > budget:
-            raise BudgetExceeded(f"{ring.cardinality()} log-table entries exceed budget {budget}")
-        if group.orbit_count(dim, all_units, samples) <= samples:
-            walked = {}  # representative -> verdict, up to the first failing orbit
-            for x, _ in group.orbits(dim, all_units):
-                known = walked[x] = verdict(x)
-                if not known[0]:
-                    break
-            else:  # every orbit holds, so every draw does
-                return PointReport(draws, (), "sample", True)
-            verdicts = dict(zip(group.keys(list(walked)), walked.values()))
-        mode = "sample"
-        points = ((x, 1, key) for batch in _sampled_points(ring, dim, samples, seed, all_units)
-                  for x, key in zip(batch, group.keys(batch)))
-    violations = []
-    checked = 0
-    for x, size, key in points:
-        checked += size
+        checked = 0
+        for x, m in group.orbits(dim, all_units):  # each orbit once, so nothing is kept
+            checked += m
+            passed, profiles = verdict(x)
+            if not passed:
+                violations = heapq.nsmallest(10, violations + [(y,) + profiles
+                                                               for y in group.orbit(x)])
+        return PointReport(checked, tuple(violations), "exhaustive", not violations)
+    if ring.cardinality() > budget:
+        raise BudgetExceeded(f"{ring.cardinality()} log-table entries exceed budget {budget}")
+    draws = samples if dim or all_units else 0  # ring^0 has no unit coordinate
+    verdicts = {}  # representative -> (holds, profiles)
+    if group.orbit_count(dim, all_units, samples) <= samples:
+        for x, _ in group.orbits(dim, all_units):
+            known = verdicts[x] = verdict(x)
+            if not known[0]:
+                break
+        else:  # every orbit holds, so every draw does
+            return PointReport(draws, (), "sample", True)
+    for x in _sampled_points(ring, dim, samples, seed, all_units):
+        key = group.representative(x)
         known = verdicts.get(key)
         if known is None:
-            known = verdict(x)
-            if key is not None:
-                verdicts[key] = known
+            known = verdicts[key] = verdict(x)
         passed, profiles = known
-        if passed:
-            continue
-        if mode == "sample":
+        if not passed:
             violations.append((x,) + profiles)
             if len(violations) == 10:  # later draws change nothing but the count
-                checked = draws
                 break
-        else:
-            violations = heapq.nsmallest(10, violations + [(y,) + profiles
-                                                           for y in group.orbit(x)])
-    return PointReport(checked, tuple(violations), mode, not violations)
+    return PointReport(draws, tuple(violations), "sample", not violations)
 
 
 def constant_rank_check(rep: ModuleRep, ring: Ring, l: int, samples: int = 10**4,

@@ -24,26 +24,27 @@ A torus element t = gen^m adds sum_s m_s a^s_i to l_i, so with the
 valuations fixed, the orbit of l (one generator at a time) is l + L_S:
 L_S is spanned by the weights restricted to the support S and by
 ord_i e_i, ord_i the order of the generator mod p^(n - v_i).  A triangular
-basis H of L_S (echelon) with diagonal h gives the key (the characters
-l -> l X mod N, X = N H^-1 and N = prod h_i, vanish exactly on L_S and add
-over coordinates, so Torus.keys sums one cached term per coordinate value, a
-column of a batch at a time, and reads the characters once per distinct
-sum), one representative per orbit (the box 0 <= l_i < h_i)
-and the orbit size prod ord_i / prod h_i.  The box is a product over
-coordinates and h_i depends only on v_0 .. v_i, so orbits walks the
-patterns depth-first: v_i = 0 .. n extends the parent's echelon by one
-column per generator, on rows reduced mod the top order (which every
-level's order divides, so top e_i lies in L_S whatever v_i is), and a
-leaf is the product of per-coordinate value lists: 0 off the support,
-and p^(v_i) times the unit of every log below h on it.  So a leaf holds
-prod h orbits, and orbit_count counts them without building a point.
+basis H of L_S (echelon) with diagonal h meets each coset of L_S in one
+point of the box 0 <= l_i < h_i, which is the orbit's representative,
+and gives the orbit size prod ord_i / prod h_i.  Torus.representative
+takes any point of the orbit to it: subtracting l_j // h_j times the j-th
+basis row, column by column, leaves the earlier columns in the box.  The box is a
+product over coordinates and h_i depends only on v_0 .. v_i, so orbits
+walks the patterns depth-first: v_i = 0 .. n extends the parent's echelon
+by one column per generator, on rows reduced mod the top order (which
+every level's order divides, so top e_i lies in L_S whatever v_i is), and
+a leaf is the product of per-coordinate value lists: 0 off the support,
+and p^(v_i) times the unit of every log below h on it.  The diagonal of
+a triangular basis is fixed by its lattice, so the walk's box is the one
+representative reduces into.  A leaf holds prod h orbits, and orbit_count
+counts them without building a point.
 """
 from __future__ import annotations
 
 import itertools
 from functools import cached_property, partial
 from math import prod
-from operator import add, mul
+from operator import mul
 from typing import Sequence
 
 from .rings import Ring
@@ -174,19 +175,6 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return (a, s0, t0) if a > 0 else (-a, -s0, -t0)
 
 
-def characters(basis: list[list[int]]) -> tuple[int, list[list[int]]]:
-    """(N, the columns nonzero mod N of X = N H^-1, reduced mod N) for the
-    triangular basis H of a lattice L, N = prod h_j[j]: l lies in L exactly
-    when l X = 0 mod N.  X = adj(H), so back-substitution divides exactly."""
-    d, modulus = len(basis), prod(h[j] for j, h in enumerate(basis))
-    x = [None] * d
-    for j in reversed(range(d)):
-        x[j] = [(modulus * (k == j) - sum(basis[j][m] * x[m][k] for m in range(j + 1, d)))
-                // basis[j][j] for k in range(d)]
-    columns = [[row[k] % modulus for row in x] for k in range(d)]
-    return modulus, [c for c in columns if any(c)]
-
-
 class _Table(dict):
     """A dict that fills a missing entry with fill(key)."""
 
@@ -243,35 +231,16 @@ def _lattice(weights, ring: Ring, v: tuple[int, ...]):
     return support, [(o, echelon(rows, o)) for o in ords]
 
 
-def _character_terms(lattices, splits, zero, v):
-    """(per coordinate a table from its value to its term, the characters)
-    for valuations v: character (g, column, N, shift, mask) of L_S for
-    generator g is a field of the terms, wide enough for a sum of len(v)."""
-    support, bases = lattices[v]
-    chars, shift = [], 0
-    for g, (_, basis) in enumerate(bases):
-        modulus, columns = characters(basis)
-        width = (len(v) * modulus).bit_length()
-        for column in columns:
-            chars.append((g, column, modulus, shift, (1 << width) - 1))
-            shift += width
-    positions = {i: pos for pos, i in enumerate(support)}
-    return [_Table(lambda c, pos=positions[i]: sum(
-                splits[c][1][g] * column[pos] % m << s for g, column, m, s, _ in chars))
-            if i in positions else {zero: 0} for i in range(len(v))], chars
-
-
 class Torus:
-    """The torus of the weights acting on the points of ring^dim: one point
-    and the size of each orbit, the number of orbits, the orbit keys of a
-    batch of points, and the points of an orbit."""
+    """The torus of the weights acting on the points of ring^dim: the
+    representative and the size of each orbit, the number of orbits, the
+    representative of any point's orbit, and the points of an orbit."""
 
     def __init__(self, weights: Sequence[Sequence[int]], ring: Ring) -> None:
         self.weights, self.ring, self.units = weights, ring, _Units(ring)
         # no fill refers to self, so no cycle keeps a Torus's tables alive
         self._lattices = _Table(partial(_lattice, weights, ring))
         self._splits = _Table(self.units.split)
-        self._characters = _Table(partial(_character_terms, self._lattices, self._splits, ring.zero))
 
     def _point(self, v, support, logs) -> tuple:
         """The point with valuations v and, on the support, these logs (one
@@ -337,32 +306,16 @@ class Torus:
                 break
         return count
 
-    def keys(self, points: Sequence) -> list:
-        """The key of each point's orbit, equal exactly on each orbit: its
-        valuations and the characters of its logs.  The points are grouped
-        by their valuations; within a group the cached terms are summed one
-        coordinate at a time over the whole group, and the characters are
-        read once per distinct sum."""
-        splits = self._splits
-        valuation = {c: splits[c][0] for c in set().union(*points)}
-        groups = {}
-        if any(valuation.values()):
-            for i, x in enumerate(points):
-                groups.setdefault(tuple(map(valuation.__getitem__, x)), []).append(i)
-        elif points:  # every coordinate a unit: one pattern
-            groups[(0,) * len(points[0])] = range(len(points))
-        out = [None] * len(points)
-        for v, members in groups.items():
-            terms, chars = self._characters[v]
-            totals = [0] * len(members)
-            for table, column in zip(terms, zip(*[points[i] for i in members])):
-                totals = list(map(add, totals, map(table.__getitem__, column)))
-            keyed = {total: (v, tuple([(total >> shift & mask) % m
-                                       for _, _, m, shift, mask in chars]))
-                     for total in set(totals)}
-            for i, total in zip(members, totals):
-                out[i] = keyed[total]
-        return out
+    def representative(self, x) -> tuple:
+        """The point orbits() yields for the orbit of x: each generator's
+        logs reduced into the box of L_S, one column at a time."""
+        v, logs, (support, bases) = self._split(x)
+        for l, (ords, basis) in zip(logs, bases):
+            for j, h in enumerate(basis):
+                q = l[j] // h[j]
+                if q:
+                    l[j:] = [(y - q * z) % o for y, z, o in zip(l[j:], h[j:], ords[j:])]
+        return self._point(v, support, logs)
 
     def orbit(self, x) -> list:
         """Every point of the orbit of x: its logs plus each element of the

@@ -578,6 +578,19 @@ def test_census_below_the_rank_bound_is_wrong():
         profile_census(rep, ring)
 
 
+def test_census_refuses_a_count_the_reduction_does_not_divide(monkeypatch):
+    # the points 3 P_1 over Z/9 are counted from the census of P_2, 3^I
+    # points of which reduce to each point of P_1; a census of P_2 with a
+    # count 3^I does not divide breaks that identity, and is refused, not
+    # truncated
+    rep, ring = classic_rep("alt", 3), PadicQuotient(3, 2)
+    census = askzeta._lifted_level_census(rep, ring)
+    census[next(iter(census))] += 1
+    monkeypatch.setattr(askzeta, "_lifted_level_census", lambda rep, ring: census)
+    with pytest.raises(RuntimeError, match=r"are not 3\^3 points each of P_1"):
+        profile_census(rep, ring)
+
+
 # ---------------------------------------------------------------------------
 # Series coefficients and verification reports.
 # ---------------------------------------------------------------------------
@@ -964,9 +977,9 @@ def test_violating_sampled_certifiers_eliminate_no_orbit_twice(reps, l, p, n, mo
     report, (checked, bad) = _sampled_check(reps, ring, l, 400, 5)
     assert bad and draws
     assert report == (checked, tuple(bad[:10]), "sample", False)
-    keys = group.keys([x for _, x in seen])
+    weights = torus.weights(*reps)
     for rep in reps:
-        mine = [key for (r, _), key in zip(seen, keys) if r is rep]
+        mine = [torus_orbit(ring, weights, x) for r, x in seen if r is rep]
         assert len(mine) == len(set(mine))
 
 
@@ -984,34 +997,29 @@ def test_sampled_certifiers_with_fewer_draws_than_orbits_draw(reps, l, orbits, m
     assert draws and report == (checked, tuple(bad[:10]), "sample", not bad)
 
 
-BATCH = askzeta.SAMPLE_BATCH
-
-
-@pytest.mark.parametrize("samples", [1, BATCH, BATCH + 1, 3 * BATCH + 7])
+@pytest.mark.parametrize("samples", [1, 256, 257, 775])
 @pytest.mark.parametrize("dim", [0, 1, 2, 3])
 @pytest.mark.parametrize("all_units", [True, False], ids=["all-units", "some-unit"])
 @pytest.mark.parametrize("p,n", [(2, 3), (3, 2), (5, 2)], ids=["Z/8", "Z/9", "Z/25"])
 def test_sampled_batches_concatenate_to_the_draw_oracle(samples, dim, all_units, p, n):
-    # the batches are full but for the last, and together they are the
-    # oracle's stream, redraws included, across every batch boundary
-    batches = list(askzeta._sampled_points(PadicQuotient(p, n), dim, samples, 17, all_units))
-    draws = seeded_draws(p, n, dim, samples, 17, all_units)
-    assert [x for batch in batches for x in batch] == draws
-    assert [len(batch) for batch in batches] == (
-        [BATCH] * (len(draws) // BATCH) + [len(draws) % BATCH] * bool(len(draws) % BATCH))
+    # the draws are the oracle's stream, redraws included
+    assert list(askzeta._sampled_points(PadicQuotient(p, n), dim, samples, 17, all_units)) == (
+        seeded_draws(p, n, dim, samples, 17, all_units))
 
 
 @pytest.mark.parametrize("reps,l,seed", [
     (lambda: _board_in_mat("sample_d"), None, 3),
     (lambda: (load_board("sample_d"),), 0, 0),
 ], ids=["orbital-sample_d", "constant-rank-sample_d"])
-def test_sampled_violations_across_batches_match_draw_oracle(reps, l, seed):
-    # over Z/25 the first 10 violating draws fall in two batches, and the
-    # report still lists them in draw order; l is None for the orbital check
+def test_sampled_violations_repeating_an_orbit_match_draw_oracle(reps, l, seed):
+    # over Z/25 the first 10 violating draws fall in fewer torus orbits, so
+    # some are decided by a verdict the memo kept for an earlier draw, and
+    # the report still lists them all in draw order; l is None for the
+    # orbital check
     reps, ring = reps(), PadicQuotient(5, 2)
     report, (checked, bad) = _sampled_check(reps, ring, l, 600, seed)
-    draws = seeded_draws(5, 2, len(reps[0].I), 600, seed, l is None)
-    assert len({draws.index(v[0]) // BATCH for v in bad[:10]}) > 1
+    weights = torus.weights(*reps)
+    assert len({torus_orbit(ring, weights, v[0]) for v in bad[:10]}) < 10
     assert (report.checked, report.passed) == (checked, False)
     assert list(report.violations) == bad[:10]
 
@@ -1022,19 +1030,19 @@ def test_sampled_violations_across_batches_match_draw_oracle(reps, l, seed):
 ], ids=["orbital-sample_d", "constant-rank-sample_d"])
 def test_sampled_certifiers_stop_at_the_tenth_violation(reps, l, monkeypatch):
     # the report is the first 10 violating draws and the number of draws,
-    # so nothing after the 10th violation can change it: no later batch is
+    # so nothing after the 10th violation can change it: no later point is
     # drawn and no later draw eliminated (all 2000 were, before)
     reps, ring = reps(), PadicQuotient(5, 2)
-    batches, drawn = [], []
+    pulled, drawn = [], []
     sampled_points, orbit_matrix_at = askzeta._sampled_points, ModuleRep.orbit_matrix_at
 
     def drawing(*args):
-        for batch in sampled_points(*args):
-            batches.append(batch)
-            yield batch
+        for x in sampled_points(*args):
+            pulled.append(x)
+            yield x
 
     def counted(self, level, x):
-        if batches:
+        if pulled:
             drawn.append(x)
         return orbit_matrix_at(self, level, x)
 
@@ -1046,8 +1054,8 @@ def test_sampled_certifiers_stop_at_the_tenth_violation(reps, l, monkeypatch):
     draws = seeded_draws(5, 2, len(reps[0].I), 2000, 0, l is None)
     violating = {v[0] for v in bad}
     tenth = [k for k, x in enumerate(draws) if x in violating][9]
-    assert len(batches) == tenth // BATCH + 1 < 2000 // BATCH
-    assert drawn and set(drawn) <= set(draws[:tenth + 1])
+    assert pulled == draws[:tenth + 1]
+    assert drawn and set(drawn) <= set(pulled)
 
 
 @pytest.mark.parametrize("ring", [F5, PadicQuotient(3, 2)], ids=["F5", "Z/9"])

@@ -1,6 +1,4 @@
 import itertools
-from collections import Counter
-from math import prod
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -121,23 +119,22 @@ ORBIT_RINGS = {"F2": PadicQuotient(2), "F5": PadicQuotient(5),
          ring_name="Z/16")
 @example(rep=ModuleRep((), (1, 2), (1,), ()), ring_name="Z/8")  # rank 0: weights span Z^I
 def test_orbits_and_keys_match_orbit_oracle(rep, ring_name):
-    # the keys group the points with a unit coordinate exactly as the
-    # breadth-first orbits do; Torus.orbits yields one point per orbit with
-    # its size, Torus.orbit expands it, and the sizes add up to the point counts
+    # every point of each breadth-first orbit has the walked point as its
+    # representative, and every point with a unit coordinate has a walked
+    # representative; Torus.orbits yields one point per orbit with its size,
+    # Torus.orbit expands it, and the sizes add up to the point counts
     ring = ORBIT_RINGS[ring_name]
     dim = len(rep.I)
     weights = torus.weights(rep)
     group = torus.Torus(weights, ring)
     points = [x for x in itertools.product(list(ring.elements()), repeat=dim)
               if any(ring.is_unit(c) for c in x)]
-    groups = {}
-    for x, key in zip(points, group.keys(points)):
-        groups.setdefault(key, set()).add(x)
     found = list(group.orbits(dim, False))
-    assert len(found) == len(groups)
-    for (x, size), key in zip(found, group.keys([x for x, _ in found])):
+    assert {group.representative(x) for x in points} == {x for x, _ in found}
+    for x, size in found:
         orbit = torus_orbit(ring, weights, x)
-        assert orbit == groups[key] == set(group.orbit(x))
+        assert orbit == set(group.orbit(x))
+        assert all(group.representative(y) == x for y in orbit)
         assert size == len(orbit)
     q, units = ring.cardinality(), len(list(ring.units()))
     assert sum(size for _, size in found) == q**dim - (q - units) ** dim
@@ -213,85 +210,50 @@ def test_joint_torus_orbits_of_alpha_pair():
         assert len(found) == phi**2 and {size for _, size in found} == {phi**4}
 
 
-@settings(max_examples=80, deadline=None)
-@given(ords=st.lists(st.integers(1, 12), min_size=1, max_size=4), data=st.data())
-def test_characters_cut_out_the_lattice(ords, data):
-    # every character vanishes on the lattice's generators, and the box
-    # prod [0, ord_j) meets each of its prod h_j[j] cosets in as many points
-    d = len(ords)
-    rows = data.draw(st.lists(st.lists(st.integers(-30, 30), min_size=d, max_size=d),
-                              max_size=3))
-    basis = torus.echelon(rows, ords)
-    modulus, columns = torus.characters(basis)
-
-    def chars(l):
-        return tuple(sum(a * c for a, c in zip(l, column)) % modulus for column in columns)
-
-    for gen in rows + basis + [[o * (k == j) for k in range(d)] for j, o in enumerate(ords)]:
-        assert not any(chars(gen))
-    index = 1
-    for j, h in enumerate(basis):
-        index *= h[j]
-    counts = Counter(chars(l) for l in itertools.product(*map(range, ords)))
-    assert len(counts) == index
-    assert set(counts.values()) == {prod(ords) // index}
-
-
 @pytest.mark.parametrize("ring,groups", [(PadicQuotient(2, 3), 16),
                                          (PadicQuotient(3, 2), 36)],
                          ids=["Z/8", "Z/9"])
 def test_keys_group_the_joint_torus(ring, groups):
-    # every all-unit point of the joint torus of alpha:3 and alphahat:3 is
-    # keyed as its orbit under Torus.orbits and Torus.orbit
-    group = torus.Torus(torus.weights(alpha_rep(3), alphahat_rep(3)), ring)
-    orbits = {}
+    # every point of the breadth-first orbit of each walked all-unit point
+    # of the joint torus of alpha:3 and alphahat:3 has it as representative,
+    # and the orbits cover the all-unit points
+    weights = torus.weights(alpha_rep(3), alphahat_rep(3))
+    group = torus.Torus(weights, ring)
     found = list(group.orbits(6, True))
-    for (x, size), key in zip(found, group.keys([x for x, _ in found])):
-        orbit = group.orbit(x)
-        assert len(set(orbit)) == size
-        orbits[key] = set(orbit)
-    assert len(orbits) == groups
-    keyed = {}
-    points = list(itertools.product(list(ring.units()), repeat=6))
-    for x, key in zip(points, group.keys(points)):
-        keyed.setdefault(key, set()).add(x)
-    assert keyed == orbits
+    assert len(found) == groups
+    for x, size in found:
+        orbit = torus_orbit(ring, weights, x)
+        assert len(orbit) == size
+        assert all(group.representative(y) == x for y in orbit)
+    assert sum(size for _, size in found) == len(list(ring.units())) ** 6
 
 
-KEY_RINGS = {"Z/8": PadicQuotient(2, 3), "Z/9": PadicQuotient(3, 2), "Z/27": PadicQuotient(3, 3)}
+REPRESENTATIVE_RINGS = {"Z/8": PadicQuotient(2, 3), "Z/9": PadicQuotient(3, 2),
+                        "Z/27": PadicQuotient(3, 3), "F4": ExtField(2, 2)}
 
 
 @settings(max_examples=60, deadline=None)
-@given(rep=tiny_reps(size=3), ring_name=st.sampled_from(sorted(KEY_RINGS)), data=st.data())
+@given(rep=tiny_reps(size=3), ring_name=st.sampled_from(sorted(REPRESENTATIVE_RINGS)),
+       data=st.data())
 @example(rep=ModuleRep(("a",), (1, 2, 3), (1, 2), (((1, 0), (0, 2), (1, 1)),)),
          ring_name="Z/27", data=None)
+@example(rep=ModuleRep(("a",), (), (1,), ((),)), ring_name="Z/9", data=None)  # ring^0
 def test_batched_keys_match_orbit_oracle(rep, ring_name, data):
-    # a batch of points of mixed valuations, zeros and non-units among units,
-    # is keyed alike exactly where the breadth-first orbits agree, and each
-    # point's key in the batch is its key alone
-    ring = KEY_RINGS[ring_name]
+    # points of mixed valuations, zeros and non-units among units, have
+    # equal representatives exactly where the breadth-first orbits agree,
+    # and each point's representative lies in its orbit
+    ring = REPRESENTATIVE_RINGS[ring_name]
     elems, dim = list(ring.elements()), len(rep.I)
-    point = st.tuples(*[st.sampled_from(elems)] * dim)
     if data is None:
-        points = [(1, 3, 9), (0, 6, 18), (2, 3, 0), (1, 3, 9), (4, 12, 9), (8, 24, 0)]
+        points = ([(1, 3, 9), (0, 6, 18), (2, 3, 0), (1, 3, 9), (4, 12, 9), (8, 24, 0)]
+                  if dim else [(), ()])
     else:
-        points = data.draw(st.lists(point, max_size=12))
+        points = data.draw(st.lists(st.tuples(*[st.sampled_from(elems)] * dim), max_size=12))
     weights = torus.weights(rep)
     group = torus.Torus(weights, ring)
-    keys = group.keys(points)
-    assert keys == [group.keys([x])[0] for x in points]
-    orbits = {}
+    orbits = {x: torus_orbit(ring, weights, x) for x in points}
+    representatives = {x: group.representative(x) for x in points}
     for x in points:
-        orbits.setdefault(x, torus_orbit(ring, weights, x))
-    for x, kx in zip(points, keys):
-        for y, ky in zip(points, keys):
-            assert (kx == ky) == (y in orbits[x])
-
-
-def test_keys_of_no_points_and_in_dimension_zero():
-    # an empty batch has no keys; the one point () of ring^0 has one orbit
-    group = torus.Torus(torus.weights(alpha_rep(3)), PadicQuotient(3, 2))
-    assert group.keys([]) == []
-    empty = torus.Torus((), PadicQuotient(3, 2))
-    assert empty.keys([]) == []
-    assert empty.keys([(), (), ()]) == [empty.keys([()])[0]] * 3
+        assert representatives[x] in orbits[x]
+        for y in points:
+            assert (representatives[x] == representatives[y]) == (y in orbits[x])
