@@ -6,10 +6,12 @@ cell classes.  A colouring constant on cell classes is played on the
 master's cells in H x cols: a colour stays while every class of that colour
 meets the board, and a cell that is blank (or whose colour left) and the
 only cell of its class on the board lets you delete its column.
-`_moves` is that one rule, played on the master's cell bitmasks.  A
-colouring is admissible of level l when for every non-empty row subset H
-some <= l columns can be discarded so that moves delete all remaining
-columns.  Certificates are move lists, which the tests' oracle replays.
+greedy_reduce plays that rule on the master's cell bitmasks, updating
+them once per move.  A colouring is admissible of level l when for every
+non-empty row subset H some <= l columns can be discarded so that moves
+delete all remaining columns; as a move stays a move while other columns
+leave, only discards among the survivors of the play discarding nothing
+are tried.  Certificates are move lists, which the tests' oracle replays.
 The same grids and cell classes carry the modules: modrep.relation_rep
 builds every relation module on a master colouring.  A board's hat
 (hat_colouring) puts its rows on 1..d and its columns on d+1..d+e.
@@ -67,8 +69,8 @@ def build_grid(family: Family, I: Sequence[int], J: Sequence[int]) -> GameGrid:
 def _shape(family: Family, I: tuple[int, ...], J: tuple[int, ...]):
     """(grid, cells, bit, row, col, pairs), built once per shape: the family
     grid on sorted, repeat-free (I, J), its cells row-major, bit k =
-    cells[k], and as masks the cells of each row and column and each
-    two-cell class."""
+    cells[k], and as masks the cells of each row and column and of all
+    two-cell classes."""
     cells = frozenset((i, j) for i in I for j in J if family is not Family.GAMMA or i != j)
     class_of = {(i, j): frozenset({(i, j)} if family is Family.RHO
                                   else {(i, j), (j, i)} & cells) for (i, j) in cells}
@@ -78,8 +80,8 @@ def _shape(family: Family, I: tuple[int, ...], J: tuple[int, ...]):
     for (i, j), b in bit.items():
         row[i] |= b
         col[j] |= b
-    pairs = {sum(map(bit.__getitem__, cls)) for cls in class_of.values() if len(cls) == 2}
-    return GameGrid(family, I, J, cells, class_of), order, bit, row, col, tuple(pairs)
+    pairs = sum(bit[cell] for cell, cls in class_of.items() if len(cls) == 2)
+    return GameGrid(family, I, J, cells, class_of), order, bit, row, col, pairs
 
 
 class Masks(NamedTuple):
@@ -88,7 +90,8 @@ class Masks(NamedTuple):
     row: dict[int, int]
     col: dict[int, int]
     colours: tuple[tuple[int, tuple[int, ...]], ...]  # (cells, classes) per colour
-    pairs: tuple[int, ...]  # the two-cell classes
+    pairs: int  # the cells of the two-cell classes
+    blank: int  # the cells with no colour
 
 
 class GameColouring:
@@ -121,7 +124,7 @@ class GameColouring:
 
         colours = tuple((union(itertools.chain(*classes)), tuple(map(union, classes)))
                         for classes in self.classes_of.values())
-        return Masks(cells, row, col, colours, pairs)
+        return Masks(cells, row, col, colours, pairs, union(set(cells) - self.colour_of.keys()))
 
 
 def master_rho(beta: PartialColouring) -> GameColouring:
@@ -150,25 +153,6 @@ def master_symmetric(family: Family, beta: PartialColouring) -> GameColouring:
     return GameColouring(grid, beta.colour_of)
 
 
-def _board(masks: Masks, H: Sequence[int], cols: Sequence[int]) -> int:
-    """The master's cells in H x cols, as a mask."""
-    return (sum(masks.row.get(i, 0) for i in set(H))
-            & sum(masks.col.get(j, 0) for j in set(cols)))
-
-
-def _moves(masks: Masks, board: int) -> int:
-    """The moves on a board, as a mask: the board, less the cells of every
-    colour whose classes all meet it and every two-cell class lying on it."""
-    moves = board
-    for cells, classes in masks.colours:
-        if all(map(board.__and__, classes)):
-            moves &= ~cells
-    for pair in masks.pairs:
-        if pair & board == pair:
-            moves &= ~pair
-    return moves
-
-
 def greedy_reduce(master: GameColouring,
                   I: Sequence[int] | None = None,
                   J: Sequence[int] | None = None,
@@ -177,19 +161,36 @@ def greedy_reduce(master: GameColouring,
 
     Repeatedly deletes the column of the least legal move (the lowest set
     bit of the moves), until no move remains.  Returns the surviving
-    columns and the move log [(cell, deleted column), ...].
+    columns and the move log [(cell, deleted column), ...]; a row outside
+    the grid is ignored and a column outside it survives.  The moves are
+    the board's freed cells (blank, or of a colour that left) less its
+    two-cell classes, those in the rows and columns of H & cols; a move
+    drops its index from both, and re-tests only the colours still present.
     """
     masks = master.masks
-    I = master.grid.I if I is None else I
+    H = set(master.grid.I if I is None else I)
     cols = sorted(set(master.grid.J if J is None else J))
-    board = _board(masks, I, cols)
+    board = sum(masks.row.get(i, 0) for i in H) & sum(masks.col.get(j, 0) for j in cols)
+    shared = H.intersection(cols)
+    pairs = masks.pairs and (masks.pairs & sum(masks.row.get(k, 0) for k in shared)
+                             & sum(masks.col.get(k, 0) for k in shared))
+    present, free = list(masks.colours), masks.blank
     log: list[tuple[Cell, int]] = []
-    while moves := _moves(masks, board):
+    while True:  # a colour leaves once a class misses the board, and never returns
+        for colour in present[:]:
+            for cls in colour[1]:
+                if not board & cls:
+                    present.remove(colour)
+                    free |= colour[0]
+                    break
+        if not (moves := board & free & ~pairs):
+            return tuple(cols), log
         cell = masks.cells[(moves & -moves).bit_length() - 1]
-        board &= ~masks.col[cell[1]]
-        cols.remove(cell[1])
-        log.append((cell, cell[1]))
-    return tuple(cols), log
+        j = cell[1]
+        board &= ~masks.col[j]
+        pairs &= ~(masks.row.get(j, 0) | masks.col[j])
+        cols.remove(j)
+        log.append((cell, j))
 
 
 class MoveCertificate(NamedTuple):
@@ -211,26 +212,24 @@ def is_admissible_game(master: GameColouring, level: int,
 
     For each non-empty H, candidate discard sets D are tried by size then
     lexicographically; greedy play decides whether (H, J without D) clears.
+    Only D among the survivors S of the play discarding nothing are tried:
+    discarding D leaves the survivors that discarding D & S leaves.
     Raises LevelTooLarge above MAX_ROWS rows or when C(|J|, level) exceeds
     subset_budget.
     """
-    grid = master.grid
-    J = grid.J
+    I, J = master.grid.I, master.grid.J
     if comb(len(J), level) > subset_budget:
         raise LevelTooLarge(f"C({len(J)}, {level}) exceeds budget")
-    I = grid.I
     if len(I) > MAX_ROWS:
         raise LevelTooLarge(f"|I| = {len(I)} > {MAX_ROWS} rows")
-    subsets = []
-    for r in range(1, len(I) + 1):
-        subsets.extend(itertools.combinations(I, r))
+    subsets = [H for r in range(1, len(I) + 1) for H in itertools.combinations(I, r)]
     certificates = []
     for H in subsets:
+        survivors, log = greedy_reduce(master, H, J)  # they witness a failure at H
         for D in itertools.chain.from_iterable(
-                itertools.combinations(J, size) for size in range(level + 1)):
-            final, log = greedy_reduce(master, H, [j for j in J if j not in D])
-            if not D:  # the first play; its survivors witness a failure at H
-                survivors = final
+                itertools.combinations(survivors, size) for size in range(level + 1)):
+            final, log = (greedy_reduce(master, H, [j for j in J if j not in D]) if D
+                          else (survivors, log))
             if not final:
                 certificates.append(MoveCertificate(tuple(H), D, tuple(log)))
                 break

@@ -7,8 +7,8 @@ the two is meaningful evidence.  The blank-closure admissibility test
 lives here only: it checks the library's one decider, the column-deletion
 game.  The fixtures (matrix arithmetic, the Knuth companion, the symbolic
 forms of criterion 10, the class-3 relation algebra, seeded units, rainbow
-and transposed colourings, the colour closure and a view of the library's
-move rule) build test inputs and are not checks in their own right.
+and transposed colourings, the colour closure and a from-scratch view of
+the library's move masks) build test inputs and are not checks in their own right.
 """
 from __future__ import annotations
 
@@ -894,10 +894,21 @@ def oracle_moves(master, I, J) -> list:
 
 
 def legal_moves(master, H, cols) -> list:
-    """The library's moves at position (H, cols), row-major: the cells of
-    the mask that boardgame's one rule, `_moves`, leaves on the board."""
+    """The moves at position (H, cols), row-major, read off the library's
+    mask table from scratch: the board's cells that are blank or of a
+    colour one of whose classes misses the board, less the cells of
+    two-cell classes whose indices are both rows and columns of the board
+    (the rule greedy_reduce updates move by move)."""
     masks = master.masks
-    moves = boardgame._moves(masks, boardgame._board(masks, H, cols))
+    H, cols = set(H), set(cols)
+    board = (sum(masks.row.get(i, 0) for i in H)
+             & sum(masks.col.get(j, 0) for j in cols))
+    free = masks.blank | sum(cells for cells, classes in masks.colours
+                             if not all(map(board.__and__, classes)))
+    both = H & cols
+    on_board = (masks.pairs & sum(masks.row.get(k, 0) for k in both)
+                & sum(masks.col.get(k, 0) for k in both))
+    moves = board & free & ~on_board
     return [cell for k, cell in enumerate(masks.cells) if moves >> k & 1]
 
 
@@ -909,6 +920,38 @@ def replay_certificate(master, cert) -> bool:
             return False
         cols.remove(col)
     return not cols
+
+
+def naive_greedy(master, H, cols) -> tuple:
+    """Greedy play from the definitions: delete the column of the least
+    oracle move until no move is left; (survivors, move log)."""
+    cols, log = sorted(cols), []
+    while moves := oracle_moves(master, H, cols):
+        cols.remove(moves[0][1])
+        log.append((moves[0], moves[0][1]))
+    return tuple(cols), log
+
+
+def naive_admissible_game(master, level: int) -> boardgame.GameVerdict:
+    """The level-l game verdict without the survivor pruning: for each
+    non-empty H, every D of size <= level over all of J, by size then
+    lexicographically, each played from scratch with naive_greedy; the
+    first clearing D gives H's certificate, and the D-empty play's
+    survivors witness an H that none clears."""
+    I, J = master.grid.I, master.grid.J
+    certificates = []
+    for H in (H for r in range(1, len(I) + 1) for H in itertools.combinations(I, r)):
+        for D in (D for size in range(level + 1) for D in itertools.combinations(J, size)):
+            final, log = naive_greedy(master, H, [j for j in J if j not in D])
+            if not D:
+                survivors = final
+            if not final:
+                certificates.append(boardgame.MoveCertificate(H, D, tuple(log)))
+                break
+        else:
+            return boardgame.GameVerdict(False, level, tuple(certificates),
+                                         {"H": list(H), "surviving_columns": list(survivors)})
+    return boardgame.GameVerdict(True, level, tuple(certificates))
 
 
 def exhaustive_game_clearable(master, I, J) -> bool:

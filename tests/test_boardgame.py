@@ -9,9 +9,9 @@ from gridask.boardgame import (Family, GameColouring, LevelTooLarge, build_grid,
                                master_symmetric)
 from gridask.colouring import PartialColouring, parse_grid
 
-from oracles import (exhaustive_game_clearable, legal_moves, oracle_moves,
-                     rainbow_colouring, random_colouring, random_symmetric_colouring,
-                     replay_certificate)
+from oracles import (exhaustive_game_clearable, legal_moves, naive_admissible_game,
+                     oracle_moves, rainbow_colouring, random_colouring,
+                     random_symmetric_colouring, replay_certificate)
 
 GRIDS = Path(__file__).resolve().parent.parent / "grids"
 
@@ -158,6 +158,28 @@ def test_greedy_play_takes_the_oracles_least_move():
                 assert greedy_reduce(master, H, cols) == naive[cols]
 
 
+def test_greedy_play_outside_the_grid():
+    # a row outside the grid is ignored; a column outside it holds no cell
+    # and survives
+    master = master_rho(PartialColouring(2, 2))
+    assert greedy_reduce(master, (1, 5), (1, 2, 9)) == ((9,), [((1, 1), 1), ((1, 2), 2)])
+    gamma = master_symmetric(Family.GAMMA, PartialColouring(3, 3))
+    assert greedy_reduce(gamma, (1, 2, 7), (1, 2, 3, 7)) == ((1, 2, 7), [((1, 3), 3)])
+
+
+def test_discarding_outside_the_survivors_changes_nothing():
+    # the identity is_admissible_game's pruning rests on: with S the
+    # survivors of the play from (H, J), discarding D and discarding D & S
+    # leave the same survivors
+    for master in random_masters():
+        J = master.grid.J
+        for H in subsets(master.grid.I):
+            S = set(greedy_reduce(master, H)[0])
+            for D in subsets(J):
+                assert (greedy_reduce(master, H, [j for j in J if j not in D])[0]
+                        == greedy_reduce(master, H, [j for j in J if j not in S & set(D)])[0])
+
+
 # ---------------------------------------------------------------------------
 # Isolated cells and greedy play.
 # ---------------------------------------------------------------------------
@@ -255,6 +277,31 @@ def test_certificate_tampering_detected():
     cert = verdict.certificates[0]
     bad = type(cert)(cert.H, cert.D, cert.moves[:-1])
     assert not replay_certificate(master, bad)
+
+
+@pytest.mark.parametrize("level", [0, 1, 2])
+def test_game_verdict_matches_naive_oracle(level):
+    # the whole verdict (certificates, their move logs, the witness) against
+    # a play of every discard set over all of J, move by move from the
+    # definitions
+    rng = random.Random(101 + level)
+    masters = []
+    for _ in range(30):
+        rect = random_colouring(rng.randrange(1, 5), rng.randrange(1, 5), rng.randrange(4), rng)
+        beta = random_symmetric_colouring(rng.randrange(1, 5), rng.randrange(4), rng)
+        hat = random_colouring(rng.randrange(1, 3), rng.randrange(1, 4), rng.randrange(4), rng)
+        masters += [master_rho(rect), master_symmetric(Family.SIGMA, beta),
+                    master_symmetric(Family.GAMMA, PartialColouring(beta.d, beta.d, {
+                        c: v for c, v in beta.colour_of.items() if c[0] != c[1]})),
+                    hat_colouring(hat, rng.choice((Family.GAMMA, Family.SIGMA)))]
+    for master in masters:
+        assert is_admissible_game(master, level) == naive_admissible_game(master, level)
+
+
+@pytest.mark.parametrize("b", [4, 6])
+def test_rainbow_verdicts_match_naive_oracle(b):
+    master = master_symmetric(Family.GAMMA, rainbow_colouring(b, 7))
+    assert is_admissible_game(master, 1) == naive_admissible_game(master, 1)
 
 
 def test_level_too_large():

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 from collections import Counter
@@ -130,6 +132,45 @@ def test_manifest_rank_dist_line_matches_the_census(capsys):
     code, out = run_out(line.split() + ["--json"], capsys)
     assert code == 0
     assert json.loads(out)["counts"] == {str(r): n for r, n in expected.items()}
+
+
+# sha256 of the --json stdout of each check-admissible line of the
+# acceptance manifest, as the game printed it before its state became
+# incremental: the verdicts, certificates, move logs and witnesses stay
+# byte for byte.
+ADMISSIBLE_LINE_SHA256 = {
+    "check-admissible grids/sample_a.grid --family rho":
+        "c39fb1f9c2434e9ff80d7878c0501e2ab87e4eb96e6a25f95e611258ef7872e4",
+    "check-admissible grids/sample_b.grid --family rho":
+        "b7e15ee46205dd14d26665df4b9bbb130f131fb01a97d361bb9940c0ac359f41",
+    "check-admissible grids/sample_c.grid --family rho --expect-inadmissible":
+        "54003897fd17e7dee0b3e06a6dc1c561d0616b2e1b9138439d3e6b07966b609a",
+    "check-admissible grids/sample_d.grid --family rho --expect-inadmissible":
+        "6cc5a71cccc5f22e6a0909cd492d04c89d58a0c55c6d92bddcf82d9bfbf584ea",
+    "check-admissible grids/quartic.grid --family rho":
+        "cf4815e3cb21dd7f80fc8b0f00dd3176ca61b5ef299e10fba8bbbe493ad3fa8b",
+    "check-admissible grids/quintic.grid --family rho --expect-inadmissible":
+        "bc59654d54d77370bdc675ffe03ed2082895853fff361f9e06dbb5d907b9c71b",
+    "check-admissible grids/traceless_2.grid --family rho":
+        "5b3832d51a08b34b60018f8f60e50c014b2dea14cf200721e1fb3a4409434a3c",
+    "check-admissible grids/traceless_3.grid --family rho":
+        "fa4da3488d5d38d83889a97825a400ea14b30dfdeefb74b09f01d8c3713a2d94",
+    "check-admissible grids/rainbow_4_7.grid --level 1":
+        "826173f875c0149a1803c92a7c60be323b63f97e91bb33ea3d8dcd930f75d1c9",
+    "check-admissible grids/rainbow_6_7.grid --level 1 --expect-inadmissible":
+        "a8a4218d53536b8f9ded05878d6c2ebfad396aec346bbdcc18cbba9f05c80e87",
+}
+
+
+def test_manifest_check_admissible_lines_keep_their_bytes(capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    lines = [line for line in (ROOT / "manifests" / "acceptance.txt").read_text().splitlines()
+             if line.startswith("check-admissible")]
+    assert lines == list(ADMISSIBLE_LINE_SHA256)
+    for line in lines:
+        code, out = run_out(shlex.split(line) + ["--json"], capsys)
+        assert code == 0, line
+        assert hashlib.sha256(out.encode()).hexdigest() == ADMISSIBLE_LINE_SHA256[line], line
 
 
 def test_dump_rep_roundtrip(tmp_path, capsys):
